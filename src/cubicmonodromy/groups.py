@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -82,10 +81,6 @@ def _canonical_aut(m: SL2, h: Heis) -> Heis:
     na, nb = (m[0] * a + m[1] * b) % 3, (m[2] * a + m[3] * b) % 3
     q = (2 * (na * nb - a * b)) % 3
     return (na, nb, (c + q) % 3)
-
-
-def _symp(u: tuple[int, int], v: tuple[int, int]) -> int:
-    return (u[0] * v[1] - u[1] * v[0]) % 3
 
 
 # Splitting of the SL2 factor inside the canonically twisted product: the
@@ -217,63 +212,12 @@ def semidirect_model() -> SemidirectGroup:
     return model
 
 
-class TupleGroup:
-    """BFS closure over hashable elements; mirrors FiniteMatrixGroup's shape."""
-
-    def __init__(self, gens, elements, parents, transitions, index):
-        self.gens = gens
-        self.elements = elements
-        self.parents = parents
-        self.transitions = transitions
-        self.index = index
-
-    @classmethod
-    def close(cls, gens: list, mul, identity, cap: int = 2000) -> "TupleGroup":
-        elements = [identity]
-        parents: list[tuple[int, int] | None] = [None]
-        index = {identity: 0}
-        transitions: list[list[int]] = []
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for idx in frontier:
-                row = []
-                for g_idx, g in enumerate(gens):
-                    prod = mul(g, elements[idx])
-                    at = index.get(prod)
-                    if at is None:
-                        at = len(elements)
-                        if at >= cap:
-                            raise WrongOrder(f"tuple closure exceeded cap {cap}")
-                        elements.append(prod)
-                        parents.append((idx, g_idx))
-                        index[prod] = at
-                        nxt.append(at)
-                    row.append(at)
-                transitions.append(row)
-            frontier = nxt
-        return cls(gens, elements, parents, transitions, index)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def word(self, idx: int) -> list[int]:
-        out: list[int] = []
-        while True:
-            parent = self.parents[idx]
-            if parent is None:
-                return out
-            idx, g_idx = parent
-            # closure builds gen * parent, so the walk yields leftmost first
-            out.append(g_idx)
-
-
 def verify_generator_map(source, images: list[ModelElement],
                          model: SemidirectGroup) -> dict[int, ModelElement]:
     """Extend a generator assignment along the closure and certify it.
 
-    source must expose elements, transitions and word() the way the closure
-    classes here do, with source.transitions[i][j] indexing the product
+    source must expose gens, elements, transitions and word() the way
+    FiniteMatrixGroup does, with source.transitions[i][j] indexing the product
     (generator j) * (element i).  Every one of those product relations is
     replayed in the model; any mismatch raises NotIsomorphic with the word
     of the offending element as a witness.  The verified extension is also
@@ -321,21 +265,14 @@ def verify_isomorphism(group: FiniteMatrixGroup,
 
 def intersect(a: FiniteMatrixGroup, b: FiniteMatrixGroup) -> FiniteMatrixGroup:
     """Intersection of two matrix groups, re-verified closed."""
-    keys_b = set(b.index)
-    members = [m for m, k in zip(a.elements, a.index) if k in keys_b]
-    return regenerate(members)
+    return regenerate(a.elements[b.locate(a.elements) >= 0])
 
 
 def is_normal(sub: FiniteMatrixGroup, ambient: FiniteMatrixGroup) -> bool:
-    for m in sub.elements:
-        if m not in ambient:
-            raise NotASubgroup("claimed subgroup is not contained in the group")
-    for g in ambient.gens:
-        g_inv = lattice_inverse(g)
-        for h in sub.elements:
-            if (g @ h @ g_inv) not in sub:
-                return False
-    return True
+    if np.any(ambient.locate(sub.elements) < 0):
+        raise NotASubgroup("claimed subgroup is not contained in the group")
+    return all(np.all(sub.locate(g @ sub.elements @ lattice_inverse(g)) >= 0)
+               for g in ambient.gens)
 
 
 def conjugation_relations(h1, h2, g1, g2, omega) -> list[dict]:
@@ -352,31 +289,6 @@ def conjugation_relations(h1, h2, g1, g2, omega) -> list[dict]:
         {"relation": name, "holds": bool(np.array_equal(got, want))}
         for name, got, want in checks
     ]
-
-
-def conjugation_relation_variant(h1, h2, g1, g2,
-                                 center_elements: list[np.ndarray]) -> dict | None:
-    """Search the convention ambiguities for a variant making all four hold.
-
-    Pipeline generators are only pinned down up to the deck direction (the
-    central element vs its inverse), loop orientation (each g vs its
-    inverse), and which tracked loop plays which role (the pair swap).
-    Returns a description of the first matching variant, or None.
-    """
-    inv = lattice_inverse
-    for swap, inv1, inv2, z in product((False, True), (False, True),
-                                       (False, True), range(len(center_elements))):
-        ha, hb = (h2, h1) if swap else (h1, h2)
-        ga = inv(g1) if inv1 else g1
-        gb = inv(g2) if inv2 else g2
-        if swap:
-            ga, gb = gb, ga
-        zc = center_elements[z]
-        rel = conjugation_relations(ha, hb, ga, gb, zc)
-        if all(r["holds"] for r in rel):
-            return {"swap": swap, "invert_g1": inv1, "invert_g2": inv2,
-                    "central_index": z, "relations": rel}
-    return None
 
 
 def identify_order24(group: FiniteMatrixGroup) -> str:

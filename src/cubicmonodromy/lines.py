@@ -80,13 +80,6 @@ class Line3:
         return np.array(pts)
 
 
-def span_distance(a: Line3, b: Line3) -> float:
-    """Chordal distance between covector spans; 0 iff the same line."""
-    u, v = a.span_basis(), b.span_basis()
-    overlap = np.linalg.norm(u @ v.T.conj(), "fro") ** 2
-    return math.sqrt(max(0.0, 2.0 - overlap))
-
-
 def surface_residual(f: CubicForm, line: Line3, count: int = 5) -> float:
     """max |w^3 - f| over sample points of the line, unit-normalized."""
     worst = 0.0
@@ -396,10 +389,6 @@ def perm_to_lattice_map(perm: np.ndarray, classes: np.ndarray,
     if not np.array_equal(m.T @ J_FORM @ m, J_FORM):
         raise FormViolation("lattice map does not preserve the form")
     return m
-
-
-def lattice_map_fixes_canonical(m: np.ndarray) -> bool:
-    return bool(np.array_equal(m @ CANONICAL_CLASS, CANONICAL_CLASS))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,8 +8,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-import jsonschema
-
 SCHEMA_VERSION = 1
 
 REPORT_SCHEMA = {
@@ -101,6 +99,7 @@ class VerificationReport:
         }
 
     def validated_dict(self) -> dict:
+        import jsonschema  # deferred: only report rendering needs it
         payload = self.to_dict()
         jsonschema.validate(payload, REPORT_SCHEMA)
         return payload

@@ -137,14 +137,11 @@ def model_image_of(mat: np.ndarray) -> ModelElement:
 def conjugator_carrying_deck(target_deck: np.ndarray) -> np.ndarray:
     """Some reflection-group element conjugating the stored deck matrix onto
     the given one; raises NotAMember when the two are not conjugate."""
-    fx_deck = load_fixtures().deck
-    target_deck = np.asarray(target_deck, dtype=np.int64)
-    stacked = weyl_group().stacked()
-    hits = np.where((stacked @ fx_deck == target_deck @ stacked)
-                    .all(axis=(1, 2)))[0]
+    group = weyl_group()
+    hits = group.intertwiners(load_fixtures().deck, target_deck)
     if len(hits) == 0:
         raise NotAMember("deck matrices are not conjugate in the reflection group")
-    return weyl_group().elements[int(hits[0])]
+    return group.elements[hits[0]]
 
 
 def transported_images(group: FiniteMatrixGroup,
@@ -219,7 +216,8 @@ def fixture_checks() -> list[Check]:
     def reflection_invariants():
         from .lines import CANONICAL_CLASS, J_FORM
         stacked = weyl_group().stacked()
-        form = np.einsum("nja,jk,nkb->nab", stacked, J_FORM, stacked)
+        # J_FORM is diagonal, so m^T J m scales the rows of m by its diagonal
+        form = np.matmul(stacked.transpose(0, 2, 1) * np.diag(J_FORM), stacked)
         fixes = stacked @ CANONICAL_CLASS
         return ({"formPreserved": bool((form == J_FORM).all()),
                  "canonicalFixed": bool((fixes == CANONICAL_CLASS).all())},

@@ -5,6 +5,20 @@ diag(1, -1, ..., -1) and fixing the canonical class (-3, 1, ..., 1).  The
 group is generated by the six simple reflections and enumerated by a
 deterministic breadth-first closure that also records a generator word for
 every element, which later feeds the isomorphism verification.
+
+The closure runs level by level over one (n, d, d) element stack.  Elements
+are told apart by a 64-bit key <R, M> mod 2^64 with fixed pseudo-random
+weights R.  The key is linear, so key(g M) = <g^T R, M>: one small integer
+product keys every (frontier element, generator) pair of a level.  Sorting
+those keys finds the products not seen before, each at its first visit in
+(element, generator) order, and only they are multiplied out.
+
+Keys only propose equalities.  After the last level every recorded relation
+g_j @ elements[i] == elements[transitions[i, j]] is checked exactly, on
+integer row codes that are one-to-one under an entry bound computed from
+the inputs.  So a key collision raises instead of merging two elements,
+and elements, parents and transitions are exactly those of the
+per-element search.  All products are int64.
 """
 
 from __future__ import annotations
@@ -13,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceeded, NotAMember, WrongOrder
+from .errors import CapExceeded, GroupError, NotAMember, WrongOrder
 from .lines import CANONICAL_CLASS, J_FORM, pairing
 
 SIMPLE_ROOTS = np.array([
@@ -27,7 +41,6 @@ SIMPLE_ROOTS = np.array([
 
 WEYL_ORDER = 51840
 DEFAULT_CAP = 60000
-SUBGROUP_CAP = 1000
 
 
 def reflection(root: np.ndarray) -> np.ndarray:
@@ -56,76 +69,155 @@ def lattice_inverse(m: np.ndarray) -> np.ndarray:
     return (J_FORM @ m.T @ J_FORM).astype(np.int64)
 
 
-def _key(m: np.ndarray) -> bytes:
-    return np.ascontiguousarray(m, dtype=np.int64).tobytes()
+@lru_cache(maxsize=None)
+def _key_vector(dim: int) -> np.ndarray:
+    """The fixed (dim, dim) uint64 key weights R."""
+    return np.random.default_rng(dim).integers(0, 2**64, size=(dim, dim),
+                                               dtype=np.uint64)
+
+
+def _flat(mats: np.ndarray) -> np.ndarray:
+    """A (k, d, d) integer stack as (k, d*d) uint64, two's complement."""
+    mats = np.ascontiguousarray(mats, dtype=np.int64)
+    return mats.reshape(len(mats), -1).view(np.uint64)
+
+
+def _row_codes(stack: np.ndarray, bound: int) -> np.ndarray:
+    """Exact codes of the rows of a (n, d, d) stack with entries in +-bound.
+
+    Each run of k entries of a row becomes sum_b m[a, b] base^b with
+    base = 2 bound + 1, which is one-to-one on such runs, and k is as long
+    as int64 allows.  The codes are linear in the rows, so the codes of
+    g @ m are codes(m) @ g.T; shape (n, pieces, d).
+    """
+    base, d = 2 * bound + 1, stack.shape[2]
+    k = d
+    while k > 1 and bound * base**k >= 2**63:
+        k -= 1
+    weights = np.array([base**b for b in range(k)], dtype=np.int64)
+    return np.stack([stack[:, :, i:i + k] @ weights[:d - i]
+                     for i in range(0, d, k)], axis=1)
 
 
 class FiniteMatrixGroup:
-    """A finite matrix group enumerated by breadth-first closure.
+    """A finite matrix group enumerated by level-synchronous BFS closure.
 
-    elements[0] is the identity; `parents[i]` stores (parent index, generator
+    `elements` is one read-only (n, d, d) int64 stack in discovery order,
+    elements[0] the identity; `parents[i]` stores (parent index, generator
     index) so a generator word can be rebuilt for any element; `transitions`
     maps (element, generator) to the product's index, covering every product
-    relation the closure discovered.
+    relation the closure discovered.  Membership goes through the sorted
+    element keys and ends in an exact matrix comparison.
     """
 
-    def __init__(self, gens: list[np.ndarray], elements: list[np.ndarray],
+    def __init__(self, gens: list[np.ndarray], elements: np.ndarray,
                  parents: list[tuple[int, int] | None],
                  transitions: np.ndarray):
+        elements.flags.writeable = False
         self.gens = gens
         self.elements = elements
         self.parents = parents
         self.transitions = transitions
-        self.index = {_key(m): i for i, m in enumerate(elements)}
+        self._weights = _key_vector(elements.shape[1])
+        keys = _flat(elements) @ self._weights.ravel()
+        self._order = np.argsort(keys)
+        self._keys = keys[self._order]
         self._census: dict[int, int] | None = None
 
     @classmethod
     def close(cls, gens: list[np.ndarray], cap: int = DEFAULT_CAP) -> "FiniteMatrixGroup":
-        """Deterministic BFS closure of the generating set, identity first."""
+        """Deterministic BFS closure of the generating set, identity first.
+
+        Raises CapExceeded past cap elements, GroupError on a key collision.
+        """
         gens = [np.asarray(g, dtype=np.int64) for g in gens]
+        ng = len(gens)
         dim = gens[0].shape[0] if gens else 7
-        identity = np.eye(dim, dtype=np.int64)
-        elements = [identity]
-        parents: list[tuple[int, int] | None] = [None]
-        index = {_key(identity): 0}
-        transitions: list[list[int]] = []
-        frontier = [0]
-        while frontier:
-            new_frontier = []
-            for idx in frontier:
-                row = []
-                for g_idx, g in enumerate(gens):
-                    prod = g @ elements[idx]
-                    key = _key(prod)
-                    at = index.get(key)
-                    if at is None:
-                        at = len(elements)
-                        if at >= cap:
-                            raise CapExceeded(f"closure exceeded cap {cap}")
-                        elements.append(prod)
-                        parents.append((idx, g_idx))
-                        index[key] = at
-                        new_frontier.append(at)
-                    row.append(at)
-                transitions.append(row)
-            frontier = new_frontier
-        # transitions rows were appended in element order because BFS expands
-        # every element exactly once, in discovery order
-        trans = np.array(transitions, dtype=np.int64) if transitions else \
-            np.zeros((1, 0), dtype=np.int64)
-        return cls(gens, elements, parents, trans)
+        weights = _key_vector(dim)
+        gen_stack = np.array(gens, dtype=np.int64).reshape(ng, dim, dim)
+        # column j holds the weights g_j^T R, so frontier keys @ shift gives
+        # key(g_j @ m) for every frontier element m and generator j
+        shift = np.array([(g.view(np.uint64).T @ weights).ravel() for g in gens],
+                         dtype=np.uint64).reshape(ng, dim * dim).T
+        gen_max = dim * int(np.abs(gen_stack).max(initial=0))
+        frontier = np.eye(dim, dtype=np.int64)[None]
+        keys = _flat(frontier) @ weights.ravel()  # sorted keys so far
+        slots = np.zeros(1, dtype=np.int64)  # element index of each key
+        chunks, rows, born_at = [frontier], [], []
+        start, count = 0, 1
+        while len(frontier):
+            cand = (_flat(frontier) @ shift).ravel()
+            order = np.argsort(cand)
+            cand = cand[order]
+            at = np.searchsorted(keys, cand)
+            hit = np.minimum(at, count - 1)
+            # one run per distinct key; its earliest (element, generator)
+            # visit is the one a per-element search would meet first
+            head = np.ones(len(cand), dtype=bool)
+            head[1:] = cand[1:] != cand[:-1]
+            runs = np.flatnonzero(head)
+            first = np.minimum.reduceat(order, runs)
+            fresh = keys[hit[runs]] != cand[runs]
+            src = np.sort(first[fresh])
+            if count + len(src) > cap:
+                raise CapExceeded(f"closure exceeded cap {cap}")
+            target = slots[hit[runs]]
+            target[fresh] = count + np.searchsorted(src, first[fresh])
+            row = np.empty(len(cand), dtype=np.int64)
+            row[order] = target[np.cumsum(head) - 1]
+            born = runs[fresh]
+            keys = np.insert(keys, at[born], cand[born])
+            slots = np.insert(slots, at[born], target[fresh])
+            rows.append(row.reshape(len(frontier), ng))
+            born_at.append(start * ng + src)  # (parent, generator) visit
+            elem, gen = np.divmod(src, ng)
+            frontier = np.matmul(gen_stack[gen], frontier[elem])
+            chunks.append(frontier)
+            start, count = count, count + len(src)
+        elements = np.concatenate(chunks)
+        transitions = np.concatenate(rows)
+        # the bound covers every entry of every element and product g @ m
+        codes = _row_codes(elements, int(np.abs(elements).max()) * max(1, gen_max))
+        for j, g in enumerate(gens):
+            if not np.array_equal(codes[transitions[:, j]], codes @ g.T):
+                raise GroupError("element keys collided; closure not exact")
+        parent, g_idx = np.divmod(np.concatenate(born_at), ng)
+        parents = [None, *zip(parent.tolist(), g_idx.tolist())]
+        return cls(gens, elements, parents, transitions)
 
     def __len__(self) -> int:
         return len(self.elements)
 
+    def locate(self, mats: np.ndarray) -> np.ndarray:
+        """Element index of each matrix of a (k, d, d) stack, -1 if absent."""
+        mats = np.asarray(mats, dtype=np.int64)
+        if mats.shape[1:] != self.elements.shape[1:]:
+            return np.full(len(mats), -1, dtype=np.int64)
+        pos = np.searchsorted(self._keys, _flat(mats) @ self._weights.ravel())
+        idx = self._order[np.minimum(pos, len(self) - 1)]
+        hit = np.all(self.elements[idx] == mats, axis=(1, 2))
+        return np.where(hit, idx, -1)
+
+    def intertwiners(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Indices, ascending, of the elements m with m @ a == b @ m."""
+        a, b = (np.asarray(x, dtype=np.int64) for x in (a, b))
+        # key(m a) = <R a^T, m> and key(b m) = <b^T R, m>; equal keys only
+        # preselect, the matrices themselves decide
+        both = np.stack([(self._weights @ a.view(np.uint64).T).ravel(),
+                         (b.view(np.uint64).T @ self._weights).ravel()], axis=1)
+        sides = _flat(self.elements) @ both
+        cand = np.flatnonzero(sides[:, 0] == sides[:, 1])
+        sub = self.elements[cand]
+        return cand[np.all(np.matmul(sub, a) == np.matmul(b, sub), axis=(1, 2))]
+
     def __contains__(self, m: np.ndarray) -> bool:
-        return _key(np.asarray(m, dtype=np.int64)) in self.index
+        return bool(self.locate(np.asarray(m)[None])[0] >= 0)
 
     def index_of(self, m: np.ndarray) -> int:
-        key = _key(np.asarray(m, dtype=np.int64))
-        if key not in self.index:
+        idx = int(self.locate(np.asarray(m)[None])[0])
+        if idx < 0:
             raise NotAMember("matrix is not in the group")
-        return self.index[key]
+        return idx
 
     def word(self, idx: int) -> list[int]:
         """Generator indices whose left-to-right product is elements[idx]."""
@@ -139,7 +231,8 @@ class FiniteMatrixGroup:
             out.append(g_idx)
 
     def stacked(self) -> np.ndarray:
-        return np.stack(self.elements)
+        """The (n, d, d) element stack itself, read-only, not a copy."""
+        return self.elements
 
     def census(self) -> dict[int, int]:
         """Multiplicative order histogram, computed batched."""
@@ -187,20 +280,13 @@ def conjugacy_class_size(g: np.ndarray, group: FiniteMatrixGroup) -> int:
     g = np.asarray(g, dtype=np.int64)
     if g not in group:
         raise NotAMember("conjugacy class requested for a non-member")
-    seen = {_key(g)}
-    frontier = [g]
-    gen_pairs = [(s, lattice_inverse(s)) for s in group.gens]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for s, s_inv in gen_pairs:
-                c = s @ m @ s_inv
-                key = _key(c)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(c)
-        frontier = nxt
-    return len(seen)
+    orbit = g[None]
+    while True:
+        conj = [s @ orbit @ lattice_inverse(s) for s in group.gens]
+        grown = np.unique(np.concatenate([orbit, *conj]), axis=0)
+        if len(grown) == len(orbit):
+            return len(orbit)
+        orbit = grown
 
 
 def centralizer(g: np.ndarray, group: FiniteMatrixGroup) -> FiniteMatrixGroup:
@@ -209,36 +295,31 @@ def centralizer(g: np.ndarray, group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     g = np.asarray(g, dtype=np.int64)
     if g not in group:
         raise NotAMember("centralizer requested for a non-member")
-    stack = group.stacked()
-    left = np.matmul(stack, g)
-    right = np.matmul(g, stack)
-    hits = np.all(left == right, axis=(1, 2))
-    members = [stack[i] for i in np.flatnonzero(hits)]
-    sub = regenerate(members)
+    sub = regenerate(group.elements[group.intertwiners(g, g)])
     orbit = conjugacy_class_size(g, group)
     if orbit * len(sub) != len(group):
         raise WrongOrder("orbit-stabilizer count failed for the centralizer")
     return sub
 
 
-def regenerate(members: list[np.ndarray]) -> FiniteMatrixGroup:
-    """Find a small generating set for a closed member list, then re-close.
+def regenerate(members: np.ndarray) -> FiniteMatrixGroup:
+    """Find a small generating set for a closed member stack, then re-close.
 
     Greedy: keep adjoining the first member not yet generated.  The final
     closure is asserted to reproduce the member set exactly, which certifies
     that the input really was closed.
     """
-    target = {_key(m) for m in members}
+    members = np.asarray(members, dtype=np.int64)
+    cap = len(members) + 1
     gens: list[np.ndarray] = []
-    group = FiniteMatrixGroup.close([np.eye(members[0].shape[0], dtype=np.int64)],
-                                    cap=len(members) + 1)
-    for m in members:
-        if m not in group:
-            gens.append(m)
-            group = FiniteMatrixGroup.close(gens, cap=len(members) + 1)
-            if len(group) == len(members):
-                break
-    if {_key(m) for m in group.elements} != target:
+    group = FiniteMatrixGroup.close([np.eye(members.shape[1], dtype=np.int64)],
+                                    cap=cap)
+    missing = np.flatnonzero(group.locate(members) < 0)
+    while len(missing) and len(group) < len(members):
+        gens.append(members[missing[0]])
+        group = FiniteMatrixGroup.close(gens, cap=cap)
+        missing = np.flatnonzero(group.locate(members) < 0)
+    if len(missing) or len(group) != len(members):
         raise WrongOrder("member list is not closed under multiplication")
     return group
 

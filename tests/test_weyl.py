@@ -3,13 +3,77 @@
 import numpy as np
 import pytest
 
-from cubicmonodromy.errors import CapExceeded, NotAMember
+from cubicmonodromy import weyl
+from cubicmonodromy.errors import CapExceeded, GroupError, NotAMember
+from cubicmonodromy.fixtures import load_fixtures
 from cubicmonodromy.lines import CANONICAL_CLASS, J_FORM
 from cubicmonodromy.weyl import (WEYL_ORDER, FiniteMatrixGroup, centralizer,
                                  conjugacy_class_size, is_lattice_map,
                                  lattice_inverse, reflection, regenerate,
                                  trace_character_check, weyl_generators,
                                  weyl_group)
+
+
+def reference_close(gens):
+    """Per-element BFS closure keyed by matrix bytes: the reference.
+
+    Expanding elements in index order is breadth-first order, and each
+    (element, generator) product either finds its matrix or appends it.
+    """
+    gens = [np.asarray(g, dtype=np.int64) for g in gens]
+    dim = gens[0].shape[0] if gens else 7
+    elements = [np.eye(dim, dtype=np.int64)]
+    parents = [None]
+    index = {elements[0].tobytes(): 0}
+    transitions = []
+    for i, m in enumerate(elements):
+        row = []
+        for j, g in enumerate(gens):
+            prod = g @ m
+            at = index.setdefault(prod.tobytes(), len(elements))
+            if at == len(elements):
+                elements.append(prod)
+                parents.append((i, j))
+            row.append(at)
+        transitions.append(row)
+    trans = np.array(transitions, dtype=np.int64).reshape(len(elements), len(gens))
+    return np.stack(elements), parents, trans
+
+
+def _generator_sets():
+    fx = load_fixtures()
+    return {
+        "reflections": weyl_generators(),
+        "fixtures": fx.generators(),
+        "torsion": [fx.h1, fx.h2],
+        "single": [fx.deck],
+        "empty": [],
+        # an order-4 matrix with entries (up to 2^54 + 1) too large for
+        # an int64 code of a whole row
+        "large-entries": [np.array([[2**27, -2**54 - 1], [1, -2**27]])],
+    }
+
+
+@pytest.mark.parametrize("name", list(_generator_sets()))
+def test_close_matches_reference_bfs(name):
+    gens = _generator_sets()[name]
+    elements, parents, transitions = reference_close(gens)
+    group = FiniteMatrixGroup.close(gens)
+    assert group.elements.dtype == elements.dtype
+    assert group.elements.tobytes() == elements.tobytes()
+    assert group.parents == parents
+    assert group.transitions.shape == transitions.shape
+    assert group.transitions.tobytes() == transitions.tobytes()
+
+
+@pytest.mark.parametrize("name", ["reflections", "fixtures"])
+def test_close_raises_on_key_collision(monkeypatch, name):
+    # every matrix gets key 0, so the closure would merge everything into
+    # the identity unless the exact comparison catches it
+    monkeypatch.setattr(weyl, "_key_vector",
+                        lambda dim: np.zeros((dim, dim), dtype=np.uint64))
+    with pytest.raises(GroupError):
+        FiniteMatrixGroup.close(_generator_sets()[name])
 
 
 def test_generators_are_reflections():
@@ -110,6 +174,26 @@ def test_regenerate_preserves_set():
 def test_close_cap_exceeded():
     with pytest.raises(CapExceeded):
         FiniteMatrixGroup.close(weyl_generators(), cap=100)
+    gens = load_fixtures().generators()
+    assert len(FiniteMatrixGroup.close(gens, cap=648)) == 648
+    with pytest.raises(CapExceeded):
+        FiniteMatrixGroup.close(gens, cap=647)
+
+
+def test_stacked_is_the_read_only_element_stack():
+    w = weyl_group()
+    assert w.stacked() is w.elements
+    assert w.elements.shape == (WEYL_ORDER, 7, 7)
+    assert not w.elements.flags.writeable
+
+
+def test_locate_batches_members_and_outsiders():
+    w = weyl_group()
+    idx = [0, 5, WEYL_ORDER - 1]
+    outsider = -np.eye(7, dtype=np.int64)
+    found = w.locate(np.concatenate([w.elements[idx], outsider[None]]))
+    assert found.tolist() == idx + [-1]
+    assert w.locate(np.eye(6, dtype=np.int64)[None]).tolist() == [-1]
 
 
 def test_index_of_rejects_outsider():
