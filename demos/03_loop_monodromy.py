@@ -8,9 +8,9 @@ The result is an integer matrix on the divisor lattice.
 
 import numpy as np
 
-from cubicmonodromy import (TrackingConfig, constant_loop, gamma_minus,
-                            gamma_plus, lift_to_lines, monodromy_matrix,
-                            root_track, track_flexes, track_roots, weyl_group)
+from cubicmonodromy import (TrackingConfig, constant_loop, flex_lattice_map,
+                            gamma_minus, gamma_plus, lift_to_lines, trace_loop,
+                            weyl_group)
 
 
 def cycles(perm):
@@ -32,26 +32,25 @@ def cycles(perm):
 for name, loop in (("loop around -1", gamma_minus()),
                    ("loop around +1", gamma_plus()),
                    ("constant loop", constant_loop(0.0))):
-    roots = track_roots(loop)
-    flexes = track_flexes(loop)
-    lines = lift_to_lines(flexes)
+    trace = trace_loop(loop)
+    lines = lift_to_lines(trace.flex_perm)
     print(f"{name}:")
-    print(f"  branch roots  {cycles(roots)}")
-    print(f"  inflections   {cycles(flexes)}")
+    print(f"  branch roots  {cycles(trace.root_perm)}")
+    print(f"  inflections   {cycles(trace.flex_perm)}")
     print(f"  lines         {cycles(lines)}")
-    m = monodromy_matrix(loop)
+    m = flex_lattice_map(trace.flex_perm)
     print(f"  lattice matrix in the reflection group: {m in weyl_group()}, "
           f"order {weyl_group().element_order(m)}")
 
 # the tracked paths themselves: four roots sweeping as the parameter loops
-track = root_track(gamma_minus(), TrackingConfig(steps=100))
-starts = np.round(track.positions[0], 4)
-ends = np.round(track.positions[-1], 4)
-print(f"\nroot paths around -1 ({len(track.ts)} samples):")
+trace = trace_loop(gamma_minus(), TrackingConfig(steps=100))
+starts = np.round(trace.roots[0], 4)
+ends = np.round(trace.roots[-1], 4)
+print(f"\nroot paths around -1 ({len(trace.ts)} samples):")
 for k in range(4):
     print(f"  root {k}: {starts[k]} -> {ends[k]}")
 
 # resolution does not matter: the permutations are discrete invariants
 for steps in (50, 100, 200):
-    p = track_roots(gamma_minus(), TrackingConfig(steps=steps))
+    p = trace_loop(gamma_minus(), TrackingConfig(steps=steps)).root_perm
     print(f"steps={steps:>3}: root permutation {p.tolist()}")

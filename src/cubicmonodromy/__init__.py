@@ -34,9 +34,9 @@ from .lines import (CANONICAL_CLASS, J_FORM, Line3, SurfaceData, all_lines,
 from .numeric import Poly1, constants, newton_polish, roots_of
 from .report import (REPORT_SCHEMA, SCHEMA_VERSION, Check, VerificationReport,
                      render_csv, render_json, render_text)
-from .tracking import (FlexTrack, Loop, RootTrack, TrackingConfig,
-                       constant_loop, custom_loop, flex_track, gamma_minus,
-                       gamma_plus, lift_to_lines, monodromy_matrix, root_track,
+from .tracking import (Loop, LoopTrace, TrackingConfig, constant_loop,
+                       custom_loop, flex_lattice_map, gamma_minus, gamma_plus,
+                       lift_to_lines, monodromy_matrix, trace_loop,
                        track_flexes, track_roots)
 from .verify import (PipelineBundle, build_pipeline, fixture_group,
                      model_image_of, run_checks, transcribed_flex_permutation,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -23,9 +24,8 @@ from .errors import (AmbiguousIncidence, AmbiguousMatching, GeometryError,
                      NoUniqueMatch)
 from .lines import build_surface_data, concurrent_triples
 from .report import jsonable, render_csv, render_json, render_text
-from .tracking import (TrackingConfig, constant_loop, flex_track, gamma_minus,
-                       gamma_plus, lift_to_lines, monodromy_matrix,
-                       root_track, track_flexes, track_roots)
+from .tracking import (TrackingConfig, constant_loop, flex_lattice_map,
+                       gamma_minus, gamma_plus, lift_to_lines, trace_loop)
 from .verify import run_checks
 
 LOOPS = {"gamma-minus": gamma_minus, "gamma-plus": gamma_plus,
@@ -39,6 +39,15 @@ def parse_complex(text: str) -> complex:
         re_part, im_part = text.split(",", 1)
         return complex(float(re_part), float(im_part))
     return complex(text.replace(" ", ""))
+
+
+def positive_tolerance(text: str) -> float:
+    """A finite, positive tolerance; NaN would switch every `> tol` test off."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and positive, got {text!r}")
+    return value
 
 
 def cycle_notation(perm: np.ndarray) -> str:
@@ -129,11 +138,10 @@ def cmd_lines(args: argparse.Namespace) -> int:
 # monodromy subcommand
 
 def _monodromy_payload(loop_name: str, cfg: TrackingConfig) -> dict:
-    loop = LOOPS[loop_name]()
-    roots = track_roots(loop, cfg)
-    flexes = track_flexes(loop, cfg)
+    trace = trace_loop(LOOPS[loop_name](), cfg)
+    roots, flexes = trace.root_perm, trace.flex_perm
     lifted = lift_to_lines(flexes)
-    matrix = monodromy_matrix(loop, cfg)
+    matrix = flex_lattice_map(flexes)
     return {"loop": loop_name, "steps": cfg.steps,
             "rootPermutation": roots.tolist(),
             "rootCycles": cycle_notation(roots),
@@ -155,16 +163,14 @@ def _render_monodromy_text(payload: dict) -> str:
 
 
 def _render_track_csv(loop_name: str, cfg: TrackingConfig) -> str:
-    loop = LOOPS[loop_name]()
-    roots = root_track(loop, cfg)
-    flexes = flex_track(loop, cfg)
+    trace = trace_loop(LOOPS[loop_name](), cfg)
     out = ["step,t,root_index,re,im"]
-    for step, (t, row) in enumerate(zip(roots.ts, roots.positions)):
+    for step, (t, row) in enumerate(zip(trace.ts, trace.roots)):
         for idx, z in enumerate(row):
             out.append(",".join([str(step), f"{t:.12g}", str(idx)]
                                 + _complex_cols(z)))
     out.append("step,t,flex_index,re,im")
-    for step, (t, row) in enumerate(zip(flexes.ts, flexes.ys)):
+    for step, (t, row) in enumerate(zip(trace.ts, trace.ys)):
         for k, z in enumerate(row):
             out.append(",".join([str(step), f"{t:.12g}", str(k + 1)]
                                 + _complex_cols(z)))
@@ -211,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-8,
+    common.add_argument("--tol", type=positive_tolerance, default=1e-8,
                         help="geometric matching tolerance (default 1e-8)")
     common.add_argument("--precision", choices=("double", "extended"),
                         default="double",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -30,9 +30,9 @@ from .lines import (base_surface, concurrent_triples, deck_permutation,
                     perm_to_lattice_map, preserves_incidence)
 from .numeric import constants
 from .report import Check, VerificationReport, jsonable
-from .tracking import (Loop, TrackingConfig, constant_loop, gamma_minus,
-                       gamma_plus, lift_to_lines, monodromy_matrix,
-                       track_flexes, track_roots)
+from .tracking import (LoopTrace, TrackingConfig, constant_loop,
+                       flex_lattice_map, gamma_minus, gamma_plus, lift_to_lines,
+                       trace_loop)
 from .weyl import (WEYL_ORDER, FiniteMatrixGroup, centralizer,
                    conjugacy_class_size, lattice_inverse, trace_character_check,
                    weyl_group)
@@ -169,22 +169,29 @@ def verify_isomorphism_via_transport(group: FiniteMatrixGroup,
 
 @dataclass(frozen=True, eq=False)
 class PipelineBundle:
-    """Everything the end-to-end checks need, computed once per config."""
+    """Everything the end-to-end checks need, computed once per config.
+
+    traces holds the gammaMinus and gammaPlus traces, keyed by loop kind;
+    g1 and g2 are their lattice maps.
+    """
 
     h1: np.ndarray
     h2: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
     group: FiniteMatrixGroup
+    traces: dict[str, LoopTrace]
 
 
 def build_pipeline(cfg: TrackingConfig = TrackingConfig()) -> PipelineBundle:
     surface = base_surface()
     h1, h2 = heisenberg_matrices(surface)
-    g1 = monodromy_matrix(gamma_minus(), cfg)
-    g2 = monodromy_matrix(gamma_plus(), cfg)
+    traces = {loop.kind: trace_loop(loop, cfg)
+              for loop in (gamma_minus(), gamma_plus())}
+    g1, g2 = (flex_lattice_map(t.flex_perm) for t in traces.values())
     group = FiniteMatrixGroup.close([h1, h2, g1, g2], cap=1000)
-    return PipelineBundle(h1=h1, h2=h2, g1=g1, g2=g2, group=group)
+    return PipelineBundle(h1=h1, h2=h2, g1=g1, g2=g2, group=group,
+                          traces=traces)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +376,7 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
     checks: list[Check] = []
     add = checks.append
     surface = base_surface()
+    bundle = build_pipeline(cfg)
 
     def line_geometry():
         return ({"lines": len(surface.lines),
@@ -415,8 +423,7 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
 
     def perm_functor():
         p_deck = deck_permutation(surface.lines)
-        flex = track_flexes(gamma_minus(), cfg)
-        p_loop = lift_to_lines(flex)
+        p_loop = lift_to_lines(bundle.traces["gammaMinus"].flex_perm)
         to_mat = lambda p: perm_to_lattice_map(p, surface.classes, surface.sixer)
         ok = True
         for p in (p_deck, p_loop):
@@ -455,23 +462,21 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
              "conjugated torsion symmetries close to the 27 group over the deck",
              torsion_matrices))
 
-    for kind, loop in (("gammaMinus", gamma_minus()), ("gammaPlus", gamma_plus())):
-        def root_cycle(kind=kind, loop=loop):
-            return (track_roots(loop, cfg).tolist(),
+    for kind, trace in bundle.traces.items():
+        def root_cycle(kind=kind, trace=trace):
+            return (trace.root_perm.tolist(),
                     transcribed_root_permutation(kind).tolist())
         add(_run(f"pl-root-cycle-{kind}",
                  f"{kind} branch roots realize the transcribed 3-cycle",
                  root_cycle))
 
-    for kind, loop in (("gammaMinus", gamma_minus()), ("gammaPlus", gamma_plus())):
-        def flex_perm(kind=kind, loop=loop):
-            return (track_flexes(loop, cfg).tolist(),
+    for kind, trace in bundle.traces.items():
+        def flex_perm(kind=kind, trace=trace):
+            return (trace.flex_perm.tolist(),
                     transcribed_flex_permutation(kind).tolist())
         add(_run(f"pl-flex-perm-{kind}",
                  f"{kind} inflections realize the transcribed pair of 3-cycles",
                  flex_perm))
-
-    bundle = build_pipeline(cfg)
 
     def loop_matrices():
         deck = surface.deck_matrix
@@ -517,29 +522,25 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
 
     def stability():
         out = {}
-        for kind, loop in (("gammaMinus", gamma_minus()),
-                           ("gammaPlus", gamma_plus())):
+        for loop in (gamma_minus(), gamma_plus()):
             perms = []
             for steps in (50, 100, 200):
-                c = TrackingConfig(steps=steps, eps_match=cfg.eps_match,
-                                   max_refine=cfg.max_refine,
-                                   precision=cfg.precision)
-                perms.append((track_roots(loop, c).tolist(),
-                              track_flexes(loop, c).tolist()))
-            out[kind] = perms[0] == perms[1] == perms[2]
+                trace = trace_loop(loop, replace(cfg, steps=steps))
+                perms.append((trace.root_perm.tolist(),
+                              trace.flex_perm.tolist()))
+            out[loop.kind] = perms[0] == perms[1] == perms[2]
         return out, {"gammaMinus": True, "gammaPlus": True}
     add(_run("pl-step-stability",
              "permutations unchanged across 50/100/200 step resolutions",
              stability))
 
     def constant():
-        loop = constant_loop(0.0)
-        return ({"rootsIdentity": track_roots(loop, cfg).tolist() == [0, 1, 2, 3],
-                 "flexesIdentity":
-                 track_flexes(loop, cfg).tolist() == list(range(9)),
+        trace = trace_loop(constant_loop(0.0), cfg)
+        return ({"rootsIdentity": trace.root_perm.tolist() == [0, 1, 2, 3],
+                 "flexesIdentity": trace.flex_perm.tolist() == list(range(9)),
                  "matrixIdentity":
-                 bool(np.array_equal(monodromy_matrix(loop, cfg), np.eye(7,
-                      dtype=np.int64)))},
+                 bool(np.array_equal(flex_lattice_map(trace.flex_perm),
+                                     np.eye(7, dtype=np.int64)))},
                 {"rootsIdentity": True, "flexesIdentity": True,
                  "matrixIdentity": True})
     add(_run("pl-constant-loop",
@@ -549,8 +550,8 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
         ok_inc = ok_triples = True
         triples = {frozenset(t) for t in
                    concurrent_triples(surface.lines, surface.adjacency)}
-        for loop in (gamma_minus(), gamma_plus()):
-            p = lift_to_lines(track_flexes(loop, cfg))
+        for trace in bundle.traces.values():
+            p = lift_to_lines(trace.flex_perm)
             ok_inc &= preserves_incidence(p, surface.adjacency)
             moved = {frozenset(int(p[i]) for i in t) for t in triples}
             ok_triples &= moved == triples

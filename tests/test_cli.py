@@ -165,10 +165,20 @@ def test_monodromy_ambiguity_exits_3(capsys, monkeypatch):
     def boom(loop, cfg):
         raise AmbiguousMatching("matching margin exhausted")
 
-    monkeypatch.setattr(cli, "track_roots", boom)
+    monkeypatch.setattr(cli, "trace_loop", boom)
     code, _, err = run(capsys, "monodromy", "gamma-minus")
     assert code == 3
     assert "margin" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize("argv", [["lines"], ["monodromy", "gamma-minus"],
+                                  ["verify", "--scope", "pipeline"]])
+def test_tolerance_must_be_finite_and_positive(capsys, argv, tol):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--tol", tol])
+    assert exc.value.code == 2
+    assert "tolerance must be finite and positive" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,16 +1,20 @@
 """Loop tracking: roots, inflections, lifted line permutations, matrices."""
 
+import cmath
+
 import numpy as np
 import pytest
 
+import cubicmonodromy.cli as cli
+import cubicmonodromy.tracking as tracking
 from cubicmonodromy.errors import AmbiguousMatching, SingularParameter
 from cubicmonodromy.lines import base_surface, perm_compose, preserves_incidence
 from cubicmonodromy.tracking import (TrackingConfig, constant_loop,
-                                     custom_loop, flex_track, gamma_minus,
-                                     gamma_plus, lift_to_lines,
-                                     monodromy_matrix, root_track,
-                                     track_flexes, track_roots)
-from cubicmonodromy.verify import (transcribed_flex_permutation,
+                                     custom_loop, gamma_minus, gamma_plus,
+                                     lift_to_lines, monodromy_matrix,
+                                     trace_loop, track_flexes, track_roots)
+from cubicmonodromy.verify import (pipeline_checks,
+                                   transcribed_flex_permutation,
                                    transcribed_root_permutation)
 from cubicmonodromy.weyl import weyl_group
 
@@ -36,6 +40,14 @@ def test_loop_rejects_singular_samples():
 def test_config_validates_steps():
     with pytest.raises(ValueError):
         TrackingConfig(steps=4)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"eps_match": float("nan")}, {"eps_match": float("inf")},
+    {"eps_match": -1.0}, {"eps_match": 0.0}, {"precision": "quad"}])
+def test_config_rejects_tolerances_that_disable_checks(kwargs):
+    with pytest.raises(ValueError):
+        TrackingConfig(**kwargs)
 
 
 def test_root_tracks_match_transcription():
@@ -80,16 +92,53 @@ def test_step_invariance():
 
 
 def test_track_shapes():
-    cfg = TrackingConfig(steps=32)
-    rt = root_track(gamma_minus(), cfg)
-    assert len(rt.ts) == 33 and len(rt.positions) == 33
-    assert all(len(row) == 4 for row in rt.positions)
-    ft = flex_track(gamma_minus(), cfg)
-    assert len(ft.ts) == len(ft.xs) == len(ft.ys) == 33
-    assert all(len(row) == 8 for row in ft.ys)
+    trace = trace_loop(gamma_minus(), TrackingConfig(steps=32))
+    assert len(trace.ts) == len(trace.roots) == len(trace.ys) == 33
+    assert all(len(row) == 4 for row in trace.roots)
+    assert all(len(row) == 8 for row in trace.ys)
     # two inflections ride on each branch root
-    counts = {i: ft.root_of_flex.count(i) for i in set(ft.root_of_flex)}
+    counts = {i: trace.root_of_flex.count(i) for i in set(trace.root_of_flex)}
     assert sorted(counts.values()) == [2, 2, 2, 2]
+
+
+def _count_traces(monkeypatch) -> list:
+    calls = []
+    worker = tracking._trace_once
+
+    def counted(*args):
+        calls.append(args)
+        return worker(*args)
+
+    monkeypatch.setattr(tracking, "_trace_once", counted)
+    return calls
+
+
+def test_monodromy_matrix_tracks_once(monkeypatch):
+    calls = _count_traces(monkeypatch)
+    monodromy_matrix(gamma_minus())
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_monodromy_command_tracks_once(monkeypatch, capsys, fmt):
+    calls = _count_traces(monkeypatch)
+    assert cli.main(["monodromy", "gamma-minus", "--format", fmt]) == 0
+    assert len(calls) == 1
+
+
+def test_pipeline_battery_tracks_nine_times(monkeypatch):
+    calls = _count_traces(monkeypatch)
+    pipeline_checks()
+    # the two bundle loops, 2 loops x 3 step-stability resolutions, constant
+    assert len(calls) == 9
+
+
+def test_close_pass_reads_both_permutations_at_one_resolution():
+    # encloses only -1, counterclockwise from 0, passing close to a node;
+    # an unrefined root track once disagreed with the refined flex track
+    c = -0.509526931490024 + 0.30621316218212435j
+    loop = custom_loop(lambda t: c * (1 - cmath.exp(2j * cmath.pi * t)))
+    assert np.array_equal(monodromy_matrix(loop), monodromy_matrix(gamma_minus()))
 
 
 def test_lift_to_lines_blocks():
