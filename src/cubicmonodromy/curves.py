@@ -306,6 +306,15 @@ def flex_quartic(lam: complex) -> Poly1:
     return Poly1((-(1.0 + 4.0 * lam * lam), 12.0 * lam, -6.0, -4.0 * lam, 3.0))
 
 
+def flex_quartic_stack(lams) -> np.ndarray:
+    """flex_quartic's coefficients at every lam of a 1-d array, one row each
+    (shape (n, 5), ascending, same formula)."""
+    lam = np.asarray(lams, dtype=complex)
+    return np.stack([-(1.0 + 4.0 * lam * lam), 12.0 * lam,
+                     np.full_like(lam, -6.0), -4.0 * lam,
+                     np.full_like(lam, 3.0)], axis=-1)
+
+
 def flex_height_squared(lam: complex, alpha: complex) -> complex:
     """y^2 over the inflection with x-coordinate alpha (z = 1 chart)."""
     return alpha ** 3 - lam * alpha ** 2 - alpha + lam

@@ -11,7 +11,14 @@ class NumericalError(Exception):
 
 
 class NonConvergence(NumericalError):
-    """Iteration failed to reach the requested residual."""
+    """Iteration failed to reach the requested residual.
+
+    row, when set, is the first failing row of a batched solve.
+    """
+
+    def __init__(self, message: str = "", row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class AmbiguousIncidence(NumericalError):

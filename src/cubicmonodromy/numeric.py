@@ -1,9 +1,14 @@
-"""Scalar numerics: polynomial roots, Newton polish, and the field constants.
+"""Numerics: polynomial roots, Newton polish, and the field constants.
 
-All public routines are deterministic for a fixed input.  The root finder is
-a simultaneous Aberth iteration started from deliberately non-symmetric
-points, so families of roots with internal symmetry (pairs like +r/-r) cannot
-trap the iteration on a symmetric configuration.
+All public routines are deterministic for a fixed input.  The scalar root
+finder `roots_of` is a simultaneous Aberth iteration started from
+deliberately non-symmetric points, so families of roots with internal
+symmetry (pairs like +r/-r) cannot trap the iteration on a symmetric
+configuration.  The batched solver `roots_of_stack` takes a whole stack of
+polynomials of one degree: one `np.linalg.eigvals` call on the stacked
+companion matrices (Edelman-Murakami 1995), then an array Newton polish with
+`newton_polish`'s acceptance, then, for extended precision, an mpmath Newton
+polish of every root.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import mpmath
+import numpy as np
 
 from .errors import NonConvergence
 
@@ -24,6 +30,8 @@ TOL_LEAD = 1e-12
 _MAX_ABERTH = 400
 _MAX_NEWTON = 60
 _EXTENDED_DPS = 50
+# the residual _aberth_mp aims for, relative to the largest coefficient
+_EXTENDED_GOAL = 10.0 ** (10 - _EXTENDED_DPS)
 
 PRECISIONS = ("double", "extended")
 
@@ -193,7 +201,7 @@ def newton_polish(p: Poly1, z0: complex, tol: float = TOL_ROOT,
                   precision: str = "double") -> complex:
     """Newton iteration from z0; must beat tol or improve |p| a hundredfold."""
     if precision == "extended":
-        return _newton_mp(p, z0, tol)
+        return _newton_mp(p.trimmed().coeffs, z0, tol)
     q = p.trimmed()
     dq = q.deriv()
     scale = max(abs(c) for c in q.coeffs)
@@ -213,9 +221,9 @@ def newton_polish(p: Poly1, z0: complex, tol: float = TOL_ROOT,
     raise NonConvergence(f"Newton polish stalled at residual {pz:.3e}")
 
 
-def _newton_mp(p: Poly1, z0: complex, tol: float) -> complex:
+def _newton_mp(coeffs, z0: complex, tol: float) -> complex:
     with mpmath.workdps(_EXTENDED_DPS):
-        cs = [mpmath.mpc(c) for c in p.trimmed().coeffs]
+        cs = [mpmath.mpc(c) for c in coeffs]
         dcs = [k * c for k, c in enumerate(cs) if k > 0]
         scale = max(abs(c) for c in cs)
 
@@ -237,6 +245,90 @@ def _newton_mp(p: Poly1, z0: complex, tol: float) -> complex:
         if abs(val(z, cs)) < mpmath.mpf(tol) * scale:
             return complex(z)
         raise NonConvergence("extended-precision Newton stalled")
+
+
+def _horner(cs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row k of cs (ascending) evaluated at every entry of row k of z."""
+    acc = np.zeros_like(z)
+    for c in cs.T[::-1]:
+        acc = acc * z + c[:, None]
+    return acc
+
+
+def newton_polish_stack(coeffs, z0, tol: float = TOL_ROOT) -> np.ndarray:
+    """newton_polish of every entry of z0 at once, in double precision.
+
+    coeffs has shape (n, d + 1), ascending; entry (k, i) of z0, shape (n, m),
+    is polished on row k.  Where newton_polish would raise, the entry is
+    returned as it was given.
+    """
+    cs = np.asarray(coeffs, dtype=complex)
+    z0 = np.asarray(z0, dtype=complex)
+    dcs = cs[:, 1:] * np.arange(1, cs.shape[1])
+    goal = tol * np.abs(cs).max(axis=1, keepdims=True)
+    z = z0
+    with np.errstate(all="ignore"):
+        pz = _horner(cs, z)
+        start = np.abs(pz)
+        active = start >= goal
+        for _ in range(_MAX_NEWTON):
+            if not active.any():
+                break
+            dpz = _horner(dcs, z)
+            active &= dpz != 0
+            z = np.where(active, z - pz / dpz, z)
+            pz = _horner(cs, z)
+            active &= np.abs(pz) >= goal
+        resid = np.abs(pz)
+    accepted = (resid < goal) | ((start > 0) & (resid < 1e-2 * start))
+    return np.where(accepted, z, z0)
+
+
+def roots_of_stack(coeffs, tol: float = TOL_ROOT,
+                   precision: str = "double") -> np.ndarray:
+    """All roots of every polynomial of a stack, as an (n, d) array.
+
+    coeffs has shape (n, d + 1), ascending as in Poly1, each row of exact
+    degree d (a leading coefficient negligible next to the row's largest one
+    is a ValueError).  Row k of the result holds the roots of row k in
+    eigenvalue order, not sorted.  Extended precision polishes every root
+    with mpmath Newton toward the residual _aberth_mp aims for, then rounds
+    it.  Residual acceptance as in roots_of: |p(z)| / max|coeff| < tol for
+    every root, else NonConvergence, whose `row` is the first failing row.
+    """
+    if precision not in PRECISIONS:
+        raise ValueError(f"unknown precision {precision!r}")
+    cs = np.asarray(coeffs, dtype=complex)
+    if cs.ndim != 2 or cs.shape[1] < 2:
+        raise ValueError("need an (n, d + 1) coefficient stack with d >= 1")
+    if not np.isfinite(cs).all():
+        raise ValueError("non-finite coefficient")
+    scale = np.abs(cs).max(axis=1, keepdims=True)
+    if (np.abs(cs[:, -1:]) <= TOL_LEAD * scale).any():
+        raise ValueError("negligible leading coefficient")
+    d = cs.shape[1] - 1
+    companion = np.zeros((len(cs), d, d), dtype=complex)
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    companion[:, :, -1] = -cs[:, :-1] / cs[:, -1:]
+    z = newton_polish_stack(cs, np.linalg.eigvals(companion), tol)
+    if precision == "extended":
+        z = np.array([[_polish_mp(row, zi) for zi in zs]
+                      for row, zs in zip(cs, z)], dtype=complex).reshape(z.shape)
+    with np.errstate(all="ignore"):
+        resid = np.abs(_horner(cs, z)) / scale
+    missed = np.flatnonzero(~(resid < tol).all(axis=1))
+    if missed.size:
+        raise NonConvergence(
+            f"roots of row {missed[0]} miss the residual {tol:.1e}",
+            row=int(missed[0]))
+    return z
+
+
+def _polish_mp(coeffs, z0: complex) -> complex:
+    try:
+        return _newton_mp(coeffs, z0, _EXTENDED_GOAL)
+    except NonConvergence:
+        return z0
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
 """Monodromy tracking along loops in the smooth locus of the pencil.
 
 A loop samples the family parameter.  One trace per loop continues the four
-branch-quartic roots by nearest-neighbour matching, seeded with a Newton
-polish of the previous positions, and carries each moving inflection point
-along its root: its x coordinate is that root, its y coordinate the square
-root branch nearest the previous one.  A match is accepted only when the
+branch-quartic roots by nearest-neighbour matching and carries each moving
+inflection point along its root: its x coordinate is that root, its y
+coordinate the square root branch nearest the previous one.  All samples of
+one resolution are handled as arrays: the quartics at samples 1..n are solved
+in one batch (`numeric.roots_of_stack`), the roots at sample k - 1, Newton
+polished on quartic k, predict the matches of every step at once, and the
+step maps compose into the root paths.  A match is accepted only when the
 nearest candidate beats the runner-up by a factor of two (a heuristic, not a
-certificate); otherwise the whole loop is re-run at doubled resolution.  Both
-end permutations, of the roots and of the inflections, are read off the same
-trace, and the inflection permutation lifts to the 27 lines and lands in the
-lattice as an integer matrix.
+certificate); otherwise the whole loop is re-run at doubled resolution, up
+to MAX_SAMPLES samples.  Both end permutations, of the roots and of the
+inflections, are read off the same trace, and the inflection permutation
+lifts to the 27 lines and lands in the lattice as an integer matrix.
 """
 
 from __future__ import annotations
@@ -21,14 +24,17 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import flex_height_squared, flex_quartic
+from .curves import flex_height_squared, flex_quartic, flex_quartic_stack
 from .errors import (AmbiguousMatching, InconsistentProjection, NonConvergence,
                      SingularParameter)
 from .lines import base_surface, perm_to_lattice_map
-from .numeric import PRECISIONS, TOL_MATCH, newton_polish, roots_of
+from .numeric import (PRECISIONS, TOL_MATCH, newton_polish_stack, roots_of,
+                      roots_of_stack)
 from .weyl import is_lattice_map
 
 SEPARATION = 10.0 * TOL_MATCH
+# samples per loop, about ten times the default fully refined (100 * 2**6)
+MAX_SAMPLES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -40,6 +46,8 @@ class Loop:
 
     def sample(self, t: float) -> complex:
         lam = complex(self.at(t))
+        if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+            raise ValueError(f"loop value {lam} at t={t} is not finite")
         if abs(lam - 1.0) < SEPARATION or abs(lam + 1.0) < SEPARATION:
             raise SingularParameter(f"loop touches the discriminant at t={t}")
         return lam
@@ -73,6 +81,8 @@ class TrackingConfig:
     def __post_init__(self):
         if self.steps < 8:
             raise ValueError("need at least 8 steps per loop")
+        if self.steps > MAX_SAMPLES:
+            raise ValueError(f"at most {MAX_SAMPLES} steps per loop")
         if self.max_refine < 0:
             raise ValueError("max_refine must be non-negative")
         # a NaN tolerance would make every `> eps_match` test false
@@ -90,17 +100,17 @@ class _Ambiguous(Exception):
 class LoopTrace:
     """One loop continued at a single resolution.
 
-    roots[k] holds the four branch-quartic roots at ts[k]; ys[k][i] is the y
-    coordinate of inflection i + 1, whose x coordinate is
-    roots[k][root_of_flex[i]].  root_perm[i] = j means the root starting at
-    base position i lands on base position j; flex_perm is the same for the
-    nine inflection points, of which the point at infinity (index 0) never
-    moves.
+    roots[k] (an (n + 1, 4) array) holds the four branch-quartic roots at
+    ts[k]; ys[k][i] (an (n + 1, 8) array) is the y coordinate of inflection
+    i + 1, whose x coordinate is roots[k][root_of_flex[i]].  root_perm[i] = j
+    means the root starting at base position i lands on base position j;
+    flex_perm is the same for the nine inflection points, of which the point
+    at infinity (index 0) never moves.
     """
 
     ts: list[float]
-    roots: list[list[complex]]
-    ys: list[list[complex]]
+    roots: np.ndarray
+    ys: np.ndarray
     root_of_flex: list[int]
     root_perm: np.ndarray
     flex_perm: np.ndarray
@@ -132,67 +142,97 @@ def _end_permutation(dist_rows: list[list[float]], eps: float) -> list[int]:
     return images
 
 
-def _root_step(quartic, current: list[complex], precision: str) -> list[complex]:
-    fresh = roots_of(quartic, precision=precision)
-    new: list[complex] = []
-    used: set[int] = set()
-    for z in current:
-        try:
-            z = newton_polish(quartic, z, precision=precision)
-        except NonConvergence:
-            pass
-        hit = _match_to(fresh, z)
-        if hit in used:
-            raise _Ambiguous("two tracks collapsed onto one root")
-        used.add(hit)
-        new.append(fresh[hit])
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if abs(new[i] - new[j]) < SEPARATION:
-                raise _Ambiguous("tracked roots lost separation")
-    return new
+def _pair_gaps(a: np.ndarray) -> np.ndarray:
+    """|a[k, i] - a[k, j]| for every row k and every pair i < j."""
+    i, j = np.triu_indices(a.shape[1], 1)
+    return np.abs(a[:, i] - a[:, j])
 
 
-def _flex_step(lam: complex, xs: list[complex],
-               ys: list[complex]) -> list[complex]:
-    new_ys: list[complex] = []
-    for x, y_prev in zip(xs, ys):
-        y = cmath.sqrt(flex_height_squared(lam, x))
-        cand = min((y, -y), key=lambda v: abs(v - y_prev))
-        if abs(cand - y_prev) >= 0.5 * abs(-cand - y_prev):
-            raise _Ambiguous("square-root branch choice is ambiguous")
-        new_ys.append(cand)
-    for i in range(8):
-        for j in range(i + 1, 8):
-            gap = abs(xs[i] - xs[j]) + abs(new_ys[i] - new_ys[j])
-            if gap < SEPARATION:
-                raise _Ambiguous("inflection points lost separation")
-    return new_ys
+def _step_maps(coeffs: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """hits[k - 1, i]: the root at sample k that fresh[k - 1, i] continues to.
+
+    fresh[k] holds the roots of quartic k (coeffs[k - 1]).  The prediction
+    for fresh[k - 1, i] is its Newton polish on quartic k; the nearest root
+    must beat the runner-up by a factor of two, every step must map the four
+    roots one to one, and the roots must stay SEPARATION apart.
+    """
+    pred = newton_polish_stack(coeffs, fresh[:-1])
+    dist = np.abs(pred[:, :, None] - fresh[1:, None, :])
+    near = np.sort(dist, axis=2)
+    if (near[:, :, 0] >= 0.5 * near[:, :, 1]).any():
+        raise _Ambiguous("nearest candidate does not dominate the runner-up")
+    hits = dist.argmin(axis=2)
+    if (np.sort(hits, axis=1) != np.arange(4)).any():
+        raise _Ambiguous("two tracks collapsed onto one root")
+    if (_pair_gaps(fresh[1:]) < SEPARATION).any():
+        raise _Ambiguous("tracked roots lost separation")
+    return hits
+
+
+def _flex_heights(lams: np.ndarray, xs: np.ndarray,
+                  base_ys: list[complex]) -> np.ndarray:
+    """y paths over the x paths xs of the moving inflections.
+
+    At each sample y is the square root of flex_height_squared nearer the
+    previous y, which must beat the other root by a factor of two.  The
+    choice is a sign relative to the previous principal root, so the signs
+    are a cumulative product.
+    """
+    w = np.vstack([base_ys, np.sqrt(flex_height_squared(lams[1:, None], xs[1:]))])
+    same = np.abs(w[1:] - w[:-1])
+    flip = np.abs(w[1:] + w[:-1])
+    if (np.minimum(same, flip) >= 0.5 * np.maximum(same, flip)).any():
+        raise _Ambiguous("square-root branch choice is ambiguous")
+    keep = np.cumprod(np.where(same <= flip, 1, -1), axis=0) > 0
+    ys = np.vstack([w[:1], np.where(keep, w[1:], -w[1:])])
+    if (_pair_gaps(xs[1:]) + _pair_gaps(ys[1:]) < SEPARATION).any():
+        raise _Ambiguous("inflection points lost separation")
+    return ys
 
 
 def _trace_once(loop: Loop, steps: int, cfg: TrackingConfig) -> LoopTrace:
     """Continue roots and inflections at one resolution; raises _Ambiguous
-    when any match misses its margin."""
+    when any match misses its margin.
+
+    Samples 1..steps are solved in one batch and matched all at once.  A
+    singular or non-converged sample is raised only when no earlier sample
+    is ambiguous, as if the samples were read in order.
+    """
     # inflections 1..8 move; each rides on one root's x-path
     base_pts = base_surface().flexes[1:9]
-    current = roots_of(flex_quartic(loop.sample(0.0)), precision=cfg.precision)
-    root_of_flex = [_match_to(current, p.x) for p in base_pts]
-    ys = [p.y for p in base_pts]
-    ts, roots, all_ys = [0.0], [current], [ys]
-    for k in range(1, steps + 1):
-        t = k / steps
-        lam = loop.sample(t)
-        current = _root_step(flex_quartic(lam), current, cfg.precision)
-        ys = _flex_step(lam, [current[r] for r in root_of_flex], ys)
-        ts.append(t)
-        roots.append(current)
-        all_ys.append(ys)
+    ts = [k / steps for k in range(steps + 1)]
+    lams: list[complex] = []
+    stop = None
+    try:
+        for t in ts:
+            lams.append(loop.sample(t))
+    except SingularParameter as exc:
+        if not lams:
+            raise
+        stop = exc
+    base = roots_of(flex_quartic(lams[0]), precision=cfg.precision)
+    coeffs = flex_quartic_stack(lams)
+    try:
+        fresh = roots_of_stack(coeffs[1:], precision=cfg.precision)
+    except NonConvergence as exc:
+        stop, lams, coeffs = exc, lams[:1 + exc.row], coeffs[:1 + exc.row]
+        fresh = roots_of_stack(coeffs[1:], precision=cfg.precision)
+    fresh = np.vstack([base, fresh])
+    paths = [list(range(4))]
+    for step in _step_maps(coeffs[1:], fresh).tolist():
+        paths.append([step[i] for i in paths[-1]])
+    roots = np.take_along_axis(fresh, np.array(paths), axis=1)
+    root_of_flex = [_match_to(base, p.x) for p in base_pts]
+    xs = roots[:, root_of_flex]
+    ys = _flex_heights(np.array(lams), xs, [p.y for p in base_pts])
+    if stop is not None:
+        raise stop
     root_images = _end_permutation(
-        [[abs(z - b) for b in roots[0]] for z in current], cfg.eps_match)
+        [[abs(z - b) for b in base] for z in roots[-1].tolist()], cfg.eps_match)
     flex_images = _end_permutation(
-        [[abs(current[r] - p.x) + abs(y - p.y) for p in base_pts]
-         for r, y in zip(root_of_flex, ys)], cfg.eps_match)
-    return LoopTrace(ts=ts, roots=roots, ys=all_ys, root_of_flex=root_of_flex,
+        [[abs(x - p.x) + abs(y - p.y) for p in base_pts]
+         for x, y in zip(xs[-1].tolist(), ys[-1].tolist())], cfg.eps_match)
+    return LoopTrace(ts=ts, roots=roots, ys=ys, root_of_flex=root_of_flex,
                      root_perm=np.array(root_images, dtype=np.int64),
                      flex_perm=np.array([0] + [1 + j for j in flex_images],
                                         dtype=np.int64))
@@ -200,13 +240,14 @@ def _trace_once(loop: Loop, steps: int, cfg: TrackingConfig) -> LoopTrace:
 
 def _refined(runner: Callable[[int], object], cfg: TrackingConfig):
     steps = cfg.steps
-    for _ in range(cfg.max_refine + 1):
+    for attempt in range(cfg.max_refine + 1):
         try:
             return runner(steps)
         except _Ambiguous:
+            if attempt == cfg.max_refine or 2 * steps > MAX_SAMPLES:
+                break
             steps *= 2
-    raise AmbiguousMatching(
-        f"matching stayed ambiguous up to {steps // 2} steps")
+    raise AmbiguousMatching(f"matching stayed ambiguous up to {steps} steps")
 
 
 def trace_loop(loop: Loop, cfg: TrackingConfig = TrackingConfig()) -> LoopTrace:

@@ -191,3 +191,13 @@ def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [["monodromy", "gamma-minus"], ["verify"]])
+def test_step_count_is_bounded(capsys, monkeypatch, argv):
+    # rejected by TrackingConfig before any tracking starts
+    monkeypatch.setattr(cli, "trace_loop", None)
+    monkeypatch.setattr(cli, "run_checks", None)
+    code, _, err = run(capsys, *argv, "--steps", "1000000000")
+    assert code == 2
+    assert "steps" in err

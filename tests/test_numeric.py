@@ -3,9 +3,15 @@
 import cmath
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
-from cubicmonodromy.numeric import Poly1, constants, newton_polish, roots_of
+import cubicmonodromy.numeric as numeric
+from cubicmonodromy.errors import NonConvergence
+from cubicmonodromy.numeric import (Poly1, constants, newton_polish,
+                                    newton_polish_stack, roots_of,
+                                    roots_of_stack)
 
 
 def _sorted_by_value(zs):
@@ -67,6 +73,83 @@ def test_newton_polish_extended():
     p = Poly1((24.0, -50.0, 35.0, -10.0, 1.0))
     z = newton_polish(p, 2.0 + 1e-3, precision="extended")
     assert abs(z - 2.0) < 1e-12
+
+
+def _random_quartics(count: int) -> np.ndarray:
+    rng = np.random.default_rng(7)
+    return rng.normal(size=(count, 5)) + 1j * rng.normal(size=(count, 5))
+
+
+def _same_set(a, b, tol: float) -> bool:
+    dist = np.abs(np.subtract.outer(np.asarray(a), np.asarray(b)))
+    return (sorted(dist.argmin(axis=1)) == list(range(len(b)))
+            and dist.min(axis=1).max() <= tol)
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_roots_of_stack_matches_roots_of(precision):
+    coeffs = _random_quartics(100 if precision == "double" else 10)
+    stacked = roots_of_stack(coeffs, precision=precision)
+    assert stacked.shape == (len(coeffs), 4)
+    for row, roots in zip(coeffs, stacked):
+        assert _same_set(roots, roots_of(Poly1(tuple(row))), 1e-12)
+
+
+def test_extended_stack_roots_are_correctly_rounded():
+    coeffs = _random_quartics(10)
+    for row, roots in zip(coeffs, roots_of_stack(coeffs, precision="extended")):
+        with mpmath.workdps(50):
+            exact = mpmath.polyroots([mpmath.mpc(c) for c in row[::-1]],
+                                     maxsteps=200, extraprec=100)
+        assert _same_set(roots, [complex(z) for z in exact], 0.0)
+
+
+def test_roots_of_stack_raises_on_a_missed_residual(monkeypatch):
+    coeffs = _random_quartics(5)
+    eigvals = np.linalg.eigvals
+
+    def perturbed(matrices):
+        out = eigvals(matrices)
+        out[3] += 1e-3
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigvals", perturbed)
+    monkeypatch.setattr(numeric, "newton_polish_stack", lambda cs, z, tol: z)
+    with pytest.raises(NonConvergence) as info:
+        roots_of_stack(coeffs)
+    assert info.value.row == 3
+
+
+@pytest.mark.parametrize("coeffs, precision", [
+    ([[1.0, 0.0, float("nan")]], "double"), ([[1.0, 2.0, 1e-14]], "double"),
+    ([[1.0]], "double"), ([1.0, 2.0], "double"), ([[1.0, 2.0]], "quad")])
+def test_roots_of_stack_rejects_malformed_input(coeffs, precision):
+    with pytest.raises(ValueError):
+        roots_of_stack(coeffs, precision=precision)
+
+
+def test_newton_polish_stack_matches_newton_polish():
+    coeffs = _random_quartics(20)
+    starts = _random_quartics(20)[:, :4] + 0.05
+    polished = newton_polish_stack(coeffs, starts)
+    for row, zs, got in zip(coeffs, starts, polished):
+        for z, w in zip(zs, got):
+            try:
+                want = newton_polish(Poly1(tuple(row)), z)
+            except NonConvergence:
+                want = z
+            assert abs(w - want) < 1e-12
+
+
+@pytest.mark.parametrize("coeffs, start", [
+    ((1.0, 0.0, 1.0), 0.0),              # z^2 + 1 at 0: p' vanishes
+    ((2.0, -2.0, 0.0, 1.0), 0.1)])       # z^3 - 2z + 2 near its 2-cycle 0, 1
+def test_newton_polish_stack_keeps_a_start_it_cannot_improve(coeffs, start):
+    with pytest.raises(NonConvergence):
+        newton_polish(Poly1(coeffs), start)
+    out = newton_polish_stack([coeffs], [[start, 0.9j]])
+    assert out[0, 0] == start
+    assert abs(Poly1(coeffs)(out[0, 1])) < 1e-10
 
 
 def test_constants_closed_forms():

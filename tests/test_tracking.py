@@ -1,16 +1,25 @@
 """Loop tracking: roots, inflections, lifted line permutations, matrices."""
 
 import cmath
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cubicmonodromy.cli as cli
+import cubicmonodromy.numeric as numeric
 import cubicmonodromy.tracking as tracking
-from cubicmonodromy.errors import AmbiguousMatching, SingularParameter
+from cubicmonodromy.curves import flex_height_squared, flex_quartic
+from cubicmonodromy.errors import (AmbiguousMatching, NonConvergence,
+                                   SingularParameter)
 from cubicmonodromy.lines import base_surface, perm_compose, preserves_incidence
-from cubicmonodromy.tracking import (TrackingConfig, constant_loop,
-                                     custom_loop, gamma_minus, gamma_plus,
+from cubicmonodromy.numeric import roots_of
+from cubicmonodromy.tracking import (MAX_SAMPLES, TrackingConfig,
+                                     constant_loop, custom_loop,
+                                     flex_lattice_map, gamma_minus, gamma_plus,
                                      lift_to_lines, monodromy_matrix,
                                      trace_loop, track_flexes, track_roots)
 from cubicmonodromy.verify import (pipeline_checks,
@@ -37,9 +46,39 @@ def test_loop_rejects_singular_samples():
         loop.sample(0.5)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   complex(0.0, -math.inf)])
+def test_loop_rejects_non_finite_values(value):
+    loop = custom_loop(lambda t: value if t == 0.25 else 0.0)
+    with pytest.raises(ValueError, match="t=0.25"):
+        loop.sample(0.25)
+    with pytest.raises(ValueError, match="not finite"):
+        track_roots(loop, TrackingConfig(steps=8))
+
+
 def test_config_validates_steps():
     with pytest.raises(ValueError):
         TrackingConfig(steps=4)
+
+
+def test_config_bounds_the_sample_count():
+    assert TrackingConfig(steps=MAX_SAMPLES).steps == MAX_SAMPLES
+    with pytest.raises(ValueError):
+        TrackingConfig(steps=MAX_SAMPLES + 1)
+
+
+def test_refinement_stops_at_max_samples(monkeypatch):
+    tried = []
+
+    def ambiguous(loop, steps, cfg):
+        tried.append(steps)
+        raise tracking._Ambiguous("always")
+
+    monkeypatch.setattr(tracking, "MAX_SAMPLES", 32)
+    monkeypatch.setattr(tracking, "_trace_once", ambiguous)
+    with pytest.raises(AmbiguousMatching, match="up to 32 steps"):
+        trace_loop(gamma_minus(), TrackingConfig(steps=8, max_refine=6))
+    assert tried == [8, 16, 32]
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -126,11 +165,12 @@ def test_monodromy_command_tracks_once(monkeypatch, capsys, fmt):
     assert len(calls) == 1
 
 
-def test_pipeline_battery_tracks_nine_times(monkeypatch):
+def test_pipeline_battery_tracks_seven_times(monkeypatch):
     calls = _count_traces(monkeypatch)
     pipeline_checks()
-    # the two bundle loops, 2 loops x 3 step-stability resolutions, constant
-    assert len(calls) == 9
+    # the two bundle loops, 2 loops x the two step-stability resolutions
+    # other than the battery's own, constant
+    assert len(calls) == 7
 
 
 def test_close_pass_reads_both_permutations_at_one_resolution():
@@ -139,6 +179,102 @@ def test_close_pass_reads_both_permutations_at_one_resolution():
     c = -0.509526931490024 + 0.30621316218212435j
     loop = custom_loop(lambda t: c * (1 - cmath.exp(2j * cmath.pi * t)))
     assert np.array_equal(monodromy_matrix(loop), monodromy_matrix(gamma_minus()))
+
+
+def test_trace_rows_are_the_roots_of_each_sample():
+    loop = gamma_minus()
+    trace = trace_loop(loop, TrackingConfig(steps=50))
+    for t, row in zip(trace.ts, trace.roots):
+        fresh = roots_of(flex_quartic(loop.sample(t)))
+        dist = np.abs(np.subtract.outer(row, fresh))
+        assert sorted(dist.argmin(axis=1)) == [0, 1, 2, 3]
+        assert dist.min(axis=1).max() < 1e-10
+
+
+def test_flex_heights_follow_the_nearest_branch():
+    # the per-sample rule: the square root nearer the previous y
+    loop = gamma_plus()
+    trace = trace_loop(loop, TrackingConfig(steps=50))
+    ys = [p.y for p in base_surface().flexes[1:9]]
+    for t, roots, got in zip(trace.ts[1:], trace.roots[1:], trace.ys[1:]):
+        lam = loop.sample(t)
+        prev, ys = ys, []
+        for r, y_prev in zip(trace.root_of_flex, prev):
+            y = cmath.sqrt(flex_height_squared(lam, complex(roots[r])))
+            ys.append(min((y, -y), key=lambda v: abs(v - y_prev)))
+        assert np.abs(np.array(ys) - got).max() < 1e-12
+
+
+def test_coincident_inflections_are_ambiguous():
+    # eight inflections on one x with one small y: branch choice is clear
+    x = -1e-14  # x^3 - x = 1e-14 at lambda 0, so y = 1e-7
+    with pytest.raises(tracking._Ambiguous, match="lost separation"):
+        tracking._flex_heights(np.zeros(2, dtype=complex),
+                               np.full((2, 8), x, dtype=complex), [1e-7] * 8)
+
+
+@pytest.mark.parametrize("jump", [0.5, 0.3j])
+def test_newton_predictor_carries_roots_across_a_jump(jump):
+    # unpolished, the nearest root at `jump` misses the factor-2 margin
+    loop = custom_loop(lambda t: jump if 0.25 <= t < 0.75 else 0.0)
+    cfg = TrackingConfig(steps=8, max_refine=0)
+    assert track_roots(loop, cfg).tolist() == [0, 1, 2, 3]
+
+
+def test_aberth_runs_for_the_base_sample_only(monkeypatch):
+    calls = {"_aberth": 0, "_aberth_mp": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(numeric, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(numeric, name, counted)
+    cfg = TrackingConfig(steps=50)
+    double = trace_loop(gamma_minus(), cfg)
+    assert calls == {"_aberth": 1, "_aberth_mp": 0}
+    extended = trace_loop(gamma_minus(), replace(cfg, precision="extended"))
+    assert calls == {"_aberth": 1, "_aberth_mp": 1}
+    assert extended.root_perm.tolist() == double.root_perm.tolist()
+    assert extended.flex_perm.tolist() == double.flex_perm.tolist()
+    assert np.abs(extended.roots - double.roots).max() < 1e-12
+
+
+def _quarters(first: complex, second: complex):
+    """0 on the first and last quarter of the loop, `first` and `second` on
+    the two in between."""
+    return custom_loop(lambda t: first if 0.25 <= t < 0.5
+                       else second if 0.5 <= t < 0.75 else 0.0)
+
+
+# 10 is a jump no match survives, 1 a node, 1000 a quartic whose roots miss
+# the residual in double precision; the earlier sample decides
+@pytest.mark.parametrize("first, second, error", [
+    (10.0, 1.0, AmbiguousMatching), (1.0, 10.0, SingularParameter),
+    (10.0, 1000.0, AmbiguousMatching), (1000.0, 10.0, NonConvergence),
+    (1000.0, 1.0, NonConvergence), (1.0, 1000.0, SingularParameter)])
+def test_earliest_failing_sample_decides(first, second, error):
+    with pytest.raises(error):
+        track_roots(_quarters(first, second), TrackingConfig(steps=8, max_refine=0))
+
+
+def _circle_matrix(c: complex, sign: int) -> np.ndarray:
+    """Exact matrix of the circle c (1 - exp(sign 2 pi i t)), centre c and
+    radius |c|: it encloses -1 when Re c < -1/2, +1 when Re c > 1/2."""
+    if abs(c.real) <= 0.5:
+        return np.eye(7, dtype=np.int64)
+    kind = "gammaMinus" if c.real < 0 else "gammaPlus"
+    m = flex_lattice_map(np.array(transcribed_flex_permutation(kind),
+                                  dtype=np.int64))
+    return m if sign > 0 else m @ m  # order 3: the inverse is the square
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(radius=st.floats(0.3, 1.6), angle=st.floats(-math.pi, math.pi),
+       sign=st.sampled_from((1, -1)))
+def test_circles_match_the_word_oracle(radius, angle, sign):
+    c = cmath.rect(radius, angle)
+    assume(min(abs(abs(node - c) - abs(c)) for node in (-1.0, 1.0)) >= 0.15)
+    loop = custom_loop(lambda t: c * (1.0 - cmath.exp(sign * 2j * cmath.pi * t)))
+    assert np.array_equal(monodromy_matrix(loop), _circle_matrix(c, sign))
 
 
 def test_lift_to_lines_blocks():
