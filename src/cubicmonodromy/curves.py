@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCurve, SingularParameter, SingularPoint
-from .numeric import Poly1, TOL_MATCH, roots_of
+from .numeric import Poly1, TOL_MATCH, order_key, roots_of
 
 MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -216,10 +216,20 @@ class ProjPoint2:
         return self.coords / np.linalg.norm(self.coords)
 
     def distance(self, other: "ProjPoint2") -> float:
-        """Chordal distance between the underlying projective points."""
-        u, v = self.unit(), other.unit()
-        overlap = min(1.0, abs(np.vdot(u, v)))
-        return math.sqrt(max(0.0, 1.0 - overlap * overlap))
+        """Chordal distance between the underlying projective points.
+
+        sqrt(1 - |<u, v>|^2) for their unit vectors u, v, which is the norm
+        of v's component orthogonal to u.  Computed by Lagrange's identity
+        as |u ^ v| / (|u| |v|) from the minors u_i v_j - u_j v_i, because the
+        subtraction 1 - |<u, v>|^2 cancels (up to 2e-8 for a point and
+        itself); the minors of a point and itself are exactly 0.
+        """
+        (u0, u1, u2), (v0, v1, v2) = self.coords.tolist(), other.coords.tolist()
+        minors = (abs(u0 * v1 - u1 * v0) ** 2 + abs(u1 * v2 - u2 * v1) ** 2
+                  + abs(u2 * v0 - u0 * v2) ** 2)
+        uu = abs(u0) ** 2 + abs(u1) ** 2 + abs(u2) ** 2
+        vv = abs(v0) ** 2 + abs(v1) ** 2 + abs(v2) ** 2
+        return math.sqrt(minors / (uu * vv))
 
     def is_base_point(self, tol: float = 1e-8) -> bool:
         return (abs(self.coords[2]) < tol and abs(self.coords[0]) < tol
@@ -295,20 +305,21 @@ def hesse_parameter(f: CubicForm, tol: float = 1e-9) -> complex | None:
 
 
 def flex_quartic(lam: complex) -> Poly1:
-    """Quartic whose roots are the affine x-coordinates of the inflections.
+    """Quartic whose roots are the affine x-coordinates of the inflections:
+    flex_quartic_stack's row at lam."""
+    return Poly1(tuple(flex_quartic_stack([lam])[0].tolist()))
+
+
+def flex_quartic_stack(lams) -> np.ndarray:
+    """Flex quartic coefficients at every lam of a 1-d array, one row each.
 
     For the pencil member at lam the non-base inflection points are
     [alpha : +-y : 1] with alpha a root of
 
-        3 x^4 - 4 lam x^3 - 6 x^2 + 12 lam x - (1 + 4 lam^2).
+        3 x^4 - 4 lam x^3 - 6 x^2 + 12 lam x - (1 + 4 lam^2);
+
+    the result has shape (n, 5), ascending as in Poly1.
     """
-    lam = complex(lam)
-    return Poly1((-(1.0 + 4.0 * lam * lam), 12.0 * lam, -6.0, -4.0 * lam, 3.0))
-
-
-def flex_quartic_stack(lams) -> np.ndarray:
-    """flex_quartic's coefficients at every lam of a 1-d array, one row each
-    (shape (n, 5), ascending, same formula)."""
     lam = np.asarray(lams, dtype=complex)
     return np.stack([-(1.0 + 4.0 * lam * lam), 12.0 * lam,
                      np.full_like(lam, -6.0), -4.0 * lam,
@@ -335,7 +346,7 @@ def inflection_points(f: CubicForm, tol: float = 1e-8) -> list[ProjPoint2]:
 
     Ordering: the base point [0:1:0] first when the curve passes through it
     with a vertical-tangent flex there, then ascending (Re y, Im y, Re x,
-    Im x) on the normalized coordinates.
+    Im x) on the normalized coordinates, each rounded as in order_key.
     """
     lam = family_parameter(f)
     if lam is not None:
@@ -364,7 +375,7 @@ def inflection_points(f: CubicForm, tol: float = 1e-8) -> list[ProjPoint2]:
 def _sort_points(pts: list[ProjPoint2]) -> list[ProjPoint2]:
     base = [p for p in pts if p.is_base_point()]
     rest = [p for p in pts if not p.is_base_point()]
-    rest.sort(key=lambda p: (p.y.real, p.y.imag, p.x.real, p.x.imag))
+    rest.sort(key=lambda p: order_key(p.y) + order_key(p.x))
     return base + rest
 
 

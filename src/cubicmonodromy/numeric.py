@@ -1,14 +1,13 @@
 """Numerics: polynomial roots, Newton polish, and the field constants.
 
-All public routines are deterministic for a fixed input.  The scalar root
-finder `roots_of` is a simultaneous Aberth iteration started from
-deliberately non-symmetric points, so families of roots with internal
-symmetry (pairs like +r/-r) cannot trap the iteration on a symmetric
-configuration.  The batched solver `roots_of_stack` takes a whole stack of
-polynomials of one degree: one `np.linalg.eigvals` call on the stacked
-companion matrices (Edelman-Murakami 1995), then an array Newton polish with
-`newton_polish`'s acceptance, then, for extended precision, an mpmath Newton
-polish of every root.
+All public routines are deterministic for a fixed input.  The one root
+finder, `roots_of_stack`, solves a stack of polynomials of one degree: one
+`np.linalg.eigvals` call on the stacked companion matrices (Edelman-Murakami
+1995), an array Newton polish and, for extended precision, an mpmath Newton
+polish of every root.  A root is accepted on its backward error: |p(z)|
+against sum_k |c_k| |z|^k, the bound on the rounding error of evaluating p
+at z (Higham, Accuracy and Stability of Numerical Algorithms, ch. 5).
+`roots_of` is one sorted row of it.
 """
 
 from __future__ import annotations
@@ -27,10 +26,9 @@ TOL_MATCH = 1e-6
 TOL_INC = 1e-8
 TOL_LEAD = 1e-12
 
-_MAX_ABERTH = 400
 _MAX_NEWTON = 60
 _EXTENDED_DPS = 50
-# the residual _aberth_mp aims for, relative to the largest coefficient
+# extended polish target, relative to the largest coefficient: 10 digits short
 _EXTENDED_GOAL = 10.0 ** (10 - _EXTENDED_DPS)
 
 PRECISIONS = ("double", "extended")
@@ -75,126 +73,26 @@ class Poly1:
         return Poly1(tuple(cs))
 
 
-def _initial_guesses(n: int, radius: float) -> list[complex]:
-    # Spread around a circle with an irregular angular stagger so that no two
-    # guesses are related by the symmetries (negation, conjugation) that the
-    # target root sets tend to have.
-    out = []
-    for k in range(n):
-        theta = 2.0 * math.pi * k / n + 0.4 + 0.11 * k * k / max(n, 1)
-        out.append(radius * cmath.exp(1j * theta))
-    return out
+def order_key(z: complex) -> tuple[float, float]:
+    """Sort key (real, imag), each rounded to 9 decimals, so that rounding
+    noise cannot flip the order of two values whose real parts agree (a
+    conjugate pair on the imaginary axis, say)."""
+    return (round(z.real, 9), round(z.imag, 9))
 
 
 def roots_of(p: Poly1, tol: float = TOL_ROOT, precision: str = "double") -> list[complex]:
-    """All complex roots of p, with multiplicity, sorted by (real, imag).
+    """All complex roots of p, with multiplicity, sorted by order_key.
 
-    Residual acceptance: |p(z_i)| / max|coeff| < tol for every root.  Raises
-    NonConvergence if the Aberth iteration stalls before that.
+    The roots_of_stack row of p's trimmed coefficients, with its residual
+    acceptance and NonConvergence; a constant has no roots.
     """
     if precision not in PRECISIONS:
         raise ValueError(f"unknown precision {precision!r}")
     q = p.trimmed()
-    n = q.degree
-    if n == 0:
+    if q.degree == 0:
         return []
-    scale = max(abs(c) for c in q.coeffs)
-    cs = [c / scale for c in q.coeffs]
-    if precision == "extended":
-        roots = _aberth_mp(cs, tol)
-    else:
-        roots = _aberth(cs, tol)
-    return sorted(roots, key=lambda z: (z.real, z.imag))
-
-
-def _aberth(cs: list[complex], tol: float) -> list[complex]:
-    n = len(cs) - 1
-    lead = cs[-1]
-    radius = 1.0 + max(abs(c / lead) for c in cs[:-1]) if n > 0 else 1.0
-    z = _initial_guesses(n, radius)
-    dcs = [k * c for k, c in enumerate(cs) if k > 0]
-
-    def val(x, coeffs):
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    for _ in range(_MAX_ABERTH):
-        resid = 0.0
-        moved = 0.0
-        for i in range(n):
-            pi = val(z[i], cs)
-            resid = max(resid, abs(pi))
-            dpi = val(z[i], dcs)
-            if dpi == 0:
-                z[i] += 1e-8 + 1e-8j
-                moved = math.inf
-                continue
-            newton = pi / dpi
-            s = 0j
-            for j in range(n):
-                if j != i:
-                    dz = z[i] - z[j]
-                    if dz == 0:
-                        dz = 1e-12
-                    s += 1.0 / dz
-            denom = 1.0 - newton * s
-            if denom == 0:
-                step = newton
-            else:
-                step = newton / denom
-            z[i] -= step
-            moved = max(moved, abs(step))
-        if resid < tol and moved < math.sqrt(tol):
-            return z
-    # final residual check: clustered multiple roots converge slowly in step
-    # size but the residual test is what the contract promises
-    if all(abs(val(zi, cs)) < tol for zi in z):
-        return z
-    raise NonConvergence(f"Aberth stalled after {_MAX_ABERTH} iterations")
-
-
-def _aberth_mp(cs: list[complex], tol: float) -> list[complex]:
-    with mpmath.workdps(_EXTENDED_DPS):
-        mcs = [mpmath.mpc(c) for c in cs]
-        n = len(mcs) - 1
-        lead = mcs[-1]
-        radius = 1 + max(abs(c / lead) for c in mcs[:-1]) if n > 0 else mpmath.mpf(1)
-        z = [radius * mpmath.exp(1j * (2 * mpmath.pi * k / n + mpmath.mpf("0.4")
-                                       + mpmath.mpf("0.11") * k * k / n))
-             for k in range(n)]
-        dcs = [k * c for k, c in enumerate(mcs) if k > 0]
-        goal = mpmath.mpf(10) ** (-_EXTENDED_DPS + 10)
-
-        def val(x, coeffs):
-            acc = mpmath.mpc(0)
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            return acc
-
-        for _ in range(_MAX_ABERTH):
-            resid = mpmath.mpf(0)
-            for i in range(n):
-                pi = val(z[i], mcs)
-                resid = max(resid, abs(pi))
-                dpi = val(z[i], dcs)
-                if dpi == 0:
-                    z[i] += mpmath.mpc(goal, goal)
-                    continue
-                newton = pi / dpi
-                s = mpmath.mpc(0)
-                for j in range(n):
-                    if j != i:
-                        dz = z[i] - z[j]
-                        s += 1 / dz if dz != 0 else 0
-                denom = 1 - newton * s
-                z[i] -= newton / denom if denom != 0 else newton
-            if resid < min(goal, mpmath.mpf(tol)):
-                break
-        if not all(abs(val(zi, mcs)) < tol for zi in z):
-            raise NonConvergence("extended-precision Aberth stalled")
-        return [complex(zi) for zi in z]
+    roots = roots_of_stack([q.coeffs], tol, precision)[0].tolist()
+    return sorted(roots, key=order_key)
 
 
 def newton_polish(p: Poly1, z0: complex, tol: float = TOL_ROOT,
@@ -292,8 +190,8 @@ def roots_of_stack(coeffs, tol: float = TOL_ROOT,
     degree d (a leading coefficient negligible next to the row's largest one
     is a ValueError).  Row k of the result holds the roots of row k in
     eigenvalue order, not sorted.  Extended precision polishes every root
-    with mpmath Newton toward the residual _aberth_mp aims for, then rounds
-    it.  Residual acceptance as in roots_of: |p(z)| / max|coeff| < tol for
+    with mpmath Newton toward _EXTENDED_GOAL, then rounds it.  Residual
+    acceptance, a backward error: |p(z)| <= tol * sum_k |c_k| |z|^k for
     every root, else NonConvergence, whose `row` is the first failing row.
     """
     if precision not in PRECISIONS:
@@ -315,8 +213,9 @@ def roots_of_stack(coeffs, tol: float = TOL_ROOT,
         z = np.array([[_polish_mp(row, zi) for zi in zs]
                       for row, zs in zip(cs, z)], dtype=complex).reshape(z.shape)
     with np.errstate(all="ignore"):
-        resid = np.abs(_horner(cs, z)) / scale
-    missed = np.flatnonzero(~(resid < tol).all(axis=1))
+        # "<=" so that an exact root passes where the bound is 0 (z = 0 = c_0)
+        ok = np.abs(_horner(cs, z)) <= tol * _horner(np.abs(cs), np.abs(z))
+    missed = np.flatnonzero(~ok.all(axis=1))
     if missed.size:
         raise NonConvergence(
             f"roots of row {missed[0]} miss the residual {tol:.1e}",

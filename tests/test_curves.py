@@ -1,10 +1,12 @@
 """Plane cubics: the pencil, the diagonal family, and inflection data."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import cubicmonodromy.curves as curves
 from cubicmonodromy.curves import (CubicForm, ProjPoint2, family_lambda,
                                    family_parameter, flex_height_squared,
                                    flex_quartic, gradient, hesse_form,
@@ -74,6 +76,49 @@ def test_inflections_deterministic_order():
     b = inflection_points(family_lambda(0.25))
     for p, q in zip(a, b):
         assert p.distance(q) < 1e-12
+
+
+@pytest.mark.parametrize("lam", (0.0, 0.25, -3.0))
+def test_inflection_order_ignores_rounding_noise(monkeypatch, lam):
+    # at real lam, conjugate inflections share Re y, which rounding noise
+    # in the roots must not order
+    want = [p.coords for p in inflection_points(family_lambda(lam))]
+    solve = curves.roots_of
+    for signs in itertools.product((-1.0, 1.0), repeat=4):
+        def noisy(*args, _signs=signs):
+            return [z + 1e-15 * s for z, s in zip(solve(*args), _signs)]
+        monkeypatch.setattr(curves, "roots_of", noisy)
+        got = inflection_points(family_lambda(lam))
+        assert max(np.abs(p.coords - w).max() for p, w in zip(got, want)) < 1e-12
+
+
+def test_distance_has_no_cancellation_floor():
+    # sqrt(1 - |<u, v>|^2) left up to 2e-8 for a point and itself
+    pts = inflection_points(family_lambda(0.25))
+    for i, p in enumerate(pts):
+        assert p.distance(p) < 1e-15
+        for q in pts[i + 1:]:
+            overlap = min(1.0, abs(np.vdot(p.unit(), q.unit())))
+            assert abs(p.distance(q) - math.sqrt(1.0 - overlap ** 2)) < 1e-12
+
+
+# Gaussian coefficients; the resultant's root near |x| = 7.8 has
+# |p(x)| / max|c| about 5e-12 from Horner rounding alone, its backward error
+# about 3e-18
+GENERIC = (-0.189 - 1.193j, 1.023 + 2.371j, -0.439 - 1.294j, 0.05 - 1.595j,
+           -0.803 + 0.228j, 0.557 - 0.496j, -0.192 - 0.342j, -0.179 + 0.096j,
+           0.896 + 0.569j, -2.124 + 1.909j)
+
+
+def test_generic_cubic_has_nine_inflections():
+    f = CubicForm(np.array(GENERIC))
+    assert family_parameter(f) is None and hesse_parameter(f) is None
+    hd = hessian_det_form(f)
+    pts = inflection_points(f)
+    assert len(pts) == 9
+    for p in pts:
+        assert abs(f(p.unit())) < 1e-8 * f.scale()
+        assert abs(hd(p.unit())) < 1e-8 * hd.scale()
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)

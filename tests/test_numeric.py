@@ -1,6 +1,7 @@
 """Root finding, polishing, and the closed-form constants."""
 
 import cmath
+import itertools
 import math
 
 import mpmath
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 import cubicmonodromy.numeric as numeric
+from cubicmonodromy.curves import flex_quartic, flex_quartic_stack
 from cubicmonodromy.errors import NonConvergence
 from cubicmonodromy.numeric import (Poly1, constants, newton_polish,
-                                    newton_polish_stack, roots_of,
+                                    newton_polish_stack, order_key, roots_of,
                                     roots_of_stack)
 
 
@@ -86,22 +88,45 @@ def _same_set(a, b, tol: float) -> bool:
             and dist.min(axis=1).max() <= tol)
 
 
+def _polyroots(row) -> list[complex]:
+    """The roots of an ascending coefficient row by mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        exact = mpmath.polyroots([mpmath.mpc(c) for c in row[::-1]],
+                                 maxsteps=200, extraprec=100)
+    return [complex(z) for z in exact]
+
+
 @pytest.mark.parametrize("precision", ["double", "extended"])
-def test_roots_of_stack_matches_roots_of(precision):
+def test_roots_of_stack_matches_mpmath_polyroots(precision):
     coeffs = _random_quartics(100 if precision == "double" else 10)
     stacked = roots_of_stack(coeffs, precision=precision)
     assert stacked.shape == (len(coeffs), 4)
     for row, roots in zip(coeffs, stacked):
-        assert _same_set(roots, roots_of(Poly1(tuple(row))), 1e-12)
+        assert _same_set(roots, _polyroots(row), 1e-12)
 
 
 def test_extended_stack_roots_are_correctly_rounded():
     coeffs = _random_quartics(10)
     for row, roots in zip(coeffs, roots_of_stack(coeffs, precision="extended")):
-        with mpmath.workdps(50):
-            exact = mpmath.polyroots([mpmath.mpc(c) for c in row[::-1]],
-                                     maxsteps=200, extraprec=100)
-        assert _same_set(roots, [complex(z) for z in exact], 0.0)
+        assert _same_set(roots, _polyroots(row), 0.0)
+
+
+def test_roots_of_is_the_sorted_stack_row():
+    p = Poly1((-1.0, 12.0 * 0.3, -6.0, -4.0 * 0.3, 3.0, 0.0))
+    row = roots_of_stack([p.coeffs[:-1]])[0]
+    assert roots_of(p) == sorted(row.tolist(), key=order_key)
+    assert roots_of(Poly1((2.0, 1e-13))) == []
+    # an exact root 0 with c_0 = 0: |p(z)| and its bound are both 0
+    assert roots_of(Poly1((0.0, 1.0, 1.0))) == [-1.0, 0.0]
+
+
+def test_roots_at_a_large_parameter_pass_the_backward_error():
+    # at lambda = 1000 the root near 4 lambda / 3 has |p(z)| / max|c| about
+    # 2e-10, Horner rounding alone; its backward error is about 1e-17
+    q = flex_quartic(1000.0)
+    for precision in ("double", "extended"):
+        assert _same_set(roots_of(q, precision=precision), _polyroots(q.coeffs),
+                         1e-12)
 
 
 def test_roots_of_stack_raises_on_a_missed_residual(monkeypatch):
@@ -118,6 +143,39 @@ def test_roots_of_stack_raises_on_a_missed_residual(monkeypatch):
     with pytest.raises(NonConvergence) as info:
         roots_of_stack(coeffs)
     assert info.value.row == 3
+
+
+def test_a_perturbed_large_root_misses_the_backward_error(monkeypatch):
+    coeffs = flex_quartic_stack([0.0, 1000.0])
+    eigvals = np.linalg.eigvals
+
+    def perturbed(matrices):
+        out = eigvals(matrices)
+        out[1] *= 1 + 1e-9
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigvals", perturbed)
+    monkeypatch.setattr(numeric, "newton_polish_stack", lambda cs, z, tol: z)
+    with pytest.raises(NonConvergence) as info:
+        roots_of_stack(coeffs)
+    assert info.value.row == 1
+
+
+def test_flex_quartic_roots_at_zero_keep_their_labels(monkeypatch):
+    # roots -a, -t, t, a with t = i a (2 - sqrt 3); -t and t share a real
+    # part, so rounding noise there must not decide their order
+    a = constants().a
+    t = 1j * a * (2.0 - math.sqrt(3.0))
+    want = [-a, -t, t, a]
+    got = roots_of(flex_quartic(0.0))
+    assert np.abs(np.array(got) - want).max() < 1e-14
+    solve = numeric.roots_of_stack
+    for signs in itertools.product((-1.0, 1.0), repeat=4):
+        def noisy(*args, _signs=signs):
+            return solve(*args)[:, ::-1] + 1e-15 * np.array(_signs)
+        monkeypatch.setattr(numeric, "roots_of_stack", noisy)
+        got = roots_of(flex_quartic(0.0))
+        assert np.abs(np.array(got) - want).max() < 1e-14
 
 
 @pytest.mark.parametrize("coeffs, precision", [

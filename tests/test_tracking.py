@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cubicmonodromy.cli as cli
-import cubicmonodromy.numeric as numeric
 import cubicmonodromy.tracking as tracking
 from cubicmonodromy.curves import flex_height_squared, flex_quartic
 from cubicmonodromy.errors import (AmbiguousMatching, NonConvergence,
@@ -221,18 +220,18 @@ def test_newton_predictor_carries_roots_across_a_jump(jump):
     assert track_roots(loop, cfg).tolist() == [0, 1, 2, 3]
 
 
-def test_aberth_runs_for_the_base_sample_only(monkeypatch):
-    calls = {"_aberth": 0, "_aberth_mp": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(numeric, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(numeric, name, counted)
+def test_one_base_solve_and_one_batch_per_resolution(monkeypatch):
+    calls = []
+    for name in ("roots_of", "roots_of_stack"):
+        def counted(*args, _fn=getattr(tracking, name), _name=name, **kwargs):
+            calls.append((_name, kwargs["precision"]))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(tracking, name, counted)
     cfg = TrackingConfig(steps=50)
     double = trace_loop(gamma_minus(), cfg)
-    assert calls == {"_aberth": 1, "_aberth_mp": 0}
+    assert calls == [("roots_of", "double"), ("roots_of_stack", "double")]
     extended = trace_loop(gamma_minus(), replace(cfg, precision="extended"))
-    assert calls == {"_aberth": 1, "_aberth_mp": 1}
+    assert calls[2:] == [("roots_of", "extended"), ("roots_of_stack", "extended")]
     assert extended.root_perm.tolist() == double.root_perm.tolist()
     assert extended.flex_perm.tolist() == double.flex_perm.tolist()
     assert np.abs(extended.roots - double.roots).max() < 1e-12
@@ -245,13 +244,23 @@ def _quarters(first: complex, second: complex):
                        else second if 0.5 <= t < 0.75 else 0.0)
 
 
-# 10 is a jump no match survives, 1 a node, 1000 a quartic whose roots miss
-# the residual in double precision; the earlier sample decides
+# 10 is a jump no match survives, 1 a node, 1000 a quartic the batch solver
+# is made to fail on; the earlier sample decides
 @pytest.mark.parametrize("first, second, error", [
     (10.0, 1.0, AmbiguousMatching), (1.0, 10.0, SingularParameter),
     (10.0, 1000.0, AmbiguousMatching), (1000.0, 10.0, NonConvergence),
     (1000.0, 1.0, NonConvergence), (1.0, 1000.0, SingularParameter)])
-def test_earliest_failing_sample_decides(first, second, error):
+def test_earliest_failing_sample_decides(monkeypatch, first, second, error):
+    solve = tracking.roots_of_stack
+
+    def failing_at_1000(coeffs, *args, **kwargs):
+        # column 1 of a flex quartic row is 12 lambda
+        bad = np.flatnonzero(np.asarray(coeffs)[:, 1] == 12000.0)
+        if bad.size:
+            raise NonConvergence("made to fail", row=int(bad[0]))
+        return solve(coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(tracking, "roots_of_stack", failing_at_1000)
     with pytest.raises(error):
         track_roots(_quarters(first, second), TrackingConfig(steps=8, max_refine=0))
 
