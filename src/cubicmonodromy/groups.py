@@ -16,7 +16,6 @@ chosen once so that the standard generator relations hold verbatim.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 
 import numpy as np
@@ -105,33 +104,27 @@ def _corrected_action() -> dict[SL2, dict[Heis, Heis]]:
     through those representatives gives the corrected automorphisms.
     """
     seeds = [(_SPLIT_M, GEN_M), (_SPLIT_N, GEN_N)]
-    seen = {((0, 0, 0), SL2_IDENTITY)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for s in seeds:
-                q = _psi_pair_mul(p, s)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
+    seen = [((0, 0, 0), SL2_IDENTITY)]
+    for p in seen:  # grows while it is walked
+        seen.extend(q for q in (_psi_pair_mul(p, s) for s in seeds)
+                    if q not in seen)
     if len(seen) != 24:
         raise WrongOrder(f"splitting closure has {len(seen)} elements, not 24")
     parts = {g: h for h, g in seen}
     if len(parts) != 24:
         raise WrongOrder("splitting hits some SL2 part twice")
-    table: dict[SL2, dict[Heis, Heis]] = {}
-    for g, hs in parts.items():
-        row = {}
-        for h in HEISENBERG_ALL:
-            row[h] = h_mul(h_mul(hs, _canonical_aut(g, h)), h_inv(hs))
-        table[g] = row
-    return table
+    return {g: {h: h_mul(h_mul(hs, _canonical_aut(g, h)), h_inv(hs))
+                for h in HEISENBERG_ALL} for g, hs in parts.items()}
 
 
 def corrected_action(m: SL2, h: Heis) -> Heis:
     return _corrected_action()[m][h]
+
+
+def index_table(fn, rows: list, cols: list, codomain: list) -> np.ndarray:
+    """T[i, j] = index in codomain of fn(rows[i], cols[j])."""
+    at = {x: k for k, x in enumerate(codomain)}
+    return np.array([[at[fn(r, c)] for c in cols] for r in rows])
 
 
 ModelElement = tuple[Heis, SL2]
@@ -140,17 +133,33 @@ MODEL_IDENTITY: ModelElement = (H_IDENTITY, SL2_IDENTITY)
 
 
 class SemidirectGroup:
-    """All 648 pairs (h, g) under the corrected twisted multiplication."""
+    """All 648 pairs (h, g) under the corrected twisted multiplication.
+
+    `table[p, q]` is the index of elements[p] * elements[q], built once from
+    the Heisenberg, SL2 and corrected-action tables.
+    """
 
     def __init__(self):
         self.elements: list[ModelElement] = [
             (h, g) for h in HEISENBERG_ALL for g in SL2_ALL
         ]
         self._act = _corrected_action()
+        self._index = {p: i for i, p in enumerate(self.elements)}
+        hmul = index_table(h_mul, HEISENBERG_ALL, HEISENBERG_ALL, HEISENBERG_ALL)
+        smul = index_table(sl2_mul, SL2_ALL, SL2_ALL, SL2_ALL)
+        act = index_table(corrected_action, SL2_ALL, HEISENBERG_ALL,
+                          HEISENBERG_ALL)
+        # (h1, g1) (h2, g2) = (h1 act[g1](h2), g1 g2); (h, g) sits at 24 h + g
+        h1, g1, h2, g2 = np.ix_(*(range(len(x)) for x in (
+            HEISENBERG_ALL, SL2_ALL, HEISENBERG_ALL, SL2_ALL)))
+        self.table = (hmul[h1, act[g1, h2]] * len(SL2_ALL)
+                      + smul[g1, g2]).reshape(len(self), len(self))
+
+    def index_of(self, p: ModelElement) -> int:
+        return self._index[p]
 
     def mul(self, p: ModelElement, q: ModelElement) -> ModelElement:
-        (h1, g1), (h2, g2) = p, q
-        return (h_mul(h1, self._act[g1][h2]), sl2_mul(g1, g2))
+        return self.elements[self.table[self._index[p], self._index[q]]]
 
     def inv(self, p: ModelElement) -> ModelElement:
         h, g = p
@@ -160,28 +169,21 @@ class SemidirectGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def order_of(self, p: ModelElement) -> int:
-        acc = p
-        for k in range(1, 200):
-            if acc == MODEL_IDENTITY:
-                return k
-            acc = self.mul(acc, p)
-        raise WrongOrder("model element order exceeded bound")
-
     def census(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.elements:
-            k = self.order_of(p)
-            out[k] = out.get(k, 0) + 1
-        return out
+        every = np.arange(len(self))
+        power, orders = every, np.zeros(len(self), dtype=np.int64)
+        for k in range(1, len(self) + 1):
+            orders[(power == self._index[MODEL_IDENTITY]) & (orders == 0)] = k
+            if orders.all():
+                break
+            power = self.table[power, every]
+        vals, counts = np.unique(orders, return_counts=True)
+        return dict(zip(vals.tolist(), counts.tolist()))
 
     def center(self) -> list[ModelElement]:
-        probes = self.generator_images()
-        out = []
-        for p in self.elements:
-            if all(self.mul(p, q) == self.mul(q, p) for q in probes):
-                out.append(p)
-        return out
+        probes = [self._index[p] for p in self.generator_images()]
+        commute = self.table[:, probes] == self.table[probes].T
+        return [self.elements[i] for i in np.flatnonzero(commute.all(axis=1))]
 
     @staticmethod
     def generator_images() -> list[ModelElement]:
@@ -198,11 +200,12 @@ class SemidirectGroup:
         ]
 
     def spot_check_associativity(self, trials: int = 1000, seed: int = 0) -> None:
-        rng = random.Random(seed)
-        for _ in range(trials):
-            x, y, z = (rng.choice(self.elements) for _ in range(3))
-            if self.mul(self.mul(x, y), z) != self.mul(x, self.mul(y, z)):
-                raise WrongOrder(f"associativity fails on {x}, {y}, {z}")
+        t = self.table
+        x, y, z = np.random.default_rng(seed).integers(0, len(self), (3, trials))
+        bad = np.flatnonzero(t[t[x, y], z] != t[x, t[y, z]])
+        if len(bad):
+            raise WrongOrder("associativity fails on "
+                             f"{[self.elements[k[bad[0]]] for k in (x, y, z)]}")
 
 
 @lru_cache(maxsize=1)
@@ -216,35 +219,35 @@ def verify_generator_map(source, images: list[ModelElement],
                          model: SemidirectGroup) -> dict[int, ModelElement]:
     """Extend a generator assignment along the closure and certify it.
 
-    source must expose gens, elements, transitions and word() the way
-    FiniteMatrixGroup does, with source.transitions[i][j] indexing the product
-    (generator j) * (element i).  Every one of those product relations is
-    replayed in the model; any mismatch raises NotIsomorphic with the word
-    of the offending element as a witness.  The verified extension is also
-    required to be a bijection onto the model.
+    source must expose gens, elements, parents, transitions and word() the
+    way FiniteMatrixGroup does, with source.transitions[i][j] indexing the
+    product (generator j) * (element i).  Images are assigned along the
+    parent links, then every one of those product relations is replayed in
+    the model's table at once; any mismatch raises NotIsomorphic with the
+    word of the offending element as a witness.  The verified extension is
+    also required to be a bijection onto the model.
     """
     n = len(source.elements)
     if n != len(model):
         raise WrongOrder(f"source order {n} != model order {len(model)}")
     if len(images) != len(source.gens):
         raise ValueError("need one model image per source generator")
-    imgs: list[ModelElement | None] = [None] * n
-    imgs[0] = MODEL_IDENTITY
-    for i in range(n):
-        if imgs[i] is None:
-            raise NotIsomorphic(f"element {i} unreachable before use")
-        for j in range(len(images)):
-            t = int(source.transitions[i][j])
-            cand = model.mul(images[j], imgs[i])
-            if imgs[t] is None:
-                imgs[t] = cand
-            elif imgs[t] != cand:
-                raise NotIsomorphic(
-                    f"word {source.word(t)} has two images; "
-                    f"{imgs[t]} vs {cand}")
-    if len(set(imgs)) != n:
+    gen_at = np.array([model.index_of(p) for p in images], dtype=np.int64)
+    t = model.table
+    imgs = np.full(n, model.index_of(MODEL_IDENTITY))
+    for i, (parent, j) in enumerate(source.parents[1:], start=1):
+        imgs[i] = t[gen_at[j], imgs[parent]]
+    trans = np.asarray(source.transitions, dtype=np.int64).reshape(n, len(images))
+    want = t[gen_at[None, :], imgs[:, None]]
+    bad = np.argwhere(imgs[trans] != want)
+    if len(bad):
+        i, j = bad[0]
+        got = model.elements[imgs[trans[i, j]]]
+        raise NotIsomorphic(f"word {source.word(int(trans[i, j]))} has two "
+                            f"images; {got} vs {model.elements[want[i, j]]}")
+    if len(set(imgs.tolist())) != n:
         raise NotIsomorphic("extension is not injective")
-    return {i: p for i, p in enumerate(imgs)}
+    return dict(enumerate(model.elements[k] for k in imgs.tolist()))
 
 
 def verify_isomorphism(group: FiniteMatrixGroup,

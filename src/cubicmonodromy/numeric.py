@@ -16,7 +16,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .errors import NonConvergence
@@ -120,6 +119,8 @@ def newton_polish(p: Poly1, z0: complex, tol: float = TOL_ROOT,
 
 
 def _newton_mp(coeffs, z0: complex, tol: float) -> complex:
+    import mpmath  # imported here: double precision never needs it
+
     with mpmath.workdps(_EXTENDED_DPS):
         cs = [mpmath.mpc(c) for c in coeffs]
         dcs = [k * c for k, c in enumerate(cs) if k > 0]

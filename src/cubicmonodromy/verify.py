@@ -22,8 +22,9 @@ from .errors import AmbiguousMatching, FixtureError, NotAMember
 from .fixtures import FixtureSet, load_fixtures
 from .groups import (HEISENBERG_ALL, MODEL_IDENTITY, SL2_ALL, ModelElement,
                      SemidirectGroup, conjugation_relations, identify_order24,
-                     intersect, is_normal, phi_action, semidirect_model,
-                     sl2_mul, verify_generator_map, verify_isomorphism)
+                     index_table, intersect, is_normal, phi_action,
+                     semidirect_model, sl2_mul, verify_generator_map,
+                     verify_isomorphism)
 from .hesse import heisenberg_matrices, hesse_transform
 from .lines import (base_surface, concurrent_triples, deck_permutation,
                     is_strongly_regular_27, pairing, perm_compose,
@@ -121,6 +122,12 @@ def transcribed_flex_permutation(kind: str) -> np.ndarray:
 def fixture_group() -> FiniteMatrixGroup:
     fx = load_fixtures()
     return FiniteMatrixGroup.close(fx.generators(), cap=1000)
+
+
+@lru_cache(maxsize=1)
+def fixture_centralizer() -> FiniteMatrixGroup:
+    """Centralizer of the stored deck matrix in the reflection group."""
+    return centralizer(load_fixtures().deck, weyl_group())
 
 
 def model_image_of(mat: np.ndarray) -> ModelElement:
@@ -254,9 +261,7 @@ def fixture_checks() -> list[Check]:
              deck_invariants))
 
     def deck_centralizer():
-        fx = load_fixtures()
-        cen = centralizer(fx.deck, weyl_group())
-        return len(cen), WEYL_ORDER // 80
+        return len(fixture_centralizer()), WEYL_ORDER // 80
     add(_run("fx-deck-centralizer",
              "centralizer of the deck class has order 648", deck_centralizer))
 
@@ -320,9 +325,7 @@ def fixture_checks() -> list[Check]:
              subgroup_structure))
 
     def set_equality():
-        fx = load_fixtures()
-        cen = centralizer(fx.deck, weyl_group())
-        keys_c = {m.tobytes() for m in cen.elements}
+        keys_c = {m.tobytes() for m in fixture_centralizer().elements}
         keys_f = {m.tobytes() for m in fixture_group().elements}
         return ({"subset": keys_f <= keys_c,
                  "sameOrder": len(keys_f) == len(keys_c)},
@@ -332,11 +335,9 @@ def fixture_checks() -> list[Check]:
              set_equality))
 
     def model_structure():
-        fx = load_fixtures()
         model = semidirect_model()
-        cen = centralizer(fx.deck, weyl_group())
         return ({"order": len(model), "censusMatches":
-                 model.census() == cen.census(),
+                 model.census() == fixture_centralizer().census(),
                  "centerOrder": len(model.center())},
                 {"order": 648, "censusMatches": True, "centerOrder": 3})
     add(_run("fx-model-structure",
@@ -344,15 +345,13 @@ def fixture_checks() -> list[Check]:
              model_structure))
 
     def action_property():
-        bad = 0
-        for m in SL2_ALL:
-            for n in SL2_ALL:
-                mn = sl2_mul(m, n)
-                for h in HEISENBERG_ALL:
-                    if phi_action(mn, h) != phi_action(m, phi_action(n, h)):
-                        bad += 1
-        return ({"checked": len(SL2_ALL) ** 2 * len(HEISENBERG_ALL),
-                 "violations": bad},
+        phi = index_table(phi_action, SL2_ALL, HEISENBERG_ALL, HEISENBERG_ALL)
+        mul = index_table(sl2_mul, SL2_ALL, SL2_ALL, SL2_ALL)
+        # [m, n, h]: phi(m n, h) against phi(m, phi(n, h))
+        lhs = phi[mul]
+        rhs = phi[np.arange(len(SL2_ALL))[:, None, None], phi[None]]
+        return ({"checked": lhs.size,
+                 "violations": int(np.count_nonzero(lhs != rhs))},
                 {"checked": 15552, "violations": 0})
     add(_run("fx-action-property",
              "the twisting action is a group action, exhaustively",
@@ -447,7 +446,7 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
              plane_change))
 
     def torsion_matrices():
-        h1, h2 = heisenberg_matrices(surface)
+        h1, h2 = bundle.h1, bundle.h2
         grp = FiniteMatrixGroup.close([h1, h2], cap=100)
         comm = h1 @ h2 @ lattice_inverse(h1) @ lattice_inverse(h2)
         deck = surface.deck_matrix

@@ -6,19 +6,14 @@ group is generated by the six simple reflections and enumerated by a
 deterministic breadth-first closure that also records a generator word for
 every element, which later feeds the isomorphism verification.
 
-The closure runs level by level over one (n, d, d) element stack.  Elements
-are told apart by a 64-bit key <R, M> mod 2^64 with fixed pseudo-random
-weights R.  The key is linear, so key(g M) = <g^T R, M>: one small integer
-product keys every (frontier element, generator) pair of a level.  Sorting
-those keys finds the products not seen before, each at its first visit in
-(element, generator) order, and only they are multiplied out.
-
-Keys only propose equalities.  After the last level every recorded relation
-g_j @ elements[i] == elements[transitions[i, j]] is checked exactly, on
-integer row codes that are one-to-one under an entry bound computed from
-the inputs.  So a key collision raises instead of merging two elements,
-and elements, parents and transitions are exactly those of the
-per-element search.  All products are int64.
+The closure works on the orbit of the standard basis under the generators,
+computed exactly in Python integers (for the reflection group 99 vectors:
+the 27 exceptional classes and the 72 images of e0).  An element is stored
+as the orbit indices ("digits") of its columns: g_j @ m is a gather of m's
+digits through g_j's permutation of the orbit, and the digits read in base
+|orbit| are an exact, injective int64 key (99^7 < 2^47).  Elements, parents
+and transitions are exactly those of the per-element search; the matrix
+stack is one gather of orbit vectors at the end.
 """
 
 from __future__ import annotations
@@ -69,34 +64,27 @@ def lattice_inverse(m: np.ndarray) -> np.ndarray:
     return (J_FORM @ m.T @ J_FORM).astype(np.int64)
 
 
-@lru_cache(maxsize=None)
-def _key_vector(dim: int) -> np.ndarray:
-    """The fixed (dim, dim) uint64 key weights R."""
-    return np.random.default_rng(dim).integers(0, 2**64, size=(dim, dim),
-                                               dtype=np.uint64)
+def _basis_orbit(gens: list[np.ndarray], dim: int,
+                 limit: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Orbit of the standard basis under the generators, exactly.
 
-
-def _flat(mats: np.ndarray) -> np.ndarray:
-    """A (k, d, d) integer stack as (k, d*d) uint64, two's complement."""
-    mats = np.ascontiguousarray(mats, dtype=np.int64)
-    return mats.reshape(len(mats), -1).view(np.uint64)
-
-
-def _row_codes(stack: np.ndarray, bound: int) -> np.ndarray:
-    """Exact codes of the rows of a (n, d, d) stack with entries in +-bound.
-
-    Each run of k entries of a row becomes sum_b m[a, b] base^b with
-    base = 2 bound + 1, which is one-to-one on such runs, and k is as long
-    as int64 allows.  The codes are linear in the rows, so the codes of
-    g @ m are codes(m) @ g.T; shape (n, pieces, d).
+    Returns the orbit vectors (the basis first, then in discovery order) and
+    the (ng, |orbit|) table whose entry [j, k] is the index of g_j @ v_k.
+    Products are taken in Python integers; CapExceeded past limit vectors.
     """
-    base, d = 2 * bound + 1, stack.shape[2]
-    k = d
-    while k > 1 and bound * base**k >= 2**63:
-        k -= 1
-    weights = np.array([base**b for b in range(k)], dtype=np.int64)
-    return np.stack([stack[:, :, i:i + k] @ weights[:d - i]
-                     for i in range(0, d, k)], axis=1)
+    g_obj = np.array([g.tolist() for g in gens], dtype=object).reshape(
+        len(gens), dim, dim)
+    vecs = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+    index = {v: k for k, v in enumerate(vecs)}
+    images = []
+    for v in vecs:  # grows while it is walked
+        if len(vecs) > limit:
+            raise CapExceeded(f"basis orbit exceeded {limit} vectors")
+        for w in map(tuple, (g_obj @ np.array(v, dtype=object)).tolist()):
+            images.append(index.setdefault(w, len(vecs)))
+            if images[-1] == len(vecs):
+                vecs.append(w)
+    return vecs, np.array(images, dtype=np.int64).reshape(len(vecs), -1).T
 
 
 class FiniteMatrixGroup:
@@ -106,47 +94,55 @@ class FiniteMatrixGroup:
     elements[0] the identity; `parents[i]` stores (parent index, generator
     index) so a generator word can be rebuilt for any element; `transitions`
     maps (element, generator) to the product's index, covering every product
-    relation the closure discovered.  Membership goes through the sorted
-    element keys and ends in an exact matrix comparison.
+    relation the closure discovered.  `digits[i, k]` is the index of column
+    k of elements[i] in `orbit`, and membership goes through the sorted
+    digit keys.
     """
 
-    def __init__(self, gens: list[np.ndarray], elements: np.ndarray,
-                 parents: list[tuple[int, int] | None],
+    def __init__(self, gens: list[np.ndarray], orbit: np.ndarray,
+                 digits: np.ndarray, parents: list[tuple[int, int] | None],
                  transitions: np.ndarray):
-        elements.flags.writeable = False
         self.gens = gens
-        self.elements = elements
+        self.orbit = orbit
+        self.digits = digits
+        self.elements = np.ascontiguousarray(orbit[digits].transpose(0, 2, 1))
+        self.elements.flags.writeable = False
         self.parents = parents
         self.transitions = transitions
-        self._weights = _key_vector(elements.shape[1])
-        keys = _flat(elements) @ self._weights.ravel()
+        self._weights = len(orbit) ** np.arange(orbit.shape[1], dtype=np.int64)
+        keys = digits @ self._weights
         self._order = np.argsort(keys)
         self._keys = keys[self._order]
+        # orbit vectors as byte strings, sorted, for exact column lookup
+        self._vecs = orbit.view(np.dtype((np.void, 8 * orbit.shape[1]))).ravel()
+        self._vec_order = np.argsort(self._vecs)
         self._census: dict[int, int] | None = None
 
     @classmethod
     def close(cls, gens: list[np.ndarray], cap: int = DEFAULT_CAP) -> "FiniteMatrixGroup":
         """Deterministic BFS closure of the generating set, identity first.
 
-        Raises CapExceeded past cap elements, GroupError on a key collision.
+        Raises CapExceeded past cap elements, GroupError when the digit keys
+        would not fit int64.
         """
         gens = [np.asarray(g, dtype=np.int64) for g in gens]
         ng = len(gens)
         dim = gens[0].shape[0] if gens else 7
-        weights = _key_vector(dim)
-        gen_stack = np.array(gens, dtype=np.int64).reshape(ng, dim, dim)
-        # column j holds the weights g_j^T R, so frontier keys @ shift gives
-        # key(g_j @ m) for every frontier element m and generator j
-        shift = np.array([(g.view(np.uint64).T @ weights).ravel() for g in gens],
-                         dtype=np.uint64).reshape(ng, dim * dim).T
-        gen_max = dim * int(np.abs(gen_stack).max(initial=0))
-        frontier = np.eye(dim, dtype=np.int64)[None]
-        keys = _flat(frontier) @ weights.ravel()  # sorted keys so far
+        # each basis vector's orbit is at most the group order
+        vecs, images = _basis_orbit(gens, dim, dim * cap)
+        if len(vecs) ** dim > 2**63:
+            raise GroupError(f"{len(vecs)}^{dim} digit keys do not fit int64")
+        images = images.astype(np.min_scalar_type(len(vecs) - 1))
+        weights = len(vecs) ** np.arange(dim, dtype=np.int64)
+        frontier = np.arange(dim, dtype=images.dtype)[None]
+        keys = frontier @ weights  # sorted keys so far
         slots = np.zeros(1, dtype=np.int64)  # element index of each key
         chunks, rows, born_at = [frontier], [], []
         start, count = 0, 1
         while len(frontier):
-            cand = (_flat(frontier) @ shift).ravel()
+            # digits of g_j @ m in (element, generator) order
+            prods = images[:, frontier].transpose(1, 0, 2).reshape(-1, dim)
+            cand = prods @ weights
             order = np.argsort(cand)
             cand = cand[order]
             at = np.searchsorted(keys, cand)
@@ -170,20 +166,13 @@ class FiniteMatrixGroup:
             slots = np.insert(slots, at[born], target[fresh])
             rows.append(row.reshape(len(frontier), ng))
             born_at.append(start * ng + src)  # (parent, generator) visit
-            elem, gen = np.divmod(src, ng)
-            frontier = np.matmul(gen_stack[gen], frontier[elem])
+            frontier = prods[src]
             chunks.append(frontier)
             start, count = count, count + len(src)
-        elements = np.concatenate(chunks)
-        transitions = np.concatenate(rows)
-        # the bound covers every entry of every element and product g @ m
-        codes = _row_codes(elements, int(np.abs(elements).max()) * max(1, gen_max))
-        for j, g in enumerate(gens):
-            if not np.array_equal(codes[transitions[:, j]], codes @ g.T):
-                raise GroupError("element keys collided; closure not exact")
         parent, g_idx = np.divmod(np.concatenate(born_at), ng)
         parents = [None, *zip(parent.tolist(), g_idx.tolist())]
-        return cls(gens, elements, parents, transitions)
+        return cls(gens, np.array(vecs, dtype=np.int64).reshape(-1, dim),
+                   np.concatenate(chunks), parents, np.concatenate(rows))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -193,22 +182,28 @@ class FiniteMatrixGroup:
         mats = np.asarray(mats, dtype=np.int64)
         if mats.shape[1:] != self.elements.shape[1:]:
             return np.full(len(mats), -1, dtype=np.int64)
-        pos = np.searchsorted(self._keys, _flat(mats) @ self._weights.ravel())
-        idx = self._order[np.minimum(pos, len(self) - 1)]
-        hit = np.all(self.elements[idx] == mats, axis=(1, 2))
-        return np.where(hit, idx, -1)
+        cols = np.ascontiguousarray(mats.transpose(0, 2, 1)).view(
+            self._vecs.dtype).reshape(mats.shape[:2])
+        at = self._vec_order[np.minimum(
+            np.searchsorted(self._vecs, cols, sorter=self._vec_order),
+            len(self._vecs) - 1)]
+        keys = at @ self._weights
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self) - 1)
+        hit = np.all(self._vecs[at] == cols, axis=1) & (self._keys[pos] == keys)
+        return np.where(hit, self._order[pos], -1)
 
     def intertwiners(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Indices, ascending, of the elements m with m @ a == b @ m."""
+        """Indices, ascending, of the elements m with m @ a == b @ m.
+
+        Column k of both sides is compared exactly, one column at a time,
+        on the elements that matched every earlier column.
+        """
         a, b = (np.asarray(x, dtype=np.int64) for x in (a, b))
-        # key(m a) = <R a^T, m> and key(b m) = <b^T R, m>; equal keys only
-        # preselect, the matrices themselves decide
-        both = np.stack([(self._weights @ a.view(np.uint64).T).ravel(),
-                         (b.view(np.uint64).T @ self._weights).ravel()], axis=1)
-        sides = _flat(self.elements) @ both
-        cand = np.flatnonzero(sides[:, 0] == sides[:, 1])
-        sub = self.elements[cand]
-        return cand[np.all(np.matmul(sub, a) == np.matmul(b, sub), axis=(1, 2))]
+        idx, sub = np.arange(len(self)), self.elements
+        for k in range(a.shape[1]):
+            keep = np.all(sub @ a[:, k] == sub[:, :, k] @ b.T, axis=1)
+            idx, sub = idx[keep], sub[keep]
+        return idx
 
     def __contains__(self, m: np.ndarray) -> bool:
         return bool(self.locate(np.asarray(m)[None])[0] >= 0)
@@ -237,22 +232,17 @@ class FiniteMatrixGroup:
     def census(self) -> dict[int, int]:
         """Multiplicative order histogram, computed batched."""
         if self._census is None:
-            stack = self.stacked()
-            n, dim = stack.shape[0], stack.shape[1]
-            identity = np.eye(dim, dtype=np.int64)
-            power = stack.copy()
-            orders = np.zeros(n, dtype=np.int64)
+            identity = np.eye(self.elements.shape[1], dtype=np.int64)
+            power, orders = self.elements, np.zeros(len(self), dtype=np.int64)
             for k in range(1, 400):
-                hits = np.all(power == identity, axis=(1, 2))
-                fresh = hits & (orders == 0)
-                orders[fresh] = k
-                if np.all(orders > 0):
+                orders[np.all(power == identity, axis=(1, 2)) & (orders == 0)] = k
+                if orders.all():
                     break
-                power = np.matmul(power, stack)
-            if not np.all(orders > 0):
+                power = np.matmul(power, self.elements)
+            if not orders.all():
                 raise WrongOrder("an element order exceeded the census bound")
             vals, counts = np.unique(orders, return_counts=True)
-            self._census = {int(v): int(c) for v, c in zip(vals, counts)}
+            self._census = dict(zip(vals.tolist(), counts.tolist()))
         return self._census
 
     def element_order(self, m: np.ndarray) -> int:
@@ -276,17 +266,21 @@ def weyl_group() -> FiniteMatrixGroup:
 
 
 def conjugacy_class_size(g: np.ndarray, group: FiniteMatrixGroup) -> int:
-    """Orbit of g under conjugation by the group's generators."""
-    g = np.asarray(g, dtype=np.int64)
-    if g not in group:
-        raise NotAMember("conjugacy class requested for a non-member")
-    orbit = g[None]
-    while True:
-        conj = [s @ orbit @ lattice_inverse(s) for s in group.gens]
-        grown = np.unique(np.concatenate([orbit, *conj]), axis=0)
-        if len(grown) == len(orbit):
-            return len(orbit)
-        orbit = grown
+    """Orbit of g under conjugation by the group's generators, grown on
+    element indices."""
+    seen = np.zeros(len(group), dtype=bool)
+    frontier = np.array([group.index_of(g)])
+    while len(frontier):
+        seen[frontier] = True
+        mats = group.elements[frontier]
+        conj = group.locate(np.concatenate(
+            [s @ mats @ lattice_inverse(s) for s in group.gens]))
+        if np.any(conj < 0):
+            raise GroupError("a conjugate left the group")
+        hit = np.zeros_like(seen)
+        hit[conj] = True
+        frontier = np.flatnonzero(hit & ~seen)
+    return int(seen.sum())
 
 
 def centralizer(g: np.ndarray, group: FiniteMatrixGroup) -> FiniteMatrixGroup:

@@ -1,5 +1,7 @@
 """Abstract model: Heisenberg mod 3, SL(2, F3), twisted product, certification."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from cubicmonodromy.fixtures import load_fixtures
 from cubicmonodromy.groups import (HEISENBERG_ALL, MODEL_IDENTITY, SL2_ALL,
                                    SemidirectGroup, conjugation_relations,
                                    corrected_action, h_inv, h_mul,
-                                   identify_order24, intersect, is_normal,
+                                   identify_order24, index_table, intersect,
+                                   is_normal,
                                    phi_action, semidirect_model, sl2_inv,
                                    sl2_mul, verify_generator_map,
                                    verify_isomorphism)
@@ -192,3 +195,42 @@ def test_sl2_quotient_structure():
             cosets.setdefault(m, set()).add((h, m))
     assert len(cosets) == 24
     assert all(len(c) == 27 for c in cosets.values())
+
+
+def test_model_table_is_the_tuple_product():
+    model = semidirect_model()
+    act = {g: {h: corrected_action(g, h) for h in HEISENBERG_ALL}
+           for g in SL2_ALL}
+    at = {p: i for i, p in enumerate(model.elements)}
+    want = np.array([[at[(h_mul(h1, act[g1][h2]), sl2_mul(g1, g2))]
+                      for (h2, g2) in model.elements]
+                     for (h1, g1) in model.elements])
+    assert model.table.shape == (648, 648)
+    assert np.array_equal(model.table, want)
+
+
+def test_index_table_indexes_the_codomain():
+    table = index_table(sl2_mul, SL2_ALL, SL2_ALL, SL2_ALL)
+    for i, m in enumerate(SL2_ALL):
+        for j, n in enumerate(SL2_ALL):
+            assert SL2_ALL[table[i, j]] == sl2_mul(m, n)
+
+
+def test_verify_generator_map_replays_every_transition():
+    fx = load_fixtures()
+    group = FiniteMatrixGroup.close(fx.generators(), cap=1000)
+    tree = set(group.parents[1:])  # the (parent, generator) links
+    i, j = next((i, j) for i in range(len(group)) for j in range(4)
+                if (i, j) not in tree)
+    # send one relation off the spanning tree to a wrong element
+    corrupt = copy.copy(group)
+    corrupt.transitions = group.transitions.copy()
+    corrupt.transitions[i, j] = (group.transitions[i, j] + 1) % len(group)
+    with pytest.raises(NotIsomorphic, match=r"word \[") as err:
+        verify_generator_map(corrupt, SemidirectGroup.generator_images(),
+                             semidirect_model())
+    witness = group.word(int(corrupt.transitions[i, j]))
+    assert str(witness) in str(err.value)
+    # the tree alone assigns the same images: only the replay can see it
+    assert len(verify_generator_map(group, SemidirectGroup.generator_images(),
+                                    semidirect_model())) == 648

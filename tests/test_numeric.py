@@ -3,6 +3,10 @@
 import cmath
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -219,3 +223,20 @@ def test_constants_closed_forms():
     assert abs(c.eta ** 3 + (c.mu ** 3 - 1.0)) < 1e-12
     assert abs(c.omega - cmath.exp(2j * cmath.pi / 3.0)) < 1e-14
     assert abs(c.omega ** 3 - 1.0) < 1e-14
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    # mpmath is only for extended precision; a fresh interpreter that
+    # imports the command line front end must not pay for it
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, cubicmonodromy.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_extended_precision_still_polishes_with_mpmath():
+    z = numeric._newton_mp([-2, 0, 1], 1.4, 1e-40)
+    assert abs(z - math.sqrt(2)) < 1e-15

@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
+import cubicmonodromy.verify as verify
 from cubicmonodromy.errors import NotAMember
 from cubicmonodromy.fixtures import load_fixtures
 from cubicmonodromy.lines import base_surface, perm_compose
 from cubicmonodromy.tracking import TrackingConfig
 from cubicmonodromy.verify import (build_pipeline, conjugator_carrying_deck,
-                                   fixture_group, model_image_of, run_checks,
+                                   fixture_centralizer, fixture_group,
+                                   model_image_of, pipeline_checks, run_checks,
                                    transcribed_flex_permutation,
                                    transcribed_root_permutation)
-from cubicmonodromy.weyl import lattice_inverse
+from cubicmonodromy.weyl import centralizer, lattice_inverse, weyl_group
 
 
 def test_transcribed_root_permutations():
@@ -85,3 +87,24 @@ def test_run_checks_scopes():
 def test_run_checks_rejects_unknown_scope():
     with pytest.raises(ValueError):
         run_checks("everything")
+
+
+def test_pipeline_battery_matches_lines_once(monkeypatch):
+    calls = []
+    matcher = verify.heisenberg_matrices
+
+    def counted(*args):
+        calls.append(args)
+        return matcher(*args)
+
+    monkeypatch.setattr(verify, "heisenberg_matrices", counted)
+    pipeline_checks()
+    # the bundle's torsion matrices; pl-torsion-matrices reads the bundle
+    assert len(calls) == 1
+
+
+def test_fixture_centralizer_is_built_once_per_process():
+    cen = fixture_centralizer()
+    assert fixture_centralizer() is cen
+    fresh = centralizer(load_fixtures().deck, weyl_group())
+    assert cen.elements.tobytes() == fresh.elements.tobytes()

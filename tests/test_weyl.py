@@ -66,14 +66,45 @@ def test_close_matches_reference_bfs(name):
     assert group.transitions.tobytes() == transitions.tobytes()
 
 
-@pytest.mark.parametrize("name", ["reflections", "fixtures"])
-def test_close_raises_on_key_collision(monkeypatch, name):
-    # every matrix gets key 0, so the closure would merge everything into
-    # the identity unless the exact comparison catches it
-    monkeypatch.setattr(weyl, "_key_vector",
-                        lambda dim: np.zeros((dim, dim), dtype=np.uint64))
+def _sign_changes(dim):
+    """diag(1, ..., -1, ..., 1) for every coordinate: any two elements of
+    their closure that differ in one sign share all other columns."""
+    return [np.diag([-1 if i == k else 1 for i in range(dim)]) for k in range(dim)]
+
+
+@pytest.mark.parametrize("dim", [3, 7])
+def test_close_separates_elements_that_share_all_but_one_column(dim):
+    gens = _sign_changes(dim)
+    elements, parents, transitions = reference_close(gens)
+    group = FiniteMatrixGroup.close(gens)
+    assert len(group) == 2**dim
+    assert group.elements.tobytes() == elements.tobytes()
+    assert group.parents == parents
+    assert group.transitions.tobytes() == transitions.tobytes()
+
+
+def test_close_of_an_infinite_group_stops_at_the_cap():
+    # the basis orbit of a shear is infinite; it is cut at dim * cap vectors
+    with pytest.raises(CapExceeded):
+        FiniteMatrixGroup.close([np.array([[1, 1], [0, 1]])], cap=100)
+
+
+def test_close_rejects_digit_keys_beyond_int64():
+    # a 24-cycle: 24 orbit vectors, 24^24 keys do not fit int64
+    shift = np.roll(np.eye(24, dtype=np.int64), 1, axis=0)
     with pytest.raises(GroupError):
-        FiniteMatrixGroup.close(_generator_sets()[name])
+        FiniteMatrixGroup.close([shift])
+    # a 13-cycle's 13^13 keys fit
+    small = np.roll(np.eye(13, dtype=np.int64), 1, axis=0)
+    assert len(FiniteMatrixGroup.close([small])) == 13
+
+
+def test_digits_index_the_columns_in_the_orbit():
+    w = weyl_group()
+    assert w.orbit.shape == (99, 7)
+    assert w.digits.dtype == np.uint8
+    cols = w.orbit[w.digits].transpose(0, 2, 1)
+    assert np.array_equal(cols, w.elements)
 
 
 def test_generators_are_reflections():
