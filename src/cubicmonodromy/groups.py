@@ -177,6 +177,8 @@ class SemidirectGroup:
             if orders.all():
                 break
             power = self.table[power, every]
+        if not orders.all():
+            raise WrongOrder("an element order exceeded the group order")
         vals, counts = np.unique(orders, return_counts=True)
         return dict(zip(vals.tolist(), counts.tolist()))
 

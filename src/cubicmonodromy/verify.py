@@ -124,12 +124,6 @@ def fixture_group() -> FiniteMatrixGroup:
     return FiniteMatrixGroup.close(fx.generators(), cap=1000)
 
 
-@lru_cache(maxsize=1)
-def fixture_centralizer() -> FiniteMatrixGroup:
-    """Centralizer of the stored deck matrix in the reflection group."""
-    return centralizer(load_fixtures().deck, weyl_group())
-
-
 def model_image_of(mat: np.ndarray) -> ModelElement:
     """Image of a fixture-group member under the printed generator map."""
     group = fixture_group()
@@ -261,7 +255,9 @@ def fixture_checks() -> list[Check]:
              deck_invariants))
 
     def deck_centralizer():
-        return len(fixture_centralizer()), WEYL_ORDER // 80
+        fx = load_fixtures()
+        cen = centralizer(fx.deck, weyl_group())
+        return len(cen), WEYL_ORDER // 80
     add(_run("fx-deck-centralizer",
              "centralizer of the deck class has order 648", deck_centralizer))
 
@@ -325,7 +321,9 @@ def fixture_checks() -> list[Check]:
              subgroup_structure))
 
     def set_equality():
-        keys_c = {m.tobytes() for m in fixture_centralizer().elements}
+        fx = load_fixtures()
+        cen = centralizer(fx.deck, weyl_group())
+        keys_c = {m.tobytes() for m in cen.elements}
         keys_f = {m.tobytes() for m in fixture_group().elements}
         return ({"subset": keys_f <= keys_c,
                  "sameOrder": len(keys_f) == len(keys_c)},
@@ -335,9 +333,11 @@ def fixture_checks() -> list[Check]:
              set_equality))
 
     def model_structure():
+        fx = load_fixtures()
         model = semidirect_model()
+        cen = centralizer(fx.deck, weyl_group())
         return ({"order": len(model), "censusMatches":
-                 model.census() == fixture_centralizer().census(),
+                 model.census() == cen.census(),
                  "centerOrder": len(model.center())},
                 {"order": 648, "censusMatches": True, "centerOrder": 3})
     add(_run("fx-model-structure",

@@ -122,8 +122,9 @@ class FiniteMatrixGroup:
     def close(cls, gens: list[np.ndarray], cap: int = DEFAULT_CAP) -> "FiniteMatrixGroup":
         """Deterministic BFS closure of the generating set, identity first.
 
-        Raises CapExceeded past cap elements, GroupError when the digit keys
-        would not fit int64.
+        Supported inputs have |orbit|^dim <= 2^63 for the basis orbit (so
+        dim <= 15; at dim 7 up to 512 orbit vectors); others raise
+        GroupError.  Raises CapExceeded past cap elements.
         """
         gens = [np.asarray(g, dtype=np.int64) for g in gens]
         ng = len(gens)

@@ -104,6 +104,14 @@ def test_model_census():
                               12: 108}
 
 
+def test_model_census_raises_on_an_element_without_finite_order():
+    model = SemidirectGroup()
+    # the powers of element 5 stay at 5 and never reach the identity
+    model.table[:, 5] = 5
+    with pytest.raises(WrongOrder):
+        model.census()
+
+
 def test_model_associativity_spot_checks():
     semidirect_model().spot_check_associativity(trials=500, seed=1)
 

@@ -9,11 +9,11 @@ from cubicmonodromy.fixtures import load_fixtures
 from cubicmonodromy.lines import base_surface, perm_compose
 from cubicmonodromy.tracking import TrackingConfig
 from cubicmonodromy.verify import (build_pipeline, conjugator_carrying_deck,
-                                   fixture_centralizer, fixture_group,
-                                   model_image_of, pipeline_checks, run_checks,
+                                   fixture_group, model_image_of,
+                                   pipeline_checks, run_checks,
                                    transcribed_flex_permutation,
                                    transcribed_root_permutation)
-from cubicmonodromy.weyl import centralizer, lattice_inverse, weyl_group
+from cubicmonodromy.weyl import lattice_inverse
 
 
 def test_transcribed_root_permutations():
@@ -102,9 +102,3 @@ def test_pipeline_battery_matches_lines_once(monkeypatch):
     # the bundle's torsion matrices; pl-torsion-matrices reads the bundle
     assert len(calls) == 1
 
-
-def test_fixture_centralizer_is_built_once_per_process():
-    cen = fixture_centralizer()
-    assert fixture_centralizer() is cen
-    fresh = centralizer(load_fixtures().deck, weyl_group())
-    assert cen.elements.tobytes() == fresh.elements.tobytes()
