@@ -122,9 +122,8 @@ class FiniteMatrixGroup:
     def close(cls, gens: list[np.ndarray], cap: int = DEFAULT_CAP) -> "FiniteMatrixGroup":
         """Deterministic BFS closure of the generating set, identity first.
 
-        Supported inputs have |orbit|^dim <= 2^63 for the basis orbit (so
-        dim <= 15; at dim 7 up to 512 orbit vectors); others raise
-        GroupError.  Raises CapExceeded past cap elements.
+        Raises CapExceeded past cap elements and GroupError unless the basis
+        orbit O has |O|^dim <= 2^63 (so dim <= 15, and |O| <= 512 at dim 7).
         """
         gens = [np.asarray(g, dtype=np.int64) for g in gens]
         ng = len(gens)
