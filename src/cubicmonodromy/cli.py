@@ -219,11 +219,16 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=positive_tolerance, default=1e-8,
                         help="geometric matching tolerance (default 1e-8)")
-    common.add_argument("--precision", choices=("double", "extended"),
-                        default="double",
-                        help="root-refinement arithmetic (default double)")
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output format (default text)")
+
+    # options of the subcommands that track loops; `lines` tracks none
+    tracked = argparse.ArgumentParser(add_help=False)
+    tracked.add_argument("--steps", type=int, default=100,
+                         help="samples per tracked loop (default 100)")
+    tracked.add_argument("--precision", choices=("double", "extended"),
+                         default="double",
+                         help="root-refinement arithmetic (default double)")
 
     p_lines = sub.add_parser("lines", parents=[common],
                              help="enumerate the 27 lines of one family member")
@@ -231,21 +236,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="family parameter: '0.5', '1+2j', or 're,im'")
     p_lines.set_defaults(fn=cmd_lines)
 
-    p_mono = sub.add_parser("monodromy", parents=[common],
+    p_mono = sub.add_parser("monodromy", parents=[common, tracked],
                             help="track a loop and report its monodromy")
     p_mono.add_argument("loop", choices=sorted(LOOPS),
                         help="which bundled loop to track")
-    p_mono.add_argument("--steps", type=int, default=100,
-                        help="samples along the loop (default 100)")
     p_mono.set_defaults(fn=cmd_monodromy)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[common, tracked],
                               help="run the verification battery")
     p_verify.add_argument("--scope", choices=("fixtures", "pipeline", "all"),
                           default="all",
                           help="which check families to run (default all)")
-    p_verify.add_argument("--steps", type=int, default=100,
-                          help="samples per tracked loop (default 100)")
     p_verify.set_defaults(fn=cmd_verify)
 
     return parser

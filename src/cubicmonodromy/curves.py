@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCurve, SingularParameter, SingularPoint
-from .numeric import Poly1, TOL_MATCH, order_key, roots_of
+from .numeric import OMEGA, Poly1, TOL_MATCH, order_key, roots_of
 
 MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -267,41 +267,32 @@ def phase_normalize(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return v
 
 
+def _recognize(f: CubicForm, ref: tuple, read, make, tol: float) -> complex | None:
+    """Parameter read off f / f[ref] when that equals make(parameter); else None.
+
+    make runs with a zero singularity tolerance, so recognition never refuses
+    a parameter; the routes that use it do.
+    """
+    c = f.coeffs
+    if abs(c[_MONOMIAL_INDEX[ref]]) < tol * f.scale():
+        return None
+    c = c / c[_MONOMIAL_INDEX[ref]]
+    param = complex(read(c))
+    if np.max(np.abs(c - make(param, tol=0.0).coeffs)) < 1e-8:
+        return param
+    return None
+
+
 def family_parameter(f: CubicForm, tol: float = 1e-9) -> complex | None:
     """Recover lam when f is a scalar multiple of the pencil member; else None."""
-    c = f.coeffs
-    ref = c[_MONOMIAL_INDEX[(0, 2, 1)]]
-    if abs(ref) < tol * f.scale():
-        return None
-    c = c / ref
-    lam = c[_MONOMIAL_INDEX[(2, 0, 1)]]
-    want = np.zeros(10, dtype=complex)
-    want[_MONOMIAL_INDEX[(3, 0, 0)]] = -1.0
-    want[_MONOMIAL_INDEX[(2, 0, 1)]] = lam
-    want[_MONOMIAL_INDEX[(1, 0, 2)]] = 1.0
-    want[_MONOMIAL_INDEX[(0, 2, 1)]] = 1.0
-    want[_MONOMIAL_INDEX[(0, 0, 3)]] = -lam
-    if np.max(np.abs(c - want)) < 1e-8:
-        return complex(lam)
-    return None
+    return _recognize(f, (0, 2, 1), lambda c: c[_MONOMIAL_INDEX[(2, 0, 1)]],
+                      family_lambda, tol)
 
 
 def hesse_parameter(f: CubicForm, tol: float = 1e-9) -> complex | None:
     """Recover mu when f is a scalar multiple of a Hesse form; else None."""
-    c = f.coeffs
-    ref = c[_MONOMIAL_INDEX[(3, 0, 0)]]
-    if abs(ref) < tol * f.scale():
-        return None
-    c = c / ref
-    mu = -c[_MONOMIAL_INDEX[(1, 1, 1)]] / 3.0
-    want = np.zeros(10, dtype=complex)
-    want[_MONOMIAL_INDEX[(3, 0, 0)]] = 1.0
-    want[_MONOMIAL_INDEX[(0, 3, 0)]] = 1.0
-    want[_MONOMIAL_INDEX[(0, 0, 3)]] = 1.0
-    want[_MONOMIAL_INDEX[(1, 1, 1)]] = -3.0 * mu
-    if np.max(np.abs(c - want)) < 1e-8:
-        return complex(mu)
-    return None
+    return _recognize(f, (3, 0, 0), lambda c: -c[_MONOMIAL_INDEX[(1, 1, 1)]] / 3.0,
+                      hesse_form, tol)
 
 
 def flex_quartic(lam: complex) -> Poly1:
@@ -391,12 +382,11 @@ def _inflections_family(lam: complex) -> list[ProjPoint2]:
 
 
 def _inflections_hesse(mu: complex) -> list[ProjPoint2]:
-    w = cmath.exp(2j * cmath.pi / 3.0)
     pts = []
     for k in range(3):
-        pts.append(ProjPoint2(np.array([1.0, -(w ** k), 0.0], dtype=complex)))
-        pts.append(ProjPoint2(np.array([-(w ** k), 0.0, 1.0], dtype=complex)))
-        pts.append(ProjPoint2(np.array([0.0, 1.0, -(w ** k)], dtype=complex)))
+        pts.append(ProjPoint2(np.array([1.0, -(OMEGA ** k), 0.0], dtype=complex)))
+        pts.append(ProjPoint2(np.array([-(OMEGA ** k), 0.0, 1.0], dtype=complex)))
+        pts.append(ProjPoint2(np.array([0.0, 1.0, -(OMEGA ** k)], dtype=complex)))
     return pts
 
 

@@ -20,10 +20,8 @@ import numpy as np
 from .curves import CubicForm, family_lambda, hesse_form
 from .errors import GroupError, NoUniqueMatch, TransformResidual
 from .lines import Line3, SurfaceData, base_surface, perm_to_lattice_map
-from .numeric import TOL_MATCH, constants
+from .numeric import OMEGA, TOL_MATCH, constants
 from .weyl import lattice_inverse
-
-OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 
 TOL_TRANSFORM = 1e-10
 

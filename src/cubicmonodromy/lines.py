@@ -13,33 +13,26 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .curves import (
-    CubicForm, ProjPoint2, family_parameter, flex_height_squared,
-    gradient, hesse_parameter, inflection_points, tangent_covector_family,
+    CubicForm, ProjPoint2, family_parameter, flex_height_squared, gradient,
+    hesse_form, hesse_parameter, inflection_points, phase_normalize,
+    tangent_covector_family,
 )
 from .errors import (
     AmbiguousIncidence, BadIncidencePattern, NoSixer, NonIntegralImage,
     FormViolation, NotAFlex,
 )
-from .numeric import TOL_INC, TOL_MATCH, constants
-
-OMEGA = cmath.exp(2j * cmath.pi / 3.0)
+from .numeric import OMEGA, TOL_INC
 
 J_FORM = np.diag([1, -1, -1, -1, -1, -1, -1]).astype(np.int64)
 CANONICAL_CLASS = np.array([-3, 1, 1, 1, 1, 1, 1], dtype=np.int64)
 
-
-def _phase4(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    v = v / np.linalg.norm(v)
-    for entry in v:
-        if abs(entry) > 1e-12:
-            return v * (abs(entry) / entry)
-    raise ValueError("zero covector")
+# the hyperplane pair (h1, h2) of one line, before Line3 normalizes it
+Pair = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +49,8 @@ class Line3:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "h1", _phase4(self.h1))
-        object.__setattr__(self, "h2", _phase4(self.h2))
+        object.__setattr__(self, "h1", phase_normalize(self.h1))
+        object.__setattr__(self, "h2", phase_normalize(self.h2))
         stacked = np.vstack([self.h1, self.h2])
         smin = np.linalg.svd(stacked, compute_uv=False)[-1]
         if smin < 1e-8:
@@ -89,36 +82,11 @@ def surface_residual(f: CubicForm, line: Line3, count: int = 5) -> float:
     return worst
 
 
-def lines_over_flex(f: CubicForm, p: ProjPoint2, tol: float = 1e-8) -> list[Line3]:
-    """The three surface lines over one inflection point of the branch curve.
-
-    Uses the closed-form hyperplanes for the two supported families and a
-    generic tangent-cube reduction otherwise.  The flex label on the returned
-    lines is -1; all_lines stamps the definitive index.
-    """
-    lam = family_parameter(f)
-    mu = hesse_parameter(f)
-    if lam is not None:
-        triple = _family_triple(lam, p)
-    elif mu is not None:
-        triple = _hesse_triple(mu, p)
-    else:
-        triple = _generic_triple(f, p, tol)
-    for line in triple:
-        resid = surface_residual(f, line)
-        if resid > tol:
-            raise NotAFlex(f"line residual {resid:.2e} over point {p.coords}")
-    return triple
-
-
-def _family_triple(lam: complex, p: ProjPoint2) -> list[Line3]:
+def _family_triple(lam: complex, p: ProjPoint2) -> list[Pair]:
     if p.is_base_point():
         # w^3 + x^3 factors over the flex at infinity; tangent plane is z = 0
-        return [
-            Line3(np.array([OMEGA ** n, 0, 0, 1], dtype=complex),
-                  np.array([0, 0, 1, 0], dtype=complex), -1, n)
-            for n in range(3)
-        ]
+        return [(np.array([OMEGA ** n, 0, 0, 1], dtype=complex),
+                 np.array([0, 0, 1, 0], dtype=complex)) for n in range(3)]
     if abs(p.z) < 1e-9:
         raise NotAFlex("family flexes lie in the z != 0 chart")
     alpha, y = p.x, p.y
@@ -126,51 +94,44 @@ def _family_triple(lam: complex, p: ProjPoint2) -> list[Line3]:
         raise NotAFlex("point is not on the inflection scheme")
     tangent = tangent_covector_family(lam, alpha, y)
     h2 = np.array([tangent[0], tangent[1], tangent[2], 0.0], dtype=complex)
-    return [
-        Line3(np.array([OMEGA ** n, 0.0, -(OMEGA ** n) * alpha, 1.0], dtype=complex),
-              h2, -1, n)
-        for n in range(3)
-    ]
+    return [(np.array([OMEGA ** n, 0.0, -(OMEGA ** n) * alpha, 1.0], dtype=complex), h2)
+            for n in range(3)]
 
 
-def _hesse_triple(mu: complex, p: ProjPoint2) -> list[Line3]:
+def _hesse_triple(eta: complex, grad: tuple, p: ProjPoint2) -> list[Pair]:
     # each Hesse inflection point has exactly one vanishing coordinate; the
     # cube w^3 - eta^3 m^3 lives on that coordinate m
-    eta = -((complex(mu) ** 3 - 1.0) ** (1.0 / 3.0))
-    if abs(eta.imag) > 1e-9:
-        eta = complex(-abs(eta))
     coords = p.coords
     zero_idx = int(np.argmin(np.abs(coords)))
     if abs(coords[zero_idx]) > 1e-8:
         raise NotAFlex("not a Hesse inflection point")
-    gx, gy, gz = gradient(_hesse_cached(complex(mu)))
     u = p.unit()
-    h2 = np.array([gx(u), gy(u), gz(u), 0.0], dtype=complex)
+    h2 = np.array([*(g(u) for g in grad), 0.0], dtype=complex)
     out = []
     for n in range(3):
         h1 = np.zeros(4, dtype=complex)
         h1[3] = 1.0
         h1[zero_idx] = -(OMEGA ** n) * eta
-        out.append(Line3(h1, h2, -1, n))
+        out.append((h1, h2))
     return out
 
 
-@lru_cache(maxsize=8)
-def _hesse_cached(mu: complex) -> CubicForm:
-    from .curves import hesse_form
-    return hesse_form(mu)
+def _hesse_eta(mu: complex) -> complex:
+    eta = -((complex(mu) ** 3 - 1.0) ** (1.0 / 3.0))
+    if abs(eta.imag) > 1e-9:
+        eta = complex(-abs(eta))
+    return eta
 
 
-def _generic_triple(f: CubicForm, p: ProjPoint2, tol: float) -> list[Line3]:
+def _generic_triple(f: CubicForm, grad: tuple, tol: float, p: ProjPoint2) -> list[Pair]:
     """Tangent-line cube reduction for an arbitrary smooth cubic.
 
     On the tangent line at a flex the form is c * m^3 for any linear form m
     that vanishes at the point and is independent of the tangent covector;
     the three lines are w = (c)^(1/3) omega^n m inside the tangent plane.
     """
-    gx, gy, gz = gradient(f)
     u = p.unit()
-    t = np.array([gx(u), gy(u), gz(u)], dtype=complex)
+    t = np.array([g(u) for g in grad], dtype=complex)
     tn = np.linalg.norm(t)
     if tn < tol * f.scale():
         raise NotAFlex("gradient vanishes; not a smooth point")
@@ -195,12 +156,9 @@ def _generic_triple(f: CubicForm, p: ProjPoint2, tol: float) -> list[Line3]:
     if abs(f(mid) - c * (m @ mid) ** 3) > tol * f.scale():
         raise NotAFlex("tangent line meets the curve off the triple point")
     root = c ** (1.0 / 3.0)
-    out = []
-    for n in range(3):
-        h1 = np.array([*(-(OMEGA ** n) * root * m), 1.0], dtype=complex)
-        h2 = np.array([*t, 0.0], dtype=complex)
-        out.append(Line3(h1, h2, -1, n))
-    return out
+    h2 = np.array([*t, 0.0], dtype=complex)
+    return [(np.array([*(-(OMEGA ** n) * root * m), 1.0], dtype=complex), h2)
+            for n in range(3)]
 
 
 def _tangent_direction(t: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -213,39 +171,50 @@ def _tangent_direction(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     raise NotAFlex("no independent direction on the tangent line")
 
 
-def all_lines(f: CubicForm, tol: float = 1e-8) -> list[Line3]:
-    """All 27 lines, ordered by (flex index, n)."""
+def all_lines(f: CubicForm, flexes: list[ProjPoint2], tol: float = 1e-8) -> list[Line3]:
+    """The three lines over each given inflection point, ordered by (flex index, n).
+
+    The hyperplane rule is picked once per cubic: the closed forms for the
+    pencil and the Hesse family, the tangent-cube reduction otherwise.  Each
+    line must lie on the surface to within tol.
+    """
+    lam = family_parameter(f)
+    if lam is not None:
+        triple_over = partial(_family_triple, lam)
+    elif (mu := hesse_parameter(f)) is not None:
+        triple_over = partial(_hesse_triple, _hesse_eta(mu), gradient(hesse_form(mu)))
+    else:
+        triple_over = partial(_generic_triple, f, gradient(f), tol)
     out = []
-    for idx, p in enumerate(inflection_points(f, tol)):
-        for line in lines_over_flex(f, p, tol):
-            out.append(Line3(line.h1, line.h2, idx, line.n))
+    for idx, p in enumerate(flexes):
+        triple = [Line3(h1, h2, idx, n) for n, (h1, h2) in enumerate(triple_over(p))]
+        for line in triple:
+            resid = surface_residual(f, line)
+            if resid > tol:
+                raise NotAFlex(f"line residual {resid:.2e} over point {p.coords}")
+        out.extend(triple)
     return out
 
 
-def incident(a: Line3, b: Line3, tol_inc: float = TOL_INC) -> bool:
-    """Whether two disjoint-or-meeting lines intersect in P^3.
-
-    The 4 x 4 determinant of the stacked unit covectors is 0 exactly on
-    intersecting pairs; values inside [tol_inc, 100 tol_inc] are refused as
-    ambiguous rather than guessed.
-    """
-    det = np.linalg.det(np.vstack([a.h1, a.h2, b.h1, b.h2]))
-    mag = abs(det)
-    if mag < tol_inc:
-        return True
-    if mag < 100.0 * tol_inc:
-        raise AmbiguousIncidence(f"incidence determinant {mag:.3e} in the dead band")
-    return False
-
-
 def incidence_graph(lines: list[Line3], tol_inc: float = TOL_INC) -> np.ndarray:
-    """Symmetric boolean adjacency matrix of the incidence relation."""
+    """Symmetric boolean adjacency matrix of the incidence relation.
+
+    Two lines meet exactly when the 4 x 4 determinant of their stacked unit
+    covectors vanishes; one det call covers every pair.  A value inside
+    [tol_inc, 100 tol_inc) is refused as ambiguous rather than guessed.
+    """
     n = len(lines)
+    spans = np.array([(line.h1, line.h2) for line in lines],
+                     dtype=complex).reshape(n, 2, 4)
+    i, j = np.triu_indices(n, 1)
+    mag = np.abs(np.linalg.det(np.concatenate([spans[i], spans[j]], axis=1)))
+    ambiguous = np.flatnonzero((mag >= tol_inc) & (mag < 100.0 * tol_inc))
+    if ambiguous.size:
+        k = ambiguous[0]
+        raise AmbiguousIncidence(f"incidence determinant {mag[k]:.3e} of lines "
+                                 f"{i[k]} and {j[k]} in the dead band")
     adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if incident(lines[i], lines[j], tol_inc):
-                adj[i, j] = adj[j, i] = True
+    adj[i, j] = adj[j, i] = mag < tol_inc
     return adj
 
 
@@ -410,7 +379,7 @@ class SurfaceData:
 
 def build_surface_data(f: CubicForm, tol: float = 1e-8) -> SurfaceData:
     flexes = inflection_points(f, tol)
-    lines = all_lines(f, tol)
+    lines = all_lines(f, flexes, tol)
     adj = incidence_graph(lines)
     sixer = find_sixer(adj)
     classes = classify_lines(adj, sixer)

@@ -25,6 +25,10 @@ TOL_MATCH = 1e-6
 TOL_INC = 1e-8
 TOL_LEAD = 1e-12
 
+# the primitive cube root of unity exp(2 pi i / 3): the deck rotation of the
+# cover and the Hesse-pencil symmetries; every module reads this one value
+OMEGA = cmath.exp(2j * cmath.pi / 3.0)
+
 _MAX_NEWTON = 60
 _EXTENDED_DPS = 50
 # extended polish target, relative to the largest coefficient: 10 digits short
@@ -256,5 +260,4 @@ def constants() -> Constants:
     b = math.sqrt(a * 2.0 * s3 / 3.0)
     mu = s3 + 1.0
     eta = -((mu ** 3 - 1.0) ** (1.0 / 3.0))
-    omega = cmath.exp(2j * cmath.pi / 3.0)
-    return Constants(a=a, b=b, mu=mu, eta=eta, omega=omega)
+    return Constants(a=a, b=b, mu=mu, eta=eta, omega=OMEGA)

@@ -77,6 +77,14 @@ def test_lines_bad_parameter_exits_2(capsys):
     assert "error" in err
 
 
+def test_lines_rejects_precision(capsys):
+    # lines tracks no loop, so it takes no root-refinement arithmetic
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lines", "--precision", "extended"])
+    assert exc.value.code == 2
+    assert "--precision" in capsys.readouterr().err
+
+
 def test_monodromy_text(capsys):
     code, out, _ = run(capsys, "monodromy", "gamma-minus")
     assert code == 0

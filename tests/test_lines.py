@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from cubicmonodromy.curves import family_lambda
-from cubicmonodromy.errors import NotAFlex
+import cubicmonodromy.lines as lines_module
+from cubicmonodromy.curves import family_lambda, hesse_form
+from cubicmonodromy.errors import AmbiguousIncidence, NotAFlex
 from cubicmonodromy.lines import (CANONICAL_CLASS, J_FORM, Line3, base_surface,
                                   build_surface_data, concurrent_triples,
                                   deck_permutation, incidence_graph,
@@ -12,6 +13,7 @@ from cubicmonodromy.lines import (CANONICAL_CLASS, J_FORM, Line3, base_surface,
                                   perm_compose, perm_inverse,
                                   perm_to_lattice_map, preserves_incidence,
                                   surface_residual)
+from cubicmonodromy.numeric import TOL_INC
 from cubicmonodromy.weyl import is_lattice_map, weyl_group
 
 
@@ -112,13 +114,15 @@ def test_other_family_members(lam):
     assert len(concurrent_triples(s.lines, s.adjacency)) == 9
 
 
-def test_generic_cubic_through_tangent_reduction():
-    # a coordinate change hides the pencil form, forcing the generic path
-    f = family_lambda(0.0)
+def _hidden_pencil():
     m = np.array([[1.0, 0.4, -0.2], [0.1, 1.0, 0.3], [-0.3, 0.2, 1.0]],
                  dtype=complex)
-    g = f.compose(m)
-    s = build_surface_data(g)
+    return family_lambda(0.0).compose(m)
+
+
+def test_generic_cubic_through_tangent_reduction():
+    # a coordinate change hides the pencil form, forcing the generic path
+    s = build_surface_data(_hidden_pencil())
     assert len(s.lines) == 27
     assert is_strongly_regular_27(s.adjacency)
 
@@ -132,6 +136,52 @@ def test_line3_rejects_dependent_covectors():
 def test_incidence_graph_matches_stored():
     s = base_surface()
     assert np.array_equal(incidence_graph(s.lines), s.adjacency)
+
+
+@pytest.mark.parametrize("make", [lambda: family_lambda(0.0),
+                                  lambda: hesse_form(2.2), _hidden_pencil])
+def test_stacked_incidence_matches_pairwise_determinants(make):
+    s = build_surface_data(make())
+    for i, a in enumerate(s.lines):
+        for j, b in enumerate(s.lines[i + 1:], start=i + 1):
+            det = np.linalg.det(np.vstack([a.h1, a.h2, b.h1, b.h2]))
+            assert s.adjacency[i, j] == (abs(det) < TOL_INC)
+
+
+def _pair_with_determinant(d: float) -> list[Line3]:
+    # det of the unit covectors e0, e1, e2, (e0 + d e3) / |.| is d / sqrt(1 + d^2)
+    e = np.eye(4, dtype=complex)
+    return [Line3(e[0], e[1], 0, 0), Line3(e[2], e[0] + d * e[3], 1, 0)]
+
+
+@pytest.mark.parametrize("scale, meets", [(0.5, True), (0.99, True),
+                                          (101.0, False), (1e4, False)])
+def test_incidence_outside_the_dead_band(scale, meets):
+    adj = incidence_graph(_pair_with_determinant(scale * TOL_INC))
+    assert adj.tolist() == [[False, meets], [meets, False]]
+
+
+@pytest.mark.parametrize("scale", [1.01, 10.0, 99.0])
+def test_incidence_in_the_dead_band_is_refused(scale):
+    with pytest.raises(AmbiguousIncidence, match="dead band"):
+        incidence_graph(_pair_with_determinant(scale * TOL_INC))
+    # one ambiguous pair refuses the whole graph
+    with pytest.raises(AmbiguousIncidence, match="lines 27 and 28"):
+        incidence_graph(base_surface().lines
+                        + _pair_with_determinant(scale * TOL_INC))
+
+
+def test_surface_builds_flexes_and_lines_once(monkeypatch):
+    flex_calls, made = [], []
+    flexes, post_init = lines_module.inflection_points, Line3.__post_init__
+    monkeypatch.setattr(lines_module, "inflection_points",
+                        lambda *a: flex_calls.append(a) or flexes(*a))
+    monkeypatch.setattr(Line3, "__post_init__",
+                        lambda self: made.append(self) or post_init(self))
+    s = build_surface_data(family_lambda(0.3))
+    assert len(flex_calls) == 1
+    assert len(made) == 27
+    assert [id(line) for line in made] == [id(line) for line in s.lines]
 
 
 def test_j_form_signature():
