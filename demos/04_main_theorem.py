@@ -8,11 +8,10 @@ group, and certifies the isomorphism with the abstract semidirect product
 of the extraspecial group of order 27 by SL(2, F3).
 """
 
-from cubicmonodromy import (TrackingConfig, base_surface, build_pipeline,
-                            centralizer, semidirect_model,
-                            verify_isomorphism_via_transport, weyl_group)
+from cubicmonodromy import (TrackingConfig, build_pipeline, centralizer,
+                            semidirect_model, verify_isomorphism_via_transport,
+                            weyl_group)
 
-s = base_surface()
 bundle = build_pipeline(TrackingConfig(steps=100))
 
 print("generators, computed from geometry alone:")
@@ -24,7 +23,7 @@ for name, mat in (("torsion 1", bundle.h1), ("torsion 2", bundle.h2),
 print(f"\nclosure of the four generators: {len(bundle.group)} elements")
 print(f"order census: {bundle.group.census()}")
 
-cen = centralizer(s.deck_matrix, weyl_group())
+cen = centralizer(bundle.deck, weyl_group())
 same = {m.tobytes() for m in bundle.group.elements} == \
     {m.tobytes() for m in cen.elements}
 print(f"\ncentralizer of the deck class: {len(cen)} elements")
@@ -34,7 +33,7 @@ model = semidirect_model()
 print(f"\nabstract model: {len(model)} elements, census {model.census()}")
 print(f"model center size: {len(model.center())}")
 
-mapping = verify_isomorphism_via_transport(bundle.group, s.deck_matrix)
+mapping = verify_isomorphism_via_transport(bundle.group, bundle.deck)
 print(f"word-verified isomorphism onto the model: "
       f"{len(mapping)} elements mapped, "
       f"{len(set(mapping.values()))} distinct images")

@@ -38,10 +38,10 @@ from .tracking import (Loop, LoopTrace, TrackingConfig, constant_loop,
                        custom_loop, flex_lattice_map, gamma_minus, gamma_plus,
                        lift_to_lines, monodromy_matrix, trace_loop,
                        track_flexes, track_roots)
-from .verify import (PipelineBundle, build_pipeline, fixture_group,
-                     model_image_of, run_checks, transcribed_flex_permutation,
-                     transcribed_root_permutation, transported_images,
-                     verify_isomorphism_via_transport)
+from .verify import (GeneratorSource, build_pipeline, fixture_group,
+                     fixture_source, model_image_of, run_checks,
+                     transcribed_flex_permutation, transcribed_root_permutation,
+                     transported_images, verify_isomorphism_via_transport)
 from .weyl import (WEYL_ORDER, FiniteMatrixGroup, centralizer,
                    conjugacy_class_size, is_lattice_map, lattice_inverse,
                    regenerate, reflection, trace_character_check,

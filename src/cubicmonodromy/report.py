@@ -112,8 +112,9 @@ def render_json(report: VerificationReport) -> str:
 def render_text(report: VerificationReport) -> str:
     payload = report.validated_dict()
     lines = [f"verification scope={payload['scope']} overall={payload['overall']}"]
+    width = max(len(c["id"]) for c in payload["checks"])
     for c in payload["checks"]:
-        lines.append(f"  [{c['status']:>4}] {c['id']:<22} {c['description']} "
+        lines.append(f"  [{c['status']:>4}] {c['id']:<{width}} {c['description']} "
                      f"({c['runtimeMs']:.0f} ms)")
         if c["status"] == "fail":
             lines.append(f"         observed: {c['observed']}")

@@ -1,11 +1,12 @@
 """End-to-end verification battery.
 
-Two independent routes produce the same 648-element matrix group: the
-transcribed reference matrices, and the geometric pipeline (lines, deck
-rotation, conjugated torsion symmetries, loop tracking).  The checks here
-certify each route internally, compare both against the centralizer of the
-deck class inside the reflection group, and confirm the abstract semidirect
-model by exhaustive generator-word verification.
+Two independent routes, each a GeneratorSource of a deck matrix and four
+generators, produce the same 648-element matrix group: the transcribed
+reference matrices, and the geometric pipeline (lines, deck rotation,
+conjugated torsion symmetries, loop tracking).  Five checks run on both
+sources with the same expected values, the others on one route; together
+they compare both groups against the centralizer of the deck class and
+confirm the abstract semidirect model by exhaustive generator-word checks.
 """
 
 from __future__ import annotations
@@ -18,18 +19,19 @@ from typing import Callable
 
 import numpy as np
 
+from .curves import flex_quartic
 from .errors import AmbiguousMatching, FixtureError, NotAMember
-from .fixtures import FixtureSet, load_fixtures
+from .fixtures import load_fixtures
 from .groups import (HEISENBERG_ALL, MODEL_IDENTITY, SL2_ALL, ModelElement,
                      SemidirectGroup, conjugation_relations, identify_order24,
                      index_table, intersect, is_normal, phi_action,
-                     semidirect_model, sl2_mul, verify_generator_map,
-                     verify_isomorphism)
+                     semidirect_model, sl2_mul, verify_generator_map)
 from .hesse import heisenberg_matrices, hesse_transform
-from .lines import (base_surface, concurrent_triples, deck_permutation,
+from .lines import (CANONICAL_CLASS, J_FORM, base_surface,
+                    concurrent_triples, deck_permutation,
                     is_strongly_regular_27, pairing, perm_compose,
                     perm_to_lattice_map, preserves_incidence)
-from .numeric import constants
+from .numeric import constants, roots_of
 from .report import Check, VerificationReport, jsonable
 from .tracking import (LoopTrace, TrackingConfig, constant_loop,
                        flex_lattice_map, gamma_minus, gamma_plus, lift_to_lines,
@@ -99,8 +101,6 @@ def _value_permutation(values: list[complex],
 
 def transcribed_root_permutation(kind: str) -> np.ndarray:
     """Expected branch-root action of a loop, matched into the base order."""
-    from .curves import flex_quartic
-    from .numeric import roots_of
     base = roots_of(flex_quartic(0.0))
     return _value_permutation(base, _root_value_map(kind))
 
@@ -138,44 +138,48 @@ def model_image_of(mat: np.ndarray) -> ModelElement:
 def conjugator_carrying_deck(target_deck: np.ndarray) -> np.ndarray:
     """Some reflection-group element conjugating the stored deck matrix onto
     the given one; raises NotAMember when the two are not conjugate."""
+    stored = load_fixtures().deck
+    if np.array_equal(stored, target_deck):  # spares the 51840-element scan
+        return np.eye(len(stored), dtype=np.int64)
     group = weyl_group()
-    hits = group.intertwiners(load_fixtures().deck, target_deck)
+    hits = group.intertwiners(stored, target_deck)
     if len(hits) == 0:
         raise NotAMember("deck matrices are not conjugate in the reflection group")
     return group.elements[hits[0]]
 
 
 def transported_images(group: FiniteMatrixGroup,
-                       deck: np.ndarray) -> list[ModelElement]:
+                       carrier: np.ndarray) -> list[ModelElement]:
     """Model images for a centralizer-of-deck group's generators.
 
-    Conjugation by a carrier moves the group onto the fixture group, whose
-    word map into the model is available; the composite assignment is then
-    certified separately by verify_generator_map.
+    The carrier conjugates the stored deck onto the group's deck, so
+    conjugating back moves the group onto the fixture group, whose word map
+    into the model is available; verify_generator_map certifies the result.
     """
-    w = conjugator_carrying_deck(deck)
-    winv = lattice_inverse(w)
-    return [model_image_of(winv @ np.asarray(g, dtype=np.int64) @ w)
+    winv = lattice_inverse(carrier)
+    return [model_image_of(winv @ np.asarray(g, dtype=np.int64) @ carrier)
             for g in group.gens]
 
 
 def verify_isomorphism_via_transport(group: FiniteMatrixGroup,
                                      deck: np.ndarray) -> dict[int, ModelElement]:
-    return verify_generator_map(group, transported_images(group, deck),
+    carrier = conjugator_carrying_deck(deck)
+    return verify_generator_map(group, transported_images(group, carrier),
                                 semidirect_model())
 
 
 # ---------------------------------------------------------------------------
-# pipeline bundle
+# generator sources
 
 @dataclass(frozen=True, eq=False)
-class PipelineBundle:
-    """Everything the end-to-end checks need, computed once per config.
+class GeneratorSource:
+    """A deck matrix, the four generators and their closure, from one route.
 
-    traces holds the gammaMinus and gammaPlus traces, keyed by loop kind;
-    g1 and g2 are their lattice maps.
+    traces holds the gammaMinus and gammaPlus traces, keyed by loop kind,
+    whose lattice maps are g1 and g2; it is empty for the reference matrices.
     """
 
+    deck: np.ndarray
     h1: np.ndarray
     h2: np.ndarray
     g1: np.ndarray
@@ -184,15 +188,19 @@ class PipelineBundle:
     traces: dict[str, LoopTrace]
 
 
-def build_pipeline(cfg: TrackingConfig = TrackingConfig()) -> PipelineBundle:
+def fixture_source() -> GeneratorSource:
+    fx = load_fixtures()
+    return GeneratorSource(fx.deck, *fx.generators(), fixture_group(), {})
+
+
+def build_pipeline(cfg: TrackingConfig = TrackingConfig()) -> GeneratorSource:
     surface = base_surface()
     h1, h2 = heisenberg_matrices(surface)
     traces = {loop.kind: trace_loop(loop, cfg)
               for loop in (gamma_minus(), gamma_plus())}
     g1, g2 = (flex_lattice_map(t.flex_perm) for t in traces.values())
     group = FiniteMatrixGroup.close([h1, h2, g1, g2], cap=1000)
-    return PipelineBundle(h1=h1, h2=h2, g1=g1, g2=g2, group=group,
-                          traces=traces)
+    return GeneratorSource(surface.deck_matrix, h1, h2, g1, g2, group, traces)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +220,78 @@ def _run(check_id: str, description: str,
     return Check(check_id, description, status, observed, expected, ms)
 
 
+def paired_checks(ids: tuple[str, str, str, str, str],
+                  source: Callable[[], GeneratorSource]) -> list[tuple]:
+    """The five checks both routes make, as (id, description, fn) under the
+    route's ids, expecting the same values.  Each check calls source() itself,
+    so a source that cannot be built fails the check, not the battery."""
+
+    def deck():
+        m = source().deck
+        tr, chi = trace_character_check(m)
+        return ({"order": weyl_group().element_order(m), "trace": tr,
+                 "character": chi, "inClosure": m in weyl_group(),
+                 "classSize": conjugacy_class_size(m, weyl_group())},
+                {"order": 3, "trace": -2, "character": -3, "inClosure": True,
+                 "classSize": 80})
+
+    def torsion():
+        src = source()
+        h1, h2, deck = src.h1, src.h2, src.deck
+        grp = FiniteMatrixGroup.close([h1, h2], cap=100)
+        comm = h1 @ h2 @ lattice_inverse(h1) @ lattice_inverse(h2)
+        power = any(np.array_equal(comm, d) for d in (deck, deck @ deck))
+        return ({"inClosure": h1 in weyl_group() and h2 in weyl_group(),
+                 "order": len(grp), "census": grp.census(),
+                 "commutatorIsDeckPower": power},
+                {"inClosure": True, "order": 27, "census": {1: 1, 3: 26},
+                 "commutatorIsDeckPower": True})
+
+    def loops():
+        src = source()
+        grp = FiniteMatrixGroup.close([src.g1, src.g2], cap=100)
+        census = grp.census()
+        return ({"order": len(grp), "has4": census.get(4, 0) > 0,
+                 "has6": census.get(6, 0) > 0,
+                 "identified": identify_order24(grp)},
+                {"order": 24, "has4": True, "has6": True,
+                 "identified": "SL2(F3)"})
+
+    def equality():
+        src = source()
+        cen = centralizer(src.deck, weyl_group())
+        return ({"order": len(src.group),
+                 "subset": bool(np.all(cen.locate(src.group.elements) >= 0)),
+                 "sameOrder": len(src.group) == len(cen)},
+                {"order": 648, "subset": True, "sameOrder": True})
+
+    def isomorphism():
+        src = source()
+        w = conjugator_carrying_deck(src.deck)
+        images = transported_images(src.group, w)
+        mapping = verify_generator_map(src.group, images, semidirect_model())
+        # the reference generators carried onto this deck keep their images
+        carried = w @ np.stack(load_fixtures().generators()) @ lattice_inverse(w)
+        return ({"elementsMapped": len(mapping), "generatorImages":
+                 [mapping.get(i) for i in src.group.locate(carried).tolist()]},
+                {"elementsMapped": 648,
+                 "generatorImages": SemidirectGroup.generator_images()})
+
+    return list(zip(ids, (
+        "deck matrix: order 3, trace -2, class of 80 in the closure",
+        "torsion generators close to the 27 group over the deck",
+        "loop generators close to the binary tetrahedral group",
+        "the generated group is the deck centralizer as a matrix set",
+        "word-verified isomorphism, reference generators to printed images"),
+        (deck, torsion, loops, equality, isomorphism)))
+
+
 def fixture_checks() -> list[Check]:
     checks: list[Check] = []
     add = checks.append
+    deck, torsion, loops, equality, isomorphism = paired_checks(
+        ("fx-deck-invariants", "fx-torsion-group", "fx-loop-group",
+         "fx-set-equality", "fx-isomorphism"), fixture_source)
 
     def reflection_order():
         return len(weyl_group()), WEYL_ORDER
@@ -222,7 +299,6 @@ def fixture_checks() -> list[Check]:
              "closure of the six reflections has the full order", reflection_order))
 
     def reflection_invariants():
-        from .lines import CANONICAL_CLASS, J_FORM
         stacked = weyl_group().stacked()
         # J_FORM is diagonal, so m^T J m scales the rows of m by its diagonal
         form = np.matmul(stacked.transpose(0, 2, 1) * np.diag(J_FORM), stacked)
@@ -241,18 +317,7 @@ def fixture_checks() -> list[Check]:
                sorted(("deck", "h1", "h2", "g1", "g2"))
     add(_run("fx-load", "reference matrices load and satisfy lattice invariants",
              fixtures_load))
-
-    def deck_invariants():
-        fx = load_fixtures()
-        tr, chi = trace_character_check(fx.deck)
-        order = weyl_group().element_order(fx.deck)
-        size = conjugacy_class_size(fx.deck, weyl_group())
-        return ({"order": order, "trace": tr, "character": chi,
-                 "classSize": size},
-                {"order": 3, "trace": -2, "character": -3, "classSize": 80})
-    add(_run("fx-deck-invariants",
-             "stored deck matrix: order, trace, character, class size",
-             deck_invariants))
+    add(_run(*deck))
 
     def deck_centralizer():
         fx = load_fixtures()
@@ -260,15 +325,7 @@ def fixture_checks() -> list[Check]:
         return len(cen), WEYL_ORDER // 80
     add(_run("fx-deck-centralizer",
              "centralizer of the deck class has order 648", deck_centralizer))
-
-    def torsion_group():
-        fx = load_fixtures()
-        grp = FiniteMatrixGroup.close([fx.h1, fx.h2], cap=100)
-        return ({"order": len(grp), "census": grp.census()},
-                {"order": 27, "census": {1: 1, 3: 26}})
-    add(_run("fx-torsion-group",
-             "the two torsion generators close to the extraspecial 27 group",
-             torsion_group))
+    add(_run(*torsion))
 
     def torsion_commutator():
         fx = load_fixtures()
@@ -283,22 +340,7 @@ def fixture_checks() -> list[Check]:
     add(_run("fx-torsion-commutator",
              "torsion commutator equals the deck matrix and both commute with it",
              torsion_commutator))
-
-    def loop_group():
-        fx = load_fixtures()
-        grp = FiniteMatrixGroup.close([fx.g1, fx.g2], cap=100)
-        census = grp.census()
-        cubed = next(m for m in grp.elements if grp.element_order(m) == 3)
-        sylow3 = FiniteMatrixGroup.close([cubed], cap=10)
-        return ({"order": len(grp), "has4": census.get(4, 0) > 0,
-                 "has6": census.get(6, 0) > 0,
-                 "sylow3Normal": is_normal(sylow3, grp),
-                 "identified": identify_order24(grp)},
-                {"order": 24, "has4": True, "has6": True,
-                 "sylow3Normal": False, "identified": "SL2(F3)"})
-    add(_run("fx-loop-group",
-             "the two loop generators close to the binary tetrahedral group",
-             loop_group))
+    add(_run(*loops))
 
     def relations():
         fx = load_fixtures()
@@ -308,29 +350,21 @@ def fixture_checks() -> list[Check]:
              "all four conjugation relations hold exactly", relations))
 
     def subgroup_structure():
-        fx = load_fixtures()
-        torsion = FiniteMatrixGroup.close([fx.h1, fx.h2], cap=100)
-        loops = FiniteMatrixGroup.close([fx.g1, fx.g2], cap=100)
-        full = fixture_group()
+        src = fixture_source()
+        torsion = FiniteMatrixGroup.close([src.h1, src.h2], cap=100)
+        loops = FiniteMatrixGroup.close([src.g1, src.g2], cap=100)
+        cubed = next(m for m in loops.elements if loops.element_order(m) == 3)
+        sylow3 = FiniteMatrixGroup.close([cubed], cap=10)
         return ({"intersection": len(intersect(torsion, loops)),
-                 "torsionNormal": is_normal(torsion, full),
-                 "order": len(full)},
-                {"intersection": 1, "torsionNormal": True, "order": 648})
+                 "torsionNormal": is_normal(torsion, src.group),
+                 "sylow3Normal": is_normal(sylow3, loops),
+                 "order": len(src.group)},
+                {"intersection": 1, "torsionNormal": True,
+                 "sylow3Normal": False, "order": 648})
     add(_run("fx-subgroup-structure",
-             "trivial intersection, normal torsion subgroup, order 27*24",
-             subgroup_structure))
-
-    def set_equality():
-        fx = load_fixtures()
-        cen = centralizer(fx.deck, weyl_group())
-        keys_c = {m.tobytes() for m in cen.elements}
-        keys_f = {m.tobytes() for m in fixture_group().elements}
-        return ({"subset": keys_f <= keys_c,
-                 "sameOrder": len(keys_f) == len(keys_c)},
-                {"subset": True, "sameOrder": True})
-    add(_run("fx-set-equality",
-             "generated group equals the deck centralizer as a matrix set",
-             set_equality))
+             "trivial intersection, normal torsion subgroup, loop 3-Sylow not "
+             "normal, order 27*24", subgroup_structure))
+    add(_run(*equality))
 
     def model_structure():
         fx = load_fixtures()
@@ -356,18 +390,7 @@ def fixture_checks() -> list[Check]:
     add(_run("fx-action-property",
              "the twisting action is a group action, exhaustively",
              action_property))
-
-    def isomorphism():
-        mapping = verify_isomorphism(fixture_group())
-        return ({"elementsMapped": len(mapping),
-                 "generatorImages": [mapping[fixture_group().index_of(g)]
-                                     for g in load_fixtures().generators()]},
-                {"elementsMapped": 648,
-                 "generatorImages": SemidirectGroup.generator_images()})
-    add(_run("fx-isomorphism",
-             "word-verified isomorphism with the printed generator assignment",
-             isomorphism))
-
+    add(_run(*isomorphism))
     return checks
 
 
@@ -375,7 +398,10 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
     checks: list[Check] = []
     add = checks.append
     surface = base_surface()
-    bundle = build_pipeline(cfg)
+    source = build_pipeline(cfg)
+    deck, torsion, loops, equality, isomorphism = paired_checks(
+        ("pl-deck-matrix", "pl-torsion-matrices", "pl-loop-group",
+         "pl-set-equality", "pl-isomorphism"), lambda: source)
 
     def line_geometry():
         return ({"lines": len(surface.lines),
@@ -398,38 +424,22 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
              triples_and_sixer))
 
     def classes_reproduce():
-        good = total = 0
-        for i in range(27):
-            for j in range(i + 1, 27):
-                total += 1
-                meets = pairing(surface.classes[i], surface.classes[j]) == 1
-                if meets == bool(surface.adjacency[i, j]):
-                    good += 1
-        return ({"matches": good, "total": total}, {"matches": 351, "total": 351})
+        pairs = [(i, j) for i in range(27) for j in range(i + 1, 27)]
+        good = sum((pairing(surface.classes[i], surface.classes[j]) == 1)
+                   == bool(surface.adjacency[i, j]) for i, j in pairs)
+        return ({"matches": good, "total": len(pairs)},
+                {"matches": 351, "total": 351})
     add(_run("pl-classes-incidence",
              "divisor classes reproduce incidence through the pairing",
              classes_reproduce))
-
-    def deck_matrix():
-        m = surface.deck_matrix
-        tr, chi = trace_character_check(m)
-        return ({"order": weyl_group().element_order(m), "trace": tr,
-                 "character": chi, "inClosure": m in weyl_group()},
-                {"order": 3, "trace": -2, "character": -3, "inClosure": True})
-    add(_run("pl-deck-matrix",
-             "deck rotation lattice map: order 3, trace -2, class member",
-             deck_matrix))
+    add(_run(*deck))
 
     def perm_functor():
         p_deck = deck_permutation(surface.lines)
-        p_loop = lift_to_lines(bundle.traces["gammaMinus"].flex_perm)
+        p_loop = lift_to_lines(source.traces["gammaMinus"].flex_perm)
         to_mat = lambda p: perm_to_lattice_map(p, surface.classes, surface.sixer)
-        ok = True
-        for p in (p_deck, p_loop):
-            for q in (p_deck, p_loop):
-                lhs = to_mat(perm_compose(p, q))
-                if not np.array_equal(lhs, to_mat(p) @ to_mat(q)):
-                    ok = False
+        ok = all(np.array_equal(to_mat(perm_compose(p, q)), to_mat(p) @ to_mat(q))
+                 for p in (p_deck, p_loop) for q in (p_deck, p_loop))
         return {"homomorphism": ok}, {"homomorphism": True}
     add(_run("pl-perm-functor",
              "lattice map of composed permutations is the matrix product",
@@ -444,24 +454,9 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
     add(_run("pl-plane-change",
              "plane change reaches the diagonal model; vertical scale cubes right",
              plane_change))
+    add(_run(*torsion))
 
-    def torsion_matrices():
-        h1, h2 = bundle.h1, bundle.h2
-        grp = FiniteMatrixGroup.close([h1, h2], cap=100)
-        comm = h1 @ h2 @ lattice_inverse(h1) @ lattice_inverse(h2)
-        deck = surface.deck_matrix
-        return ({"inClosure": h1 in weyl_group() and h2 in weyl_group(),
-                 "order": len(grp), "census": grp.census(),
-                 "commutatorIsDeckPower":
-                 bool(np.array_equal(comm, deck)
-                      or np.array_equal(comm, deck @ deck))},
-                {"inClosure": True, "order": 27, "census": {1: 1, 3: 26},
-                 "commutatorIsDeckPower": True})
-    add(_run("pl-torsion-matrices",
-             "conjugated torsion symmetries close to the 27 group over the deck",
-             torsion_matrices))
-
-    for kind, trace in bundle.traces.items():
+    for kind, trace in source.traces.items():
         def root_cycle(kind=kind, trace=trace):
             return (trace.root_perm.tolist(),
                     transcribed_root_permutation(kind).tolist())
@@ -469,7 +464,7 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
                  f"{kind} branch roots realize the transcribed 3-cycle",
                  root_cycle))
 
-    for kind, trace in bundle.traces.items():
+    for kind, trace in source.traces.items():
         def flex_perm(kind=kind, trace=trace):
             return (trace.flex_perm.tolist(),
                     transcribed_flex_permutation(kind).tolist())
@@ -478,54 +473,29 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
                  flex_perm))
 
     def loop_matrices():
-        deck = surface.deck_matrix
         stats = {}
-        for name, g in (("around-minus-one", bundle.g1),
-                        ("around-plus-one", bundle.g2)):
+        for name, g in (("around-minus-one", source.g1),
+                        ("around-plus-one", source.g2)):
             stats[name] = {"inClosure": g in weyl_group(),
                            "order": weyl_group().element_order(g),
-                           "commutesDeck": bool(np.array_equal(g @ deck,
-                                                               deck @ g))}
+                           "commutesDeck": bool(np.array_equal(
+                               g @ source.deck, source.deck @ g))}
         want = {"inClosure": True, "order": 3, "commutesDeck": True}
         return stats, {"around-minus-one": want, "around-plus-one": want}
     add(_run("pl-loop-matrices",
              "loop matrices: order 3 closure members commuting with the deck",
              loop_matrices))
-
-    def loop_group():
-        grp = FiniteMatrixGroup.close([bundle.g1, bundle.g2], cap=100)
-        return ({"order": len(grp), "identified": identify_order24(grp)},
-                {"order": 24, "identified": "SL2(F3)"})
-    add(_run("pl-loop-group",
-             "tracked loop matrices close to the binary tetrahedral group",
-             loop_group))
-
-    def set_equality():
-        cen = centralizer(surface.deck_matrix, weyl_group())
-        keys_c = {m.tobytes() for m in cen.elements}
-        keys_p = {m.tobytes() for m in bundle.group.elements}
-        return ({"order": len(bundle.group), "subset": keys_p <= keys_c,
-                 "sameOrder": len(keys_p) == len(keys_c)},
-                {"order": 648, "subset": True, "sameOrder": True})
-    add(_run("pl-set-equality",
-             "pipeline generators close to exactly the deck centralizer",
-             set_equality))
-
-    def isomorphism():
-        mapping = verify_isomorphism_via_transport(bundle.group,
-                                                   surface.deck_matrix)
-        return len(mapping), 648
-    add(_run("pl-isomorphism",
-             "pipeline group is word-verified isomorphic to the model",
-             isomorphism))
+    add(_run(*loops))
+    add(_run(*equality))
+    add(_run(*isomorphism))
 
     def stability():
         out = {}
         for loop in (gamma_minus(), gamma_plus()):
             perms = []
             for steps in (50, 100, 200):
-                # the bundle already holds the trace at the battery's steps
-                trace = (bundle.traces[loop.kind] if steps == cfg.steps
+                # the source already holds the trace at the battery's steps
+                trace = (source.traces[loop.kind] if steps == cfg.steps
                          else trace_loop(loop, replace(cfg, steps=steps)))
                 perms.append((trace.root_perm.tolist(),
                               trace.flex_perm.tolist()))
@@ -551,7 +521,7 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
         ok_inc = ok_triples = True
         triples = {frozenset(t) for t in
                    concurrent_triples(surface.lines, surface.adjacency)}
-        for trace in bundle.traces.values():
+        for trace in source.traces.values():
             p = lift_to_lines(trace.flex_perm)
             ok_inc &= preserves_incidence(p, surface.adjacency)
             moved = {frozenset(int(p[i]) for i in t) for t in triples}

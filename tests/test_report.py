@@ -110,6 +110,17 @@ def test_render_text_shows_failures():
     assert "observed: 2" in text
 
 
+def test_render_text_aligns_descriptions():
+    ids = ("c-1", "fx-conjugation-relations", "pl-root-cycle-gammaPlus")
+    rep = VerificationReport("all", [
+        _check(check_id, description=f"about {check_id}") for check_id in ids
+    ])
+    rows = [row for row in render_text(rep).splitlines() if row.startswith("  [")]
+    assert len(rows) == len(ids)
+    assert len({row.index(f"about {check_id}")
+                for row, check_id in zip(rows, ids)}) == 1
+
+
 def test_render_csv_quotes_commas():
     rep = VerificationReport("all", [
         Check("c-1", "has, comma", "pass", {"a": 1}, {"a": 1}, 0.4),

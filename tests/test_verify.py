@@ -3,17 +3,29 @@
 import numpy as np
 import pytest
 
+import cubicmonodromy.fixtures as fixtures_mod
 import cubicmonodromy.verify as verify
 from cubicmonodromy.errors import NotAMember
 from cubicmonodromy.fixtures import load_fixtures
 from cubicmonodromy.lines import base_surface, perm_compose
 from cubicmonodromy.tracking import TrackingConfig
 from cubicmonodromy.verify import (build_pipeline, conjugator_carrying_deck,
-                                   fixture_group, model_image_of,
-                                   pipeline_checks, run_checks,
+                                   fixture_group, fixture_source,
+                                   model_image_of, pipeline_checks, run_checks,
                                    transcribed_flex_permutation,
                                    transcribed_root_permutation)
 from cubicmonodromy.weyl import lattice_inverse
+
+PAIRS = [("fx-deck-invariants", "pl-deck-matrix"),
+         ("fx-torsion-group", "pl-torsion-matrices"),
+         ("fx-loop-group", "pl-loop-group"),
+         ("fx-set-equality", "pl-set-equality"),
+         ("fx-isomorphism", "pl-isomorphism")]
+
+
+@pytest.fixture(scope="module")
+def full_report():
+    return {c["id"]: c for c in run_checks("all").to_dict()["checks"]}
 
 
 def test_transcribed_root_permutations():
@@ -53,9 +65,9 @@ def test_model_image_of_deck_is_central():
 
 def test_conjugator_carries_deck():
     fx = load_fixtures()
-    pipe_deck = base_surface().deck_matrix
-    w = conjugator_carrying_deck(pipe_deck)
-    assert np.array_equal(w @ fx.deck @ lattice_inverse(w), pipe_deck)
+    for target in (base_surface().deck_matrix, fx.deck):
+        w = conjugator_carrying_deck(target)
+        assert np.array_equal(w @ fx.deck @ lattice_inverse(w), target)
 
 
 def test_conjugator_rejects_nonconjugate():
@@ -68,6 +80,48 @@ def test_build_pipeline_bundle():
     assert len(bundle.group) == 648
     for g in (bundle.h1, bundle.h2, bundle.g1, bundle.g2):
         assert g.shape == (7, 7)
+    assert np.array_equal(bundle.deck, base_surface().deck_matrix)
+    assert set(bundle.traces) == {"gammaMinus", "gammaPlus"}
+
+
+def test_fixture_source_reads_the_reference_matrices():
+    fx, source = load_fixtures(), fixture_source()
+    for name in ("deck", "h1", "h2", "g1", "g2"):
+        assert getattr(source, name) is getattr(fx, name)
+    assert source.group is fixture_group()
+    assert source.traces == {}
+
+
+@pytest.mark.parametrize("fx_id, pl_id", PAIRS)
+def test_paired_checks_expect_the_same(full_report, fx_id, pl_id):
+    fx, pl = full_report[fx_id], full_report[pl_id]
+    assert fx["status"] == pl["status"] == "pass"
+    assert fx["expected"] == pl["expected"]
+    assert set(fx["observed"]) == set(pl["observed"])
+
+
+def test_corrupt_fixtures_fail_checks_not_the_battery(monkeypatch):
+    real = fixtures_mod._data_bytes
+
+    def tampered(name):
+        if name == "fixtures.json":
+            return real("fixtures.json") + b" "
+        return real(name)
+
+    monkeypatch.setattr(fixtures_mod, "_data_bytes", tampered)
+    load_fixtures.cache_clear()
+    fixture_group.cache_clear()
+    try:
+        report = run_checks("fixtures")
+    finally:
+        load_fixtures.cache_clear()
+        fixture_group.cache_clear()
+    status = {c.check_id: c.status for c in report.checks}
+    assert len(status) == 14
+    assert report.overall == "fail"
+    assert status["fx-load"] == "fail"
+    assert status["fx-action-property"] == "pass"
+    assert list(status.values()).count("fail") == 11
 
 
 def test_run_checks_scopes():
