@@ -26,6 +26,9 @@ MONOMIALS = (
     (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
 )
 _MONOMIAL_INDEX = {m: i for i, m in enumerate(MONOMIALS)}
+# entry (m, a) picks x_a^e from a point's power table [1, x, x^2, x^3]
+# flattened to 12 entries, e being the exponent of x_a in monomial m
+_POWER_INDEX = 3 * np.array(MONOMIALS) + np.arange(3)
 
 QUAD_MONOMIALS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 
@@ -78,13 +81,14 @@ class CubicForm:
             raise ValueError("non-finite coefficient")
         object.__setattr__(self, "coeffs", arr)
 
-    def __call__(self, p: np.ndarray) -> complex:
-        x, y, z = p
-        total = 0j
-        for (i, j, k), c in zip(MONOMIALS, self.coeffs):
-            if c != 0:
-                total += c * x ** i * y ** j * z ** k
-        return complex(total)
+    def __call__(self, p: np.ndarray) -> complex | np.ndarray:
+        """f at one point (a complex) or at each row of an (..., 3) stack."""
+        p = np.asarray(p, dtype=complex)
+        sq = p * p
+        powers = np.concatenate([np.ones_like(p), p, sq, sq * p], axis=-1)
+        xyz = powers[..., _POWER_INDEX]
+        vals = (xyz[..., 0] * xyz[..., 1] * xyz[..., 2]) @ self.coeffs
+        return complex(vals) if p.ndim == 1 else vals
 
     def as_dict(self) -> dict:
         return {m: complex(c) for m, c in zip(MONOMIALS, self.coeffs) if c != 0}
@@ -253,18 +257,33 @@ class PlaneLine:
         return complex(self.covector @ coords)
 
 
+def _chordal_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """ProjPoint2.distance between matching rows of two (n, 3) stacks, by
+    the same Lagrange identity; that method stays scalar because numpy's
+    per-call cost would make one pair about 20 times slower."""
+    (u0, u1, u2), (v0, v1, v2) = u.T, v.T
+    minors = (np.abs(u0 * v1 - u1 * v0) ** 2 + np.abs(u1 * v2 - u2 * v1) ** 2
+              + np.abs(u2 * v0 - u0 * v2) ** 2)
+    uu = np.abs(u0) ** 2 + np.abs(u1) ** 2 + np.abs(u2) ** 2
+    vv = np.abs(v0) ** 2 + np.abs(v1) ** 2 + np.abs(v2) ** 2
+    return np.sqrt(minors / (uu * vv))
+
+
 def phase_normalize(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Scale to unit norm with the first significant entry positive real."""
+    """Scale each vector along the last axis to unit norm, its first entry
+    above tol made positive real; a zero vector raises ValueError."""
     v = np.asarray(v, dtype=complex)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
+    # squares and hypot rather than np.abs, whose complex loop rounds unlike
+    # the scalar abs: the sign of the lead entry's rounding-level imaginary
+    # part shows when covectors are printed
+    norm = np.sqrt(np.sum(v.real ** 2, axis=-1, keepdims=True)
+                   + np.sum(v.imag ** 2, axis=-1, keepdims=True))
+    if np.any(norm == 0.0):
         raise ValueError("zero covector")
     v = v / norm
-    for entry in v:
-        if abs(entry) > tol:
-            v = v * (abs(entry) / entry)
-            break
-    return v
+    mag = np.hypot(v.real, v.imag)
+    first = np.argmax(mag > tol, axis=-1)[..., None]
+    return v * (np.take_along_axis(mag, first, -1) / np.take_along_axis(v, first, -1))
 
 
 def _recognize(f: CubicForm, ref: tuple, read, make, tol: float) -> complex | None:
@@ -332,34 +351,47 @@ def tangent_covector_family(lam: complex, alpha: complex, y: complex) -> np.ndar
     ], dtype=complex)
 
 
-def inflection_points(f: CubicForm, tol: float = 1e-8) -> list[ProjPoint2]:
-    """The nine inflection points, deterministically ordered.
+def cubic_route(f: CubicForm) -> tuple[str, complex | None]:
+    """Which closed form covers f: ("family", lam), ("hesse", mu), or
+    ("generic", None) for the resultant route and the tangent-cube lines.
 
-    Ordering: the base point [0:1:0] first when the curve passes through it
-    with a vertical-tangent flex there, then ascending (Re y, Im y, Re x,
-    Im x) on the normalized coordinates, each rounded as in order_key.
+    build_surface_data reads it once and hands it to inflection_points and
+    lines.all_lines, which otherwise each work it out for themselves.
     """
     lam = family_parameter(f)
     if lam is not None:
-        pts = _inflections_family(lam)
+        return "family", lam
+    mu = hesse_parameter(f)
+    return ("generic", None) if mu is None else ("hesse", mu)
+
+
+def inflection_points(f: CubicForm, tol: float = 1e-8,
+                      route: tuple[str, complex | None] | None = None) -> list[ProjPoint2]:
+    """The nine inflection points, deterministically ordered.
+
+    route is cubic_route(f), worked out here when not given.  Ordering: the
+    base point [0:1:0] first when the curve passes through it with a
+    vertical-tangent flex there, then ascending (Re y, Im y, Re x, Im x) on
+    the normalized coordinates, each rounded as in order_key.
+    """
+    kind, param = route or cubic_route(f)
+    if kind == "family":
+        pts = _inflections_family(param)
+    elif kind == "hesse":
+        pts = _inflections_hesse(param)
     else:
-        mu = hesse_parameter(f)
-        if mu is not None:
-            pts = _inflections_hesse(mu)
-        else:
-            pts = _inflections_resultant(f, tol)
+        pts = _inflections_resultant(f, tol)
     if len(pts) != 9:
         raise DegenerateCurve(f"expected 9 inflection points, got {len(pts)}")
     hess = hessian_det_form(f)
-    fs, hs = f.scale(), hess.scale()
-    for p in pts:
-        u = p.unit()
-        if abs(f(u)) > tol * fs or abs(hess(u)) > tol * hs:
-            raise DegenerateCurve("inflection residual above tolerance")
-    for i in range(9):
-        for j in range(i + 1, 9):
-            if pts[i].distance(pts[j]) < 10.0 * TOL_MATCH:
-                raise DegenerateCurve("inflection points collide")
+    coords = np.array([p.coords for p in pts])
+    units = coords / np.linalg.norm(coords, axis=-1, keepdims=True)
+    if (np.any(np.abs(f(units)) > tol * f.scale())
+            or np.any(np.abs(hess(units)) > tol * hess.scale())):
+        raise DegenerateCurve("inflection residual above tolerance")
+    i, j = np.triu_indices(9, 1)
+    if np.any(_chordal_distances(coords[i], coords[j]) < 10.0 * TOL_MATCH):
+        raise DegenerateCurve("inflection points collide")
     return _sort_points(pts)
 
 

@@ -10,17 +10,14 @@ integer data once the incidence pattern is certified.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .curves import (
-    CubicForm, ProjPoint2, family_parameter, flex_height_squared, gradient,
-    hesse_form, hesse_parameter, inflection_points, phase_normalize,
-    tangent_covector_family,
+    CubicForm, ProjPoint2, cubic_route, flex_height_squared, gradient,
+    hesse_form, inflection_points, phase_normalize, tangent_covector_family,
 )
 from .errors import (
     AmbiguousIncidence, BadIncidencePattern, NoSixer, NonIntegralImage,
@@ -49,37 +46,45 @@ class Line3:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "h1", phase_normalize(self.h1))
-        object.__setattr__(self, "h2", phase_normalize(self.h2))
-        stacked = np.vstack([self.h1, self.h2])
-        smin = np.linalg.svd(stacked, compute_uv=False)[-1]
-        if smin < 1e-8:
-            raise ValueError("hyperplane covectors are dependent")
+        pairs, _ = _checked_spans(np.array([[self.h1, self.h2]]))
+        object.__setattr__(self, "h1", pairs[0, 0])
+        object.__setattr__(self, "h2", pairs[0, 1])
 
     def span_basis(self) -> np.ndarray:
         """Orthonormal basis (2 x 4) of the covector span."""
         q, _ = np.linalg.qr(np.vstack([self.h1, self.h2]).T)
         return q.T.conj()
 
-    def points(self, count: int = 5) -> np.ndarray:
-        """Sample points on the line (rows, unit norm)."""
-        _, _, vh = np.linalg.svd(np.vstack([self.h1, self.h2]))
-        b1, b2 = vh[2].conj(), vh[3].conj()
-        ts = np.linspace(0.0, 1.0, count)
-        pts = []
-        for k, t in enumerate(ts):
-            p = b1 * math.cos(1.0 + t) + b2 * math.sin(1.0 + t) * cmath.exp(0.7j * k)
-            pts.append(p / np.linalg.norm(p))
-        return np.array(pts)
+
+def _checked_spans(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-normalize every covector of an (m, 2, 4) stack and check that
+    each pair spans a plane; returns the stack and its kernel bases.
+
+    One SVD gives both the rank test (smallest singular value below 1e-8
+    raises ValueError) and rows 2, 3 of vh, whose conjugates span the line.
+    """
+    pairs = phase_normalize(pairs)
+    _, sv, vh = np.linalg.svd(pairs)
+    if np.any(sv[:, -1] < 1e-8):
+        raise ValueError("hyperplane covectors are dependent")
+    return pairs, vh[:, 2:].conj()
+
+
+def _residuals(f: CubicForm, kernel: np.ndarray, count: int = 5) -> np.ndarray:
+    """max |w^3 - f| over count unit sample points of each line, given the
+    (m, 2, 4) kernel bases of _checked_spans; all m * count points are
+    evaluated in one call."""
+    ts = 1.0 + np.linspace(0.0, 1.0, count)
+    a, b = np.cos(ts), np.sin(ts) * np.exp(0.7j * np.arange(count))
+    pts = (kernel[:, None, 0] * a[:, None] + kernel[:, None, 1] * b[:, None])
+    pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+    return np.max(np.abs(pts[..., 3] ** 3 - f(pts[..., :3])), axis=-1)
 
 
 def surface_residual(f: CubicForm, line: Line3, count: int = 5) -> float:
     """max |w^3 - f| over sample points of the line, unit-normalized."""
-    worst = 0.0
-    for p in line.points(count):
-        val = p[3] ** 3 - f(p[:3])
-        worst = max(worst, abs(val))
-    return worst
+    _, kernel = _checked_spans(np.array([[line.h1, line.h2]]))
+    return float(_residuals(f, kernel, count)[0])
 
 
 def _family_triple(lam: complex, p: ProjPoint2) -> list[Pair]:
@@ -171,28 +176,43 @@ def _tangent_direction(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     raise NotAFlex("no independent direction on the tangent line")
 
 
-def all_lines(f: CubicForm, flexes: list[ProjPoint2], tol: float = 1e-8) -> list[Line3]:
+def all_lines(f: CubicForm, flexes: list[ProjPoint2], tol: float = 1e-8,
+              route: tuple[str, complex | None] | None = None) -> list[Line3]:
     """The three lines over each given inflection point, ordered by (flex index, n).
 
-    The hyperplane rule is picked once per cubic: the closed forms for the
-    pencil and the Hesse family, the tangent-cube reduction otherwise.  Each
-    line must lie on the surface to within tol.
+    The hyperplane rule is picked once per cubic from route (cubic_route(f)
+    when not given): the closed forms for the pencil and the Hesse family,
+    the tangent-cube reduction otherwise.  Each line must lie on the surface
+    to within tol.
     """
-    lam = family_parameter(f)
-    if lam is not None:
-        triple_over = partial(_family_triple, lam)
-    elif (mu := hesse_parameter(f)) is not None:
-        triple_over = partial(_hesse_triple, _hesse_eta(mu), gradient(hesse_form(mu)))
+    kind, param = route or cubic_route(f)
+    if kind == "family":
+        triple_over = partial(_family_triple, param)
+    elif kind == "hesse":
+        triple_over = partial(_hesse_triple, _hesse_eta(param), gradient(hesse_form(param)))
     else:
         triple_over = partial(_generic_triple, f, gradient(f), tol)
+    pairs = np.array([pair for p in flexes for pair in triple_over(p)], dtype=complex)
+    return _surface_lines(f, pairs, flexes, tol)
+
+
+def _surface_lines(f: CubicForm, pairs: np.ndarray, flexes: list[ProjPoint2],
+                   tol: float) -> list[Line3]:
+    """Lines from the (3 * len(flexes), 2, 4) covector stack, three per flex,
+    each normalized, rank-checked and tested on the surface once."""
+    pairs, kernel = _checked_spans(pairs)
+    resid = _residuals(f, kernel)
+    bad = np.flatnonzero(resid > tol)
+    if bad.size:
+        k = bad[0]
+        raise NotAFlex(f"line residual {resid[k]:.2e} over point {flexes[k // 3].coords}")
     out = []
-    for idx, p in enumerate(flexes):
-        triple = [Line3(h1, h2, idx, n) for n, (h1, h2) in enumerate(triple_over(p))]
-        for line in triple:
-            resid = surface_residual(f, line)
-            if resid > tol:
-                raise NotAFlex(f"line residual {resid:.2e} over point {p.coords}")
-        out.extend(triple)
+    for k, (h1, h2) in enumerate(zip(pairs[:, 0], pairs[:, 1])):
+        # skips __post_init__: _checked_spans has just normalized and
+        # rank-checked the whole stack
+        line = object.__new__(Line3)
+        vars(line).update(h1=h1, h2=h2, flex=k // 3, n=k % 3)
+        out.append(line)
     return out
 
 
@@ -219,22 +239,18 @@ def incidence_graph(lines: list[Line3], tol_inc: float = TOL_INC) -> np.ndarray:
 
 
 def is_strongly_regular_27(adj: np.ndarray) -> bool:
-    """Check the (27, 10, 1, 5) strongly regular graph conditions."""
-    n = adj.shape[0]
-    if n != 27 or adj.dtype != bool or not np.array_equal(adj, adj.T):
+    """Check the (27, 10, 1, 5) strongly regular graph conditions.
+
+    Off the diagonal, adj @ adj counts common neighbours: 1 for incident
+    pairs, 5 otherwise; on it, the degree 10.
+    """
+    if adj.shape != (27, 27) or adj.dtype != bool or not np.array_equal(adj, adj.T):
         return False
     if np.any(np.diag(adj)):
         return False
-    deg = adj.sum(axis=1)
-    if not np.all(deg == 10):
-        return False
-    common = (adj.astype(int) @ adj.astype(int))
-    for i in range(n):
-        for j in range(i + 1, n):
-            want = 1 if adj[i, j] else 5
-            if common[i, j] != want:
-                return False
-    return True
+    want = np.where(adj, 1, 5)
+    np.fill_diagonal(want, 10)
+    return bool(np.array_equal(adj.astype(np.int64) @ adj.astype(np.int64), want))
 
 
 def concurrent_triples(lines: list[Line3], adj: np.ndarray) -> list[tuple[int, int, int]]:
@@ -378,8 +394,9 @@ class SurfaceData:
 
 
 def build_surface_data(f: CubicForm, tol: float = 1e-8) -> SurfaceData:
-    flexes = inflection_points(f, tol)
-    lines = all_lines(f, flexes, tol)
+    route = cubic_route(f)
+    flexes = inflection_points(f, tol, route)
+    lines = all_lines(f, flexes, tol, route)
     adj = incidence_graph(lines)
     sixer = find_sixer(adj)
     classes = classify_lines(adj, sixer)

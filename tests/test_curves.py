@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cubicmonodromy.curves as curves
-from cubicmonodromy.curves import (CubicForm, ProjPoint2, family_lambda,
+from cubicmonodromy.curves import (MONOMIALS, CubicForm, ProjPoint2, family_lambda,
                                    family_parameter, flex_height_squared,
                                    flex_quartic, gradient, hesse_form,
                                    hesse_parameter, hessian_det_form,
@@ -161,6 +161,47 @@ def test_compose_changes_coordinates():
     g = f.compose(m)
     p = np.array([0.5, -0.3, 1.0], dtype=complex)
     assert abs(g(p) - f(m @ p)) < 1e-12
+
+
+def _monomial_sum(f, p):
+    # the scalar evaluation the stacked one replaced, with its rounding bound
+    x, y, z = p
+    terms = [c * x ** i * y ** j * z ** k for (i, j, k), c in zip(MONOMIALS, f.coeffs)]
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+def test_stacked_cubic_matches_monomial_sum():
+    rng = np.random.default_rng(11)
+    eps = np.finfo(float).eps
+    for _ in range(5):
+        f = CubicForm(rng.normal(size=10) + 1j * rng.normal(size=10))
+        pts = rng.normal(size=(4, 6, 3)) + 1j * rng.normal(size=(4, 6, 3))
+        got = f(pts)
+        assert got.shape == (4, 6)
+        for idx in np.ndindex(4, 6):
+            want, bound = _monomial_sum(f, pts[idx])
+            assert abs(got[idx] - want) <= 16 * eps * bound
+            one = f(pts[idx])
+            assert type(one) is complex and abs(one - want) <= 16 * eps * bound
+
+
+@pytest.mark.parametrize("f", [family_lambda(0.25), hesse_form(2.2),
+                               CubicForm(np.array(GENERIC))],
+                         ids=["pencil", "hesse", "generic"])
+def test_stacked_inflection_distances_match_pairwise(f):
+    pts = inflection_points(f)
+    coords = np.array([p.coords for p in pts])
+    i, j = np.triu_indices(9, 1)
+    got = curves._chordal_distances(coords[i], coords[j])
+    for d, a, b in zip(got, i, j):
+        assert abs(d - pts[a].distance(pts[b])) <= 1e-15
+        # the pre-stacking formula, in Python floats
+        (u0, u1, u2), (v0, v1, v2) = pts[a].coords.tolist(), pts[b].coords.tolist()
+        minors = (abs(u0 * v1 - u1 * v0) ** 2 + abs(u1 * v2 - u2 * v1) ** 2
+                  + abs(u2 * v0 - u0 * v2) ** 2)
+        norms = ((abs(u0) ** 2 + abs(u1) ** 2 + abs(u2) ** 2)
+                 * (abs(v0) ** 2 + abs(v1) ** 2 + abs(v2) ** 2))
+        assert abs(d - math.sqrt(minors / norms)) <= 1e-15
 
 
 def test_cubic_form_scale_invariant_checks():
