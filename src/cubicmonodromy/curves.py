@@ -2,7 +2,10 @@
 
 A cubic form is stored as 10 complex coefficients in the fixed monomial order
 
-    x^3, x^2 y, x^2 z, x y^2, x y z, x z^2, y^3, y^2 z, y z^2, z^3.
+    x^3, x^2 y, x^2 z, x y^2, x y z, x z^2, y^3, y^2 z, y z^2, z^3,
+
+and as the (3, 3, 3) coefficient tensor that the gradient, the Hessian form
+and coordinate changes are computed from.
 
 Inflection points of the two families that matter (the y^2 z = cubic pencil
 and the Hesse normal forms) are computed from closed-form reductions; a
@@ -13,8 +16,9 @@ independent cross-check in the tests.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,52 +30,38 @@ MONOMIALS = (
     (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
 )
 _MONOMIAL_INDEX = {m: i for i, m in enumerate(MONOMIALS)}
+_EXPONENTS = np.array(MONOMIALS)
 # entry (m, a) picks x_a^e from a point's power table [1, x, x^2, x^3]
 # flattened to 12 entries, e being the exponent of x_a in monomial m
-_POWER_INDEX = 3 * np.array(MONOMIALS) + np.arange(3)
+_POWER_INDEX = 3 * _EXPONENTS + np.arange(3)
 
-QUAD_MONOMIALS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+# A cubic's coefficient tensor T holds each monomial's coefficient at its
+# sorted index triple (x^2 y at [0, 0, 1]) and zeros elsewhere, so that
+# f(p) = sum T_ijk p_i p_j p_k term by term.  _TENSOR_SLOT is that triple as
+# a flat index; _FOLD sums the 27 entries of any (3, 3, 3) tensor onto the
+# monomials of their index triples, which reads a form back from a tensor.
+_TENSOR_SLOT = np.array([np.repeat(np.arange(3), m) for m in MONOMIALS]) @ (9, 3, 1)
+_FOLD = np.zeros((27, 10))
+_FOLD[np.arange(27), [_MONOMIAL_INDEX[tuple(np.bincount(t, minlength=3).tolist())]
+                      for t in itertools.product(range(3), repeat=3)]] = 1.0
+# eps_abc: the sign of (a, b, c) as a permutation of (0, 1, 2), else 0
+_LEVI_CIVITA = np.fromfunction(lambda a, b, c: (b - a) * (c - a) * (c - b) / 2, (3, 3, 3))
+# the monomials x^k y^(3-k), k = 0..3, left at z = 0
+_AT_INFINITY = [_MONOMIAL_INDEX[(k, 3 - k, 0)] for k in range(4)]
 
 _REL_ZERO = 1e-9
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for (i1, j1, k1), c1 in p.items():
-        for (i2, j2, k2), c2 in q.items():
-            key = (i1 + i2, j1 + j2, k1 + k2)
-            out[key] = out.get(key, 0j) + c1 * c2
-    return out
-
-
-def _poly_diff(p: dict, axis: int) -> dict:
-    out: dict = {}
-    for mono, c in p.items():
-        if mono[axis] == 0:
-            continue
-        new = list(mono)
-        new[axis] -= 1
-        out[tuple(new)] = out.get(tuple(new), 0j) + c * mono[axis]
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class QuadForm:
-    """Quadratic form in x, y, z; coefficients follow QUAD_MONOMIALS."""
-
-    coeffs: np.ndarray
-
-    def __call__(self, p: np.ndarray) -> complex:
-        x, y, z = p
-        vals = (x * x, x * y, x * z, y * y, y * z, z * z)
-        return complex(sum(c * v for c, v in zip(self.coeffs, vals)))
-
-
 @dataclass(frozen=True, eq=False)
 class CubicForm:
-    """Homogeneous cubic in x, y, z; coefficients follow MONOMIALS."""
+    """Homogeneous cubic in x, y, z; coefficients follow MONOMIALS.
+
+    tensor holds the same coefficients as the (3, 3, 3) array T described
+    at _TENSOR_SLOT; the gradient, compose and hessian_det_form work on it.
+    """
 
     coeffs: np.ndarray
+    tensor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs, dtype=complex)
@@ -80,6 +70,9 @@ class CubicForm:
         if not np.all(np.isfinite(arr.view(float))):
             raise ValueError("non-finite coefficient")
         object.__setattr__(self, "coeffs", arr)
+        tensor = np.zeros(27, dtype=complex)
+        tensor[_TENSOR_SLOT] = arr
+        object.__setattr__(self, "tensor", tensor.reshape(3, 3, 3))
 
     def __call__(self, p: np.ndarray) -> complex | np.ndarray:
         """f at one point (a complex) or at each row of an (..., 3) stack."""
@@ -90,8 +83,13 @@ class CubicForm:
         vals = (xyz[..., 0] * xyz[..., 1] * xyz[..., 2]) @ self.coeffs
         return complex(vals) if p.ndim == 1 else vals
 
-    def as_dict(self) -> dict:
-        return {m: complex(c) for m, c in zip(MONOMIALS, self.coeffs) if c != 0}
+    def gradient(self, p: np.ndarray) -> np.ndarray:
+        """(df/dx, df/dy, df/dz) at one point, or along the last axis at each
+        row of an (..., 3) stack."""
+        t = self.tensor
+        # df/dp_a = sum (T_ajk + T_jak + T_jka) p_j p_k
+        first = t + t.transpose(1, 0, 2) + t.transpose(2, 0, 1)
+        return np.einsum("ajk,...j,...k->...a", first, p, p)
 
     def scale(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
@@ -99,23 +97,12 @@ class CubicForm:
     def compose(self, m: np.ndarray) -> "CubicForm":
         """The form p -> f(m @ p), expanded back into monomial coefficients."""
         m = np.asarray(m, dtype=complex)
-        rows = [
-            {(1, 0, 0): m[i, 0], (0, 1, 0): m[i, 1], (0, 0, 1): m[i, 2]}
-            for i in range(3)
-        ]
-        total: dict = {}
-        for (i, j, k), c in self.as_dict().items():
-            term = {(0, 0, 0): c}
-            for row, power in zip(rows, (i, j, k)):
-                for _ in range(power):
-                    term = _poly_mul(term, row)
-            for mono, val in term.items():
-                total[mono] = total.get(mono, 0j) + val
-        # every monomial here has degree 3, so the dict folds onto MONOMIALS
-        out = np.zeros(10, dtype=complex)
-        for mono, val in total.items():
-            out[_MONOMIAL_INDEX[mono]] += val
-        return CubicForm(out)
+        return _folded(np.einsum("abc,ai,bj,ck->ijk", self.tensor, m, m, m))
+
+
+def _folded(s: np.ndarray) -> CubicForm:
+    """The cubic form sum s_ijk p_i p_j p_k of a (3, 3, 3) tensor s."""
+    return CubicForm(s.reshape(27) @ _FOLD)
 
 
 def family_lambda(lam: complex, tol: float = TOL_MATCH) -> CubicForm:
@@ -149,35 +136,16 @@ def hesse_form(mu: complex, tol: float = TOL_MATCH) -> CubicForm:
     return CubicForm(out)
 
 
-def gradient(f: CubicForm) -> tuple[QuadForm, QuadForm, QuadForm]:
-    parts = []
-    d = f.as_dict()
-    for axis in range(3):
-        dd = _poly_diff(d, axis)
-        coeffs = np.zeros(6, dtype=complex)
-        for idx, mono in enumerate(QUAD_MONOMIALS):
-            coeffs[idx] = dd.get(mono, 0j)
-        parts.append(QuadForm(coeffs))
-    return tuple(parts)
-
-
 def hessian_det_form(f: CubicForm) -> CubicForm:
-    """Determinant of the matrix of second partials, as a cubic form."""
-    d = f.as_dict()
-    second = [[_poly_diff(_poly_diff(d, i), j) for j in range(3)] for i in range(3)]
-    total: dict = {}
-    for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                       ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
-        term = {(0, 0, 0): complex(sign)}
-        for row, col in enumerate(perm):
-            term = _poly_mul(term, second[row][col])
-        for mono, val in term.items():
-            total[mono] = total.get(mono, 0j) + val
-    out = np.zeros(10, dtype=complex)
-    for mono, val in total.items():
-        if abs(val) > 0:
-            out[_MONOMIAL_INDEX[mono]] += val
-    return CubicForm(out)
+    """Determinant of the matrix of second partials, as a cubic form.
+
+    The second partials are linear forms, d2f/dp_a dp_b = sum_k H_abk p_k
+    with H the sum of T over all six orderings of its axes, so the
+    determinant sum eps_abc H(p)_0a H(p)_1b H(p)_2c is one contraction.
+    """
+    t = f.tensor
+    h = sum(t.transpose(axes) for axes in itertools.permutations(range(3)))
+    return _folded(np.einsum("abc,ai,bj,ck->ijk", _LEVI_CIVITA, h[0], h[1], h[2]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,15 +343,15 @@ def inflection_points(f: CubicForm, tol: float = 1e-8,
     the normalized coordinates, each rounded as in order_key.
     """
     kind, param = route or cubic_route(f)
+    hess = hessian_det_form(f)
     if kind == "family":
         pts = _inflections_family(param)
     elif kind == "hesse":
         pts = _inflections_hesse(param)
     else:
-        pts = _inflections_resultant(f, tol)
+        pts = _inflections_resultant(f, hess, tol)
     if len(pts) != 9:
         raise DegenerateCurve(f"expected 9 inflection points, got {len(pts)}")
-    hess = hessian_det_form(f)
     coords = np.array([p.coords for p in pts])
     units = coords / np.linalg.norm(coords, axis=-1, keepdims=True)
     if (np.any(np.abs(f(units)) > tol * f.scale())
@@ -422,7 +390,7 @@ def _inflections_hesse(mu: complex) -> list[ProjPoint2]:
     return pts
 
 
-def _binary_cubic_roots(coeffs: list[complex], tol: float) -> list[np.ndarray]:
+def _binary_cubic_roots(coeffs: np.ndarray) -> list[np.ndarray]:
     """Projective roots [x : y] of sum coeffs[k] x^k y^(3-k)."""
     scale = max(abs(c) for c in coeffs)
     if scale == 0.0:
@@ -438,51 +406,38 @@ def _binary_cubic_roots(coeffs: list[complex], tol: float) -> list[np.ndarray]:
     return out
 
 
-def _inflections_resultant(f: CubicForm, tol: float) -> list[ProjPoint2]:
-    """Arbitrary-cubic route: eliminate y between f and its Hessian form.
+def _y_coefficients(f: CubicForm) -> np.ndarray:
+    """Row j is the coefficient of y^j as a polynomial in x at z = 1,
+    ascending; rows stop at the highest power of y that f contains."""
+    rows = np.zeros((4, 4), dtype=complex)
+    rows[_EXPONENTS[:, 1], _EXPONENTS[:, 0]] = f.coeffs
+    present = np.flatnonzero(np.any(rows != 0, axis=1))
+    return rows[:present.max() + 1 if present.size else 1]
 
-    The Sylvester determinant in y is evaluated at interpolation nodes and
-    refit as a polynomial in x (z = 1 chart); points at z = 0 are recovered
-    from the two binary cubics.  Slower than the closed forms, used as the
-    fallback and for cross-checks.
+
+def _inflections_resultant(f: CubicForm, hess: CubicForm, tol: float) -> list[ProjPoint2]:
+    """Arbitrary-cubic route: eliminate y between f and its Hessian form hess.
+
+    The Sylvester determinant in y is evaluated at interpolation nodes, as
+    one stack, and refit as a polynomial in x (z = 1 chart); points at z = 0
+    are recovered from the two binary cubics.  Slower than the closed forms,
+    used as the fallback and for cross-checks.
     """
-    hess = hessian_det_form(f)
-    fd, hd = f.as_dict(), hess.as_dict()
-
-    def y_coeff_polys(d: dict) -> list[Poly1]:
-        # coefficient of y^j as a polynomial in x, at z = 1
-        cols: dict[int, dict[int, complex]] = {}
-        for (i, j, _k), c in d.items():
-            cols.setdefault(j, {})[i] = cols.setdefault(j, {}).get(i, 0j) + c
-        out = []
-        top = max(cols) if cols else 0
-        for j in range(top + 1):
-            entry = cols.get(j, {0: 0j})
-            deg = max(entry)
-            out.append(Poly1(tuple(entry.get(i, 0j) for i in range(deg + 1))))
-        return out
-
-    fy = y_coeff_polys(fd)
-    hy = y_coeff_polys(hd)
+    fy, hy = _y_coefficients(f), _y_coefficients(hess)
     m, n = len(fy) - 1, len(hy) - 1
     size = m + n
-
-    def sylvester_det(x: complex) -> complex:
-        fv = [p(x) for p in fy]
-        hv = [p(x) for p in hy]
-        mat = np.zeros((size, size), dtype=complex)
-        for r in range(n):
-            mat[r, r:r + m + 1] = list(reversed(fv))
-        for r in range(m):
-            mat[n + r, r:r + n + 1] = list(reversed(hv))
-        return complex(np.linalg.det(mat))
-
     deg_bound = 3 * size
-    nodes = [2.3 * cmath.exp(2j * cmath.pi * (k + 0.31) / (deg_bound + 1))
-             for k in range(deg_bound + 1)]
-    vals = np.array([sylvester_det(x) for x in nodes])
-    vander = np.vander(np.array(nodes), deg_bound + 1, increasing=True)
-    coeffs = np.linalg.solve(vander, vals)
+    nodes = 2.3 * np.exp(2j * np.pi * (np.arange(deg_bound + 1) + 0.31) / (deg_bound + 1))
+    # the y-coefficients at every node, highest power of y first
+    xpow = np.vander(nodes, 4, increasing=True)
+    fv, hv = (xpow @ fy.T)[:, ::-1], (xpow @ hy.T)[:, ::-1]
+    sylvester = np.zeros((len(nodes), size, size), dtype=complex)
+    for r in range(n):
+        sylvester[:, r, r:r + m + 1] = fv
+    for r in range(m):
+        sylvester[:, n + r, r:r + n + 1] = hv
+    vander = np.vander(nodes, deg_bound + 1, increasing=True)
+    coeffs = np.linalg.solve(vander, np.linalg.det(sylvester))
     res_poly = Poly1(tuple(coeffs)).trimmed(1e-9)
 
     pts: list[ProjPoint2] = []
@@ -496,8 +451,7 @@ def _inflections_resultant(f: CubicForm, tol: float) -> list[ProjPoint2]:
 
     fs, hs = f.scale(), hess.scale()
     for x in roots_of(res_poly, tol=1e-12):
-        ycs = [p(x) for p in fy]
-        for root in _binary_cubic_roots(ycs, tol):
+        for root in _binary_cubic_roots(fy @ x ** np.arange(4)):
             if abs(root[1]) < 1e-9:
                 continue
             y = root[0] / root[1]
@@ -506,10 +460,8 @@ def _inflections_resultant(f: CubicForm, tol: float) -> list[ProjPoint2]:
             if abs(f(u)) < tol * fs and abs(hess(u)) < tol * hs:
                 push(cand)
 
-    f_inf = [fd.get((k, 3 - k, 0), 0j) for k in range(4)]
-    h_inf = [hd.get((k, 3 - k, 0), 0j) for k in range(4)]
-    for rf in _binary_cubic_roots(f_inf, tol):
-        for rh in _binary_cubic_roots(h_inf, tol):
+    for rf in _binary_cubic_roots(f.coeffs[_AT_INFINITY]):
+        for rh in _binary_cubic_roots(hess.coeffs[_AT_INFINITY]):
             uf = rf / np.linalg.norm(rf)
             uh = rh / np.linalg.norm(rh)
             if 1.0 - min(1.0, abs(np.vdot(uf, uh))) < 1e-9:
@@ -519,9 +471,7 @@ def _inflections_resultant(f: CubicForm, tol: float) -> list[ProjPoint2]:
 
 def tangent_line(f: CubicForm, p: ProjPoint2, tol: float = 1e-8) -> PlaneLine:
     """Tangent line to V(f) at p; p must be a smooth point of the curve."""
-    gx, gy, gz = gradient(f)
-    u = p.unit()
-    vec = np.array([gx(u), gy(u), gz(u)], dtype=complex)
+    vec = f.gradient(p.unit())
     if np.linalg.norm(vec) < tol * f.scale():
         raise SingularPoint("gradient vanishes at the requested point")
     return PlaneLine(vec)

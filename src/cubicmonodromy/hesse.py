@@ -81,8 +81,11 @@ def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _chordal(u_rows: np.ndarray, v_rows: np.ndarray) -> float:
-    overlap = np.linalg.norm(u_rows @ v_rows.T.conj(), "fro") ** 2
-    return math.sqrt(max(0.0, 2.0 - overlap))
+    """Chordal distance between the row spans of two 2 x 4 matrices with
+    orthonormal rows: the norm of v's component off span u.  That equals
+    sqrt(2 - |u v^H|^2), whose subtraction cancels (up to 4e-8 for a span
+    and itself)."""
+    return float(np.linalg.norm(v_rows - (v_rows @ u_rows.T.conj()) @ u_rows))
 
 
 def induced_line_perm(transform: np.ndarray,

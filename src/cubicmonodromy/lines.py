@@ -16,8 +16,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .curves import (
-    CubicForm, ProjPoint2, cubic_route, flex_height_squared, gradient,
-    hesse_form, inflection_points, phase_normalize, tangent_covector_family,
+    CubicForm, ProjPoint2, cubic_route, flex_height_squared, inflection_points,
+    phase_normalize, tangent_covector_family,
 )
 from .errors import (
     AmbiguousIncidence, BadIncidencePattern, NoSixer, NonIntegralImage,
@@ -103,15 +103,15 @@ def _family_triple(lam: complex, p: ProjPoint2) -> list[Pair]:
             for n in range(3)]
 
 
-def _hesse_triple(eta: complex, grad: tuple, p: ProjPoint2) -> list[Pair]:
+def _hesse_triple(eta: complex, p: ProjPoint2, grad: np.ndarray) -> list[Pair]:
     # each Hesse inflection point has exactly one vanishing coordinate; the
-    # cube w^3 - eta^3 m^3 lives on that coordinate m
+    # cube w^3 - eta^3 m^3 lives on that coordinate m; grad is the form's
+    # gradient at p.unit()
     coords = p.coords
     zero_idx = int(np.argmin(np.abs(coords)))
     if abs(coords[zero_idx]) > 1e-8:
         raise NotAFlex("not a Hesse inflection point")
-    u = p.unit()
-    h2 = np.array([*(g(u) for g in grad), 0.0], dtype=complex)
+    h2 = np.array([*grad, 0.0], dtype=complex)
     out = []
     for n in range(3):
         h1 = np.zeros(4, dtype=complex)
@@ -128,19 +128,19 @@ def _hesse_eta(mu: complex) -> complex:
     return eta
 
 
-def _generic_triple(f: CubicForm, grad: tuple, tol: float, p: ProjPoint2) -> list[Pair]:
+def _generic_triple(f: CubicForm, tol: float, p: ProjPoint2, grad: np.ndarray) -> list[Pair]:
     """Tangent-line cube reduction for an arbitrary smooth cubic.
 
     On the tangent line at a flex the form is c * m^3 for any linear form m
     that vanishes at the point and is independent of the tangent covector;
     the three lines are w = (c)^(1/3) omega^n m inside the tangent plane.
+    grad is f's gradient at p.unit().
     """
     u = p.unit()
-    t = np.array([g(u) for g in grad], dtype=complex)
-    tn = np.linalg.norm(t)
+    tn = np.linalg.norm(grad)
     if tn < tol * f.scale():
         raise NotAFlex("gradient vanishes; not a smooth point")
-    t = t / tn
+    t = grad / tn
     # forms vanishing at p: null space of the evaluation functional at p
     _, _, vh = np.linalg.svd(u[None, :])
     cands = [vh[1].conj(), vh[2].conj()]
@@ -187,13 +187,13 @@ def all_lines(f: CubicForm, flexes: list[ProjPoint2], tol: float = 1e-8,
     """
     kind, param = route or cubic_route(f)
     if kind == "family":
-        triple_over = partial(_family_triple, param)
-    elif kind == "hesse":
-        triple_over = partial(_hesse_triple, _hesse_eta(param), gradient(hesse_form(param)))
+        pairs = [pair for p in flexes for pair in _family_triple(param, p)]
     else:
-        triple_over = partial(_generic_triple, f, gradient(f), tol)
-    pairs = np.array([pair for p in flexes for pair in triple_over(p)], dtype=complex)
-    return _surface_lines(f, pairs, flexes, tol)
+        triple = (partial(_hesse_triple, _hesse_eta(param)) if kind == "hesse"
+                  else partial(_generic_triple, f, tol))
+        grads = f.gradient(np.array([p.unit() for p in flexes]))
+        pairs = [pair for p, g in zip(flexes, grads) for pair in triple(p, g)]
+    return _surface_lines(f, np.array(pairs, dtype=complex), flexes, tol)
 
 
 def _surface_lines(f: CubicForm, pairs: np.ndarray, flexes: list[ProjPoint2],

@@ -9,7 +9,7 @@ import pytest
 import cubicmonodromy.curves as curves
 from cubicmonodromy.curves import (MONOMIALS, CubicForm, ProjPoint2, family_lambda,
                                    family_parameter, flex_height_squared,
-                                   flex_quartic, gradient, hesse_form,
+                                   flex_quartic, hesse_form,
                                    hesse_parameter, hessian_det_form,
                                    inflection_points, tangent_covector_family,
                                    tangent_line)
@@ -136,15 +136,49 @@ def test_tangent_covector_matches_gradient(lam):
     # regression: the z-partial once carried a spurious -lam alpha^2 term
     # that only vanished at lam = 0
     f = family_lambda(lam)
-    gx, gy, gz = gradient(f)
     for alpha in roots_of(flex_quartic(lam)):
         y = complex(flex_height_squared(lam, alpha)) ** 0.5
         p = np.array([alpha, y, 1.0], dtype=complex)
-        grad = np.array([gx(p), gy(p), gz(p)])
+        grad = f.gradient(p)
         cov = tangent_covector_family(lam, alpha, y)
         grad = grad / np.linalg.norm(grad)
         cov = cov / np.linalg.norm(cov)
         assert abs(abs(np.vdot(grad, cov)) - 1.0) < 1e-10
+
+
+def _monomial_derivatives(f, p):
+    # gradient and matrix of second partials at p, differentiating each
+    # monomial c x^i y^j z^k in turn
+    unit = np.eye(3, dtype=int)
+
+    def term(c, e):
+        return 0j if min(e) < 0 else c * p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2]
+
+    grad = np.zeros(3, dtype=complex)
+    second = np.zeros((3, 3), dtype=complex)
+    for e, c in zip(MONOMIALS, f.coeffs):
+        for a in range(3):
+            da = np.subtract(e, unit[a])
+            grad[a] += e[a] * term(c, da)
+            for b in range(3):
+                second[a, b] += e[a] * da[b] * term(c, da - unit[b])
+    return grad, second
+
+
+def test_tensor_gradient_and_hessian_match_monomial_derivatives():
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        f = CubicForm(rng.normal(size=10) + 1j * rng.normal(size=10))
+        hess = hessian_det_form(f)
+        pts = rng.normal(size=(2, 4, 3)) + 1j * rng.normal(size=(2, 4, 3))
+        grads = f.gradient(pts)
+        assert grads.shape == (2, 4, 3)
+        for idx in np.ndindex(2, 4):
+            grad, second = _monomial_derivatives(f, pts[idx])
+            assert np.allclose(grads[idx], grad, rtol=1e-12, atol=1e-12)
+            assert np.allclose(f.gradient(pts[idx]), grad, rtol=1e-12, atol=1e-12)
+            det = np.linalg.det(second)
+            assert abs(hess(pts[idx]) - det) <= 1e-12 * max(1.0, abs(det))
 
 
 def test_tangent_line_contains_point():

@@ -5,7 +5,8 @@ import pytest
 
 from cubicmonodromy.curves import family_lambda, hesse_form
 from cubicmonodromy.errors import GroupError, NoUniqueMatch
-from cubicmonodromy.hesse import (OMEGA, heisenberg_lifts, heisenberg_matrices,
+from cubicmonodromy.hesse import (OMEGA, _chordal, _orthonormal_rows,
+                                  heisenberg_lifts, heisenberg_matrices,
                                   hesse_transform, induced_line_perm)
 from cubicmonodromy.lines import (base_surface, deck_permutation,
                                   perm_compose, preserves_incidence)
@@ -64,6 +65,14 @@ def test_lifts_preserve_diagonal_surface():
 def test_induced_perm_identity():
     p = induced_line_perm(np.eye(4, dtype=complex))
     assert p.tolist() == list(range(27))
+
+
+def test_chordal_distance_has_no_cancellation_floor():
+    # sqrt(2 - |U V^H|^2) left up to 4e-8 for a base line mapped through the
+    # identity and itself, only 25 times below TOL_MATCH
+    for line in base_surface().lines:
+        moved = _orthonormal_rows(line.span_basis() @ np.eye(4))
+        assert _chordal(moved, line.span_basis()) < 1e-14
 
 
 def test_induced_perm_deck_scaling():

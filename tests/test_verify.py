@@ -7,7 +7,7 @@ import cubicmonodromy.fixtures as fixtures_mod
 import cubicmonodromy.verify as verify
 from cubicmonodromy.errors import NotAMember
 from cubicmonodromy.fixtures import load_fixtures
-from cubicmonodromy.lines import base_surface, perm_compose
+from cubicmonodromy.lines import base_surface, concurrent_triples, perm_compose
 from cubicmonodromy.tracking import TrackingConfig
 from cubicmonodromy.verify import (build_pipeline, conjugator_carrying_deck,
                                    fixture_group, fixture_source,
@@ -26,6 +26,55 @@ PAIRS = [("fx-deck-invariants", "pl-deck-matrix"),
 @pytest.fixture(scope="module")
 def full_report():
     return {c["id"]: c for c in run_checks("all").to_dict()["checks"]}
+
+
+# The integer data of the surface at lambda = 0 and of the generators the
+# pipeline computes from it; the fixture checksums and the transcribed
+# permutations rest on these, so any geometry change must leave them as is.
+BASE_SIXER = (0, 4, 7, 10, 16, 23)
+BASE_CLASSES = [
+    [0, 1, 0, 0, 0, 0, 0], [2, -1, -1, -1, -1, -1, 0], [1, -1, 0, 0, 0, 0, -1],
+    [2, -1, -1, -1, 0, -1, -1], [0, 0, 1, 0, 0, 0, 0], [1, 0, -1, 0, -1, 0, 0],
+    [1, -1, 0, -1, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0], [2, 0, -1, -1, -1, -1, -1],
+    [2, -1, -1, -1, -1, 0, -1], [0, 0, 0, 0, 1, 0, 0], [1, 0, 0, 0, -1, -1, 0],
+    [1, -1, -1, 0, 0, 0, 0], [1, 0, 0, 0, 0, -1, -1], [1, 0, 0, -1, -1, 0, 0],
+    [2, -1, 0, -1, -1, -1, -1], [0, 0, 0, 0, 0, 1, 0], [1, 0, -1, 0, 0, -1, 0],
+    [1, -1, 0, 0, 0, -1, 0], [1, 0, 0, 0, -1, 0, -1], [1, 0, -1, -1, 0, 0, 0],
+    [2, -1, -1, 0, -1, -1, -1], [1, 0, 0, -1, 0, 0, -1], [0, 0, 0, 0, 0, 0, 1],
+    [1, -1, 0, 0, -1, 0, 0], [1, 0, -1, 0, 0, 0, -1], [1, 0, 0, -1, 0, -1, 0],
+]
+PIPELINE_MATRICES = {
+    "deck": [[4, 2, 1, 2, 1, 1, 2], [-1, -1, 0, 0, 0, 0, -1],
+             [-2, -1, -1, -1, 0, -1, -1], [-1, -1, 0, -1, 0, 0, 0],
+             [-2, -1, -1, -1, -1, 0, -1], [-2, -1, 0, -1, -1, -1, -1],
+             [-1, 0, 0, -1, 0, 0, -1]],
+    "h1": [[3, 1, 2, 1, 0, 1, 1], [-2, -1, -1, -1, 0, -1, -1],
+           [-1, 0, -1, 0, 0, 0, -1], [-1, 0, -1, 0, 0, -1, 0],
+           [-1, -1, -1, 0, 0, 0, 0], [-1, 0, -1, -1, 0, 0, 0],
+           [0, 0, 0, 0, 1, 0, 0]],
+    "h2": [[3, 1, 0, 1, 1, 2, 1], [-2, -1, 0, -1, -1, -1, -1],
+           [-1, -1, 0, 0, 0, -1, 0], [-1, 0, 0, 0, -1, -1, 0],
+           [-1, 0, 0, -1, 0, -1, 0], [-1, 0, 0, 0, 0, -1, -1],
+           [0, 0, 1, 0, 0, 0, 0]],
+    "g1": [[2, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0],
+           [-1, 0, 0, 0, -1, 0, -1], [-1, 0, 0, 0, 0, -1, -1],
+           [0, 0, 0, 1, 0, 0, 0], [-1, 0, 0, 0, -1, -1, 0]],
+    "g2": [[2, 0, 1, 0, 1, 0, 1], [0, 1, 0, 0, 0, 0, 0],
+           [-1, 0, 0, 0, -1, 0, -1], [-1, 0, -1, 0, 0, 0, -1],
+           [0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0],
+           [-1, 0, -1, 0, -1, 0, 0]],
+}
+
+
+def test_base_surface_and_pipeline_integer_data_are_pinned():
+    s = base_surface()
+    assert s.sixer == BASE_SIXER
+    assert s.classes.tolist() == BASE_CLASSES
+    assert concurrent_triples(s.lines, s.adjacency) == [
+        (3 * k, 3 * k + 1, 3 * k + 2) for k in range(9)]
+    source = build_pipeline()
+    for name, want in PIPELINE_MATRICES.items():
+        assert getattr(source, name).tolist() == want, name
 
 
 def test_transcribed_root_permutations():
