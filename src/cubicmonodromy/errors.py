@@ -34,7 +34,8 @@ class InconsistentProjection(NumericalError):
 
 
 class NoUniqueMatch(NumericalError):
-    """A transformed line matched no target line with a certified margin."""
+    """A nearest-neighbour match missed its margin, its tolerance, or its
+    bijection: of roots, inflections, lines or transcribed values alike."""
 
 
 class TransformResidual(NumericalError):

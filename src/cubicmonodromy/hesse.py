@@ -18,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .curves import CubicForm, family_lambda, hesse_form
-from .errors import GroupError, NoUniqueMatch, TransformResidual
+from .errors import GroupError, TransformResidual
 from .lines import Line3, SurfaceData, base_surface, perm_to_lattice_map
-from .numeric import OMEGA, TOL_MATCH, constants
+from .numeric import OMEGA, TOL_MATCH, constants, nearest_match
 from .weyl import lattice_inverse
 
 TOL_TRANSFORM = 1e-10
@@ -75,17 +75,21 @@ def heisenberg_lifts() -> tuple[np.ndarray, np.ndarray]:
     return x_lift, y_lift
 
 
-def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(rows.T)
-    return q.T
+def _span_distances(transform: np.ndarray, source_lines: Sequence[Line3],
+                    target_lines: Sequence[Line3]) -> np.ndarray:
+    """(m, n) chordal distances from each moved source span to each target:
+    the norm of the target's orthonormal basis off the moved span, which is
+    sqrt(2 - |u^H v|^2) without its cancellation (up to 4e-8 for a span and
+    itself).  A source span is moved by the inverse's conjugate transpose.
+    """
+    def spans(lines, move=np.eye(4)):
+        covectors = np.array([[line.h1, line.h2] for line in lines])
+        return np.linalg.qr(move @ covectors.transpose(0, 2, 1))[0]
 
-
-def _chordal(u_rows: np.ndarray, v_rows: np.ndarray) -> float:
-    """Chordal distance between the row spans of two 2 x 4 matrices with
-    orthonormal rows: the norm of v's component off span u.  That equals
-    sqrt(2 - |u v^H|^2), whose subtraction cancels (up to 4e-8 for a span
-    and itself)."""
-    return float(np.linalg.norm(v_rows - (v_rows @ u_rows.T.conj()) @ u_rows))
+    moved = spans(source_lines, np.linalg.inv(transform).conj().T)[:, None]
+    targets = spans(target_lines)
+    off = targets - moved @ (moved.conj().swapaxes(-1, -2) @ targets)
+    return np.linalg.norm(off, axis=(-2, -1))
 
 
 def induced_line_perm(transform: np.ndarray,
@@ -94,31 +98,18 @@ def induced_line_perm(transform: np.ndarray,
                       tol: float = TOL_MATCH) -> np.ndarray:
     """Permutation induced on lines by a map carrying one surface to another.
 
-    A hyperplane covector h moves to h composed with the inverse transform,
-    so each source line's covector span is pushed through the inverse and
-    matched to the target lines by chordal span distance; the nearest line
-    must beat the runner-up by a factor of two.  Defaults to the base
-    surface on both sides, the automorphism case.
+    Each source line's covector span h is moved to the span of
+    h @ conj(inverse), so the permutation is the one conj(transform)
+    induces, and matched to the target lines by chordal span distance under
+    nearest_match, within tol and one to one.  Defaults to the base surface
+    on both sides, the automorphism case.
     """
     if source_lines is None:
         source_lines = base_surface().lines
     if target_lines is None:
         target_lines = source_lines
-    inv = np.linalg.inv(transform)
-    targets = [line.span_basis() for line in target_lines]
-    images = np.full(len(source_lines), -1, dtype=np.int64)
-    for i, line in enumerate(source_lines):
-        moved = _orthonormal_rows(line.span_basis() @ inv)
-        dists = sorted((_chordal(moved, other), j)
-                       for j, other in enumerate(targets))
-        (d0, j0), (d1, _) = dists[0], dists[1]
-        if d0 > tol or d0 >= 0.5 * d1:
-            raise NoUniqueMatch(
-                f"line {i} has no certified image (best {d0:.3e}, next {d1:.3e})")
-        images[i] = j0
-    if len(set(images.tolist())) != len(targets):
-        raise NoUniqueMatch("transform did not induce a bijection on lines")
-    return images
+    return nearest_match(_span_distances(transform, source_lines, target_lines),
+                         tol)
 
 
 def heisenberg_matrices(surface: SurfaceData | None = None

@@ -50,11 +50,6 @@ class Line3:
         object.__setattr__(self, "h1", pairs[0, 0])
         object.__setattr__(self, "h2", pairs[0, 1])
 
-    def span_basis(self) -> np.ndarray:
-        """Orthonormal basis (2 x 4) of the covector span."""
-        q, _ = np.linalg.qr(np.vstack([self.h1, self.h2]).T)
-        return q.T.conj()
-
 
 def _checked_spans(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Phase-normalize every covector of an (m, 2, 4) stack and check that

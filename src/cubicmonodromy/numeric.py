@@ -7,7 +7,8 @@ finder, `roots_of_stack`, solves a stack of polynomials of one degree: one
 polish of every root.  A root is accepted on its backward error: |p(z)|
 against sum_k |c_k| |z|^k, the bound on the rounding error of evaluating p
 at z (Higham, Accuracy and Stability of Numerical Algorithms, ch. 5).
-`roots_of` is one sorted row of it.
+`roots_of` is one sorted row of it.  `nearest_match` is the one rule by
+which roots, inflections, lines and transcribed values are matched.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import NonConvergence, NoUniqueMatch
 
 TOL_ROOT = 1e-10
 TOL_MATCH = 1e-6
@@ -81,6 +82,31 @@ def order_key(z: complex) -> tuple[float, float]:
     noise cannot flip the order of two values whose real parts agree (a
     conjugate pair on the imaginary axis, say)."""
     return (round(z.real, 9), round(z.imag, 9))
+
+
+def nearest_match(dist, tol: float = math.inf,
+                  one_to_one: bool = True) -> np.ndarray:
+    """Nearest column of every row of a stack of (m, n) distance matrices.
+
+    Returns the argmin along the last axis.  Raises NoUniqueMatch unless
+    every nearest distance is below half the runner-up (a heuristic margin,
+    not a certificate) and at most tol, and, with one_to_one, the hits of
+    every matrix form a permutation, so m == n.
+    """
+    dist = np.asarray(dist, dtype=float)
+    m, n = dist.shape[-2:]
+    if one_to_one and m != n:
+        raise NoUniqueMatch(f"a {m} x {n} matching cannot be one to one")
+    near = np.sort(dist, axis=-1)
+    best = near[..., 0]
+    if n > 1 and not (best < 0.5 * near[..., 1]).all():
+        raise NoUniqueMatch("nearest candidate is not below half the runner-up")
+    if not (best <= tol).all():
+        raise NoUniqueMatch(f"nearest candidate at {best.max():.3e} > {tol:.1e}")
+    hits = dist.argmin(axis=-1)
+    if one_to_one and (np.sort(hits, axis=-1) != np.arange(n)).any():
+        raise NoUniqueMatch("matching is not one to one")
+    return hits
 
 
 def roots_of(p: Poly1, tol: float = TOL_ROOT, precision: str = "double") -> list[complex]:

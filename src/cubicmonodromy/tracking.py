@@ -7,12 +7,13 @@ coordinate the square root branch nearest the previous one.  All samples of
 one resolution are handled as arrays: the quartics at samples 1..n are solved
 in one batch (`numeric.roots_of_stack`), the roots at sample k - 1, Newton
 polished on quartic k, predict the matches of every step at once, and the
-step maps compose into the root paths.  A match is accepted only when the
-nearest candidate beats the runner-up by a factor of two (a heuristic, not a
-certificate); otherwise the whole loop is re-run at doubled resolution, up
-to MAX_SAMPLES samples.  Both end permutations, of the roots and of the
-inflections, are read off the same trace, and the inflection permutation
-lifts to the 27 lines and lands in the lattice as an integer matrix.
+step maps compose into the root paths.  Every match is decided by the one
+rule `numeric.nearest_match`: the nearest candidate must beat the runner-up
+by a factor of two (a heuristic, not a certificate).  When any match fails,
+the whole loop is re-run at doubled resolution, up to MAX_SAMPLES samples.
+Both end permutations, of the roots and of the inflections, are read off the
+same trace, and the inflection permutation lifts to the 27 lines and lands
+in the lattice as an integer matrix.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import numpy as np
 
 from .curves import flex_height_squared, flex_quartic, flex_quartic_stack
 from .errors import (AmbiguousMatching, InconsistentProjection, NonConvergence,
-                     SingularParameter)
+                     NoUniqueMatch, SingularParameter)
 from .lines import base_surface, perm_to_lattice_map
-from .numeric import (PRECISIONS, TOL_MATCH, newton_polish_stack, roots_of,
-                      roots_of_stack)
+from .numeric import (PRECISIONS, TOL_MATCH, nearest_match, newton_polish_stack,
+                      roots_of, roots_of_stack)
 from .weyl import is_lattice_map
 
 SEPARATION = 10.0 * TOL_MATCH
@@ -92,10 +93,6 @@ class TrackingConfig:
             raise ValueError(f"unknown precision {self.precision!r}")
 
 
-class _Ambiguous(Exception):
-    """Internal: matching failed at the current resolution."""
-
-
 @dataclass(frozen=True, eq=False)
 class LoopTrace:
     """One loop continued at a single resolution.
@@ -116,32 +113,6 @@ class LoopTrace:
     flex_perm: np.ndarray
 
 
-def _nearest(dists: list[float]) -> int:
-    """Index of the smallest distance, if it beats the runner-up by a factor
-    of two."""
-    order = sorted(range(len(dists)), key=dists.__getitem__)
-    if len(order) > 1 and dists[order[0]] >= 0.5 * dists[order[1]]:
-        raise _Ambiguous("nearest candidate does not dominate the runner-up")
-    return order[0]
-
-
-def _match_to(candidates: list[complex], z: complex) -> int:
-    return _nearest([abs(z - w) for w in candidates])
-
-
-def _end_permutation(dist_rows: list[list[float]], eps: float) -> list[int]:
-    """Bijection from path ends (rows) to base points (columns)."""
-    images = []
-    for row in dist_rows:
-        j = _nearest(row)
-        if row[j] > eps:
-            raise _Ambiguous("endpoint missed the base fibre")
-        images.append(j)
-    if len(set(images)) != len(images):
-        raise _Ambiguous("endpoint matching is not a bijection")
-    return images
-
-
 def _pair_gaps(a: np.ndarray) -> np.ndarray:
     """|a[k, i] - a[k, j]| for every row k and every pair i < j."""
     i, j = np.triu_indices(a.shape[1], 1)
@@ -152,46 +123,38 @@ def _step_maps(coeffs: np.ndarray, fresh: np.ndarray) -> np.ndarray:
     """hits[k - 1, i]: the root at sample k that fresh[k - 1, i] continues to.
 
     fresh[k] holds the roots of quartic k (coeffs[k - 1]).  The prediction
-    for fresh[k - 1, i] is its Newton polish on quartic k; the nearest root
-    must beat the runner-up by a factor of two, every step must map the four
-    roots one to one, and the roots must stay SEPARATION apart.
+    for fresh[k - 1, i] is its Newton polish on quartic k, matched one to one
+    by nearest_match; the roots must stay SEPARATION apart.
     """
     pred = newton_polish_stack(coeffs, fresh[:-1])
-    dist = np.abs(pred[:, :, None] - fresh[1:, None, :])
-    near = np.sort(dist, axis=2)
-    if (near[:, :, 0] >= 0.5 * near[:, :, 1]).any():
-        raise _Ambiguous("nearest candidate does not dominate the runner-up")
-    hits = dist.argmin(axis=2)
-    if (np.sort(hits, axis=1) != np.arange(4)).any():
-        raise _Ambiguous("two tracks collapsed onto one root")
+    hits = nearest_match(np.abs(pred[:, :, None] - fresh[1:, None, :]))
     if (_pair_gaps(fresh[1:]) < SEPARATION).any():
-        raise _Ambiguous("tracked roots lost separation")
+        raise NoUniqueMatch("tracked roots lost separation")
     return hits
 
 
 def _flex_heights(lams: np.ndarray, xs: np.ndarray,
-                  base_ys: list[complex]) -> np.ndarray:
+                  base_ys: np.ndarray) -> np.ndarray:
     """y paths over the x paths xs of the moving inflections.
 
     At each sample y is the square root of flex_height_squared nearer the
-    previous y, which must beat the other root by a factor of two.  The
-    choice is a sign relative to the previous principal root, so the signs
-    are a cumulative product.
+    previous y, chosen by nearest_match between the two signs.  The choice
+    is a sign relative to the previous principal root, so the signs are a
+    cumulative product.
     """
     w = np.vstack([base_ys, np.sqrt(flex_height_squared(lams[1:, None], xs[1:]))])
-    same = np.abs(w[1:] - w[:-1])
-    flip = np.abs(w[1:] + w[:-1])
-    if (np.minimum(same, flip) >= 0.5 * np.maximum(same, flip)).any():
-        raise _Ambiguous("square-root branch choice is ambiguous")
-    keep = np.cumprod(np.where(same <= flip, 1, -1), axis=0) > 0
+    flips = nearest_match(np.stack([np.abs(w[1:] - w[:-1]),
+                                    np.abs(w[1:] + w[:-1])], axis=-1),
+                          one_to_one=False)
+    keep = np.cumprod(1 - 2 * flips, axis=0) > 0
     ys = np.vstack([w[:1], np.where(keep, w[1:], -w[1:])])
     if (_pair_gaps(xs[1:]) + _pair_gaps(ys[1:]) < SEPARATION).any():
-        raise _Ambiguous("inflection points lost separation")
+        raise NoUniqueMatch("inflection points lost separation")
     return ys
 
 
 def _trace_once(loop: Loop, steps: int, cfg: TrackingConfig) -> LoopTrace:
-    """Continue roots and inflections at one resolution; raises _Ambiguous
+    """Continue roots and inflections at one resolution; raises NoUniqueMatch
     when any match misses its margin.
 
     Samples 1..steps are solved in one batch and matched all at once.  A
@@ -199,7 +162,8 @@ def _trace_once(loop: Loop, steps: int, cfg: TrackingConfig) -> LoopTrace:
     is ambiguous, as if the samples were read in order.
     """
     # inflections 1..8 move; each rides on one root's x-path
-    base_pts = base_surface().flexes[1:9]
+    base_xs, base_ys = np.array([(p.x, p.y)
+                                 for p in base_surface().flexes[1:9]]).T
     ts = [k / steps for k in range(steps + 1)]
     lams: list[complex] = []
     stop = None
@@ -210,7 +174,7 @@ def _trace_once(loop: Loop, steps: int, cfg: TrackingConfig) -> LoopTrace:
         if not lams:
             raise
         stop = exc
-    base = roots_of(flex_quartic(lams[0]), precision=cfg.precision)
+    base = np.array(roots_of(flex_quartic(lams[0]), precision=cfg.precision))
     coeffs = flex_quartic_stack(lams)
     try:
         fresh = roots_of_stack(coeffs[1:], precision=cfg.precision)
@@ -222,20 +186,18 @@ def _trace_once(loop: Loop, steps: int, cfg: TrackingConfig) -> LoopTrace:
     for step in _step_maps(coeffs[1:], fresh).tolist():
         paths.append([step[i] for i in paths[-1]])
     roots = np.take_along_axis(fresh, np.array(paths), axis=1)
-    root_of_flex = [_match_to(base, p.x) for p in base_pts]
+    root_of_flex = nearest_match(np.abs(base_xs[:, None] - base),
+                                 one_to_one=False).tolist()
     xs = roots[:, root_of_flex]
-    ys = _flex_heights(np.array(lams), xs, [p.y for p in base_pts])
+    ys = _flex_heights(np.array(lams), xs, base_ys)
     if stop is not None:
         raise stop
-    root_images = _end_permutation(
-        [[abs(z - b) for b in base] for z in roots[-1].tolist()], cfg.eps_match)
-    flex_images = _end_permutation(
-        [[abs(x - p.x) + abs(y - p.y) for p in base_pts]
-         for x, y in zip(xs[-1].tolist(), ys[-1].tolist())], cfg.eps_match)
+    root_perm = nearest_match(np.abs(roots[-1][:, None] - base), cfg.eps_match)
+    flex_images = nearest_match(np.abs(xs[-1][:, None] - base_xs)
+                                + np.abs(ys[-1][:, None] - base_ys), cfg.eps_match)
     return LoopTrace(ts=ts, roots=roots, ys=ys, root_of_flex=root_of_flex,
-                     root_perm=np.array(root_images, dtype=np.int64),
-                     flex_perm=np.array([0] + [1 + j for j in flex_images],
-                                        dtype=np.int64))
+                     root_perm=root_perm,
+                     flex_perm=np.concatenate([[0], 1 + flex_images]))
 
 
 def _refined(runner: Callable[[int], object], cfg: TrackingConfig):
@@ -243,7 +205,7 @@ def _refined(runner: Callable[[int], object], cfg: TrackingConfig):
     for attempt in range(cfg.max_refine + 1):
         try:
             return runner(steps)
-        except _Ambiguous:
+        except NoUniqueMatch:
             if attempt == cfg.max_refine or 2 * steps > MAX_SAMPLES:
                 break
             steps *= 2

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .curves import flex_quartic
-from .errors import AmbiguousMatching, FixtureError, NotAMember
+from .errors import AmbiguousMatching, NotAMember
 from .fixtures import load_fixtures
 from .groups import (HEISENBERG_ALL, MODEL_IDENTITY, SL2_ALL, ModelElement,
                      SemidirectGroup, conjugation_relations, identify_order24,
@@ -31,7 +31,7 @@ from .lines import (CANONICAL_CLASS, J_FORM, base_surface,
                     concurrent_triples, deck_permutation,
                     is_strongly_regular_27, pairing, perm_compose,
                     perm_to_lattice_map, preserves_incidence)
-from .numeric import constants, roots_of
+from .numeric import constants, nearest_match, roots_of
 from .report import Check, VerificationReport, jsonable
 from .tracking import (LoopTrace, TrackingConfig, constant_loop,
                        flex_lattice_map, gamma_minus, gamma_plus, lift_to_lines,
@@ -45,13 +45,6 @@ TOL_TRANSCRIBE = 1e-6
 
 # ---------------------------------------------------------------------------
 # transcribed loop actions, matched by value so label order cannot drift
-
-def _match_value(values: list[complex], target: complex) -> int:
-    best = min(range(len(values)), key=lambda i: abs(values[i] - target))
-    if abs(values[best] - target) > TOL_TRANSCRIBE:
-        raise FixtureError(f"no stored value near {target}")
-    return best
-
 
 def _root_value_map(kind: str) -> dict[complex, complex]:
     c = constants()
@@ -89,14 +82,11 @@ def _flex_value_map(kind: str) -> dict[complex, complex]:
 
 def _value_permutation(values: list[complex],
                        mapping: dict[complex, complex]) -> np.ndarray:
-    keys = list(mapping)
-    images = np.full(len(values), -1, dtype=np.int64)
-    for i, v in enumerate(values):
-        key = keys[_match_value(keys, v)]
-        images[i] = _match_value(values, mapping[key])
-    if len(set(images.tolist())) != len(values):
-        raise FixtureError("transcribed action is not a bijection")
-    return images
+    """Index of the value that mapping sends each value to, matched by value."""
+    values = np.array(values)
+    keys, images = np.array(list(mapping)), np.array(list(mapping.values()))
+    key_of = nearest_match(np.abs(values[:, None] - keys), TOL_TRANSCRIBE)
+    return nearest_match(np.abs(images[key_of, None] - values), TOL_TRANSCRIBE)
 
 
 def transcribed_root_permutation(kind: str) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from cubicmonodromy.curves import family_lambda, hesse_form
 from cubicmonodromy.errors import GroupError, NoUniqueMatch
-from cubicmonodromy.hesse import (OMEGA, _chordal, _orthonormal_rows,
+from cubicmonodromy.hesse import (OMEGA, _span_distances,
                                   heisenberg_lifts, heisenberg_matrices,
                                   hesse_transform, induced_line_perm)
 from cubicmonodromy.lines import (base_surface, deck_permutation,
@@ -70,9 +70,9 @@ def test_induced_perm_identity():
 def test_chordal_distance_has_no_cancellation_floor():
     # sqrt(2 - |U V^H|^2) left up to 4e-8 for a base line mapped through the
     # identity and itself, only 25 times below TOL_MATCH
-    for line in base_surface().lines:
-        moved = _orthonormal_rows(line.span_basis() @ np.eye(4))
-        assert _chordal(moved, line.span_basis()) < 1e-14
+    lines = base_surface().lines
+    dist = _span_distances(np.eye(4, dtype=complex), lines, lines)
+    assert np.diag(dist).max() < 1e-14
 
 
 def test_induced_perm_deck_scaling():
@@ -91,6 +91,14 @@ def test_induced_perm_rejects_off_surface_map():
     bad = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     with pytest.raises(NoUniqueMatch):
         induced_line_perm(bad)
+
+
+def test_induced_perm_rejects_a_duplicated_source_line():
+    # every line keeps its margin, but two land on the same target
+    lines = base_surface().lines
+    with pytest.raises(NoUniqueMatch, match="not one to one"):
+        induced_line_perm(np.eye(4, dtype=complex), [lines[0], *lines[:26]],
+                          lines)
 
 
 def test_heisenberg_matrices_structure():

@@ -11,13 +11,15 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cubicmonodromy.numeric as numeric
 from cubicmonodromy.curves import flex_quartic, flex_quartic_stack
-from cubicmonodromy.errors import NonConvergence
-from cubicmonodromy.numeric import (Poly1, constants, newton_polish,
-                                    newton_polish_stack, order_key, roots_of,
-                                    roots_of_stack)
+from cubicmonodromy.errors import NonConvergence, NoUniqueMatch
+from cubicmonodromy.numeric import (Poly1, constants, nearest_match,
+                                    newton_polish, newton_polish_stack,
+                                    order_key, roots_of, roots_of_stack)
 
 
 def _sorted_by_value(zs):
@@ -240,3 +242,70 @@ def test_importing_the_cli_leaves_mpmath_unloaded():
 def test_extended_precision_still_polishes_with_mpmath():
     z = numeric._newton_mp([-2, 0, 1], 1.4, 1e-40)
     assert abs(z - math.sqrt(2)) < 1e-15
+
+
+def _scalar_match_rule(dist, tol, one_to_one):
+    """The matching rule as its callers wrote it out one row at a time: the
+    first smallest distance of a stable sort, which must beat the runner-up
+    by a factor of two and lie within tol; with one_to_one the images must
+    be a bijection onto the columns.  None where the rule rejects."""
+    images = []
+    for row in dist.tolist():
+        order = sorted(range(len(row)), key=row.__getitem__)
+        if len(order) > 1 and row[order[0]] >= 0.5 * row[order[1]]:
+            return None
+        if row[order[0]] > tol:
+            return None
+        images.append(order[0])
+    if one_to_one and sorted(images) != list(range(dist.shape[1])):
+        return None
+    return images
+
+
+# ties, exact factor-two boundaries, and values at and just over tol = 1e-6
+_EDGES = [0.0, 0.5, 1.0, 2.0, 1e-6, math.nextafter(1e-6, 1.0), 2e-6]
+
+
+@st.composite
+def _distance_stacks(draw):
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    n = draw(st.one_of(st.just(m), st.integers(1, 5)))
+    entry = st.one_of(st.sampled_from(_EDGES), st.floats(0.0, 4.0))
+    dist = np.array(draw(st.lists(entry, min_size=k * m * n,
+                                  max_size=k * m * n))).reshape(k, m, n)
+    if draw(st.booleans()):
+        # plant a small nearest column in every row, a permutation if square,
+        # often with a clear margin to the rest
+        dist += draw(st.sampled_from([0.0, 1.0]))
+        small = st.sampled_from(_EDGES[:1] + _EDGES[4:6])
+        for d in dist:
+            cols = draw(st.permutations(range(max(m, n))))
+            for i in range(m):
+                d[i, cols[i] % n] = draw(small)
+    return dist if draw(st.booleans()) else dist[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_distance_stacks(), st.sampled_from([math.inf, 1e-6, 1.0]),
+       st.booleans())
+@example(np.array([[1e-6, 1.0], [1.0, 1e-6]]), 1e-6, True)
+@example(np.array([[_EDGES[5], 1.0]]), 1e-6, False)
+@example(np.array([[1.0, 2.0], [2.0, 0.0]]), math.inf, False)
+def test_nearest_match_agrees_with_the_scalar_rule(dist, tol, one_to_one):
+    mats = dist if dist.ndim == 3 else dist[None]
+    want = [_scalar_match_rule(d, tol, one_to_one) for d in mats]
+    if any(w is None for w in want):
+        with pytest.raises(NoUniqueMatch):
+            nearest_match(dist, tol, one_to_one)
+    else:
+        got = nearest_match(dist, tol, one_to_one).tolist()
+        assert got == (want if dist.ndim == 3 else want[0])
+
+
+@pytest.mark.parametrize("dist, hits", [
+    ([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]], [0, 1]),
+    ([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [0, 1, 0])])
+def test_nearest_match_one_to_one_needs_a_square_matrix(dist, hits):
+    assert nearest_match(dist, one_to_one=False).tolist() == hits
+    with pytest.raises(NoUniqueMatch, match="cannot be one to one"):
+        nearest_match(dist)

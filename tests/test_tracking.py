@@ -13,7 +13,7 @@ import cubicmonodromy.cli as cli
 import cubicmonodromy.tracking as tracking
 from cubicmonodromy.curves import flex_height_squared, flex_quartic
 from cubicmonodromy.errors import (AmbiguousMatching, NonConvergence,
-                                   SingularParameter)
+                                   NoUniqueMatch, SingularParameter)
 from cubicmonodromy.lines import base_surface, perm_compose, preserves_incidence
 from cubicmonodromy.numeric import roots_of
 from cubicmonodromy.tracking import (MAX_SAMPLES, TrackingConfig,
@@ -71,7 +71,7 @@ def test_refinement_stops_at_max_samples(monkeypatch):
 
     def ambiguous(loop, steps, cfg):
         tried.append(steps)
-        raise tracking._Ambiguous("always")
+        raise NoUniqueMatch("always")
 
     monkeypatch.setattr(tracking, "MAX_SAMPLES", 32)
     monkeypatch.setattr(tracking, "_trace_once", ambiguous)
@@ -207,7 +207,7 @@ def test_flex_heights_follow_the_nearest_branch():
 def test_coincident_inflections_are_ambiguous():
     # eight inflections on one x with one small y: branch choice is clear
     x = -1e-14  # x^3 - x = 1e-14 at lambda 0, so y = 1e-7
-    with pytest.raises(tracking._Ambiguous, match="lost separation"):
+    with pytest.raises(NoUniqueMatch, match="lost separation"):
         tracking._flex_heights(np.zeros(2, dtype=complex),
                                np.full((2, 8), x, dtype=complex), [1e-7] * 8)
 
