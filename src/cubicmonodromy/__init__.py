@@ -8,16 +8,16 @@ class in the Weyl group of the E6 lattice: a group of order 648 isomorphic to
 a semidirect product of the order-27 extraspecial group by SL(2, F3).
 """
 
-from .curves import (CubicForm, PlaneLine, ProjPoint2, family_lambda,
+from .curves import (CubicForm, ProjPoint2, family_lambda,
                      flex_height_squared, flex_quartic, hesse_form,
-                     inflection_points, tangent_line)
+                     inflection_points)
 from .errors import (AmbiguousIncidence, AmbiguousMatching, BadIncidencePattern,
                      CapExceeded, DegenerateCurve, FixtureError, FormViolation,
                      GeometryError, GroupError, InconsistentProjection,
                      LatticeError, NoSixer, NonConvergence, NonIntegralImage,
                      NotAFlex, NotAMember, NotASubgroup, NotIsomorphic,
                      NoUniqueMatch, NumericalError, SingularParameter,
-                     SingularPoint, TransformResidual, WrongOrder)
+                     TransformResidual, WrongOrder)
 from .fixtures import FixtureSet, load_fixtures
 from .groups import (MODEL_IDENTITY, ModelElement, SemidirectGroup,
                      conjugation_relations, corrected_action, identify_order24,
@@ -31,7 +31,7 @@ from .lines import (CANONICAL_CLASS, J_FORM, Line3, SurfaceData, all_lines,
                     incidence_graph, is_strongly_regular_27, pairing,
                     perm_compose, perm_inverse, perm_to_lattice_map,
                     preserves_incidence, surface_residual)
-from .numeric import Poly1, constants, newton_polish, roots_of
+from .numeric import constants, newton_polish, roots_of
 from .report import (REPORT_SCHEMA, SCHEMA_VERSION, Check, VerificationReport,
                      render_csv, render_json, render_text)
 from .tracking import (Loop, LoopTrace, TrackingConfig, constant_loop,

@@ -8,9 +8,13 @@ and as the (3, 3, 3) coefficient tensor that the gradient, the Hessian form
 and coordinate changes are computed from.
 
 Inflection points of the two families that matter (the y^2 z = cubic pencil
-and the Hesse normal forms) are computed from closed-form reductions; a
-resultant-based routine covers arbitrary smooth cubics and doubles as an
-independent cross-check in the tests.
+and the Hesse normal forms) come from closed-form reductions.  Every other
+smooth cubic takes the resultant route: y is eliminated between f and its
+Hessian form, f's y-polynomials at the roots in x are solved as one stack,
+and Newton steps on the system (f, Hessian) bring every candidate to
+rounding level.  Those steps make a flex at a double root of the resultant
+as accurate as any other; the y -> -y symmetry of a Weierstrass cubic
+y^2 z = x^3 + a x z^2 + b z^3 puts every flex x-coordinate at one.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateCurve, SingularParameter, SingularPoint
-from .numeric import OMEGA, Poly1, TOL_MATCH, order_key, roots_of
+from .errors import DegenerateCurve, SingularParameter
+from .numeric import (OMEGA, TOL_LEAD, TOL_MATCH, order_key, roots_of,
+                      roots_of_stack, trimmed)
 
 MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -208,28 +213,12 @@ class ProjPoint2:
                 and abs(self.coords[1] - 1.0) < tol)
 
 
-@dataclass(frozen=True, eq=False)
-class PlaneLine:
-    """Line of P^2 given by a covector, normalized to unit norm, phase 0."""
-
-    covector: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.covector, dtype=complex)
-        if v.shape != (3,):
-            raise ValueError("line covector needs 3 entries")
-        object.__setattr__(self, "covector", phase_normalize(v))
-
-    def __call__(self, p: ProjPoint2 | np.ndarray) -> complex:
-        coords = p.coords if isinstance(p, ProjPoint2) else np.asarray(p, dtype=complex)
-        return complex(self.covector @ coords)
-
-
 def _chordal_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """ProjPoint2.distance between matching rows of two (n, 3) stacks, by
-    the same Lagrange identity; that method stays scalar because numpy's
-    per-call cost would make one pair about 20 times slower."""
-    (u0, u1, u2), (v0, v1, v2) = u.T, v.T
+    """ProjPoint2.distance between the points along the last axis of two
+    broadcastable (..., 3) stacks, by the same Lagrange identity; that
+    method stays scalar because numpy's per-call cost would make one pair
+    about 20 times slower."""
+    (u0, u1, u2), (v0, v1, v2) = np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0)
     minors = (np.abs(u0 * v1 - u1 * v0) ** 2 + np.abs(u1 * v2 - u2 * v1) ** 2
               + np.abs(u2 * v0 - u0 * v2) ** 2)
     uu = np.abs(u0) ** 2 + np.abs(u1) ** 2 + np.abs(u2) ** 2
@@ -282,10 +271,10 @@ def hesse_parameter(f: CubicForm, tol: float = 1e-9) -> complex | None:
                       hesse_form, tol)
 
 
-def flex_quartic(lam: complex) -> Poly1:
+def flex_quartic(lam: complex) -> np.ndarray:
     """Quartic whose roots are the affine x-coordinates of the inflections:
-    flex_quartic_stack's row at lam."""
-    return Poly1(tuple(flex_quartic_stack([lam])[0].tolist()))
+    flex_quartic_stack's (5,) row at lam."""
+    return flex_quartic_stack([lam])[0]
 
 
 def flex_quartic_stack(lams) -> np.ndarray:
@@ -296,7 +285,7 @@ def flex_quartic_stack(lams) -> np.ndarray:
 
         3 x^4 - 4 lam x^3 - 6 x^2 + 12 lam x - (1 + 4 lam^2);
 
-    the result has shape (n, 5), ascending as in Poly1.
+    the result has shape (n, 5), ascending in x.
     """
     lam = np.asarray(lams, dtype=complex)
     return np.stack([-(1.0 + 4.0 * lam * lam), 12.0 * lam,
@@ -390,22 +379,6 @@ def _inflections_hesse(mu: complex) -> list[ProjPoint2]:
     return pts
 
 
-def _binary_cubic_roots(coeffs: np.ndarray) -> list[np.ndarray]:
-    """Projective roots [x : y] of sum coeffs[k] x^k y^(3-k)."""
-    scale = max(abs(c) for c in coeffs)
-    if scale == 0.0:
-        return []
-    poly = Poly1(tuple(coeffs))
-    out = []
-    trimmed = poly.trimmed(1e-10)
-    drop = poly.degree - trimmed.degree
-    for r in roots_of(trimmed):
-        out.append(np.array([r, 1.0], dtype=complex))
-    for _ in range(drop):
-        out.append(np.array([1.0, 0.0], dtype=complex))
-    return out
-
-
 def _y_coefficients(f: CubicForm) -> np.ndarray:
     """Row j is the coefficient of y^j as a polynomial in x at z = 1,
     ascending; rows stop at the highest power of y that f contains."""
@@ -418,13 +391,17 @@ def _y_coefficients(f: CubicForm) -> np.ndarray:
 def _inflections_resultant(f: CubicForm, hess: CubicForm, tol: float) -> list[ProjPoint2]:
     """Arbitrary-cubic route: eliminate y between f and its Hessian form hess.
 
-    The Sylvester determinant in y is evaluated at interpolation nodes, as
-    one stack, and refit as a polynomial in x (z = 1 chart); points at z = 0
-    are recovered from the two binary cubics.  Slower than the closed forms,
-    used as the fallback and for cross-checks.
+    In the z = 1 chart the Sylvester determinant in y is evaluated at
+    interpolation nodes, as one stack, and refit as a polynomial in x.  f's
+    y-polynomials at its roots are solved as one stack and every candidate
+    [x : y : 1] is polished by _flex_newton; the candidates at z = 0 are the
+    roots of f there.  All are checked against f and hess as one stack, and
+    a candidate within 1e-6 of an earlier one is dropped.
     """
     fy, hy = _y_coefficients(f), _y_coefficients(hess)
     m, n = len(fy) - 1, len(hy) - 1
+    if m == 0:
+        raise DegenerateCurve("a cubic without y is singular at [0:1:0]")
     size = m + n
     deg_bound = 3 * size
     nodes = 2.3 * np.exp(2j * np.pi * (np.arange(deg_bound + 1) + 0.31) / (deg_bound + 1))
@@ -438,40 +415,49 @@ def _inflections_resultant(f: CubicForm, hess: CubicForm, tol: float) -> list[Pr
         sylvester[:, n + r, r:r + n + 1] = hv
     vander = np.vander(nodes, deg_bound + 1, increasing=True)
     coeffs = np.linalg.solve(vander, np.linalg.det(sylvester))
-    res_poly = Poly1(tuple(coeffs)).trimmed(1e-9)
+    xs = np.array(roots_of(trimmed(coeffs, 1e-9), tol=1e-12), dtype=complex)
 
-    pts: list[ProjPoint2] = []
-
-    def push(candidate: np.ndarray):
-        p = ProjPoint2(candidate)
-        for q in pts:
-            if p.distance(q) < 1e-6:
-                return
-        pts.append(p)
-
-    fs, hs = f.scale(), hess.scale()
-    for x in roots_of(res_poly, tol=1e-12):
-        for root in _binary_cubic_roots(fy @ x ** np.arange(4)):
-            if abs(root[1]) < 1e-9:
-                continue
-            y = root[0] / root[1]
-            cand = np.array([x, y, 1.0], dtype=complex)
-            u = cand / np.linalg.norm(cand)
-            if abs(f(u)) < tol * fs and abs(hess(u)) < tol * hs:
-                push(cand)
-
-    for rf in _binary_cubic_roots(f.coeffs[_AT_INFINITY]):
-        for rh in _binary_cubic_roots(hess.coeffs[_AT_INFINITY]):
-            uf = rf / np.linalg.norm(rf)
-            uh = rh / np.linalg.norm(rh)
-            if 1.0 - min(1.0, abs(np.vdot(uf, uh))) < 1e-9:
-                push(np.array([rf[0], rf[1], 0.0], dtype=complex))
-    return pts
+    # row i: f's coefficients of y^0..y^m at x = xs[i]; a row whose leading
+    # one is negligible has lost a root to y = oo, the point [0:1:0] at z = 0
+    ypolys = np.vander(xs, 4, increasing=True) @ fy.T
+    mags = np.abs(ypolys)
+    full = mags[:, -1] > TOL_LEAD * mags.max(axis=1)
+    xy = [np.column_stack([np.repeat(xs[full], m), roots_of_stack(ypolys[full]).ravel()])]
+    for x, row in zip(xs[~full], ypolys[~full]):
+        ys = roots_of(row)
+        xy.append(np.column_stack([np.full(len(ys), x), ys]))
+    xy = np.concatenate(xy)
+    pts = [_flex_newton(f, hess, np.column_stack([xy, np.ones(len(xy))]))]
+    at_inf = f.coeffs[_AT_INFINITY]
+    if at_inf.any():
+        # sum c_k x^k y^(3-k) vanishes at [t : 1 : 0] for its roots t, and at
+        # [1 : 0 : 0] when its degree in t drops
+        ts = roots_of(at_inf)
+        pts.append(np.array([[t, 1.0, 0.0] for t in ts] + [[1.0, 0.0, 0.0]] * (len(ts) < 3),
+                            dtype=complex))
+    pts = np.concatenate(pts)
+    units = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+    pts = pts[(np.abs(f(units)) < tol * f.scale()) & (np.abs(hess(units)) < tol * hess.scale())]
+    near = np.triu(_chordal_distances(pts[:, None], pts[None]) < 1e-6, 1)
+    return [ProjPoint2(p) for p in pts[~near.any(axis=0)]]
 
 
-def tangent_line(f: CubicForm, p: ProjPoint2, tol: float = 1e-8) -> PlaneLine:
-    """Tangent line to V(f) at p; p must be a smooth point of the curve."""
-    vec = f.gradient(p.unit())
-    if np.linalg.norm(vec) < tol * f.scale():
-        raise SingularPoint("gradient vanishes at the requested point")
-    return PlaneLine(vec)
+def _flex_newton(f: CubicForm, hess: CubicForm, pts: np.ndarray) -> np.ndarray:
+    """12 Newton steps on (f, hess) = 0 in the z = 1 chart from every row
+    [x, y, 1] of an (n, 3) stack, keeping the rows whose last step was below
+    1e-9 of their norm.  The system is regular at each of the nine flexes,
+    where f and its Hessian curve meet transversally, so a flex at a double
+    root of the resultant comes out as accurately as one at a simple root.
+    A start that is no flex does not converge, or converges onto a flex
+    that another candidate also reaches; the resultant's roots can be off
+    by 1e-2 where its coefficients span many orders of magnitude, which
+    is why there are 12 steps and not 2."""
+    for _ in range(12):
+        (fx, fy, _), (hx, hy, _) = f.gradient(pts).T, hess.gradient(pts).T
+        fv, hv = f(pts), hess(pts)
+        with np.errstate(all="ignore"):
+            det = fx * hy - fy * hx
+            step = np.stack([(fv * hy - hv * fy) / det, (hv * fx - fv * hx) / det,
+                             np.zeros_like(det)], axis=-1)
+            pts = pts - step
+    return pts[np.linalg.norm(step, axis=-1) <= 1e-9 * np.linalg.norm(pts, axis=-1)]

@@ -54,10 +54,6 @@ class DegenerateCurve(GeometryError):
     """Cubic curve is singular or its inflection scheme is not reduced."""
 
 
-class SingularPoint(GeometryError):
-    """Gradient vanishes where a tangent line was requested."""
-
-
 class NotAFlex(GeometryError):
     """Line construction was requested over a non-inflection point."""
 

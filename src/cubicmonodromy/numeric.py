@@ -1,14 +1,18 @@
 """Numerics: polynomial roots, Newton polish, and the field constants.
 
-All public routines are deterministic for a fixed input.  The one root
-finder, `roots_of_stack`, solves a stack of polynomials of one degree: one
+All public routines are deterministic for a fixed input.  A polynomial is
+an array of its coefficients, ascending (entry k is the z^k term); a stack
+of them is a 2-d array, one polynomial per row.  The one root finder,
+`roots_of_stack`, solves a stack of polynomials of one degree: one
 `np.linalg.eigvals` call on the stacked companion matrices (Edelman-Murakami
 1995), an array Newton polish and, for extended precision, an mpmath Newton
 polish of every root.  A root is accepted on its backward error: |p(z)|
 against sum_k |c_k| |z|^k, the bound on the rounding error of evaluating p
-at z (Higham, Accuracy and Stability of Numerical Algorithms, ch. 5).
-`roots_of` is one sorted row of it.  `nearest_match` is the one rule by
-which roots, inflections, lines and transcribed values are matched.
+at z (Higham, Accuracy and Stability of Numerical Algorithms, ch. 5); the
+double-precision Newton polish stops at that same bound.  `roots_of` is
+one sorted row of it, after `trimmed` drops negligible leading
+coefficients.  `nearest_match` is the one rule by which roots, inflections,
+lines and transcribed values are matched.
 """
 
 from __future__ import annotations
@@ -36,45 +40,6 @@ _EXTENDED_DPS = 50
 _EXTENDED_GOAL = 10.0 ** (10 - _EXTENDED_DPS)
 
 PRECISIONS = ("double", "extended")
-
-
-@dataclass(frozen=True)
-class Poly1:
-    """Univariate polynomial, coefficients ascending (coeffs[k] is the x^k term)."""
-
-    coeffs: tuple[complex, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("empty coefficient list")
-        for c in self.coeffs:
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError("non-finite coefficient")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def deriv(self) -> "Poly1":
-        if len(self.coeffs) == 1:
-            return Poly1((0j,))
-        return Poly1(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
-
-    def trimmed(self, tol_lead: float = TOL_LEAD) -> "Poly1":
-        """Drop leading coefficients that are negligible next to the largest one."""
-        scale = max(abs(c) for c in self.coeffs)
-        if scale == 0.0:
-            raise ValueError("zero polynomial")
-        cs = list(self.coeffs)
-        while len(cs) > 1 and abs(cs[-1]) <= tol_lead * scale:
-            cs.pop()
-        return Poly1(tuple(cs))
 
 
 def order_key(z: complex) -> tuple[float, float]:
@@ -109,41 +74,70 @@ def nearest_match(dist, tol: float = math.inf,
     return hits
 
 
-def roots_of(p: Poly1, tol: float = TOL_ROOT, precision: str = "double") -> list[complex]:
-    """All complex roots of p, with multiplicity, sorted by order_key.
+def trimmed(coeffs, tol_lead: float = TOL_LEAD) -> np.ndarray:
+    """Ascending coefficients (coeffs[k] is the z^k term) as a complex array,
+    without the leading ones that are <= tol_lead times the largest; a
+    non-finite coefficient or the zero polynomial is a ValueError."""
+    cs = np.asarray(coeffs, dtype=complex)
+    if cs.ndim != 1:
+        raise ValueError("need a 1-d coefficient sequence")
+    if not np.isfinite(cs).all():
+        raise ValueError("non-finite coefficient")
+    mag = np.abs(cs)
+    if not mag.any():
+        raise ValueError("zero polynomial")
+    return cs[:np.flatnonzero(mag > tol_lead * mag.max())[-1] + 1]
 
-    The roots_of_stack row of p's trimmed coefficients, with its residual
+
+def roots_of(coeffs, tol: float = TOL_ROOT, precision: str = "double") -> list[complex]:
+    """All complex roots of the ascending coefficients, with multiplicity,
+    sorted by order_key.
+
+    The roots_of_stack row of the trimmed coefficients, with its residual
     acceptance and NonConvergence; a constant has no roots.
     """
     if precision not in PRECISIONS:
         raise ValueError(f"unknown precision {precision!r}")
-    q = p.trimmed()
-    if q.degree == 0:
+    cs = trimmed(coeffs)
+    if len(cs) == 1:
         return []
-    roots = roots_of_stack([q.coeffs], tol, precision)[0].tolist()
+    roots = roots_of_stack([cs], tol, precision)[0].tolist()
     return sorted(roots, key=order_key)
 
 
-def newton_polish(p: Poly1, z0: complex, tol: float = TOL_ROOT,
+def _value(cs, z):
+    """sum_k cs[k] z^k by Horner's rule at one point, in z's own arithmetic."""
+    acc = 0 * z
+    for c in reversed(cs):
+        acc = acc * z + c
+    return acc
+
+
+def newton_polish(coeffs, z0: complex, tol: float = TOL_ROOT,
                   precision: str = "double") -> complex:
-    """Newton iteration from z0; must beat tol or improve |p| a hundredfold."""
+    """Newton iteration from z0 on the trimmed ascending coefficients.
+
+    Double precision stops at the backward error roots_of_stack accepts,
+    |p(z)| <= tol * sum_k |c_k| |z|^k, and must meet it or improve |p| a
+    hundredfold, else NonConvergence; extended aims at tol * max_k |c_k|.
+    """
+    cs = trimmed(coeffs)
     if precision == "extended":
-        return _newton_mp(p.trimmed().coeffs, z0, tol)
-    q = p.trimmed()
-    dq = q.deriv()
-    scale = max(abs(c) for c in q.coeffs)
-    z = z0
-    start = abs(q(z0))
+        return _newton_mp(cs, z0, tol)
+    dcs = (cs[1:] * np.arange(1, len(cs))).tolist()
+    mags, cs = np.abs(cs).tolist(), cs.tolist()
+    z = complex(z0)
+    start = abs(_value(cs, z))
     for _ in range(_MAX_NEWTON):
-        pz = q(z)
-        if abs(pz) < tol * scale:
+        pz = _value(cs, z)
+        if abs(pz) <= tol * _value(mags, abs(z)):
             return z
-        dpz = dq(z)
+        dpz = _value(dcs, z)
         if dpz == 0:
             break
         z = z - pz / dpz
-    pz = abs(q(z))
-    if pz < tol * scale or (start > 0 and pz < 1e-2 * start):
+    pz = abs(_value(cs, z))
+    if pz <= tol * _value(mags, abs(z)) or (start > 0 and pz < 1e-2 * start):
         return z
     raise NonConvergence(f"Newton polish stalled at residual {pz:.3e}")
 
@@ -154,33 +148,27 @@ def _newton_mp(coeffs, z0: complex, tol: float) -> complex:
     with mpmath.workdps(_EXTENDED_DPS):
         cs = [mpmath.mpc(c) for c in coeffs]
         dcs = [k * c for k, c in enumerate(cs) if k > 0]
-        scale = max(abs(c) for c in cs)
-
-        def val(x, coeffs):
-            acc = mpmath.mpc(0)
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            return acc
-
+        goal = mpmath.mpf(tol) * max(abs(c) for c in cs)
         z = mpmath.mpc(z0)
         for _ in range(_MAX_NEWTON):
-            pz = val(z, cs)
-            if abs(pz) < mpmath.mpf(tol) * scale:
+            pz = _value(cs, z)
+            if abs(pz) < goal:
                 return complex(z)
-            dpz = val(z, dcs)
+            dpz = _value(dcs, z)
             if dpz == 0:
                 break
             z = z - pz / dpz
-        if abs(val(z, cs)) < mpmath.mpf(tol) * scale:
+        if abs(_value(cs, z)) < goal:
             return complex(z)
         raise NonConvergence("extended-precision Newton stalled")
 
 
 def _horner(cs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Row k of cs (ascending) evaluated at every entry of row k of z."""
-    acc = np.zeros_like(z)
+    acc = np.zeros(z.shape, dtype=np.result_type(cs, z))
     for c in cs.T[::-1]:
-        acc = acc * z + c[:, None]
+        acc *= z
+        acc += c[:, None]
     return acc
 
 
@@ -188,18 +176,19 @@ def newton_polish_stack(coeffs, z0, tol: float = TOL_ROOT) -> np.ndarray:
     """newton_polish of every entry of z0 at once, in double precision.
 
     coeffs has shape (n, d + 1), ascending; entry (k, i) of z0, shape (n, m),
-    is polished on row k.  Where newton_polish would raise, the entry is
-    returned as it was given.
+    is polished on row k until it meets the backward error bound.  Where
+    newton_polish would raise, the entry is returned as it was given.
     """
     cs = np.asarray(coeffs, dtype=complex)
     z0 = np.asarray(z0, dtype=complex)
     dcs = cs[:, 1:] * np.arange(1, cs.shape[1])
-    goal = tol * np.abs(cs).max(axis=1, keepdims=True)
+    mags = np.abs(cs)
     z = z0
     with np.errstate(all="ignore"):
         pz = _horner(cs, z)
         start = np.abs(pz)
-        active = start >= goal
+        met = start <= tol * _horner(mags, np.abs(z))
+        active = ~met
         for _ in range(_MAX_NEWTON):
             if not active.any():
                 break
@@ -207,9 +196,9 @@ def newton_polish_stack(coeffs, z0, tol: float = TOL_ROOT) -> np.ndarray:
             active &= dpz != 0
             z = np.where(active, z - pz / dpz, z)
             pz = _horner(cs, z)
-            active &= np.abs(pz) >= goal
-        resid = np.abs(pz)
-    accepted = (resid < goal) | ((start > 0) & (resid < 1e-2 * start))
+            met = np.abs(pz) <= tol * _horner(mags, np.abs(z))
+            active &= ~met
+        accepted = met | ((start > 0) & (np.abs(pz) < 1e-2 * start))
     return np.where(accepted, z, z0)
 
 
@@ -217,13 +206,14 @@ def roots_of_stack(coeffs, tol: float = TOL_ROOT,
                    precision: str = "double") -> np.ndarray:
     """All roots of every polynomial of a stack, as an (n, d) array.
 
-    coeffs has shape (n, d + 1), ascending as in Poly1, each row of exact
-    degree d (a leading coefficient negligible next to the row's largest one
-    is a ValueError).  Row k of the result holds the roots of row k in
-    eigenvalue order, not sorted.  Extended precision polishes every root
-    with mpmath Newton toward _EXTENDED_GOAL, then rounds it.  Residual
-    acceptance, a backward error: |p(z)| <= tol * sum_k |c_k| |z|^k for
-    every root, else NonConvergence, whose `row` is the first failing row.
+    coeffs has shape (n, d + 1), column k holding the z^k terms, each row of
+    exact degree d (a leading coefficient negligible next to the row's
+    largest one is a ValueError).  Row k of the result holds the roots of
+    row k in eigenvalue order, not sorted.  Extended precision polishes
+    every root with mpmath Newton toward _EXTENDED_GOAL, then rounds it.
+    Residual acceptance, a backward error: |p(z)| <= tol * sum_k |c_k| |z|^k
+    for every root, else NonConvergence, whose `row` is the first failing
+    row.
     """
     if precision not in PRECISIONS:
         raise ValueError(f"unknown precision {precision!r}")

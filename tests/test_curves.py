@@ -8,13 +8,12 @@ import pytest
 
 import cubicmonodromy.curves as curves
 from cubicmonodromy.curves import (MONOMIALS, CubicForm, ProjPoint2, family_lambda,
-                                   family_parameter, flex_height_squared,
+                                   cubic_route, family_parameter, flex_height_squared,
                                    flex_quartic, hesse_form,
                                    hesse_parameter, hessian_det_form,
-                                   inflection_points, tangent_covector_family,
-                                   tangent_line)
+                                   inflection_points, tangent_covector_family)
 from cubicmonodromy.errors import SingularParameter
-from cubicmonodromy.numeric import roots_of
+from cubicmonodromy.numeric import nearest_match, roots_of
 
 LAMBDAS = (0.0, 0.3, -0.6, 0.3 + 0.1j, -0.7 + 0.2j, 2.5)
 
@@ -121,6 +120,75 @@ def test_generic_cubic_has_nine_inflections():
         assert abs(hd(p.unit())) < 1e-8 * hd.scale()
 
 
+def _weierstrass(a: complex, b: complex) -> CubicForm:
+    """y^2 z - x^3 - a x z^2 - b z^3."""
+    c = np.zeros(10, dtype=complex)
+    for mono, v in (((0, 2, 1), 1.0), ((3, 0, 0), -1.0), ((1, 0, 2), -a), ((0, 0, 3), -b)):
+        c[MONOMIALS.index(mono)] = v
+    return CubicForm(c)
+
+
+def _weierstrass_flexes(a: complex, b: complex) -> np.ndarray:
+    # [0:1:0] and [x : +-y : 1] over the roots x of the 3-division
+    # polynomial 3 x^4 + 6 a x^2 + 12 b x - a^2, with y^2 = x^3 + a x + b
+    pts = [[0.0, 1.0, 0.0]]
+    for x in roots_of((-a * a, 12.0 * b, 6.0 * a, 0.0, 3.0)):
+        y = complex(x ** 3 + a * x + b) ** 0.5
+        pts += [[x, y, 1.0], [x, -y, 1.0]]
+    return np.array(pts, dtype=complex)
+
+
+def _change(seed: int) -> np.ndarray:
+    # a seeded complex coordinate change near the identity: far from it the
+    # rounding of compose alone moves the flexes of f.compose(m) off
+    # m^-1 (flexes of f) by more than the tolerance
+    rng = np.random.default_rng(seed)
+    return np.eye(3) + 0.25 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+
+
+_SHEAR = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.7, 0.0, 1.0]], dtype=complex)
+
+
+_HESSE_MUS = (2.2, 1.5 - 0.7j, 0.3j, -1.8)
+
+
+@pytest.mark.parametrize("f, m", [
+    *[(family_lambda(lam), _change(seed)) for seed, lam in enumerate(LAMBDAS)],
+    *[(hesse_form(mu), _change(10 + seed)) for seed, mu in enumerate(_HESSE_MUS)],
+    (family_lambda(0.3), _SHEAR), (hesse_form(2.2), np.eye(3))],
+    ids=[*(f"pencil-{lam}" for lam in LAMBDAS), *(f"hesse-{mu}" for mu in _HESSE_MUS),
+         "pencil-shear", "hesse-identity"])
+def test_resultant_route_moves_flexes_with_the_coordinates(f, m):
+    # the flexes of f.compose(m) are m^-1 applied to those of f; the Hesse
+    # member with m = I has three flexes on z = 0
+    want = np.linalg.solve(m, np.array([p.coords for p in inflection_points(f)]).T).T
+    got = np.array([p.coords for p in
+                    inflection_points(f.compose(m), route=("generic", None))])
+    nearest_match(curves._chordal_distances(got[:, None], want[None]), tol=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (-2.0, 0.5), (0.3 + 0.1j, 1.7)])
+def test_weierstrass_cubics_have_nine_accurate_flexes(a, b):
+    # y -> -y makes every flex x-coordinate a double root of the resultant
+    f = _weierstrass(a, b)
+    assert cubic_route(f) == ("generic", None)
+    got = np.array([p.coords for p in inflection_points(f)])
+    want = _weierstrass_flexes(a, b)
+    nearest_match(curves._chordal_distances(got[:, None], want[None]), tol=1e-12)
+
+
+def test_generic_cubic_solves_its_y_polynomials_as_one_stack(monkeypatch):
+    calls = {"roots_of": 0, "roots_of_stack": 0}
+    for name in calls:
+        def counted(*args, _solve=getattr(curves, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(curves, name, counted)
+    assert len(inflection_points(CubicForm(np.array(GENERIC)))) == 9
+    # the resultant and the line z = 0 by roots_of; every y-polynomial at once
+    assert calls == {"roots_of": 2, "roots_of_stack": 1}
+
+
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_flex_quartic_height_consistency(lam):
     f = family_lambda(lam)
@@ -179,13 +247,6 @@ def test_tensor_gradient_and_hessian_match_monomial_derivatives():
             assert np.allclose(f.gradient(pts[idx]), grad, rtol=1e-12, atol=1e-12)
             det = np.linalg.det(second)
             assert abs(hess(pts[idx]) - det) <= 1e-12 * max(1.0, abs(det))
-
-
-def test_tangent_line_contains_point():
-    f = family_lambda(0.3)
-    p = inflection_points(f)[2]
-    ln = tangent_line(f, p)
-    assert abs(np.dot(ln.covector, p.coords)) < 1e-9
 
 
 def test_compose_changes_coordinates():

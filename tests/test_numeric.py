@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 import cubicmonodromy.numeric as numeric
 from cubicmonodromy.curves import flex_quartic, flex_quartic_stack
 from cubicmonodromy.errors import NonConvergence, NoUniqueMatch
-from cubicmonodromy.numeric import (Poly1, constants, nearest_match,
-                                    newton_polish, newton_polish_stack,
-                                    order_key, roots_of, roots_of_stack)
+from cubicmonodromy.numeric import (constants, nearest_match, newton_polish,
+                                    newton_polish_stack, order_key, roots_of,
+                                    roots_of_stack, trimmed)
 
 
 def _sorted_by_value(zs):
@@ -27,16 +27,18 @@ def _sorted_by_value(zs):
 
 
 def test_poly_eval_and_derivative():
-    p = Poly1((1.0, -2.0, 0.0, 3.0))  # 3z^3 - 2z + 1
-    z = 0.7 - 0.2j
-    h = 1e-7
-    numeric = (p(z + h) - p(z - h)) / (2 * h)
-    assert abs(numeric - p.deriv()(z)) < 1e-6
+    cs = [1.0, -2.0, 0.0, 3.0]  # 3z^3 - 2z + 1
+    z, h = 0.7 - 0.2j, 1e-7
+    value = numeric._value(cs, z)
+    assert abs(value - (3 * z ** 3 - 2 * z + 1)) < 1e-15
+    assert abs(value - numeric._horner(np.array([cs]), np.array([[z]]))[0, 0]) < 1e-15
+    diff = (numeric._value(cs, z + h) - numeric._value(cs, z - h)) / (2 * h)
+    assert abs(diff - numeric._value([-2.0, 0.0, 9.0], z)) < 1e-6
 
 
 def test_roots_of_factored_quartic():
     # (z-1)(z-2)(z-3)(z-4) = z^4 - 10z^3 + 35z^2 - 50z + 24
-    p = Poly1((24.0, -50.0, 35.0, -10.0, 1.0))
+    p = (24.0, -50.0, 35.0, -10.0, 1.0)
     roots = _sorted_by_value(roots_of(p))
     for got, want in zip(roots, (1.0, 2.0, 3.0, 4.0)):
         assert abs(got - want) < 1e-10
@@ -44,7 +46,7 @@ def test_roots_of_factored_quartic():
 
 def test_roots_of_complex_pairs():
     # z^4 + 1: the primitive eighth roots of unity
-    p = Poly1((1.0, 0.0, 0.0, 0.0, 1.0))
+    p = (1.0, 0.0, 0.0, 0.0, 1.0)
     roots = roots_of(p)
     assert len(roots) == 4
     for z in roots:
@@ -52,13 +54,13 @@ def test_roots_of_complex_pairs():
 
 
 def test_roots_residuals_small():
-    p = Poly1((-1.0, 12.0 * 0.3, -6.0, -4.0 * 0.3, 3.0))
+    p = (-1.0, 12.0 * 0.3, -6.0, -4.0 * 0.3, 3.0)
     for z in roots_of(p):
-        assert abs(p(z)) < 1e-9
+        assert abs(numeric._value(p, z)) < 1e-9
 
 
 def test_extended_precision_agrees_with_double():
-    p = Poly1((24.0, -50.0, 35.0, -10.0, 1.0))
+    p = (24.0, -50.0, 35.0, -10.0, 1.0)
     dd = _sorted_by_value(roots_of(p))
     mp = _sorted_by_value(roots_of(p, precision="extended"))
     for x, y in zip(dd, mp):
@@ -66,19 +68,19 @@ def test_extended_precision_agrees_with_double():
 
 
 def test_roots_of_rejects_unknown_precision():
-    p = Poly1((1.0, 0.0, 1.0))
+    p = (1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         roots_of(p, precision="quad")
 
 
 def test_newton_polish_recovers_root():
-    p = Poly1((24.0, -50.0, 35.0, -10.0, 1.0))
+    p = (24.0, -50.0, 35.0, -10.0, 1.0)
     z = newton_polish(p, 3.0 + 1e-3)
     assert abs(z - 3.0) < 1e-12
 
 
 def test_newton_polish_extended():
-    p = Poly1((24.0, -50.0, 35.0, -10.0, 1.0))
+    p = (24.0, -50.0, 35.0, -10.0, 1.0)
     z = newton_polish(p, 2.0 + 1e-3, precision="extended")
     assert abs(z - 2.0) < 1e-12
 
@@ -118,12 +120,12 @@ def test_extended_stack_roots_are_correctly_rounded():
 
 
 def test_roots_of_is_the_sorted_stack_row():
-    p = Poly1((-1.0, 12.0 * 0.3, -6.0, -4.0 * 0.3, 3.0, 0.0))
-    row = roots_of_stack([p.coeffs[:-1]])[0]
+    p = (-1.0, 12.0 * 0.3, -6.0, -4.0 * 0.3, 3.0, 0.0)
+    row = roots_of_stack([p[:-1]])[0]
     assert roots_of(p) == sorted(row.tolist(), key=order_key)
-    assert roots_of(Poly1((2.0, 1e-13))) == []
+    assert roots_of((2.0, 1e-13)) == []
     # an exact root 0 with c_0 = 0: |p(z)| and its bound are both 0
-    assert roots_of(Poly1((0.0, 1.0, 1.0))) == [-1.0, 0.0]
+    assert roots_of((0.0, 1.0, 1.0)) == [-1.0, 0.0]
 
 
 def test_roots_at_a_large_parameter_pass_the_backward_error():
@@ -131,8 +133,39 @@ def test_roots_at_a_large_parameter_pass_the_backward_error():
     # 2e-10, Horner rounding alone; its backward error is about 1e-17
     q = flex_quartic(1000.0)
     for precision in ("double", "extended"):
-        assert _same_set(roots_of(q, precision=precision), _polyroots(q.coeffs),
+        assert _same_set(roots_of(q, precision=precision), _polyroots(q),
                          1e-12)
+
+
+def test_polish_stops_at_the_backward_error(monkeypatch):
+    # at lambda = 1000 the eigenvalues already meet |p(z)| <= tol sum |c_k||z|^k,
+    # so neither the polish nor the acceptance evaluates more than twice
+    calls = []
+    horner = numeric._horner
+
+    def counted(cs, z):
+        calls.append(1)
+        return horner(cs, z)
+
+    monkeypatch.setattr(numeric, "_horner", counted)
+    roots = roots_of_stack(flex_quartic_stack(np.full(100, 1000.0)))
+    assert len(calls) <= 6
+    assert _same_set(roots[0], _polyroots(flex_quartic(1000.0)), 1e-12)
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ((1.0, float("inf")), "non-finite"), ((0.0, 0.0), "zero polynomial"),
+    ((), "zero polynomial"), ([[1.0, 2.0]], "1-d")])
+def test_roots_of_rejects_malformed_coefficients(coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        roots_of(coeffs)
+
+
+def test_trimmed_drops_negligible_leading_coefficients():
+    assert trimmed((1.0, 2.0, 1e-13, 0.0)).tolist() == [1.0, 2.0]
+    assert trimmed((1.0, 2.0, 1e-10)).tolist() == [1.0, 2.0, 1e-10]
+    assert trimmed((1.0, 2.0, 1e-10), 1e-9).tolist() == [1.0, 2.0]
+    assert trimmed((3.0,)).tolist() == [3.0]
 
 
 def test_roots_of_stack_raises_on_a_missed_residual(monkeypatch):
@@ -199,7 +232,7 @@ def test_newton_polish_stack_matches_newton_polish():
     for row, zs, got in zip(coeffs, starts, polished):
         for z, w in zip(zs, got):
             try:
-                want = newton_polish(Poly1(tuple(row)), z)
+                want = newton_polish(row, z)
             except NonConvergence:
                 want = z
             assert abs(w - want) < 1e-12
@@ -210,10 +243,10 @@ def test_newton_polish_stack_matches_newton_polish():
     ((2.0, -2.0, 0.0, 1.0), 0.1)])       # z^3 - 2z + 2 near its 2-cycle 0, 1
 def test_newton_polish_stack_keeps_a_start_it_cannot_improve(coeffs, start):
     with pytest.raises(NonConvergence):
-        newton_polish(Poly1(coeffs), start)
+        newton_polish(coeffs, start)
     out = newton_polish_stack([coeffs], [[start, 0.9j]])
     assert out[0, 0] == start
-    assert abs(Poly1(coeffs)(out[0, 1])) < 1e-10
+    assert abs(numeric._value(coeffs, out[0, 1])) < 1e-10
 
 
 def test_constants_closed_forms():
