@@ -42,10 +42,10 @@ from .verify import (GeneratorSource, build_pipeline, fixture_group,
                      fixture_source, model_image_of, run_checks,
                      transcribed_flex_permutation, transcribed_root_permutation,
                      transported_images, verify_isomorphism_via_transport)
-from .weyl import (WEYL_ORDER, FiniteMatrixGroup, centralizer,
+from .weyl import (WEYL_ORDER, FiniteMatrixGroup, centralizer, conjugacy_class,
                    conjugacy_class_size, is_lattice_map, lattice_inverse,
-                   regenerate, reflection, trace_character_check,
-                   weyl_generators, weyl_group)
+                   lattice_invariants, regenerate, reflection,
+                   trace_character_check, weyl_generators, weyl_group)
 
 __version__ = "0.1.0"
 

@@ -1,10 +1,17 @@
-"""Verification report plumbing: typed checks, JSON schema, renderers."""
+"""Verification report plumbing: typed checks, JSON schema, renderers.
+
+Every renderer validates the report against REPORT_SCHEMA first, with the
+in-package `validate`: it implements the draft-07 meaning of exactly the
+keywords the schema uses, so rendering needs no schema library.  A report
+that breaks the schema raises ValueError naming the JSON path.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -39,6 +46,64 @@ REPORT_SCHEMA = {
         },
     },
 }
+
+
+_TYPES = {"object": dict, "array": list, "string": str, "number": numbers.Number}
+_KEYWORDS = {"$schema", "type", "required", "properties", "additionalProperties",
+             "items", "const", "enum", "minItems", "minLength", "minimum"}
+
+
+def _is(value: Any, kind: str) -> bool:
+    # JSON has no bool among its numbers, though Python's bool is an int
+    return isinstance(value, _TYPES[kind]) and not (
+        kind == "number" and isinstance(value, bool))
+
+
+def _same(value: Any, const: Any) -> bool:
+    """JSON equality of a value and a scalar schema constant: True is not 1."""
+    return value == const and isinstance(value, bool) == isinstance(const, bool)
+
+
+def validate(value: Any, schema: dict, path: str = "$") -> None:
+    """Raise ValueError, naming the JSON path, unless value matches schema.
+
+    Draft-07 meaning for the keywords in _KEYWORDS, the ones REPORT_SCHEMA
+    uses (`additionalProperties` only as false; `const` and `enum` only with
+    scalars); a schema with any other keyword is refused.
+    """
+    def fail(why: str) -> None:
+        raise ValueError(f"report breaks its schema at {path}: {why}")
+
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise ValueError(f"schema keywords {sorted(unknown)} are not supported")
+    if "type" in schema and not _is(value, schema["type"]):
+        fail(f"{value!r} is not of type {schema['type']!r}")
+    if "const" in schema and not _same(value, schema["const"]):
+        fail(f"{schema['const']!r} was expected, not {value!r}")
+    if "enum" in schema and not any(_same(value, c) for c in schema["enum"]):
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    if _is(value, "string") and len(value) < schema.get("minLength", 0):
+        fail(f"{value!r} is shorter than {schema['minLength']}")
+    if _is(value, "number") and "minimum" in schema and value < schema["minimum"]:
+        fail(f"{value!r} is less than {schema['minimum']!r}")
+    if _is(value, "array"):
+        if len(value) < schema.get("minItems", 0):
+            fail(f"fewer than {schema['minItems']} items")
+        if "items" in schema:
+            for k, item in enumerate(value):
+                validate(item, schema["items"], f"{path}[{k}]")
+    if _is(value, "object"):
+        missing = [key for key in schema.get("required", ()) if key not in value]
+        if missing:
+            fail(f"missing required {missing}")
+        props = schema.get("properties", {})
+        extra = [key for key in value if key not in props]
+        if schema.get("additionalProperties", True) is False and extra:
+            fail(f"unexpected {extra}")
+        for key, sub in props.items():
+            if key in value:
+                validate(value[key], sub, f"{path}.{key}")
 
 
 def jsonable(value: Any) -> Any:
@@ -99,9 +164,8 @@ class VerificationReport:
         }
 
     def validated_dict(self) -> dict:
-        import jsonschema  # deferred: only report rendering needs it
         payload = self.to_dict()
-        jsonschema.validate(payload, REPORT_SCHEMA)
+        validate(payload, REPORT_SCHEMA)
         return payload
 
 

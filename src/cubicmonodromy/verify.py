@@ -27,8 +27,7 @@ from .groups import (HEISENBERG_ALL, MODEL_IDENTITY, SL2_ALL, ModelElement,
                      index_table, intersect, is_normal, phi_action,
                      semidirect_model, sl2_mul, verify_generator_map)
 from .hesse import heisenberg_matrices, hesse_transform
-from .lines import (CANONICAL_CLASS, J_FORM, base_surface,
-                    concurrent_triples, deck_permutation,
+from .lines import (base_surface, concurrent_triples, deck_permutation,
                     is_strongly_regular_27, pairing, perm_compose,
                     perm_to_lattice_map, preserves_incidence)
 from .numeric import constants, nearest_match, roots_of
@@ -36,9 +35,9 @@ from .report import Check, VerificationReport, jsonable
 from .tracking import (LoopTrace, TrackingConfig, constant_loop,
                        flex_lattice_map, gamma_minus, gamma_plus, lift_to_lines,
                        trace_loop)
-from .weyl import (WEYL_ORDER, FiniteMatrixGroup, centralizer,
-                   conjugacy_class_size, lattice_inverse, trace_character_check,
-                   weyl_group)
+from .weyl import (WEYL_ORDER, FiniteMatrixGroup, centralizer, conjugacy_class,
+                   conjugacy_class_size, lattice_inverse, lattice_invariants,
+                   trace_character_check, weyl_group)
 
 TOL_TRANSCRIBE = 1e-6
 
@@ -126,16 +125,16 @@ def model_image_of(mat: np.ndarray) -> ModelElement:
 
 
 def conjugator_carrying_deck(target_deck: np.ndarray) -> np.ndarray:
-    """Some reflection-group element conjugating the stored deck matrix onto
-    the given one; raises NotAMember when the two are not conjugate."""
+    """A reflection-group element conjugating the stored deck matrix onto
+    the given one, read from the stored deck's class walk; raises NotAMember
+    when the two are not conjugate."""
     stored = load_fixtures().deck
-    if np.array_equal(stored, target_deck):  # spares the 51840-element scan
-        return np.eye(len(stored), dtype=np.int64)
-    group = weyl_group()
-    hits = group.intertwiners(stored, target_deck)
-    if len(hits) == 0:
+    target = np.ascontiguousarray(target_deck, dtype=np.int64)
+    carrier = (conjugacy_class(stored, weyl_group()).get(target.tobytes())
+               if target.shape == stored.shape else None)
+    if carrier is None:
         raise NotAMember("deck matrices are not conjugate in the reflection group")
-    return group.elements[hits[0]]
+    return carrier
 
 
 def transported_images(group: FiniteMatrixGroup,
@@ -289,12 +288,8 @@ def fixture_checks() -> list[Check]:
              "closure of the six reflections has the full order", reflection_order))
 
     def reflection_invariants():
-        stacked = weyl_group().stacked()
-        # J_FORM is diagonal, so m^T J m scales the rows of m by its diagonal
-        form = np.matmul(stacked.transpose(0, 2, 1) * np.diag(J_FORM), stacked)
-        fixes = stacked @ CANONICAL_CLASS
-        return ({"formPreserved": bool((form == J_FORM).all()),
-                 "canonicalFixed": bool((fixes == CANONICAL_CLASS).all())},
+        form, canonical = lattice_invariants(weyl_group())
+        return ({"formPreserved": form, "canonicalFixed": canonical},
                 {"formPreserved": True, "canonicalFixed": True})
     add(_run("fx-reflection-invariants",
              "every closure element preserves the form and the canonical class",

@@ -13,7 +13,8 @@ as the orbit indices ("digits") of its columns: g_j @ m is a gather of m's
 digits through g_j's permutation of the orbit, and the digits read in base
 |orbit| are an exact, injective int64 key (99^7 < 2^47).  Elements, parents
 and transitions are exactly those of the per-element search; the matrix
-stack is one gather of orbit vectors at the end.
+stack is one gather of orbit vectors at the end.  The digits also give the
+form check of every element as lookups in the orbit's pairing table.
 """
 
 from __future__ import annotations
@@ -256,6 +257,24 @@ class FiniteMatrixGroup:
         raise WrongOrder("element order exceeded bound")
 
 
+def lattice_invariants(group: FiniteMatrixGroup) -> tuple[bool, bool]:
+    """(every element preserves J_FORM, every element fixes CANONICAL_CLASS).
+
+    Exact over the whole group, read from the stored digits: column k of
+    elements[n] is orbit[digits[n, k]], so entry (i, j) of m^T J m is the
+    pairing table orbit @ J @ orbit^T at (digits[n, i], digits[n, j]).  The
+    form is symmetric, so the 28 entries with i <= j decide it.
+    """
+    orbit, digits = group.orbit, group.digits
+    n, dim = digits.shape
+    table = (orbit @ J_FORM @ orbit.T).ravel()
+    rows = digits.astype(np.intp) * len(orbit)
+    form = all(bool((table.take(rows[:, i] + digits[:, j]) == J_FORM[i, j]).all())
+               for i in range(dim) for j in range(i, dim))
+    fixes = group.elements.reshape(n * dim, dim) @ CANONICAL_CLASS
+    return form, bool((fixes.reshape(n, dim) == CANONICAL_CLASS).all())
+
+
 @lru_cache(maxsize=1)
 def weyl_group() -> FiniteMatrixGroup:
     """The full reflection group, 51840 elements, cached per process."""
@@ -265,22 +284,46 @@ def weyl_group() -> FiniteMatrixGroup:
     return group
 
 
+def conjugacy_class(g: np.ndarray,
+                    group: FiniteMatrixGroup) -> dict[bytes, np.ndarray]:
+    """The conjugacy class of a member g, each member with a conjugator.
+
+    Maps member.tobytes() to a group element w with w g w^-1 = member: the
+    orbit algorithm with a transversal (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, section 4.1), grown breadth-first by
+    conjugating every new member with each generator (w for s c s^-1 is s
+    times the w of c).  Raises NotAMember when g is not in the group.
+    """
+    g = np.ascontiguousarray(g, dtype=np.int64)
+    if g not in group:
+        raise NotAMember("conjugacy class requested for a non-member")
+    gens = np.stack(group.gens)[:, None]
+    invs = np.stack([lattice_inverse(s) for s in group.gens])[:, None]
+    eye = np.eye(len(g), dtype=np.int64)
+    found = {g.tobytes(): eye}
+    members, carriers = g[None], eye[None]
+    while len(members):
+        # (member, generator) order: s c s^-1 and s w for every pair
+        conj = (gens @ members @ invs).swapaxes(0, 1).reshape(-1, *g.shape)
+        carry = (gens @ carriers).swapaxes(0, 1).reshape(-1, *g.shape)
+        fresh = []
+        for k, m in enumerate(conj):
+            key = m.tobytes()
+            if key not in found:
+                found[key] = carry[k]
+                fresh.append(k)
+        members, carriers = conj[fresh], carry[fresh]
+    return found
+
+
 def conjugacy_class_size(g: np.ndarray, group: FiniteMatrixGroup) -> int:
-    """Orbit of g under conjugation by the group's generators, grown on
-    element indices."""
-    seen = np.zeros(len(group), dtype=bool)
-    frontier = np.array([group.index_of(g)])
-    while len(frontier):
-        seen[frontier] = True
-        mats = group.elements[frontier]
-        conj = group.locate(np.concatenate(
-            [s @ mats @ lattice_inverse(s) for s in group.gens]))
-        if np.any(conj < 0):
-            raise GroupError("a conjugate left the group")
-        hit = np.zeros_like(seen)
-        hit[conj] = True
-        frontier = np.flatnonzero(hit & ~seen)
-    return int(seen.sum())
+    """Length of g's class walk, once every member is located in the group."""
+    g = np.asarray(g, dtype=np.int64)
+    members = conjugacy_class(g, group)
+    stack = np.frombuffer(b"".join(members), dtype=np.int64).reshape(-1, *g.shape)
+    if np.any(group.locate(stack) < 0):
+        raise GroupError("a conjugate left the group")
+    return len(members)
 
 
 def centralizer(g: np.ndarray, group: FiniteMatrixGroup) -> FiniteMatrixGroup:

@@ -1,6 +1,10 @@
 """Command line behavior: outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -157,6 +161,43 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify")
     assert code == 1
     assert "overall=fail" in out
+
+
+def test_schema_breaking_report_exits_2(capsys, monkeypatch):
+    bad = VerificationReport("all", [
+        Check("x-1", "undecided check", "maybe", 0, 1, 0.1),
+    ])
+    monkeypatch.setattr(cli, "run_checks", lambda scope, cfg: bad)
+    code, out, err = run(capsys, "verify", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "status" in err
+
+
+# Runs the module as `python -m` does; the report goes to stdout, then the
+# exit code and whether jsonschema was ever imported go to stderr.
+_RUN_AS_MAIN = """
+import json, runpy, sys
+sys.argv = ["cubicmonodromy", "verify", "--scope", "all", "--format", "json"]
+try:
+    runpy.run_module("cubicmonodromy.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "jsonschema": "jsonschema" in sys.modules}),
+      file=sys.stderr)
+"""
+
+
+def test_verify_runs_without_importing_jsonschema():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _RUN_AS_MAIN],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=300)
+    status = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert status == {"code": 0, "jsonschema": False}
+    report = json.loads(proc.stdout)
+    assert report["overall"] == "pass"
+    assert len(report["checks"]) == 32
 
 
 def test_ambiguity_exits_3(capsys, monkeypatch):

@@ -1,14 +1,18 @@
 """Report assembly, JSON schema, and the three renderers."""
 
+import copy
 import json
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicmonodromy.report import (REPORT_SCHEMA, SCHEMA_VERSION, Check,
                                    VerificationReport, jsonable, render_csv,
-                                   render_json, render_text)
+                                   render_json, render_text, validate)
+from cubicmonodromy.verify import run_checks
 
 
 def _check(check_id="c-1", status="pass", description="a demo check",
@@ -128,3 +132,95 @@ def test_render_csv_quotes_commas():
     lines = render_csv(rep).splitlines()
     assert lines[0].startswith("id,")
     assert '"has, comma"' in lines[1]
+
+
+def test_render_rejects_a_report_that_breaks_the_schema():
+    rep = VerificationReport("all", [_check(status="maybe")])
+    for render in (render_json, render_text, render_csv):
+        with pytest.raises(ValueError, match=r"\$\.checks\[0\]\.status"):
+            render(rep)
+
+
+def test_validate_refuses_a_keyword_it_does_not_implement():
+    with pytest.raises(ValueError, match="pattern"):
+        validate("x", {"type": "string", "pattern": "^x$"})
+
+
+@pytest.fixture(scope="module")
+def real_payload():
+    return run_checks("all").to_dict()
+
+
+_CHECK_KEYS = ("id", "description", "status", "observed", "expected", "runtimeMs")
+_TOP_KEYS = ("schemaVersion", "scope", "overall", "checks")
+_ANY = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                 st.text(max_size=8), st.lists(st.integers(), max_size=2),
+                 st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@st.composite
+def _mutation(draw):
+    """One edit of a report payload, as a function that applies it in place."""
+    k = draw(st.integers(0, 63))  # a check index, taken modulo their number
+    kind = draw(st.sampled_from((
+        "drop-top", "drop-check", "extra-top", "extra-check", "runtime",
+        "empty-checks", "empty-text", "status", "scope", "version",
+        "non-object-check")))
+    if kind == "drop-top":
+        key = draw(st.sampled_from(_TOP_KEYS))
+        return lambda d: d.pop(key, None)
+    if kind == "drop-check":
+        key = draw(st.sampled_from(_CHECK_KEYS))
+        return lambda d: d["checks"][k % len(d["checks"])].pop(key, None)
+    if kind in ("extra-top", "extra-check"):
+        key, value = draw(st.text(max_size=12)), draw(_ANY)
+        if kind == "extra-top":
+            return lambda d: d.__setitem__(key, value)
+        return lambda d: d["checks"][k % len(d["checks"])].__setitem__(key, value)
+    if kind == "empty-checks":
+        return lambda d: d.__setitem__("checks", [])
+    if kind == "non-object-check":
+        value = draw(_ANY)
+        return lambda d: d["checks"].__setitem__(k % len(d["checks"]), value)
+    key, value = {
+        # each edit is as likely to keep the payload valid as to break it
+        "runtime": ("runtimeMs", st.one_of(
+            st.floats(0), st.integers(0), st.just(-1e-9), st.booleans(),
+            st.text(max_size=4), st.floats(max_value=-1e-300))),
+        "empty-text": (draw(st.sampled_from(("id", "description"))),
+                       st.sampled_from(("", "x"))),
+        "status": ("status", st.one_of(
+            st.sampled_from(("pass", "fail", "skipped")),
+            st.sampled_from(("maybe", "PASS")), _ANY)),
+        "scope": ("scope", st.one_of(
+            st.sampled_from(("fixtures", "pipeline", "all")),
+            st.sampled_from(("everything", "")), _ANY)),
+        "version": ("schemaVersion", st.one_of(
+            st.sampled_from((SCHEMA_VERSION, 1.0)),
+            st.sampled_from((True, 2, 0, "1", None, [1])))),
+    }[kind]
+    value = draw(value)
+    if kind in ("scope", "version"):
+        return lambda d: d.__setitem__(key, value)
+    return lambda d: d["checks"][k % len(d["checks"])].__setitem__(key, value)
+
+
+def _raises(validator, payload, error) -> bool:
+    try:
+        validator(payload, REPORT_SCHEMA)
+    except error:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edits=st.lists(_mutation(), max_size=2))
+def test_validate_agrees_with_jsonschema(real_payload, edits):
+    payload = copy.deepcopy(real_payload)
+    for edit in edits:
+        if payload.get("checks"):  # edits address a check by index
+            edit(payload)
+    ours = _raises(validate, payload, ValueError)
+    assert ours == _raises(jsonschema.validate, payload, jsonschema.ValidationError)
+    if not edits:
+        assert not ours

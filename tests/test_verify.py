@@ -7,14 +7,16 @@ import cubicmonodromy.fixtures as fixtures_mod
 import cubicmonodromy.verify as verify
 from cubicmonodromy.errors import NotAMember
 from cubicmonodromy.fixtures import load_fixtures
-from cubicmonodromy.lines import base_surface, concurrent_triples, perm_compose
+from cubicmonodromy.lines import (J_FORM, base_surface, concurrent_triples,
+                                  perm_compose)
 from cubicmonodromy.tracking import TrackingConfig
 from cubicmonodromy.verify import (build_pipeline, conjugator_carrying_deck,
                                    fixture_group, fixture_source,
                                    model_image_of, pipeline_checks, run_checks,
                                    transcribed_flex_permutation,
                                    transcribed_root_permutation)
-from cubicmonodromy.weyl import lattice_inverse
+from cubicmonodromy.weyl import (conjugacy_class_size, lattice_inverse,
+                                 weyl_group)
 
 PAIRS = [("fx-deck-invariants", "pl-deck-matrix"),
          ("fx-torsion-group", "pl-torsion-matrices"),
@@ -122,6 +124,34 @@ def test_conjugator_carries_deck():
 def test_conjugator_rejects_nonconjugate():
     with pytest.raises(NotAMember):
         conjugator_carrying_deck(np.eye(7, dtype=np.int64))
+
+
+def test_conjugator_covers_the_whole_deck_class():
+    deck, group = load_fixtures().deck, weyl_group()
+    # w deck w^-1 over all 51840 elements, with w^-1 = J w^T J
+    w = group.elements
+    members = np.unique(w @ deck @ (J_FORM @ w.transpose(0, 2, 1) @ J_FORM), axis=0)
+    assert len(members) == 80
+    for c in members:
+        w = conjugator_carrying_deck(c)
+        assert w in group
+        assert np.array_equal(w @ deck @ lattice_inverse(w), c)
+
+
+def test_conjugator_rejects_other_order_three_classes():
+    w = weyl_group().elements
+    eye = np.eye(7, dtype=np.int64)
+    cubes_to_one = np.all(w @ w @ w == eye, axis=(1, 2))
+    traces = np.trace(w, axis1=1, axis2=2)
+    others = np.flatnonzero(cubes_to_one & (traces != -2) & (traces != 7))
+    assert len(others) > 0
+    with pytest.raises(NotAMember):
+        conjugator_carrying_deck(w[others[0]])
+
+
+def test_both_decks_have_class_size_80():
+    for deck in (load_fixtures().deck, base_surface().deck_matrix):
+        assert conjugacy_class_size(deck, weyl_group()) == 80
 
 
 def test_build_pipeline_bundle():

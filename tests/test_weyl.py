@@ -8,8 +8,9 @@ from cubicmonodromy.errors import CapExceeded, GroupError, NotAMember
 from cubicmonodromy.fixtures import load_fixtures
 from cubicmonodromy.lines import CANONICAL_CLASS, J_FORM
 from cubicmonodromy.weyl import (WEYL_ORDER, FiniteMatrixGroup, centralizer,
-                                 conjugacy_class_size, is_lattice_map,
-                                 lattice_inverse, reflection, regenerate,
+                                 conjugacy_class, conjugacy_class_size,
+                                 is_lattice_map, lattice_inverse,
+                                 lattice_invariants, reflection, regenerate,
                                  trace_character_check, weyl_generators,
                                  weyl_group)
 
@@ -124,6 +125,43 @@ def test_every_element_preserves_form_and_canonical():
     assert (s @ CANONICAL_CLASS == CANONICAL_CLASS).all()
 
 
+def _reference_invariants(group):
+    """The int64 products m^T J m and m @ K over the element stack."""
+    s = group.elements
+    return (bool((s.transpose(0, 2, 1) @ J_FORM @ s == J_FORM).all()),
+            bool((s @ CANONICAL_CLASS == CANONICAL_CLASS).all()))
+
+
+def test_lattice_invariants_match_the_matrix_products():
+    w = weyl_group()
+    assert lattice_invariants(w) == _reference_invariants(w) == (True, True)
+
+
+@pytest.mark.parametrize("element, column", [(1, 0), (WEYL_ORDER // 2, 3),
+                                             (WEYL_ORDER - 1, 6)])
+def test_lattice_invariants_catch_one_changed_digit(element, column):
+    w = weyl_group()
+    digits = w.digits.copy()
+    digits[element, column] = (digits[element, column] + 1) % len(w.orbit)
+    broken = FiniteMatrixGroup(w.gens, w.orbit, digits, w.parents, w.transitions)
+    assert lattice_invariants(broken)[0] is False
+    assert lattice_invariants(broken) == _reference_invariants(broken)
+
+
+def test_lattice_invariants_read_pairings_away_from_column_0():
+    # the new column 3 keeps its norm and its pairing with column 0, so only
+    # its pairings with columns 1, 2, 4, 5, 6 can tell
+    w = weyl_group()
+    table = w.orbit @ J_FORM @ w.orbit.T
+    digits = w.digits.copy()
+    old = digits[1]
+    digits[1, 3] = next(r for r in range(len(w.orbit)) if r != old[3]
+                        and table[r, r] == table[old[3], old[3]]
+                        and table[r, old[0]] == table[old[3], old[0]])
+    broken = FiniteMatrixGroup(w.gens, w.orbit, digits, w.parents, w.transitions)
+    assert lattice_invariants(broken)[0] is False
+
+
 def test_census_spot_values():
     census = weyl_group().census()
     assert census[1] == 1
@@ -186,6 +224,23 @@ def test_class_size_times_centralizer_is_group_order():
     size = conjugacy_class_size(g, w)
     cen = centralizer(g, w)
     assert size * len(cen) == WEYL_ORDER
+
+
+def test_class_walk_carries_each_member_from_g():
+    w = weyl_group()
+    g = load_fixtures().deck
+    members = conjugacy_class(g, w)
+    assert len(members) == conjugacy_class_size(g, w) == 80
+    for key, carrier in members.items():
+        assert carrier in w
+        assert (carrier @ g @ lattice_inverse(carrier)).tobytes() == key
+
+
+def test_class_walk_rejects_a_non_member():
+    with pytest.raises(NotAMember):
+        conjugacy_class(-np.eye(7, dtype=np.int64), weyl_group())
+    with pytest.raises(NotAMember):
+        conjugacy_class_size(-np.eye(7, dtype=np.int64), weyl_group())
 
 
 def test_trace_character():
