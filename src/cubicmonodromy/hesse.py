@@ -118,8 +118,11 @@ def heisenberg_matrices(surface: SurfaceData | None = None
 
     The Hesse-model lifts are conjugated back to the base surface through
     the plane change, act on the 27 lines, and are read off as integer
-    matrices in the divisor basis.  Their commutator is a power of the deck
-    matrix and both commute with it; violations raise GroupError.
+    matrices in the divisor basis.  Since induced_line_perm reads the
+    permutation of conj(transform), these are the lattice maps of the
+    complex-conjugated lifts; the base surface is real, so those are
+    automorphisms too.  Their commutator is a power of the deck matrix and
+    both commute with it; violations raise GroupError.
     """
     if surface is None:
         surface = base_surface()

@@ -12,14 +12,24 @@ the 27 exceptional classes and the 72 images of e0).  An element is stored
 as the orbit indices ("digits") of its columns: g_j @ m is a gather of m's
 digits through g_j's permutation of the orbit, and the digits read in base
 |orbit| are an exact, injective int64 key (99^7 < 2^47).  Elements, parents
-and transitions are exactly those of the per-element search; the matrix
-stack is one gather of orbit vectors at the end.  The digits also give the
-form check of every element as lookups in the orbit's pairing table.
+and transitions are exactly those of the per-element search, and the group
+keeps the search's BFS tree level by level.  The matrix stack is one gather
+of orbit vectors, made on first use only.  The digits also give the form
+check of every element as lookups in the orbit's pairing table.
+
+A conjugacy class is walked once per group and member and kept on the
+group, with the class position of s c s^-1 for each member c and generator
+s.  The centralizer of g is read off the BFS tree through that table: the
+class position of w g w^-1 follows each element's tree edge from its
+parent, and the elements landing on g itself are the centralizer, without
+a pass over the matrices of the group.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -92,24 +102,34 @@ class FiniteMatrixGroup:
     """A finite matrix group enumerated by level-synchronous BFS closure.
 
     `elements` is one read-only (n, d, d) int64 stack in discovery order,
-    elements[0] the identity; `parents[i]` stores (parent index, generator
-    index) so a generator word can be rebuilt for any element; `transitions`
-    maps (element, generator) to the product's index, covering every product
-    relation the closure discovered.  `digits[i, k]` is the index of column
-    k of elements[i] in `orbit`, and membership goes through the sorted
-    digit keys.
+    elements[0] the identity, built from the digits on first access;
+    `parents[i]` stores (parent index, generator index) so a generator word
+    can be rebuilt for any element; `transitions` maps (element, generator)
+    to the product's index, covering every product relation the closure
+    discovered.  `digits[i, k]` is the index of column k of elements[i] in
+    `orbit`, and membership goes through the sorted digit keys.
+
+    `tree` is the closure's BFS tree as arrays (parent, generator, bounds):
+    element i >= 1 is gens[generator[i]] @ elements[parent[i]], BFS level L
+    is the index range bounds[L]:bounds[L + 1], each parent lies one level
+    up, and entry 0 of parent and generator is 0; `parents` is read from it.
+    `class_walks` keeps each conjugacy class walked in the group, keyed by
+    the bytes of the element it started from.
     """
 
     def __init__(self, gens: list[np.ndarray], orbit: np.ndarray,
-                 digits: np.ndarray, parents: list[tuple[int, int] | None],
+                 digits: np.ndarray,
+                 tree: tuple[np.ndarray, np.ndarray, np.ndarray],
                  transitions: np.ndarray):
         self.gens = gens
         self.orbit = orbit
         self.digits = digits
-        self.elements = np.ascontiguousarray(orbit[digits].transpose(0, 2, 1))
-        self.elements.flags.writeable = False
-        self.parents = parents
+        self._elements: np.ndarray | None = None
+        self.tree = tree
+        parent, gen, _ = tree
+        self.parents = [None, *zip(parent[1:].tolist(), gen[1:].tolist())]
         self.transitions = transitions
+        self.class_walks: dict[bytes, ClassWalk] = {}
         self._weights = len(orbit) ** np.arange(orbit.shape[1], dtype=np.int64)
         keys = digits @ self._weights
         self._order = np.argsort(keys)
@@ -171,17 +191,27 @@ class FiniteMatrixGroup:
             chunks.append(frontier)
             start, count = count, count + len(src)
         parent, g_idx = np.divmod(np.concatenate(born_at), ng)
-        parents = [None, *zip(parent.tolist(), g_idx.tolist())]
+        bounds = np.cumsum([0, *map(len, chunks[:-1])])  # last one is empty
+        tree = (np.concatenate([[0], parent]), np.concatenate([[0], g_idx]),
+                bounds)
         return cls(gens, np.array(vecs, dtype=np.int64).reshape(-1, dim),
-                   np.concatenate(chunks), parents, np.concatenate(rows))
+                   np.concatenate(chunks), tree, np.concatenate(rows))
+
+    @property
+    def elements(self) -> np.ndarray:
+        if self._elements is None:
+            stack = self.orbit[self.digits].transpose(0, 2, 1)
+            self._elements = np.ascontiguousarray(stack)
+            self._elements.flags.writeable = False
+        return self._elements
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.digits)
 
     def locate(self, mats: np.ndarray) -> np.ndarray:
         """Element index of each matrix of a (k, d, d) stack, -1 if absent."""
         mats = np.asarray(mats, dtype=np.int64)
-        if mats.shape[1:] != self.elements.shape[1:]:
+        if mats.shape[1:] != (self.digits.shape[1],) * 2:
             return np.full(len(mats), -1, dtype=np.int64)
         cols = np.ascontiguousarray(mats.transpose(0, 2, 1)).view(
             self._vecs.dtype).reshape(mats.shape[:2])
@@ -192,19 +222,6 @@ class FiniteMatrixGroup:
         pos = np.minimum(np.searchsorted(self._keys, keys), len(self) - 1)
         hit = np.all(self._vecs[at] == cols, axis=1) & (self._keys[pos] == keys)
         return np.where(hit, self._order[pos], -1)
-
-    def intertwiners(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Indices, ascending, of the elements m with m @ a == b @ m.
-
-        Column k of both sides is compared exactly, one column at a time,
-        on the elements that matched every earlier column.
-        """
-        a, b = (np.asarray(x, dtype=np.int64) for x in (a, b))
-        idx, sub = np.arange(len(self)), self.elements
-        for k in range(a.shape[1]):
-            keep = np.all(sub @ a[:, k] == sub[:, :, k] @ b.T, axis=1)
-            idx, sub = idx[keep], sub[keep]
-        return idx
 
     def __contains__(self, m: np.ndarray) -> bool:
         return bool(self.locate(np.asarray(m)[None])[0] >= 0)
@@ -227,7 +244,8 @@ class FiniteMatrixGroup:
             out.append(g_idx)
 
     def stacked(self) -> np.ndarray:
-        """The (n, d, d) element stack itself, read-only, not a copy."""
+        """The (n, d, d) element stack itself, read-only, not a copy; the
+        first call builds it."""
         return self.elements
 
     def census(self) -> dict[int, int]:
@@ -263,16 +281,18 @@ def lattice_invariants(group: FiniteMatrixGroup) -> tuple[bool, bool]:
     Exact over the whole group, read from the stored digits: column k of
     elements[n] is orbit[digits[n, k]], so entry (i, j) of m^T J m is the
     pairing table orbit @ J @ orbit^T at (digits[n, i], digits[n, j]).  The
-    form is symmetric, so the 28 entries with i <= j decide it.
+    form is symmetric, so the 28 entries with i <= j decide it.  Likewise
+    m @ K is the sum of K_k times orbit[digits[n, k]].
     """
     orbit, digits = group.orbit, group.digits
-    n, dim = digits.shape
+    dim = digits.shape[1]
     table = (orbit @ J_FORM @ orbit.T).ravel()
     rows = digits.astype(np.intp) * len(orbit)
     form = all(bool((table.take(rows[:, i] + digits[:, j]) == J_FORM[i, j]).all())
                for i in range(dim) for j in range(i, dim))
-    fixes = group.elements.reshape(n * dim, dim) @ CANONICAL_CLASS
-    return form, bool((fixes.reshape(n, dim) == CANONICAL_CLASS).all())
+    fixes = sum((k * orbit).take(digits[:, col], axis=0)
+                for col, k in enumerate(CANONICAL_CLASS.tolist()))
+    return form, bool((fixes == CANONICAL_CLASS).all())
 
 
 @lru_cache(maxsize=1)
@@ -284,59 +304,106 @@ def weyl_group() -> FiniteMatrixGroup:
     return group
 
 
-def conjugacy_class(g: np.ndarray,
-                    group: FiniteMatrixGroup) -> dict[bytes, np.ndarray]:
-    """The conjugacy class of a member g, each member with a conjugator.
+@dataclass(frozen=True)
+class ClassWalk:
+    """The conjugacy class of g as walked in a group, g first.
 
-    Maps member.tobytes() to a group element w with w g w^-1 = member: the
-    orbit algorithm with a transversal (Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, section 4.1), grown breadth-first by
+    `carriers` maps member.tobytes() to a group element w with
+    w g w^-1 = member, in walk order; `table[i, j]` is the walk position of
+    s_j c s_j^-1 for the member c at position i.  Both are read-only.
+    """
+
+    carriers: MappingProxyType
+    table: np.ndarray
+
+
+def _class_walk(g: np.ndarray, group: FiniteMatrixGroup) -> ClassWalk:
+    """g's class walk, made once per group and kept in group.class_walks.
+
+    The orbit algorithm with a transversal (Holt, Eick and O'Brien, Handbook
+    of Computational Group Theory, section 4.1), grown breadth-first by
     conjugating every new member with each generator (w for s c s^-1 is s
-    times the w of c).  Raises NotAMember when g is not in the group.
+    times the w of c).  Raises NotAMember when g is not in the group and
+    GroupError when a conjugate is not.
     """
     g = np.ascontiguousarray(g, dtype=np.int64)
+    key = g.tobytes()
+    if key in group.class_walks:
+        return group.class_walks[key]
     if g not in group:
         raise NotAMember("conjugacy class requested for a non-member")
     gens = np.stack(group.gens)[:, None]
     invs = np.stack([lattice_inverse(s) for s in group.gens])[:, None]
     eye = np.eye(len(g), dtype=np.int64)
-    found = {g.tobytes(): eye}
-    members, carriers = g[None], eye[None]
-    while len(members):
+    position = {key: 0}
+    members, carriers, rows = [g[None]], [eye[None]], []
+    while len(members[-1]):
         # (member, generator) order: s c s^-1 and s w for every pair
-        conj = (gens @ members @ invs).swapaxes(0, 1).reshape(-1, *g.shape)
-        carry = (gens @ carriers).swapaxes(0, 1).reshape(-1, *g.shape)
-        fresh = []
-        for k, m in enumerate(conj):
-            key = m.tobytes()
-            if key not in found:
-                found[key] = carry[k]
-                fresh.append(k)
-        members, carriers = conj[fresh], carry[fresh]
-    return found
+        conj = (gens @ members[-1] @ invs).swapaxes(0, 1).reshape(-1, *g.shape)
+        carry = (gens @ carriers[-1]).swapaxes(0, 1).reshape(-1, *g.shape)
+        start = len(position)
+        at = np.array([position.setdefault(m.tobytes(), len(position))
+                       for m in conj])
+        rows.append(at.reshape(-1, len(gens)))
+        # first visits of the new positions, in the order they were given
+        new, first = np.unique(at, return_index=True)
+        fresh = first[new >= start]
+        members.append(conj[fresh])
+        carriers.append(carry[fresh])
+    if np.any(group.locate(np.concatenate(members)) < 0):
+        raise GroupError("a conjugate left the group")
+    carriers, table = np.concatenate(carriers), np.concatenate(rows)
+    carriers.flags.writeable = table.flags.writeable = False
+    walk = ClassWalk(MappingProxyType(dict(zip(position, carriers))), table)
+    group.class_walks[key] = walk
+    return walk
+
+
+def conjugacy_class(g: np.ndarray,
+                    group: FiniteMatrixGroup) -> MappingProxyType:
+    """The conjugacy class of a member g, each member with a conjugator.
+
+    A read-only map from member.tobytes() to a group element w with
+    w g w^-1 = member, g first; the walk behind it is made once per group.
+    Raises NotAMember when g is not in the group.
+    """
+    return _class_walk(g, group).carriers
 
 
 def conjugacy_class_size(g: np.ndarray, group: FiniteMatrixGroup) -> int:
-    """Length of g's class walk, once every member is located in the group."""
-    g = np.asarray(g, dtype=np.int64)
-    members = conjugacy_class(g, group)
-    stack = np.frombuffer(b"".join(members), dtype=np.int64).reshape(-1, *g.shape)
-    if np.any(group.locate(stack) < 0):
-        raise GroupError("a conjugate left the group")
-    return len(members)
+    """Length of g's class walk, whose members all lie in the group."""
+    return len(_class_walk(g, group).table)
 
 
 def centralizer(g: np.ndarray, group: FiniteMatrixGroup) -> FiniteMatrixGroup:
-    """Subgroup of elements commuting with g, with |orbit| * |centralizer|
-    cross-checked against the group order."""
-    g = np.asarray(g, dtype=np.int64)
-    if g not in group:
-        raise NotAMember("centralizer requested for a non-member")
-    sub = regenerate(group.elements[group.intertwiners(g, g)])
-    orbit = conjugacy_class_size(g, group)
-    if orbit * len(sub) != len(group):
+    """Subgroup of elements commuting with g, read off the closure's BFS tree.
+
+    With w g w^-1 at walk position c for an element w, the element s w lies
+    at table[c, s]; following the tree level by level gives every element's
+    position, and the elements at position 0 (g itself) commute with g.
+    Each is checked to commute, and |class| * |centralizer| against the
+    group order.
+    """
+    g = np.ascontiguousarray(g, dtype=np.int64)
+    walk = _class_walk(g, group)
+    idx = _fixing_indices(walk, group)
+    members = group.orbit[group.digits[idx]].transpose(0, 2, 1)
+    if not np.array_equal(members @ g, g @ members):
+        raise GroupError("a centralizer member does not commute with g")
+    sub = regenerate(members)
+    if len(walk.table) * len(sub) != len(group):
         raise WrongOrder("orbit-stabilizer count failed for the centralizer")
     return sub
+
+
+def _fixing_indices(walk: ClassWalk, group: FiniteMatrixGroup) -> np.ndarray:
+    """Indices, ascending, of the elements w with w g w^-1 = g, for the g
+    the walk started from, followed along the tree one level at a time."""
+    parent, gen, bounds = group.tree
+    at = np.zeros(len(group), dtype=np.int64)
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        at[lo:hi] = walk.table[at[parent[lo:hi]], gen[lo:hi]]
+    return np.flatnonzero(at == 0)
 
 
 def regenerate(members: np.ndarray) -> FiniteMatrixGroup:

@@ -174,30 +174,72 @@ def test_schema_breaking_report_exits_2(capsys, monkeypatch):
     assert err.startswith("error: ") and "status" in err
 
 
-# Runs the module as `python -m` does; the report goes to stdout, then the
-# exit code and whether jsonschema was ever imported go to stderr.
-_RUN_AS_MAIN = """
+# Runs `verify --scope all` cold as `python -m` does; the report goes to
+# stdout.  Then it reports on stderr the exit code, whether jsonschema was
+# ever imported, and on the reflection group the run left behind: whether
+# its element stack was built, how many class walks it keeps, and whether
+# the class map a caller gets from conjugacy_class can be changed.
+_COLD_RUN = """
 import json, runpy, sys
 sys.argv = ["cubicmonodromy", "verify", "--scope", "all", "--format", "json"]
 try:
     runpy.run_module("cubicmonodromy.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "jsonschema": "jsonschema" in sys.modules}),
-      file=sys.stderr)
+state = {"code": code, "jsonschema": "jsonschema" in sys.modules}
+from cubicmonodromy.fixtures import load_fixtures
+from cubicmonodromy.weyl import conjugacy_class, weyl_group
+w = weyl_group()
+state.update(stackBuilt=w._elements is not None, walks=len(w.class_walks))
+members = conjugacy_class(load_fixtures().deck, w)
+try:
+    members[b"x"] = None
+except TypeError:
+    state["mapReadOnly"] = True
+try:
+    next(iter(members.values()))[0, 0] = 5
+except ValueError:
+    state["carrierReadOnly"] = True
+state["walksAfter"] = len(w.class_walks)
+print(json.dumps(state), file=sys.stderr)
 """
 
 
-def test_verify_runs_without_importing_jsonschema():
+@pytest.fixture(scope="module")
+def cold_run():
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", _RUN_AS_MAIN],
+    return subprocess.run([sys.executable, "-c", _COLD_RUN],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=300)
-    status = json.loads(proc.stderr.strip().splitlines()[-1])
-    assert status == {"code": 0, "jsonschema": False}
-    report = json.loads(proc.stdout)
+
+
+def _cold_state(cold_run):
+    return json.loads(cold_run.stderr.strip().splitlines()[-1])
+
+
+def test_verify_runs_without_importing_jsonschema(cold_run):
+    state = _cold_state(cold_run)
+    assert state["code"] == 0 and state["jsonschema"] is False
+    report = json.loads(cold_run.stdout)
     assert report["overall"] == "pass"
     assert len(report["checks"]) == 32
+
+
+def test_cold_verify_never_builds_the_reflection_group_stack(cold_run):
+    assert _cold_state(cold_run) == {
+        "code": 0, "jsonschema": False, "stackBuilt": False, "walks": 2,
+        "mapReadOnly": True, "carrierReadOnly": True, "walksAfter": 2}
+
+
+def _without_runtimes(report):
+    return {**report, "checks": [{k: v for k, v in c.items() if k != "runtimeMs"}
+                                 for c in report["checks"]]}
+
+
+def test_full_report_equals_the_golden_report(cold_run):
+    golden = json.loads((Path(__file__).parent / "data" /
+                         "report_all.json").read_text())
+    assert _without_runtimes(json.loads(cold_run.stdout)) == golden
 
 
 def test_ambiguity_exits_3(capsys, monkeypatch):

@@ -77,13 +77,13 @@ def test_chordal_distance_has_no_cancellation_floor():
 
 def test_induced_perm_deck_scaling():
     s = base_surface()
-    scaling = np.diag([1.0, 1.0, 1.0, OMEGA]).astype(complex)
-    p = induced_line_perm(scaling)
     q = deck_permutation(s.lines)
-    # the scaling permutes sheets cyclically; it must be a power of the
-    # sheet rotation
-    assert p.tolist() == q.tolist() or \
-        p.tolist() == perm_compose(q, q).tolist()
+    # the scaling permutes sheets cyclically.  induced_line_perm reads the
+    # permutation that conj(transform) induces (see its docstring), so
+    # diag(1, 1, 1, omega) gives q∘q and diag(1, 1, 1, conj(omega)) gives q
+    for w3, want in ((OMEGA, perm_compose(q, q)), (np.conj(OMEGA), q)):
+        scaling = np.diag([1.0, 1.0, 1.0, w3]).astype(complex)
+        assert induced_line_perm(scaling).tolist() == want.tolist()
 
 
 def test_induced_perm_rejects_off_surface_map():

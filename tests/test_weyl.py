@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from cubicmonodromy import weyl
-from cubicmonodromy.errors import CapExceeded, GroupError, NotAMember
+from cubicmonodromy.errors import (CapExceeded, GroupError, NotAMember,
+                                   WrongOrder)
 from cubicmonodromy.fixtures import load_fixtures
-from cubicmonodromy.lines import CANONICAL_CLASS, J_FORM
-from cubicmonodromy.weyl import (WEYL_ORDER, FiniteMatrixGroup, centralizer,
+from cubicmonodromy.lines import CANONICAL_CLASS, J_FORM, base_surface
+from cubicmonodromy.weyl import (WEYL_ORDER, ClassWalk, FiniteMatrixGroup,
+                                 centralizer,
                                  conjugacy_class, conjugacy_class_size,
                                  is_lattice_map, lattice_inverse,
                                  lattice_invariants, reflection, regenerate,
@@ -143,7 +145,7 @@ def test_lattice_invariants_catch_one_changed_digit(element, column):
     w = weyl_group()
     digits = w.digits.copy()
     digits[element, column] = (digits[element, column] + 1) % len(w.orbit)
-    broken = FiniteMatrixGroup(w.gens, w.orbit, digits, w.parents, w.transitions)
+    broken = FiniteMatrixGroup(w.gens, w.orbit, digits, w.tree, w.transitions)
     assert lattice_invariants(broken)[0] is False
     assert lattice_invariants(broken) == _reference_invariants(broken)
 
@@ -158,7 +160,7 @@ def test_lattice_invariants_read_pairings_away_from_column_0():
     digits[1, 3] = next(r for r in range(len(w.orbit)) if r != old[3]
                         and table[r, r] == table[old[3], old[3]]
                         and table[r, old[0]] == table[old[3], old[0]])
-    broken = FiniteMatrixGroup(w.gens, w.orbit, digits, w.parents, w.transitions)
+    broken = FiniteMatrixGroup(w.gens, w.orbit, digits, w.tree, w.transitions)
     assert lattice_invariants(broken)[0] is False
 
 
@@ -224,6 +226,107 @@ def test_class_size_times_centralizer_is_group_order():
     size = conjugacy_class_size(g, w)
     cen = centralizer(g, w)
     assert size * len(cen) == WEYL_ORDER
+
+
+def _centralizer_inputs():
+    w = weyl_group()
+    s0, s1 = w.gens[0], w.gens[1]
+    assert not np.array_equal(s0 @ s1, s1 @ s0)
+    rng = np.random.default_rng(17)
+    return {"fixture-deck": load_fixtures().deck,
+            "surface-deck": base_surface().deck_matrix,
+            "reflection": s0,
+            "two-reflections": s0 @ s1,
+            "random": w.elements[int(rng.integers(1, WEYL_ORDER))]}
+
+
+@pytest.mark.parametrize("name", list(_centralizer_inputs()))
+def test_tree_centralizer_matches_the_scan_over_the_group(name):
+    w = weyl_group()
+    g = _centralizer_inputs()[name]
+    s = w.stacked()
+    scan = np.flatnonzero(np.all(s @ g == g @ s, axis=(1, 2)))
+    idx = weyl._fixing_indices(weyl._class_walk(g, w), w)
+    assert idx.tolist() == scan.tolist()
+    cen = centralizer(g, w)
+    assert len(cen) * conjugacy_class_size(g, w) == WEYL_ORDER
+    picked = regenerate(s[scan]).gens
+    assert len(cen.gens) == len(picked)
+    assert all(np.array_equal(a, b) for a, b in zip(cen.gens, picked))
+
+
+def _copy_with(w, tree=None, walks=None):
+    """A copy of w sharing its digits, with another tree or kept walks."""
+    copy = FiniteMatrixGroup(w.gens, w.orbit, w.digits, tree or w.tree,
+                             w.transitions)
+    copy.class_walks.update(walks or {})
+    return copy
+
+
+def test_commute_guard_catches_a_false_fixed_point():
+    # one table entry sends a non-commuting reflection onto g itself
+    w, g = weyl_group(), load_fixtures().deck
+    walk = weyl._class_walk(g, w)
+    table = walk.table.copy()
+    j = next(j for j in range(len(w.gens)) if table[0, j] != 0)
+    table[0, j] = 0
+    broken = _copy_with(w, walks={g.tobytes(): ClassWalk(walk.carriers, table)})
+    with pytest.raises(GroupError, match="commute"):
+        centralizer(g, broken)
+
+
+def test_guards_catch_one_wrong_tree_edge():
+    # the last centralizer member is reached through another generator
+    w, g = weyl_group(), load_fixtures().deck
+    walk = weyl._class_walk(g, w)
+    parent, gen, bounds = w.tree
+    k = int(weyl._fixing_indices(walk, w)[-1])
+    up = w.elements[parent[k]]
+    at = list(walk.carriers).index((up @ g @ lattice_inverse(up)).tobytes())
+    bad = gen.copy()
+    bad[k] = next(j for j in range(len(w.gens)) if walk.table[at, j] != 0)
+    broken = _copy_with(w, tree=(parent, bad, bounds))
+    with pytest.raises((GroupError, WrongOrder)):
+        centralizer(g, broken)
+
+
+def test_class_walk_is_kept_once_and_read_only():
+    w = FiniteMatrixGroup.close(weyl_generators())
+    g = load_fixtures().deck
+    members = conjugacy_class(g, w)
+    assert conjugacy_class(g, w) is members
+    assert conjugacy_class_size(g, w) == 80
+    centralizer(g, w)
+    assert list(w.class_walks) == [g.tobytes()]
+    with pytest.raises(TypeError):
+        members[b"x"] = g
+    with pytest.raises(ValueError):
+        members[g.tobytes()][0, 0] = 5
+    with pytest.raises(ValueError):
+        w.class_walks[g.tobytes()].table[0, 0] = 1
+
+
+def test_close_keeps_its_bfs_tree():
+    w = weyl_group()
+    parent, gen, bounds = w.tree
+    assert bounds[0] == 0 and bounds[1] == 1 and bounds[-1] == WEYL_ORDER
+    for lo, hi, up in zip(bounds[1:-1], bounds[2:], bounds[:-2]):
+        assert np.all((up <= parent[lo:hi]) & (parent[lo:hi] < lo))
+    idx = np.arange(1, WEYL_ORDER, 997)
+    gens = np.stack(w.gens)
+    s = w.stacked()
+    assert np.array_equal(gens[gen[idx]] @ s[parent[idx]], s[idx])
+
+
+def test_element_stack_is_built_on_first_use():
+    w = FiniteMatrixGroup.close(weyl_generators())
+    assert len(w) == WEYL_ORDER
+    assert w.locate(np.eye(7, dtype=np.int64)[None]).tolist() == [0]
+    assert lattice_invariants(w) == (True, True)
+    assert w._elements is None
+    s = w.stacked()
+    assert s is w.elements is w.stacked()
+    assert not s.flags.writeable
 
 
 def test_class_walk_carries_each_member_from_g():
