@@ -22,7 +22,7 @@ from .fixtures import FixtureSet, load_fixtures
 from .groups import (MODEL_IDENTITY, ModelElement, SemidirectGroup,
                      conjugation_relations, corrected_action, identify_order24,
                      intersect, is_normal, phi_action, semidirect_model,
-                     verify_generator_map, verify_isomorphism)
+                     verify_generator_map)
 from .hesse import (heisenberg_lifts, heisenberg_matrices, hesse_transform,
                     induced_line_perm)
 from .lines import (CANONICAL_CLASS, J_FORM, Line3, SurfaceData, all_lines,
@@ -39,7 +39,7 @@ from .tracking import (Loop, LoopTrace, TrackingConfig, constant_loop,
                        lift_to_lines, monodromy_matrix, trace_loop,
                        track_flexes, track_roots)
 from .verify import (GeneratorSource, build_pipeline, fixture_group,
-                     fixture_source, model_image_of, run_checks,
+                     fixture_source, model_images_of, run_checks,
                      transcribed_flex_permutation, transcribed_root_permutation,
                      transported_images, verify_isomorphism_via_transport)
 from .weyl import (WEYL_ORDER, FiniteMatrixGroup, centralizer, conjugacy_class,

@@ -217,30 +217,28 @@ def semidirect_model() -> SemidirectGroup:
     return model
 
 
-def verify_generator_map(source, images: list[ModelElement],
+def verify_generator_map(source: FiniteMatrixGroup, images: list[ModelElement],
                          model: SemidirectGroup) -> dict[int, ModelElement]:
     """Extend a generator assignment along the closure and certify it.
 
-    source must expose gens, elements, parents, transitions and word() the
-    way FiniteMatrixGroup does, with source.transitions[i][j] indexing the
-    product (generator j) * (element i).  Images are assigned along the
-    parent links, then every one of those product relations is replayed in
-    the model's table at once; any mismatch raises NotIsomorphic with the
-    word of the offending element as a witness.  The verified extension is
-    also required to be a bijection onto the model.
+    The images are extended along the source's BFS tree (`along_tree`
+    through the model's product table), then every product relation the
+    closure discovered, source.transitions[i, j] indexing (generator j) *
+    (element i), is replayed in the model's table at once; any mismatch
+    raises NotIsomorphic with the word of the offending element as a
+    witness.  The verified extension is also required to be a bijection
+    onto the model.
     """
-    n = len(source.elements)
+    n = len(source)
     if n != len(model):
         raise WrongOrder(f"source order {n} != model order {len(model)}")
     if len(images) != len(source.gens):
         raise ValueError("need one model image per source generator")
     gen_at = np.array([model.index_of(p) for p in images], dtype=np.int64)
-    t = model.table
-    imgs = np.full(n, model.index_of(MODEL_IDENTITY))
-    for i, (parent, j) in enumerate(source.parents[1:], start=1):
-        imgs[i] = t[gen_at[j], imgs[parent]]
+    step = model.table[gen_at].T  # [x, j]: image of generator j times x
+    imgs = source.along_tree(step, model.index_of(MODEL_IDENTITY))
     trans = np.asarray(source.transitions, dtype=np.int64).reshape(n, len(images))
-    want = t[gen_at[None, :], imgs[:, None]]
+    want = step[imgs]
     bad = np.argwhere(imgs[trans] != want)
     if len(bad):
         i, j = bad[0]
@@ -250,22 +248,6 @@ def verify_generator_map(source, images: list[ModelElement],
     if len(set(imgs.tolist())) != n:
         raise NotIsomorphic("extension is not injective")
     return dict(enumerate(model.elements[k] for k in imgs.tolist()))
-
-
-def verify_isomorphism(group: FiniteMatrixGroup,
-                       images: list[ModelElement] | None = None) -> dict[int, ModelElement]:
-    """Certify that a 648-element matrix group is the semidirect model.
-
-    The group must come as a closure over four generators matching the
-    standard ones (two Heisenberg-type, two SL2-type); images defaults to
-    the standard generator assignment.
-    """
-    if len(group) != 648:
-        raise WrongOrder(f"group has order {len(group)}, expected 648")
-    model = semidirect_model()
-    if images is None:
-        images = model.generator_images()
-    return verify_generator_map(group, images, model)
 
 
 def intersect(a: FiniteMatrixGroup, b: FiniteMatrixGroup) -> FiniteMatrixGroup:

@@ -113,15 +113,18 @@ def fixture_group() -> FiniteMatrixGroup:
     return FiniteMatrixGroup.close(fx.generators(), cap=1000)
 
 
-def model_image_of(mat: np.ndarray) -> ModelElement:
-    """Image of a fixture-group member under the printed generator map."""
-    group = fixture_group()
-    images = SemidirectGroup.generator_images()
-    model = semidirect_model()
-    out = MODEL_IDENTITY
-    for g_idx in group.word(group.index_of(mat)):
-        out = model.mul(out, images[g_idx])
-    return out
+def model_images_of(mats: np.ndarray) -> list[ModelElement]:
+    """Images of a (k, 7, 7) stack of fixture-group members under the printed
+    generator map: the fixture group's BFS tree walked once through the
+    model's product table.  Raises NotAMember for a matrix outside the group."""
+    group, model = fixture_group(), semidirect_model()
+    at = group.locate(mats)
+    if np.any(at < 0):
+        raise NotAMember("matrix is not in the group")
+    gen_at = [model.index_of(p) for p in SemidirectGroup.generator_images()]
+    imgs = group.along_tree(model.table[gen_at].T,
+                            model.index_of(MODEL_IDENTITY))
+    return [model.elements[k] for k in imgs[at].tolist()]
 
 
 def conjugator_carrying_deck(target_deck: np.ndarray) -> np.ndarray:
@@ -142,12 +145,12 @@ def transported_images(group: FiniteMatrixGroup,
     """Model images for a centralizer-of-deck group's generators.
 
     The carrier conjugates the stored deck onto the group's deck, so
-    conjugating back moves the group onto the fixture group, whose word map
-    into the model is available; verify_generator_map certifies the result.
+    conjugating back moves the group onto the fixture group, whose images
+    in the model are read off its tree; verify_generator_map certifies the
+    result.
     """
-    winv = lattice_inverse(carrier)
-    return [model_image_of(winv @ np.asarray(g, dtype=np.int64) @ carrier)
-            for g in group.gens]
+    return model_images_of(lattice_inverse(carrier) @ np.stack(group.gens)
+                           @ carrier)
 
 
 def verify_isomorphism_via_transport(group: FiniteMatrixGroup,

@@ -11,18 +11,21 @@ computed exactly in Python integers (for the reflection group 99 vectors:
 the 27 exceptional classes and the 72 images of e0).  An element is stored
 as the orbit indices ("digits") of its columns: g_j @ m is a gather of m's
 digits through g_j's permutation of the orbit, and the digits read in base
-|orbit| are an exact, injective int64 key (99^7 < 2^47).  Elements, parents
-and transitions are exactly those of the per-element search, and the group
-keeps the search's BFS tree level by level.  The matrix stack is one gather
-of orbit vectors, made on first use only.  The digits also give the form
-check of every element as lookups in the orbit's pairing table.
+|orbit| are an exact, injective int64 key (99^7 < 2^47).  Elements and
+transitions are exactly those of the per-element search, and the group
+keeps the search's BFS tree as arrays, level by level.  The matrix stack is
+one gather of orbit vectors, made on first use only.  The digits also give
+the form check of every element as lookups in the orbit's pairing table.
 
-A conjugacy class is walked once per group and member and kept on the
-group, with the class position of s c s^-1 for each member c and generator
-s.  The centralizer of g is read off the BFS tree through that table: the
-class position of w g w^-1 follows each element's tree edge from its
-parent, and the elements landing on g itself are the centralizer, without
-a pass over the matrices of the group.
+The tree is read one way, by `FiniteMatrixGroup.along_tree`: given a table
+of how each generator moves a state, it gives every element the state its
+word reaches from a start, one BFS level at a time.  A conjugacy class is
+walked once per group and member and kept on the group, with the class
+position of s c s^-1 for each member c and generator s; walking the tree
+through that table gives the class position of w g w^-1 for every w, and
+the elements landing on g itself are the centralizer, without a pass over
+the matrices of the group.  The same walk through a model's product table
+extends generator images to the whole group (`groups.verify_generator_map`).
 """
 
 from __future__ import annotations
@@ -103,18 +106,17 @@ class FiniteMatrixGroup:
 
     `elements` is one read-only (n, d, d) int64 stack in discovery order,
     elements[0] the identity, built from the digits on first access;
-    `parents[i]` stores (parent index, generator index) so a generator word
-    can be rebuilt for any element; `transitions` maps (element, generator)
-    to the product's index, covering every product relation the closure
-    discovered.  `digits[i, k]` is the index of column k of elements[i] in
-    `orbit`, and membership goes through the sorted digit keys.
+    `transitions` maps (element, generator) to the product's index, covering
+    every product relation the closure discovered.  `digits[i, k]` is the
+    index of column k of elements[i] in `orbit`, and membership goes through
+    the sorted digit keys.
 
     `tree` is the closure's BFS tree as arrays (parent, generator, bounds):
     element i >= 1 is gens[generator[i]] @ elements[parent[i]], BFS level L
     is the index range bounds[L]:bounds[L + 1], each parent lies one level
-    up, and entry 0 of parent and generator is 0; `parents` is read from it.
-    `class_walks` keeps each conjugacy class walked in the group, keyed by
-    the bytes of the element it started from.
+    up, and entry 0 of parent and generator is 0.  `word` and `along_tree`
+    read it.  `class_walks` keeps each conjugacy class walked in the group,
+    keyed by the bytes of the element it started from.
     """
 
     def __init__(self, gens: list[np.ndarray], orbit: np.ndarray,
@@ -126,8 +128,6 @@ class FiniteMatrixGroup:
         self.digits = digits
         self._elements: np.ndarray | None = None
         self.tree = tree
-        parent, gen, _ = tree
-        self.parents = [None, *zip(parent[1:].tolist(), gen[1:].tolist())]
         self.transitions = transitions
         self.class_walks: dict[bytes, ClassWalk] = {}
         self._weights = len(orbit) ** np.arange(orbit.shape[1], dtype=np.int64)
@@ -234,14 +234,24 @@ class FiniteMatrixGroup:
 
     def word(self, idx: int) -> list[int]:
         """Generator indices whose left-to-right product is elements[idx]."""
+        parent, gen, _ = self.tree
         out: list[int] = []
-        while True:
-            parent = self.parents[idx]
-            if parent is None:
-                return out
-            idx, g_idx = parent
+        while idx:
             # closure builds gen @ parent, so the walk yields leftmost first
-            out.append(g_idx)
+            out.append(int(gen[idx]))
+            idx = parent[idx]
+        return out
+
+    def along_tree(self, table: np.ndarray, start: int = 0) -> np.ndarray:
+        """The state every element's word reaches from start, one BFS level
+        at a time: the identity is at start, and element i >= 1 at
+        table[state of parent[i], generator[i]]."""
+        parent, gen, bounds = self.tree
+        out = np.empty(len(self), dtype=table.dtype)
+        out[0] = start
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            out[lo:hi] = table[out[parent[lo:hi]], gen[lo:hi]]
+        return out
 
     def stacked(self) -> np.ndarray:
         """The (n, d, d) element stack itself, read-only, not a copy; the
@@ -251,28 +261,27 @@ class FiniteMatrixGroup:
     def census(self) -> dict[int, int]:
         """Multiplicative order histogram, computed batched."""
         if self._census is None:
-            identity = np.eye(self.elements.shape[1], dtype=np.int64)
-            power, orders = self.elements, np.zeros(len(self), dtype=np.int64)
-            for k in range(1, 400):
-                orders[np.all(power == identity, axis=(1, 2)) & (orders == 0)] = k
-                if orders.all():
-                    break
-                power = np.matmul(power, self.elements)
-            if not orders.all():
-                raise WrongOrder("an element order exceeded the census bound")
-            vals, counts = np.unique(orders, return_counts=True)
+            vals, counts = np.unique(_orders(self.elements), return_counts=True)
             self._census = dict(zip(vals.tolist(), counts.tolist()))
         return self._census
 
-    def element_order(self, m: np.ndarray) -> int:
-        m = np.asarray(m, dtype=np.int64)
-        identity = np.eye(m.shape[0], dtype=np.int64)
-        power = m.copy()
-        for k in range(1, 400):
-            if np.array_equal(power, identity):
-                return k
-            power = power @ m
-        raise WrongOrder("element order exceeded bound")
+    @staticmethod
+    def element_order(m: np.ndarray) -> int:
+        """Multiplicative order of one matrix, by the census's power loop."""
+        return int(_orders(np.asarray(m, dtype=np.int64)[None])[0])
+
+
+def _orders(stack: np.ndarray) -> np.ndarray:
+    """Multiplicative order of each matrix of an (n, d, d) stack, by batched
+    powers; WrongOrder when one exceeds 399."""
+    identity = np.eye(stack.shape[1], dtype=np.int64)
+    power, orders = stack, np.zeros(len(stack), dtype=np.int64)
+    for k in range(1, 400):
+        orders[np.all(power == identity, axis=(1, 2)) & (orders == 0)] = k
+        if orders.all():
+            return orders
+        power = np.matmul(power, stack)
+    raise WrongOrder("an element order exceeded the bound of 399")
 
 
 def lattice_invariants(group: FiniteMatrixGroup) -> tuple[bool, bool]:
@@ -386,7 +395,7 @@ def centralizer(g: np.ndarray, group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     """
     g = np.ascontiguousarray(g, dtype=np.int64)
     walk = _class_walk(g, group)
-    idx = _fixing_indices(walk, group)
+    idx = np.flatnonzero(group.along_tree(walk.table) == 0)
     members = group.orbit[group.digits[idx]].transpose(0, 2, 1)
     if not np.array_equal(members @ g, g @ members):
         raise GroupError("a centralizer member does not commute with g")
@@ -396,22 +405,13 @@ def centralizer(g: np.ndarray, group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     return sub
 
 
-def _fixing_indices(walk: ClassWalk, group: FiniteMatrixGroup) -> np.ndarray:
-    """Indices, ascending, of the elements w with w g w^-1 = g, for the g
-    the walk started from, followed along the tree one level at a time."""
-    parent, gen, bounds = group.tree
-    at = np.zeros(len(group), dtype=np.int64)
-    for lo, hi in zip(bounds[1:-1], bounds[2:]):
-        at[lo:hi] = walk.table[at[parent[lo:hi]], gen[lo:hi]]
-    return np.flatnonzero(at == 0)
-
-
 def regenerate(members: np.ndarray) -> FiniteMatrixGroup:
     """Find a small generating set for a closed member stack, then re-close.
 
     Greedy: keep adjoining the first member not yet generated.  The final
     closure is asserted to reproduce the member set exactly, which certifies
-    that the input really was closed.
+    that the input really was closed; WrongOrder otherwise, also when the
+    members generate more elements than there are members.
     """
     members = np.asarray(members, dtype=np.int64)
     cap = len(members) + 1
@@ -421,7 +421,10 @@ def regenerate(members: np.ndarray) -> FiniteMatrixGroup:
     missing = np.flatnonzero(group.locate(members) < 0)
     while len(missing) and len(group) < len(members):
         gens.append(members[missing[0]])
-        group = FiniteMatrixGroup.close(gens, cap=cap)
+        try:
+            group = FiniteMatrixGroup.close(gens, cap=cap)
+        except CapExceeded:  # missing still holds the member just adjoined
+            break
         missing = np.flatnonzero(group.locate(members) < 0)
     if len(missing) or len(group) != len(members):
         raise WrongOrder("member list is not closed under multiplication")

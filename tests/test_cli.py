@@ -236,10 +236,29 @@ def _without_runtimes(report):
                                  for c in report["checks"]]}
 
 
+def _golden_report():
+    return json.loads((Path(__file__).parent / "data" /
+                       "report_all.json").read_text())
+
+
 def test_full_report_equals_the_golden_report(cold_run):
-    golden = json.loads((Path(__file__).parent / "data" /
-                         "report_all.json").read_text())
-    assert _without_runtimes(json.loads(cold_run.stdout)) == golden
+    assert _without_runtimes(json.loads(cold_run.stdout)) == _golden_report()
+
+
+@pytest.mark.parametrize("scope, prefix", [("fixtures", "fx-"),
+                                           ("pipeline", "pl-")])
+def test_cold_scope_reproduces_its_slice_of_the_golden_report(scope, prefix):
+    # each scope in a fresh interpreter: no cache warmed by the other half
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "cubicmonodromy.cli", "verify",
+                          "--scope", scope, "--format", "json"],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    golden = _golden_report()
+    want = {**golden, "scope": scope, "checks": [
+        c for c in golden["checks"] if c["id"].startswith(prefix)]}
+    assert _without_runtimes(json.loads(out.stdout)) == want
 
 
 def test_ambiguity_exits_3(capsys, monkeypatch):

@@ -13,8 +13,7 @@ from cubicmonodromy.groups import (HEISENBERG_ALL, MODEL_IDENTITY, SL2_ALL,
                                    identify_order24, index_table, intersect,
                                    is_normal,
                                    phi_action, semidirect_model, sl2_inv,
-                                   sl2_mul, verify_generator_map,
-                                   verify_isomorphism)
+                                   sl2_mul, verify_generator_map)
 from cubicmonodromy.weyl import FiniteMatrixGroup, weyl_group
 
 
@@ -162,7 +161,8 @@ def test_verify_generator_map_rejects_wrong_order_image():
 def test_verify_isomorphism_on_fixture_group():
     fx = load_fixtures()
     group = FiniteMatrixGroup.close(fx.generators(), cap=1000)
-    mapping = verify_isomorphism(group)
+    mapping = verify_generator_map(group, SemidirectGroup.generator_images(),
+                                   semidirect_model())
     assert len(mapping) == 648
     images = set(mapping.values())
     assert len(images) == 648
@@ -227,7 +227,8 @@ def test_index_table_indexes_the_codomain():
 def test_verify_generator_map_replays_every_transition():
     fx = load_fixtures()
     group = FiniteMatrixGroup.close(fx.generators(), cap=1000)
-    tree = set(group.parents[1:])  # the (parent, generator) links
+    parent, gen, _ = group.tree
+    tree = set(zip(parent[1:].tolist(), gen[1:].tolist()))
     i, j = next((i, j) for i in range(len(group)) for j in range(4)
                 if (i, j) not in tree)
     # send one relation off the spanning tree to a wrong element

@@ -7,12 +7,15 @@ import cubicmonodromy.fixtures as fixtures_mod
 import cubicmonodromy.verify as verify
 from cubicmonodromy.errors import NotAMember
 from cubicmonodromy.fixtures import load_fixtures
+from cubicmonodromy.groups import (MODEL_IDENTITY, SemidirectGroup,
+                                   semidirect_model)
 from cubicmonodromy.lines import (J_FORM, base_surface, concurrent_triples,
                                   perm_compose)
 from cubicmonodromy.tracking import TrackingConfig
 from cubicmonodromy.verify import (build_pipeline, conjugator_carrying_deck,
                                    fixture_group, fixture_source,
-                                   model_image_of, pipeline_checks, run_checks,
+                                   model_images_of, pipeline_checks,
+                                   run_checks,
                                    transcribed_flex_permutation,
                                    transcribed_root_permutation)
 from cubicmonodromy.weyl import (conjugacy_class_size, lattice_inverse,
@@ -111,7 +114,22 @@ def test_fixture_group_cached_and_sized():
 
 def test_model_image_of_deck_is_central():
     fx = load_fixtures()
-    assert model_image_of(fx.deck) == ((0, 0, 1), (1, 0, 0, 1))
+    assert model_images_of(fx.deck[None]) == [((0, 0, 1), (1, 0, 0, 1))]
+    with pytest.raises(NotAMember):
+        model_images_of(np.stack([fx.deck, -np.eye(7, dtype=np.int64)]))
+
+
+def test_model_images_are_the_products_along_each_word():
+    # the reference rule: multiply the printed images along word(i)
+    group, model = fixture_group(), semidirect_model()
+    images = SemidirectGroup.generator_images()
+    want = []
+    for i in range(len(group)):
+        out = MODEL_IDENTITY
+        for g_idx in group.word(i):
+            out = model.mul(out, images[g_idx])
+        want.append(out)
+    assert model_images_of(group.elements) == want
 
 
 def test_conjugator_carries_deck():

@@ -57,6 +57,13 @@ def _generator_sets():
     }
 
 
+def _tree_links(group):
+    """The (parent, generator) link of each element from the BFS tree, in
+    reference_close's form."""
+    parent, gen, _ = group.tree
+    return [None, *zip(parent[1:].tolist(), gen[1:].tolist())]
+
+
 @pytest.mark.parametrize("name", list(_generator_sets()))
 def test_close_matches_reference_bfs(name):
     gens = _generator_sets()[name]
@@ -64,7 +71,7 @@ def test_close_matches_reference_bfs(name):
     group = FiniteMatrixGroup.close(gens)
     assert group.elements.dtype == elements.dtype
     assert group.elements.tobytes() == elements.tobytes()
-    assert group.parents == parents
+    assert _tree_links(group) == parents
     assert group.transitions.shape == transitions.shape
     assert group.transitions.tobytes() == transitions.tobytes()
 
@@ -82,7 +89,7 @@ def test_close_separates_elements_that_share_all_but_one_column(dim):
     group = FiniteMatrixGroup.close(gens)
     assert len(group) == 2**dim
     assert group.elements.tobytes() == elements.tobytes()
-    assert group.parents == parents
+    assert _tree_links(group) == parents
     assert group.transitions.tobytes() == transitions.tobytes()
 
 
@@ -246,7 +253,7 @@ def test_tree_centralizer_matches_the_scan_over_the_group(name):
     g = _centralizer_inputs()[name]
     s = w.stacked()
     scan = np.flatnonzero(np.all(s @ g == g @ s, axis=(1, 2)))
-    idx = weyl._fixing_indices(weyl._class_walk(g, w), w)
+    idx = np.flatnonzero(w.along_tree(weyl._class_walk(g, w).table) == 0)
     assert idx.tolist() == scan.tolist()
     cen = centralizer(g, w)
     assert len(cen) * conjugacy_class_size(g, w) == WEYL_ORDER
@@ -280,7 +287,7 @@ def test_guards_catch_one_wrong_tree_edge():
     w, g = weyl_group(), load_fixtures().deck
     walk = weyl._class_walk(g, w)
     parent, gen, bounds = w.tree
-    k = int(weyl._fixing_indices(walk, w)[-1])
+    k = int(np.flatnonzero(w.along_tree(walk.table) == 0)[-1])
     up = w.elements[parent[k]]
     at = list(walk.carriers).index((up @ g @ lattice_inverse(up)).tobytes())
     bad = gen.copy()
@@ -358,6 +365,26 @@ def test_regenerate_preserves_set():
     assert len(again) == len(cen)
     keys = {m.tobytes() for m in cen.elements}
     assert {m.tobytes() for m in again.elements} == keys
+
+
+def test_regenerate_rejects_members_that_generate_more():
+    # a reflection in place of the identity: the members generate more than
+    # 649 elements, which is a member list that is not closed
+    w = weyl_group()
+    cen = centralizer(load_fixtures().deck, w)
+    members = np.concatenate([w.gens[0][None], cen.elements[1:]])
+    with pytest.raises(WrongOrder, match="not closed under multiplication"):
+        regenerate(members)
+
+
+def test_along_tree_follows_each_word():
+    # with the group's own transitions as the table, element i's word read
+    # from element k reaches elements[i] @ elements[k]
+    w = FiniteMatrixGroup.close(load_fixtures().generators())
+    assert w.along_tree(w.transitions).tolist() == list(range(len(w)))
+    k = 100
+    want = w.locate(w.elements @ w.elements[k])
+    assert w.along_tree(w.transitions, start=k).tolist() == want.tolist()
 
 
 def test_close_cap_exceeded():
