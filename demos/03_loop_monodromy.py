@@ -31,7 +31,7 @@ def cycles(perm):
 
 for name, loop in (("loop around -1", gamma_minus()),
                    ("loop around +1", gamma_plus()),
-                   ("constant loop", constant_loop(0.0))):
+                   ("constant loop", constant_loop())):
     trace = trace_loop(loop)
     lines = lift_to_lines(trace.flex_perm)
     print(f"{name}:")

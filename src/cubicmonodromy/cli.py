@@ -29,7 +29,7 @@ from .tracking import (TrackingConfig, constant_loop, flex_lattice_map,
 from .verify import run_checks
 
 LOOPS = {"gamma-minus": gamma_minus, "gamma-plus": gamma_plus,
-         "constant": lambda: constant_loop(0.0)}
+         "constant": constant_loop}
 
 
 def parse_complex(text: str) -> complex:
@@ -142,7 +142,7 @@ def _monodromy_payload(loop_name: str, cfg: TrackingConfig) -> dict:
     roots, flexes = trace.root_perm, trace.flex_perm
     lifted = lift_to_lines(flexes)
     matrix = flex_lattice_map(flexes)
-    return {"loop": loop_name, "steps": cfg.steps,
+    return {"loop": loop_name, "steps": len(trace.ts) - 1,
             "rootPermutation": roots.tolist(),
             "rootCycles": cycle_notation(roots),
             "flexPermutation": flexes.tolist(),
@@ -178,8 +178,7 @@ def _render_track_csv(loop_name: str, cfg: TrackingConfig) -> str:
 
 
 def cmd_monodromy(args: argparse.Namespace) -> int:
-    cfg = TrackingConfig(steps=args.steps, eps_match=args.tol,
-                         precision=args.precision)
+    cfg = TrackingConfig(steps=args.steps, precision=args.precision)
     if args.format == "csv":
         print(_render_track_csv(args.loop, cfg))
         return 0
@@ -195,9 +194,8 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
 # verify subcommand
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = TrackingConfig(steps=args.steps, eps_match=args.tol,
-                         precision=args.precision)
-    report = run_checks(args.scope, cfg)
+    report = run_checks(args.scope, TrackingConfig(steps=args.steps,
+                                                   precision=args.precision))
     if args.format == "json":
         print(render_json(report))
     elif args.format == "csv":
@@ -217,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=positive_tolerance, default=1e-8,
-                        help="geometric matching tolerance (default 1e-8)")
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output format (default text)")
 
@@ -234,6 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="enumerate the 27 lines of one family member")
     p_lines.add_argument("--lambda", dest="lam", default="0",
                          help="family parameter: '0.5', '1+2j', or 're,im'")
+    p_lines.add_argument("--tol", type=positive_tolerance, default=1e-8,
+                         help="geometric matching tolerance (default 1e-8)")
     p_lines.set_defaults(fn=cmd_lines)
 
     p_mono = sub.add_parser("monodromy", parents=[common, tracked],

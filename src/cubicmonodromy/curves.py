@@ -55,6 +55,8 @@ _LEVI_CIVITA = np.fromfunction(lambda a, b, c: (b - a) * (c - a) * (c - b) / 2, 
 _AT_INFINITY = [_MONOMIAL_INDEX[(k, 3 - k, 0)] for k in range(4)]
 
 _REL_ZERO = 1e-9
+_UNIT_ZERO = 1e-12
+_BASE_POINT_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,9 +210,9 @@ class ProjPoint2:
         vv = abs(v0) ** 2 + abs(v1) ** 2 + abs(v2) ** 2
         return math.sqrt(minors / (uu * vv))
 
-    def is_base_point(self, tol: float = 1e-8) -> bool:
-        return (abs(self.coords[2]) < tol and abs(self.coords[0]) < tol
-                and abs(self.coords[1] - 1.0) < tol)
+    def is_base_point(self) -> bool:
+        x, y, z = self.coords
+        return max(abs(x), abs(y - 1.0), abs(z)) < _BASE_POINT_TOL
 
 
 def _chordal_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -226,9 +228,9 @@ def _chordal_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sqrt(minors / (uu * vv))
 
 
-def phase_normalize(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def phase_normalize(v: np.ndarray) -> np.ndarray:
     """Scale each vector along the last axis to unit norm, its first entry
-    above tol made positive real; a zero vector raises ValueError."""
+    above _UNIT_ZERO made positive real; a zero vector raises ValueError."""
     v = np.asarray(v, dtype=complex)
     # squares and hypot rather than np.abs, whose complex loop rounds unlike
     # the scalar abs: the sign of the lead entry's rounding-level imaginary
@@ -239,18 +241,18 @@ def phase_normalize(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         raise ValueError("zero covector")
     v = v / norm
     mag = np.hypot(v.real, v.imag)
-    first = np.argmax(mag > tol, axis=-1)[..., None]
+    first = np.argmax(mag > _UNIT_ZERO, axis=-1)[..., None]
     return v * (np.take_along_axis(mag, first, -1) / np.take_along_axis(v, first, -1))
 
 
-def _recognize(f: CubicForm, ref: tuple, read, make, tol: float) -> complex | None:
+def _recognize(f: CubicForm, ref: tuple, read, make) -> complex | None:
     """Parameter read off f / f[ref] when that equals make(parameter); else None.
 
     make runs with a zero singularity tolerance, so recognition never refuses
     a parameter; the routes that use it do.
     """
     c = f.coeffs
-    if abs(c[_MONOMIAL_INDEX[ref]]) < tol * f.scale():
+    if abs(c[_MONOMIAL_INDEX[ref]]) < _REL_ZERO * f.scale():
         return None
     c = c / c[_MONOMIAL_INDEX[ref]]
     param = complex(read(c))
@@ -259,16 +261,16 @@ def _recognize(f: CubicForm, ref: tuple, read, make, tol: float) -> complex | No
     return None
 
 
-def family_parameter(f: CubicForm, tol: float = 1e-9) -> complex | None:
+def family_parameter(f: CubicForm) -> complex | None:
     """Recover lam when f is a scalar multiple of the pencil member; else None."""
     return _recognize(f, (0, 2, 1), lambda c: c[_MONOMIAL_INDEX[(2, 0, 1)]],
-                      family_lambda, tol)
+                      family_lambda)
 
 
-def hesse_parameter(f: CubicForm, tol: float = 1e-9) -> complex | None:
+def hesse_parameter(f: CubicForm) -> complex | None:
     """Recover mu when f is a scalar multiple of a Hesse form; else None."""
     return _recognize(f, (3, 0, 0), lambda c: -c[_MONOMIAL_INDEX[(1, 1, 1)]] / 3.0,
-                      hesse_form, tol)
+                      hesse_form)
 
 
 def flex_quartic(lam: complex) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Numerical errors signal that a tolerance could not be certified (the usual
-remedy is a finer step size or the extended precision switch).  Geometry and
-lattice errors signal malformed input and are not retryable.
+remedy is a finer step size).  Geometry and lattice errors signal malformed
+input and are not retryable.
 """
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .curves import CubicForm, family_lambda, hesse_form
 from .errors import GroupError, TransformResidual
-from .lines import Line3, SurfaceData, base_surface, perm_to_lattice_map
+from .lines import Line3, base_surface, perm_to_lattice_map
 from .numeric import OMEGA, TOL_MATCH, constants, nearest_match
 from .weyl import lattice_inverse
 
@@ -92,29 +92,20 @@ def _span_distances(transform: np.ndarray, source_lines: Sequence[Line3],
     return np.linalg.norm(off, axis=(-2, -1))
 
 
-def induced_line_perm(transform: np.ndarray,
-                      source_lines: Sequence[Line3] | None = None,
-                      target_lines: Sequence[Line3] | None = None,
-                      tol: float = TOL_MATCH) -> np.ndarray:
-    """Permutation induced on lines by a map carrying one surface to another.
+def induced_line_perm(transform: np.ndarray) -> np.ndarray:
+    """Permutation induced on the base surface's lines by an automorphism.
 
-    Each source line's covector span h is moved to the span of
-    h @ conj(inverse), so the permutation is the one conj(transform)
-    induces, and matched to the target lines by chordal span distance under
-    nearest_match, within tol and one to one.  Defaults to the base surface
-    on both sides, the automorphism case.
+    Each line's covector span h is moved to the span of h @ conj(inverse),
+    so the permutation is the one conj(transform) induces, and matched to
+    the lines by chordal span distance under nearest_match, within
+    TOL_MATCH and one to one.
     """
-    if source_lines is None:
-        source_lines = base_surface().lines
-    if target_lines is None:
-        target_lines = source_lines
-    return nearest_match(_span_distances(transform, source_lines, target_lines),
-                         tol)
+    lines = base_surface().lines
+    return nearest_match(_span_distances(transform, lines, lines), TOL_MATCH)
 
 
-def heisenberg_matrices(surface: SurfaceData | None = None
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice maps of the two conjugated torsion symmetries.
+def heisenberg_matrices() -> tuple[np.ndarray, np.ndarray]:
+    """Lattice maps of the base surface's two conjugated torsion symmetries.
 
     The Hesse-model lifts are conjugated back to the base surface through
     the plane change, act on the 27 lines, and are read off as integer
@@ -124,15 +115,14 @@ def heisenberg_matrices(surface: SurfaceData | None = None
     automorphisms too.  Their commutator is a power of the deck matrix and
     both commute with it; violations raise GroupError.
     """
-    if surface is None:
-        surface = base_surface()
+    surface = base_surface()
     _, a4, _ = hesse_transform()
     a4_inv = np.linalg.inv(a4)
     x_lift, y_lift = heisenberg_lifts()
     out = []
     for lift in (x_lift, y_lift):
         conj = a4_inv @ lift @ a4
-        perm = induced_line_perm(conj, surface.lines)
+        perm = induced_line_perm(conj)
         out.append(perm_to_lattice_map(perm, surface.classes, surface.sixer))
     h1, h2 = out
     deck = surface.deck_matrix

@@ -30,6 +30,7 @@ CANONICAL_CLASS = np.array([-3, 1, 1, 1, 1, 1, 1], dtype=np.int64)
 
 # the hyperplane pair (h1, h2) of one line, before Line3 normalizes it
 Pair = tuple[np.ndarray, np.ndarray]
+_RESIDUAL_SAMPLES = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,21 +66,21 @@ def _checked_spans(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pairs, vh[:, 2:].conj()
 
 
-def _residuals(f: CubicForm, kernel: np.ndarray, count: int = 5) -> np.ndarray:
-    """max |w^3 - f| over count unit sample points of each line, given the
-    (m, 2, 4) kernel bases of _checked_spans; all m * count points are
+def _residuals(f: CubicForm, kernel: np.ndarray) -> np.ndarray:
+    """max |w^3 - f| over _RESIDUAL_SAMPLES unit sample points of each line,
+    given the (m, 2, 4) kernel bases of _checked_spans; all the points are
     evaluated in one call."""
-    ts = 1.0 + np.linspace(0.0, 1.0, count)
-    a, b = np.cos(ts), np.sin(ts) * np.exp(0.7j * np.arange(count))
+    ts = 1.0 + np.linspace(0.0, 1.0, _RESIDUAL_SAMPLES)
+    a, b = np.cos(ts), np.sin(ts) * np.exp(0.7j * np.arange(_RESIDUAL_SAMPLES))
     pts = (kernel[:, None, 0] * a[:, None] + kernel[:, None, 1] * b[:, None])
     pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
     return np.max(np.abs(pts[..., 3] ** 3 - f(pts[..., :3])), axis=-1)
 
 
-def surface_residual(f: CubicForm, line: Line3, count: int = 5) -> float:
+def surface_residual(f: CubicForm, line: Line3) -> float:
     """max |w^3 - f| over sample points of the line, unit-normalized."""
     _, kernel = _checked_spans(np.array([[line.h1, line.h2]]))
-    return float(_residuals(f, kernel, count)[0])
+    return float(_residuals(f, kernel)[0])
 
 
 def _family_triple(lam: complex, p: ProjPoint2) -> list[Pair]:
@@ -211,25 +212,25 @@ def _surface_lines(f: CubicForm, pairs: np.ndarray, flexes: list[ProjPoint2],
     return out
 
 
-def incidence_graph(lines: list[Line3], tol_inc: float = TOL_INC) -> np.ndarray:
+def incidence_graph(lines: list[Line3]) -> np.ndarray:
     """Symmetric boolean adjacency matrix of the incidence relation.
 
     Two lines meet exactly when the 4 x 4 determinant of their stacked unit
     covectors vanishes; one det call covers every pair.  A value inside
-    [tol_inc, 100 tol_inc) is refused as ambiguous rather than guessed.
+    [TOL_INC, 100 TOL_INC) is refused as ambiguous rather than guessed.
     """
     n = len(lines)
     spans = np.array([(line.h1, line.h2) for line in lines],
                      dtype=complex).reshape(n, 2, 4)
     i, j = np.triu_indices(n, 1)
     mag = np.abs(np.linalg.det(np.concatenate([spans[i], spans[j]], axis=1)))
-    ambiguous = np.flatnonzero((mag >= tol_inc) & (mag < 100.0 * tol_inc))
+    ambiguous = np.flatnonzero((mag >= TOL_INC) & (mag < 100.0 * TOL_INC))
     if ambiguous.size:
         k = ambiguous[0]
         raise AmbiguousIncidence(f"incidence determinant {mag[k]:.3e} of lines "
                                  f"{i[k]} and {j[k]} in the dead band")
     adj = np.zeros((n, n), dtype=bool)
-    adj[i, j] = adj[j, i] = mag < tol_inc
+    adj[i, j] = adj[j, i] = mag < TOL_INC
     return adj
 
 

@@ -113,31 +113,30 @@ def _value(cs, z):
     return acc
 
 
-def newton_polish(coeffs, z0: complex, tol: float = TOL_ROOT,
-                  precision: str = "double") -> complex:
+def newton_polish(coeffs, z0: complex, precision: str = "double") -> complex:
     """Newton iteration from z0 on the trimmed ascending coefficients.
 
-    Double precision stops at the backward error roots_of_stack accepts,
-    |p(z)| <= tol * sum_k |c_k| |z|^k, and must meet it or improve |p| a
-    hundredfold, else NonConvergence; extended aims at tol * max_k |c_k|.
+    Double precision stops at |p(z)| <= TOL_ROOT * sum_k |c_k| |z|^k, the
+    backward error roots_of_stack accepts, and must meet it or improve |p| a
+    hundredfold, else NonConvergence; extended aims at TOL_ROOT * max |c_k|.
     """
     cs = trimmed(coeffs)
     if precision == "extended":
-        return _newton_mp(cs, z0, tol)
+        return _newton_mp(cs, z0, TOL_ROOT)
     dcs = (cs[1:] * np.arange(1, len(cs))).tolist()
     mags, cs = np.abs(cs).tolist(), cs.tolist()
     z = complex(z0)
     start = abs(_value(cs, z))
     for _ in range(_MAX_NEWTON):
         pz = _value(cs, z)
-        if abs(pz) <= tol * _value(mags, abs(z)):
+        if abs(pz) <= TOL_ROOT * _value(mags, abs(z)):
             return z
         dpz = _value(dcs, z)
         if dpz == 0:
             break
         z = z - pz / dpz
     pz = abs(_value(cs, z))
-    if pz <= tol * _value(mags, abs(z)) or (start > 0 and pz < 1e-2 * start):
+    if pz <= TOL_ROOT * _value(mags, abs(z)) or (start > 0 and pz < 1e-2 * start):
         return z
     raise NonConvergence(f"Newton polish stalled at residual {pz:.3e}")
 

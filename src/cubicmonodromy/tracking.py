@@ -10,7 +10,8 @@ polished on quartic k, predict the matches of every step at once, and the
 step maps compose into the root paths.  Every match is decided by the one
 rule `numeric.nearest_match`: the nearest candidate must beat the runner-up
 by a factor of two (a heuristic, not a certificate).  When any match fails,
-the whole loop is re-run at doubled resolution, up to MAX_SAMPLES samples.
+the whole loop is re-run at doubled resolution, at most MAX_REFINE times and
+never beyond MAX_SAMPLES samples.
 Both end permutations, of the roots and of the inflections, are read off the
 same trace, and the inflection permutation lifts to the 27 lines and lands
 in the lattice as an integer matrix.
@@ -34,6 +35,8 @@ from .numeric import (PRECISIONS, TOL_MATCH, nearest_match, newton_polish_stack,
 from .weyl import is_lattice_map
 
 SEPARATION = 10.0 * TOL_MATCH
+# doublings of the resolution before a match is declared ambiguous
+MAX_REFINE = 6
 # samples per loop, about ten times the default fully refined (100 * 2**6)
 MAX_SAMPLES = 2 ** 16
 
@@ -64,8 +67,8 @@ def gamma_plus() -> Loop:
     return Loop("gammaPlus", lambda t: 1.0 - cmath.exp(2j * cmath.pi * t))
 
 
-def constant_loop(lam: complex = 0.0) -> Loop:
-    return Loop("constant", lambda t: lam)
+def constant_loop() -> Loop:
+    return Loop("constant", lambda t: 0.0)
 
 
 def custom_loop(fn: Callable[[float], complex]) -> Loop:
@@ -75,8 +78,6 @@ def custom_loop(fn: Callable[[float], complex]) -> Loop:
 @dataclass(frozen=True)
 class TrackingConfig:
     steps: int = 100
-    eps_match: float = TOL_MATCH
-    max_refine: int = 6
     precision: str = "double"
 
     def __post_init__(self):
@@ -84,11 +85,6 @@ class TrackingConfig:
             raise ValueError("need at least 8 steps per loop")
         if self.steps > MAX_SAMPLES:
             raise ValueError(f"at most {MAX_SAMPLES} steps per loop")
-        if self.max_refine < 0:
-            raise ValueError("max_refine must be non-negative")
-        # a NaN tolerance would make every `> eps_match` test false
-        if not (math.isfinite(self.eps_match) and self.eps_match > 0):
-            raise ValueError("eps_match must be finite and positive")
         if self.precision not in PRECISIONS:
             raise ValueError(f"unknown precision {self.precision!r}")
 
@@ -192,31 +188,28 @@ def _trace_once(loop: Loop, steps: int, cfg: TrackingConfig) -> LoopTrace:
     ys = _flex_heights(np.array(lams), xs, base_ys)
     if stop is not None:
         raise stop
-    root_perm = nearest_match(np.abs(roots[-1][:, None] - base), cfg.eps_match)
+    root_perm = nearest_match(np.abs(roots[-1][:, None] - base), TOL_MATCH)
     flex_images = nearest_match(np.abs(xs[-1][:, None] - base_xs)
-                                + np.abs(ys[-1][:, None] - base_ys), cfg.eps_match)
+                                + np.abs(ys[-1][:, None] - base_ys), TOL_MATCH)
     return LoopTrace(ts=ts, roots=roots, ys=ys, root_of_flex=root_of_flex,
                      root_perm=root_perm,
                      flex_perm=np.concatenate([[0], 1 + flex_images]))
-
-
-def _refined(runner: Callable[[int], object], cfg: TrackingConfig):
-    steps = cfg.steps
-    for attempt in range(cfg.max_refine + 1):
-        try:
-            return runner(steps)
-        except NoUniqueMatch:
-            if attempt == cfg.max_refine or 2 * steps > MAX_SAMPLES:
-                break
-            steps *= 2
-    raise AmbiguousMatching(f"matching stayed ambiguous up to {steps} steps")
 
 
 def trace_loop(loop: Loop, cfg: TrackingConfig = TrackingConfig()) -> LoopTrace:
     """Track the loop once, doubling the resolution until every match keeps
     its margin, and cross-check that the inflection permutation projects onto
     the root permutation through the x-coordinates."""
-    trace = _refined(lambda steps: _trace_once(loop, steps, cfg), cfg)
+    steps = cfg.steps
+    for attempt in range(MAX_REFINE + 1):
+        try:
+            trace = _trace_once(loop, steps, cfg)
+            break
+        except NoUniqueMatch:
+            if attempt == MAX_REFINE or 2 * steps > MAX_SAMPLES:
+                raise AmbiguousMatching(
+                    f"matching stayed ambiguous up to {steps} steps") from None
+            steps *= 2
     for i, r in enumerate(trace.root_of_flex):
         if trace.root_perm[r] != trace.root_of_flex[trace.flex_perm[1 + i] - 1]:
             raise InconsistentProjection(

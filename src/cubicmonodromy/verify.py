@@ -187,7 +187,7 @@ def fixture_source() -> GeneratorSource:
 
 def build_pipeline(cfg: TrackingConfig = TrackingConfig()) -> GeneratorSource:
     surface = base_surface()
-    h1, h2 = heisenberg_matrices(surface)
+    h1, h2 = heisenberg_matrices()
     traces = {loop.kind: trace_loop(loop, cfg)
               for loop in (gamma_minus(), gamma_plus())}
     g1, g2 = (flex_lattice_map(t.flex_perm) for t in traces.values())
@@ -386,10 +386,24 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
     checks: list[Check] = []
     add = checks.append
     surface = base_surface()
-    source = build_pipeline(cfg)
+
+    # built by the first check that reads it; a build error fails those checks
+    @lru_cache(maxsize=1)
+    def built() -> GeneratorSource | Exception:
+        try:
+            return build_pipeline(cfg)
+        except Exception as exc:
+            return exc
+
+    def source() -> GeneratorSource:
+        src = built()
+        if isinstance(src, Exception):
+            raise src
+        return src
+
     deck, torsion, loops, equality, isomorphism = paired_checks(
         ("pl-deck-matrix", "pl-torsion-matrices", "pl-loop-group",
-         "pl-set-equality", "pl-isomorphism"), lambda: source)
+         "pl-set-equality", "pl-isomorphism"), source)
 
     def line_geometry():
         return ({"lines": len(surface.lines),
@@ -424,7 +438,7 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
 
     def perm_functor():
         p_deck = deck_permutation(surface.lines)
-        p_loop = lift_to_lines(source.traces["gammaMinus"].flex_perm)
+        p_loop = lift_to_lines(source().traces["gammaMinus"].flex_perm)
         to_mat = lambda p: perm_to_lattice_map(p, surface.classes, surface.sixer)
         ok = all(np.array_equal(to_mat(perm_compose(p, q)), to_mat(p) @ to_mat(q))
                  for p in (p_deck, p_loop) for q in (p_deck, p_loop))
@@ -444,30 +458,30 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
              plane_change))
     add(_run(*torsion))
 
-    for kind, trace in source.traces.items():
-        def root_cycle(kind=kind, trace=trace):
-            return (trace.root_perm.tolist(),
+    for kind in ("gammaMinus", "gammaPlus"):
+        def root_cycle(kind=kind):
+            return (source().traces[kind].root_perm.tolist(),
                     transcribed_root_permutation(kind).tolist())
         add(_run(f"pl-root-cycle-{kind}",
                  f"{kind} branch roots realize the transcribed 3-cycle",
                  root_cycle))
 
-    for kind, trace in source.traces.items():
-        def flex_perm(kind=kind, trace=trace):
-            return (trace.flex_perm.tolist(),
+    for kind in ("gammaMinus", "gammaPlus"):
+        def flex_perm(kind=kind):
+            return (source().traces[kind].flex_perm.tolist(),
                     transcribed_flex_permutation(kind).tolist())
         add(_run(f"pl-flex-perm-{kind}",
                  f"{kind} inflections realize the transcribed pair of 3-cycles",
                  flex_perm))
 
     def loop_matrices():
-        stats = {}
-        for name, g in (("around-minus-one", source.g1),
-                        ("around-plus-one", source.g2)):
+        src, stats = source(), {}
+        for name, g in (("around-minus-one", src.g1),
+                        ("around-plus-one", src.g2)):
             stats[name] = {"inClosure": g in weyl_group(),
                            "order": weyl_group().element_order(g),
                            "commutesDeck": bool(np.array_equal(
-                               g @ source.deck, source.deck @ g))}
+                               g @ src.deck, src.deck @ g))}
         want = {"inClosure": True, "order": 3, "commutesDeck": True}
         return stats, {"around-minus-one": want, "around-plus-one": want}
     add(_run("pl-loop-matrices",
@@ -483,7 +497,7 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
             perms = []
             for steps in (50, 100, 200):
                 # the source already holds the trace at the battery's steps
-                trace = (source.traces[loop.kind] if steps == cfg.steps
+                trace = (source().traces[loop.kind] if steps == cfg.steps
                          else trace_loop(loop, replace(cfg, steps=steps)))
                 perms.append((trace.root_perm.tolist(),
                               trace.flex_perm.tolist()))
@@ -494,7 +508,7 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
              stability))
 
     def constant():
-        trace = trace_loop(constant_loop(0.0), cfg)
+        trace = trace_loop(constant_loop(), cfg)
         return ({"rootsIdentity": trace.root_perm.tolist() == [0, 1, 2, 3],
                  "flexesIdentity": trace.flex_perm.tolist() == list(range(9)),
                  "matrixIdentity":
@@ -509,7 +523,7 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
         ok_inc = ok_triples = True
         triples = {frozenset(t) for t in
                    concurrent_triples(surface.lines, surface.adjacency)}
-        for trace in source.traces.values():
+        for trace in source().traces.values():
             p = lift_to_lines(trace.flex_perm)
             ok_inc &= preserves_incidence(p, surface.adjacency)
             moved = {frozenset(int(p[i]) for i in t) for t in triples}

@@ -168,7 +168,7 @@ def test_criterion_7_property_suites():
                 assert phi_action(mn, h) == phi_action(m, phi_action(n, h))
 
     # constant loops act trivially
-    assert np.array_equal(monodromy_matrix(constant_loop(0.0)),
+    assert np.array_equal(monodromy_matrix(constant_loop()),
                           np.eye(7, dtype=np.int64))
 
     # halving or doubling the step count does not change the answer

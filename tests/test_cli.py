@@ -107,6 +107,17 @@ def test_monodromy_json(capsys):
     assert len(data["latticeMatrix"]) == 7
 
 
+def test_monodromy_reports_the_refined_step_count(capsys):
+    # 8 samples miss the matching margin; the trace that succeeds has 32
+    code, out, _ = run(capsys, "monodromy", "gamma-minus", "--steps", "8")
+    assert code == 0
+    assert out.startswith("loop gamma-minus at 32 steps\n")
+    code, out, _ = run(capsys, "monodromy", "gamma-minus", "--steps", "8",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["steps"] == 32
+
+
 def test_monodromy_constant_identity(capsys):
     code, out, _ = run(capsys, "monodromy", "constant", "--format", "json")
     assert code == 0
@@ -282,13 +293,23 @@ def test_monodromy_ambiguity_exits_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
-@pytest.mark.parametrize("argv", [["lines"], ["monodromy", "gamma-minus"],
+def test_tolerance_must_be_finite_and_positive(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lines", "--tol", tol])
+    assert exc.value.code == 2
+    assert "tolerance must be finite and positive" in capsys.readouterr().err
+
+
+# the tracked subcommands end-match at numeric.TOL_MATCH and take no --tol,
+# not even a valid one
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "1e-8"])
+@pytest.mark.parametrize("argv", [["monodromy", "gamma-minus"],
                                   ["verify", "--scope", "pipeline"]])
-def test_tolerance_must_be_finite_and_positive(capsys, argv, tol):
+def test_only_lines_takes_a_tolerance(capsys, argv, tol):
     with pytest.raises(SystemExit) as exc:
         cli.main([*argv, "--tol", tol])
     assert exc.value.code == 2
-    assert "tolerance must be finite and positive" in capsys.readouterr().err
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

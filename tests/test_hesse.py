@@ -10,6 +10,7 @@ from cubicmonodromy.hesse import (OMEGA, _span_distances,
                                   hesse_transform, induced_line_perm)
 from cubicmonodromy.lines import (base_surface, deck_permutation,
                                   perm_compose, preserves_incidence)
+from cubicmonodromy.numeric import TOL_MATCH, nearest_match
 from cubicmonodromy.weyl import lattice_inverse, weyl_group
 from cubicmonodromy.groups import identify_order24
 from cubicmonodromy.weyl import FiniteMatrixGroup
@@ -96,14 +97,15 @@ def test_induced_perm_rejects_off_surface_map():
 def test_induced_perm_rejects_a_duplicated_source_line():
     # every line keeps its margin, but two land on the same target
     lines = base_surface().lines
+    dist = _span_distances(np.eye(4, dtype=complex), [lines[0], *lines[:26]],
+                           lines)
     with pytest.raises(NoUniqueMatch, match="not one to one"):
-        induced_line_perm(np.eye(4, dtype=complex), [lines[0], *lines[:26]],
-                          lines)
+        nearest_match(dist, TOL_MATCH)
 
 
 def test_heisenberg_matrices_structure():
     s = base_surface()
-    h1, h2 = heisenberg_matrices(s)
+    h1, h2 = heisenberg_matrices()
     deck = s.deck_matrix
     w = weyl_group()
     for h in (h1, h2):
@@ -119,15 +121,14 @@ def test_heisenberg_matrices_structure():
 
 def test_torsion_and_deck_generate_extraspecial():
     s = base_surface()
-    h1, h2 = heisenberg_matrices(s)
+    h1, h2 = heisenberg_matrices()
     grp = FiniteMatrixGroup.close([h1, h2, s.deck_matrix], cap=100)
     assert len(grp) == 27
 
 
 def test_torsion_with_one_loop_gives_81():
     from cubicmonodromy.tracking import gamma_minus, monodromy_matrix
-    s = base_surface()
-    h1, h2 = heisenberg_matrices(s)
+    h1, h2 = heisenberg_matrices()
     g1 = monodromy_matrix(gamma_minus())
     grp = FiniteMatrixGroup.close([h1, h2, g1], cap=1000)
     # one order-3 loop extends the 27 torsion elements to a 3-Sylow only;

@@ -28,14 +28,14 @@ from cubicmonodromy.weyl import weyl_group
 
 
 def test_loop_endpoints_close():
-    for loop in (gamma_minus(), gamma_plus(), constant_loop(0.0)):
+    for loop in (gamma_minus(), gamma_plus(), constant_loop()):
         assert abs(loop.sample(0.0) - loop.sample(1.0)) < 1e-12
 
 
 def test_loop_kinds():
     assert gamma_minus().kind == "gammaMinus"
     assert gamma_plus().kind == "gammaPlus"
-    assert constant_loop(0.0).kind == "constant"
+    assert constant_loop().kind == "constant"
     assert custom_loop(lambda t: 0.5j * t * (1 - t)).kind == "custom"
 
 
@@ -76,16 +76,26 @@ def test_refinement_stops_at_max_samples(monkeypatch):
     monkeypatch.setattr(tracking, "MAX_SAMPLES", 32)
     monkeypatch.setattr(tracking, "_trace_once", ambiguous)
     with pytest.raises(AmbiguousMatching, match="up to 32 steps"):
-        trace_loop(gamma_minus(), TrackingConfig(steps=8, max_refine=6))
+        trace_loop(gamma_minus(), TrackingConfig(steps=8))
     assert tried == [8, 16, 32]
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"eps_match": float("nan")}, {"eps_match": float("inf")},
-    {"eps_match": -1.0}, {"eps_match": 0.0}, {"precision": "quad"}])
-def test_config_rejects_tolerances_that_disable_checks(kwargs):
+def test_refinement_stops_after_max_refine_doublings(monkeypatch):
+    tried = []
+
+    def ambiguous(loop, steps, cfg):
+        tried.append(steps)
+        raise NoUniqueMatch("always")
+
+    monkeypatch.setattr(tracking, "_trace_once", ambiguous)
+    with pytest.raises(AmbiguousMatching, match="up to 6400 steps"):
+        trace_loop(gamma_minus())
+    assert tried == [100 * 2 ** k for k in range(tracking.MAX_REFINE + 1)]
+
+
+def test_config_rejects_an_unknown_precision():
     with pytest.raises(ValueError):
-        TrackingConfig(**kwargs)
+        TrackingConfig(precision="quad")
 
 
 def test_root_tracks_match_transcription():
@@ -114,9 +124,9 @@ def test_loop_permutations_have_order_three():
 
 def test_constant_loop_is_identity():
     cfg = TrackingConfig(steps=16)
-    assert track_roots(constant_loop(0.0), cfg).tolist() == list(range(4))
-    assert track_flexes(constant_loop(0.0), cfg).tolist() == list(range(9))
-    m = monodromy_matrix(constant_loop(0.0), cfg)
+    assert track_roots(constant_loop(), cfg).tolist() == list(range(4))
+    assert track_flexes(constant_loop(), cfg).tolist() == list(range(9))
+    m = monodromy_matrix(constant_loop(), cfg)
     assert np.array_equal(m, np.eye(7, dtype=np.int64))
 
 
@@ -213,11 +223,11 @@ def test_coincident_inflections_are_ambiguous():
 
 
 @pytest.mark.parametrize("jump", [0.5, 0.3j])
-def test_newton_predictor_carries_roots_across_a_jump(jump):
+def test_newton_predictor_carries_roots_across_a_jump(monkeypatch, jump):
     # unpolished, the nearest root at `jump` misses the factor-2 margin
     loop = custom_loop(lambda t: jump if 0.25 <= t < 0.75 else 0.0)
-    cfg = TrackingConfig(steps=8, max_refine=0)
-    assert track_roots(loop, cfg).tolist() == [0, 1, 2, 3]
+    monkeypatch.setattr(tracking, "MAX_REFINE", 0)
+    assert track_roots(loop, TrackingConfig(steps=8)).tolist() == [0, 1, 2, 3]
 
 
 def test_one_base_solve_and_one_batch_per_resolution(monkeypatch):
@@ -261,8 +271,9 @@ def test_earliest_failing_sample_decides(monkeypatch, first, second, error):
         return solve(coeffs, *args, **kwargs)
 
     monkeypatch.setattr(tracking, "roots_of_stack", failing_at_1000)
+    monkeypatch.setattr(tracking, "MAX_REFINE", 0)
     with pytest.raises(error):
-        track_roots(_quarters(first, second), TrackingConfig(steps=8, max_refine=0))
+        track_roots(_quarters(first, second), TrackingConfig(steps=8))
 
 
 def _circle_matrix(c: complex, sign: int) -> np.ndarray:
@@ -318,17 +329,18 @@ def test_extended_precision_tracking_agrees():
         transcribed_root_permutation("gammaMinus").tolist()
 
 
-def test_pathological_loop_raises():
+def test_pathological_loop_raises(monkeypatch):
     # a loop stepping onto the discriminant point +1 cannot be tracked; it
     # must fail loudly rather than return a permutation
     loop = custom_loop(lambda t: 1.0 - 1e-9 if t == 0.5 else 0.0)
-    cfg = TrackingConfig(steps=8, max_refine=0)
+    monkeypatch.setattr(tracking, "MAX_REFINE", 0)
     with pytest.raises((AmbiguousMatching, SingularParameter)):
-        track_roots(loop, cfg)
+        track_roots(loop, TrackingConfig(steps=8))
 
 
-def test_ambiguity_exhaustion_raises():
+def test_ambiguity_exhaustion_raises(monkeypatch):
     # an endpoint-match tolerance no float can satisfy exhausts refinement
-    cfg = TrackingConfig(steps=8, eps_match=1e-300, max_refine=0)
+    monkeypatch.setattr(tracking, "TOL_MATCH", 1e-300)
+    monkeypatch.setattr(tracking, "MAX_REFINE", 0)
     with pytest.raises(AmbiguousMatching):
-        track_flexes(gamma_minus(), cfg)
+        track_flexes(gamma_minus(), TrackingConfig(steps=8))

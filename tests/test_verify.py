@@ -1,16 +1,21 @@
 """Verification battery internals: transcriptions, transport, scopes."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cubicmonodromy.cli as cli
 import cubicmonodromy.fixtures as fixtures_mod
 import cubicmonodromy.verify as verify
-from cubicmonodromy.errors import NotAMember
+from cubicmonodromy.errors import AmbiguousMatching, GroupError, NotAMember
 from cubicmonodromy.fixtures import load_fixtures
 from cubicmonodromy.groups import (MODEL_IDENTITY, SemidirectGroup,
                                    semidirect_model)
 from cubicmonodromy.lines import (J_FORM, base_surface, concurrent_triples,
                                   perm_compose)
+from cubicmonodromy.report import render_json
 from cubicmonodromy.tracking import TrackingConfig
 from cubicmonodromy.verify import (build_pipeline, conjugator_carrying_deck,
                                    fixture_group, fixture_source,
@@ -29,8 +34,22 @@ PAIRS = [("fx-deck-invariants", "pl-deck-matrix"),
 
 
 @pytest.fixture(scope="module")
-def full_report():
-    return {c["id"]: c for c in run_checks("all").to_dict()["checks"]}
+def report_all():
+    """The full battery run in this process, as the CLI prints it."""
+    return json.loads(render_json(run_checks("all")))
+
+
+@pytest.fixture(scope="module")
+def full_report(report_all):
+    return {c["id"]: c for c in report_all["checks"]}
+
+
+def test_in_process_battery_equals_the_golden_report(report_all):
+    golden = json.loads((Path(__file__).parent / "data" /
+                         "report_all.json").read_text())
+    assert {**report_all, "checks": [
+        {k: v for k, v in c.items() if k != "runtimeMs"}
+        for c in report_all["checks"]]} == golden
 
 
 # The integer data of the surface at lambda = 0 and of the generators the
@@ -238,6 +257,46 @@ def test_run_checks_scopes():
 def test_run_checks_rejects_unknown_scope():
     with pytest.raises(ValueError):
         run_checks("everything")
+
+
+# the pipeline checks that read the built source
+SOURCE_CHECKS = {
+    "pl-deck-matrix", "pl-perm-functor", "pl-torsion-matrices",
+    "pl-root-cycle-gammaMinus", "pl-root-cycle-gammaPlus",
+    "pl-flex-perm-gammaMinus", "pl-flex-perm-gammaPlus", "pl-loop-matrices",
+    "pl-loop-group", "pl-set-equality", "pl-isomorphism", "pl-step-stability",
+    "pl-incidence-preserved"}
+
+
+def test_unbuildable_pipeline_fails_its_checks_not_the_battery(capsys,
+                                                               monkeypatch):
+    calls = []
+
+    def broken():
+        calls.append(1)
+        raise GroupError("torsion maps made to fail")
+
+    monkeypatch.setattr(verify, "heisenberg_matrices", broken)
+    code = cli.main(["verify", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err, len(calls)) == (1, "", 1)
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 32
+    for c in checks:
+        if c["id"] in SOURCE_CHECKS:
+            assert (c["status"], c["observed"]) == (
+                "fail", "GroupError('torsion maps made to fail')")
+        else:
+            assert c["status"] == "pass", c["id"]
+
+
+def test_ambiguous_pipeline_build_aborts_the_battery(capsys, monkeypatch):
+    def ambiguous():
+        raise AmbiguousMatching("made ambiguous")
+
+    monkeypatch.setattr(verify, "heisenberg_matrices", ambiguous)
+    assert cli.main(["verify", "--scope", "pipeline"]) == 3
+    assert "made ambiguous" in capsys.readouterr().err
 
 
 def test_pipeline_battery_matches_lines_once(monkeypatch):
