@@ -93,9 +93,14 @@ def test_refinement_stops_after_max_refine_doublings(monkeypatch):
     assert tried == [100 * 2 ** k for k in range(tracking.MAX_REFINE + 1)]
 
 
-def test_config_rejects_an_unknown_precision():
-    with pytest.raises(ValueError):
-        TrackingConfig(precision="quad")
+# the end match always runs at TOL_MATCH: eps_match is not a field, so no
+# tolerance can be passed that would disable it
+@pytest.mark.parametrize("kwargs", [
+    {"eps_match": float("nan")}, {"eps_match": float("inf")},
+    {"eps_match": -1.0}, {"eps_match": 0.0}, {"precision": "quad"}])
+def test_config_rejects_tolerances_that_disable_checks(kwargs):
+    with pytest.raises(TypeError if "eps_match" in kwargs else ValueError):
+        TrackingConfig(**kwargs)
 
 
 def test_root_tracks_match_transcription():
