@@ -9,19 +9,21 @@ combinatorics into integer linear algebra.
 import numpy as np
 
 from cubicmonodromy import (base_surface, concurrent_triples,
-                            is_strongly_regular_27, pairing, surface_residual)
+                            is_strongly_regular_27, line_label, pairing,
+                            surface_residual)
 
 s = base_surface()
 print(f"surface form coefficients: {np.count_nonzero(s.form.coeffs)} nonzero")
-print(f"lines found: {len(s.lines)}")
+print(f"flexes: {s.flexes.shape}, lines: {s.lines.shape}")
 
-worst = max(surface_residual(s.form, ln) for ln in s.lines)
+worst = max(surface_residual(s.form, pair) for pair in s.lines)
 print(f"worst on-surface residual over all lines: {worst:.2e}")
 
-# each line is labeled by (inflection point, sheet); index = 3*flex + sheet
-for ln in s.lines[:6]:
-    print(f"  line over flex {ln.flex}, sheet {ln.n}: "
-          f"h1 = {np.round(ln.h1, 3)}")
+# line k is a pair of covectors (h1, h2) over inflection point k // 3 on
+# cube-root sheet k % 3: index = 3*flex + sheet
+for k, (h1, _) in enumerate(s.lines[:6]):
+    flex, sheet = line_label(k)
+    print(f"  line over flex {flex}, sheet {sheet}: h1 = {np.round(h1, 3)}")
 print("  ...")
 
 # incidence: every line meets exactly 10 others, adjacent lines share no

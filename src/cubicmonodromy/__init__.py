@@ -8,9 +8,8 @@ class in the Weyl group of the E6 lattice: a group of order 648 isomorphic to
 a semidirect product of the order-27 extraspecial group by SL(2, F3).
 """
 
-from .curves import (CubicForm, ProjPoint2, family_lambda,
-                     flex_height_squared, flex_quartic, hesse_form,
-                     inflection_points)
+from .curves import (CubicForm, family_lambda, flex_height_squared,
+                     flex_quartic, hesse_form, inflection_points)
 from .errors import (AmbiguousIncidence, AmbiguousMatching, BadIncidencePattern,
                      CapExceeded, DegenerateCurve, FixtureError, FormViolation,
                      GeometryError, GroupError, InconsistentProjection,
@@ -25,19 +24,18 @@ from .groups import (MODEL_IDENTITY, ModelElement, SemidirectGroup,
                      verify_generator_map)
 from .hesse import (heisenberg_lifts, heisenberg_matrices, hesse_transform,
                     induced_line_perm)
-from .lines import (CANONICAL_CLASS, J_FORM, Line3, SurfaceData, all_lines,
+from .lines import (CANONICAL_CLASS, J_FORM, SurfaceData, all_lines,
                     base_surface, build_surface_data, classify_lines,
                     concurrent_triples, deck_permutation, find_sixer,
-                    incidence_graph, is_strongly_regular_27, pairing,
-                    perm_compose, perm_inverse, perm_to_lattice_map,
-                    preserves_incidence, surface_residual)
+                    incidence_graph, is_strongly_regular_27, lift_to_lines,
+                    line_label, pairing, perm_compose, perm_inverse,
+                    perm_to_lattice_map, preserves_incidence, surface_residual)
 from .numeric import constants, newton_polish, roots_of
 from .report import (REPORT_SCHEMA, SCHEMA_VERSION, Check, VerificationReport,
                      render_csv, render_json, render_text)
 from .tracking import (Loop, LoopTrace, TrackingConfig, constant_loop,
                        custom_loop, flex_lattice_map, gamma_minus, gamma_plus,
-                       lift_to_lines, monodromy_matrix, trace_loop,
-                       track_flexes, track_roots)
+                       monodromy_matrix, trace_loop, track_flexes, track_roots)
 from .verify import (GeneratorSource, build_pipeline, fixture_group,
                      fixture_source, model_images_of, run_checks,
                      transcribed_flex_permutation, transcribed_root_permutation,

@@ -5,8 +5,11 @@ family member with their incidence combinatorics, ``monodromy`` tracks one of
 the bundled loops and reports the induced permutations and lattice matrix,
 ``verify`` runs the check battery and renders a report.
 
+Each subcommand renders its whole output as one string, printed by main.
+
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input,
-3 nearest-point matching stayed ambiguous at the maximum refinement.
+3 nearest-point matching stayed ambiguous at the maximum refinement,
+141 (128 + SIGPIPE) standard output closed before the output was written.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -22,10 +26,11 @@ import numpy as np
 from .curves import family_lambda
 from .errors import (AmbiguousIncidence, AmbiguousMatching, GeometryError,
                      NoUniqueMatch)
-from .lines import build_surface_data, concurrent_triples
+from .lines import (build_surface_data, concurrent_triples, lift_to_lines,
+                    line_label)
 from .report import jsonable, render_csv, render_json, render_text
 from .tracking import (TrackingConfig, constant_loop, flex_lattice_map,
-                       gamma_minus, gamma_plus, lift_to_lines, trace_loop)
+                       gamma_minus, gamma_plus, trace_loop)
 from .verify import run_checks
 
 LOOPS = {"gamma-minus": gamma_minus, "gamma-plus": gamma_plus,
@@ -81,9 +86,10 @@ def _lines_payload(lam: complex, tol: float) -> dict:
     triples = concurrent_triples(surface.lines, surface.adjacency)
     return {
         "familyParameter": lam,
-        "lines": [{"index": i, "flex": ln.flex, "sheet": ln.n,
-                   "hyperplane1": list(ln.h1), "hyperplane2": list(ln.h2)}
-                  for i, ln in enumerate(surface.lines)],
+        "lines": [{"index": k, "flex": flex, "sheet": sheet,
+                   "hyperplane1": list(h1), "hyperplane2": list(h2)}
+                  for k, (h1, h2) in enumerate(surface.lines)
+                  for flex, sheet in [line_label(k)]],
         "incidenceDegrees": surface.adjacency.sum(axis=1).tolist(),
         "concurrentTriples": [list(t) for t in triples],
         "sixer": list(surface.sixer),
@@ -122,16 +128,14 @@ def _render_lines_csv(payload: dict) -> str:
     return "\n".join(out)
 
 
-def cmd_lines(args: argparse.Namespace) -> int:
-    lam = parse_complex(args.lam)
-    payload = _lines_payload(lam, args.tol)
-    if args.format == "json":
-        print(json.dumps(jsonable(payload), indent=2))
-    elif args.format == "csv":
-        print(_render_lines_csv(payload))
-    else:
-        print(_render_lines_text(payload))
-    return 0
+def _render_json(payload: dict) -> str:
+    return json.dumps(jsonable(payload), indent=2)
+
+
+def cmd_lines(args: argparse.Namespace) -> tuple[str, int]:
+    render = {"json": _render_json, "csv": _render_lines_csv,
+              "text": _render_lines_text}[args.format]
+    return render(_lines_payload(parse_complex(args.lam), args.tol)), 0
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +144,13 @@ def cmd_lines(args: argparse.Namespace) -> int:
 def _monodromy_payload(loop_name: str, cfg: TrackingConfig) -> dict:
     trace = trace_loop(LOOPS[loop_name](), cfg)
     roots, flexes = trace.root_perm, trace.flex_perm
-    lifted = lift_to_lines(flexes)
-    matrix = flex_lattice_map(flexes)
     return {"loop": loop_name, "steps": len(trace.ts) - 1,
             "rootPermutation": roots.tolist(),
             "rootCycles": cycle_notation(roots),
             "flexPermutation": flexes.tolist(),
             "flexCycles": cycle_notation(flexes),
-            "linePermutation": lifted.tolist(),
-            "latticeMatrix": matrix.tolist()}
+            "linePermutation": lift_to_lines(flexes).tolist(),
+            "latticeMatrix": flex_lattice_map(flexes).tolist()}
 
 
 def _render_monodromy_text(payload: dict) -> str:
@@ -164,45 +166,32 @@ def _render_monodromy_text(payload: dict) -> str:
 
 def _render_track_csv(loop_name: str, cfg: TrackingConfig) -> str:
     trace = trace_loop(LOOPS[loop_name](), cfg)
-    out = ["step,t,root_index,re,im"]
-    for step, (t, row) in enumerate(zip(trace.ts, trace.roots)):
-        for idx, z in enumerate(row):
-            out.append(",".join([str(step), f"{t:.12g}", str(idx)]
-                                + _complex_cols(z)))
-    out.append("step,t,flex_index,re,im")
-    for step, (t, row) in enumerate(zip(trace.ts, trace.ys)):
-        for k, z in enumerate(row):
-            out.append(",".join([str(step), f"{t:.12g}", str(k + 1)]
-                                + _complex_cols(z)))
+    out = []
+    # column i of ys is inflection i + 1; the point at infinity never moves
+    for label, paths, first in (("root", trace.roots, 0), ("flex", trace.ys, 1)):
+        out.append(f"step,t,{label}_index,re,im")
+        for step, (t, row) in enumerate(zip(trace.ts, paths)):
+            out += [",".join([str(step), f"{t:.12g}", str(first + i), *_complex_cols(z)])
+                    for i, z in enumerate(row)]
     return "\n".join(out)
 
 
-def cmd_monodromy(args: argparse.Namespace) -> int:
+def cmd_monodromy(args: argparse.Namespace) -> tuple[str, int]:
     cfg = TrackingConfig(steps=args.steps, precision=args.precision)
     if args.format == "csv":
-        print(_render_track_csv(args.loop, cfg))
-        return 0
-    payload = _monodromy_payload(args.loop, cfg)
-    if args.format == "json":
-        print(json.dumps(jsonable(payload), indent=2))
-    else:
-        print(_render_monodromy_text(payload))
-    return 0
+        return _render_track_csv(args.loop, cfg), 0
+    render = {"json": _render_json, "text": _render_monodromy_text}[args.format]
+    return render(_monodromy_payload(args.loop, cfg)), 0
 
 
 # ---------------------------------------------------------------------------
 # verify subcommand
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     report = run_checks(args.scope, TrackingConfig(steps=args.steps,
                                                    precision=args.precision))
-    if args.format == "json":
-        print(render_json(report))
-    elif args.format == "csv":
-        print(render_csv(report))
-    else:
-        print(render_text(report))
-    return 0 if report.overall == "pass" else 1
+    render = {"json": render_json, "csv": render_csv, "text": render_text}[args.format]
+    return render(report), 0 if report.overall == "pass" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +243,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        out, code = args.fn(args)
+        print(out)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone; stdout goes to devnull so that the flush at
+        # interpreter exit cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (AmbiguousMatching, AmbiguousIncidence, NoUniqueMatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

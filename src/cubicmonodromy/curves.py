@@ -15,13 +15,17 @@ and Newton steps on the system (f, Hessian) bring every candidate to
 rounding level.  Those steps make a flex at a double root of the resultant
 as accurate as any other; the y -> -y symmetry of a Weierstrass cubic
 y^2 z = x^3 + a x z^2 + b z^3 puts every flex x-coordinate at one.
+
+The nine inflection points are one (9, 3) complex array: each row scaled so
+that its last meaningfully nonzero coordinate (z, else y, else x) is 1, the
+rows in a fixed order.  Row i is flex i, and the 27 lines are indexed
+3 * flex + sheet over it (see lines.py).
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,71 +159,35 @@ def hessian_det_form(f: CubicForm) -> CubicForm:
     return _folded(np.einsum("abc,ai,bj,ck->ijk", _LEVI_CIVITA, h[0], h[1], h[2]))
 
 
-@dataclass(frozen=True, eq=False)
-class ProjPoint2:
-    """Point of P^2, stored with its preferred affine normalization.
+def _normalized(pts: np.ndarray) -> np.ndarray:
+    """Each row of an (n, 3) stack of homogeneous coordinates scaled so that
+    its last entry above _REL_ZERO of the row's largest, checking z then y
+    then x, is 1; a zero or non-finite row raises ValueError.  This makes the
+    nine inflection points of the curves at hand comparable as arrays."""
+    pts = np.asarray(pts, dtype=complex)
+    mag = np.abs(pts)
+    big = mag.max(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(pts.view(float))) or np.any(big == 0.0):
+        raise ValueError("invalid homogeneous coordinates")
+    last = 2 - np.argmax(mag[:, ::-1] > _REL_ZERO * big, axis=-1)
+    return pts / pts[np.arange(len(pts)), last][:, None]
 
-    The last coordinate that is meaningfully nonzero, checking z then y then
-    x, is scaled to 1.  This makes the nine inflection points of the curves
-    at hand directly comparable as arrays.
-    """
 
-    coords: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.coords, dtype=complex)
-        if v.shape != (3,):
-            raise ValueError("projective point needs 3 coordinates")
-        big = float(np.max(np.abs(v)))
-        if big == 0.0 or not np.all(np.isfinite(v.view(float))):
-            raise ValueError("invalid homogeneous coordinates")
-        for idx in (2, 1, 0):
-            if abs(v[idx]) > _REL_ZERO * big:
-                v = v / v[idx]
-                break
-        object.__setattr__(self, "coords", v)
-
-    @property
-    def x(self) -> complex:
-        return complex(self.coords[0])
-
-    @property
-    def y(self) -> complex:
-        return complex(self.coords[1])
-
-    @property
-    def z(self) -> complex:
-        return complex(self.coords[2])
-
-    def unit(self) -> np.ndarray:
-        return self.coords / np.linalg.norm(self.coords)
-
-    def distance(self, other: "ProjPoint2") -> float:
-        """Chordal distance between the underlying projective points.
-
-        sqrt(1 - |<u, v>|^2) for their unit vectors u, v, which is the norm
-        of v's component orthogonal to u.  Computed by Lagrange's identity
-        as |u ^ v| / (|u| |v|) from the minors u_i v_j - u_j v_i, because the
-        subtraction 1 - |<u, v>|^2 cancels (up to 2e-8 for a point and
-        itself); the minors of a point and itself are exactly 0.
-        """
-        (u0, u1, u2), (v0, v1, v2) = self.coords.tolist(), other.coords.tolist()
-        minors = (abs(u0 * v1 - u1 * v0) ** 2 + abs(u1 * v2 - u2 * v1) ** 2
-                  + abs(u2 * v0 - u0 * v2) ** 2)
-        uu = abs(u0) ** 2 + abs(u1) ** 2 + abs(u2) ** 2
-        vv = abs(v0) ** 2 + abs(v1) ** 2 + abs(v2) ** 2
-        return math.sqrt(minors / (uu * vv))
-
-    def is_base_point(self) -> bool:
-        x, y, z = self.coords
-        return max(abs(x), abs(y - 1.0), abs(z)) < _BASE_POINT_TOL
+def at_base_point(pts: np.ndarray) -> np.ndarray:
+    """Which rows of a normalized (n, 3) stack are the point [0 : 1 : 0]."""
+    return np.max(np.abs(pts - (0.0, 1.0, 0.0)), axis=-1) < _BASE_POINT_TOL
 
 
 def _chordal_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """ProjPoint2.distance between the points along the last axis of two
-    broadcastable (..., 3) stacks, by the same Lagrange identity; that
-    method stays scalar because numpy's per-call cost would make one pair
-    about 20 times slower."""
+    """Chordal distance between the points along the last axis of two
+    broadcastable (..., 3) stacks of homogeneous coordinates.
+
+    sqrt(1 - |<u, v>|^2) for their unit vectors u, v, which is the norm of
+    v's component orthogonal to u.  Computed by Lagrange's identity as
+    |u ^ v| / (|u| |v|) from the minors u_i v_j - u_j v_i, because the
+    subtraction 1 - |<u, v>|^2 cancels (up to 2e-8 for a point and itself);
+    the minors of a point and itself are exactly 0.
+    """
     (u0, u1, u2), (v0, v1, v2) = np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0)
     minors = (np.abs(u0 * v1 - u1 * v0) ** 2 + np.abs(u1 * v2 - u2 * v1) ** 2
               + np.abs(u2 * v0 - u0 * v2) ** 2)
@@ -325,13 +293,13 @@ def cubic_route(f: CubicForm) -> tuple[str, complex | None]:
 
 
 def inflection_points(f: CubicForm, tol: float = 1e-8,
-                      route: tuple[str, complex | None] | None = None) -> list[ProjPoint2]:
-    """The nine inflection points, deterministically ordered.
+                      route: tuple[str, complex | None] | None = None) -> np.ndarray:
+    """The nine inflection points as a (9, 3) stack, deterministically ordered.
 
-    route is cubic_route(f), worked out here when not given.  Ordering: the
-    base point [0:1:0] first when the curve passes through it with a
-    vertical-tangent flex there, then ascending (Re y, Im y, Re x, Im x) on
-    the normalized coordinates, each rounded as in order_key.
+    route is cubic_route(f), worked out here when not given.  Each row is
+    normalized as in _normalized.  Ordering: the base point [0:1:0] first
+    when the curve passes through it with a vertical-tangent flex there,
+    then ascending (Re y, Im y, Re x, Im x), each rounded as in order_key.
     """
     kind, param = route or cubic_route(f)
     hess = hessian_det_form(f)
@@ -341,44 +309,35 @@ def inflection_points(f: CubicForm, tol: float = 1e-8,
         pts = _inflections_hesse(param)
     else:
         pts = _inflections_resultant(f, hess, tol)
+    pts = _normalized(pts)
     if len(pts) != 9:
         raise DegenerateCurve(f"expected 9 inflection points, got {len(pts)}")
-    coords = np.array([p.coords for p in pts])
-    units = coords / np.linalg.norm(coords, axis=-1, keepdims=True)
+    units = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
     if (np.any(np.abs(f(units)) > tol * f.scale())
             or np.any(np.abs(hess(units)) > tol * hess.scale())):
         raise DegenerateCurve("inflection residual above tolerance")
     i, j = np.triu_indices(9, 1)
-    if np.any(_chordal_distances(coords[i], coords[j]) < 10.0 * TOL_MATCH):
+    if np.any(_chordal_distances(pts[i], pts[j]) < 10.0 * TOL_MATCH):
         raise DegenerateCurve("inflection points collide")
-    return _sort_points(pts)
+    base, rows = at_base_point(pts).tolist(), pts.tolist()
+    return pts[sorted(range(9), key=lambda k: (not base[k], *order_key(rows[k][1]),
+                                               *order_key(rows[k][0])))]
 
 
-def _sort_points(pts: list[ProjPoint2]) -> list[ProjPoint2]:
-    base = [p for p in pts if p.is_base_point()]
-    rest = [p for p in pts if not p.is_base_point()]
-    rest.sort(key=lambda p: order_key(p.y) + order_key(p.x))
-    return base + rest
-
-
-def _inflections_family(lam: complex) -> list[ProjPoint2]:
+def _inflections_family(lam: complex) -> np.ndarray:
     if abs(lam - 1.0) < TOL_MATCH or abs(lam + 1.0) < TOL_MATCH:
         raise SingularParameter(f"lambda = {lam} is on the discriminant")
-    pts = [ProjPoint2(np.array([0.0, 1.0, 0.0], dtype=complex))]
+    pts = [[0.0, 1.0, 0.0]]
     for alpha in roots_of(flex_quartic(lam)):
         y = cmath.sqrt(flex_height_squared(lam, alpha))
-        pts.append(ProjPoint2(np.array([alpha, y, 1.0], dtype=complex)))
-        pts.append(ProjPoint2(np.array([alpha, -y, 1.0], dtype=complex)))
-    return pts
+        pts += [[alpha, y, 1.0], [alpha, -y, 1.0]]
+    return np.array(pts, dtype=complex)
 
 
-def _inflections_hesse(mu: complex) -> list[ProjPoint2]:
-    pts = []
-    for k in range(3):
-        pts.append(ProjPoint2(np.array([1.0, -(OMEGA ** k), 0.0], dtype=complex)))
-        pts.append(ProjPoint2(np.array([-(OMEGA ** k), 0.0, 1.0], dtype=complex)))
-        pts.append(ProjPoint2(np.array([0.0, 1.0, -(OMEGA ** k)], dtype=complex)))
-    return pts
+def _inflections_hesse(mu: complex) -> np.ndarray:
+    return np.array([row for w in (-(OMEGA ** k) for k in range(3))
+                     for row in ([1.0, w, 0.0], [w, 0.0, 1.0], [0.0, 1.0, w])],
+                    dtype=complex)
 
 
 def _y_coefficients(f: CubicForm) -> np.ndarray:
@@ -390,7 +349,7 @@ def _y_coefficients(f: CubicForm) -> np.ndarray:
     return rows[:present.max() + 1 if present.size else 1]
 
 
-def _inflections_resultant(f: CubicForm, hess: CubicForm, tol: float) -> list[ProjPoint2]:
+def _inflections_resultant(f: CubicForm, hess: CubicForm, tol: float) -> np.ndarray:
     """Arbitrary-cubic route: eliminate y between f and its Hessian form hess.
 
     In the z = 1 chart the Sylvester determinant in y is evaluated at
@@ -441,7 +400,7 @@ def _inflections_resultant(f: CubicForm, hess: CubicForm, tol: float) -> list[Pr
     units = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
     pts = pts[(np.abs(f(units)) < tol * f.scale()) & (np.abs(hess(units)) < tol * hess.scale())]
     near = np.triu(_chordal_distances(pts[:, None], pts[None]) < 1e-6, 1)
-    return [ProjPoint2(p) for p in pts[~near.any(axis=0)]]
+    return pts[~near.any(axis=0)]
 
 
 def _flex_newton(f: CubicForm, hess: CubicForm, pts: np.ndarray) -> np.ndarray:

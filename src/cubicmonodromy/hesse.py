@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
 
 import numpy as np
 
 from .curves import CubicForm, family_lambda, hesse_form
 from .errors import GroupError, TransformResidual
-from .lines import Line3, base_surface, perm_to_lattice_map
+from .lines import base_surface, perm_to_lattice_map
 from .numeric import OMEGA, TOL_MATCH, constants, nearest_match
 from .weyl import lattice_inverse
 
@@ -75,16 +74,16 @@ def heisenberg_lifts() -> tuple[np.ndarray, np.ndarray]:
     return x_lift, y_lift
 
 
-def _span_distances(transform: np.ndarray, source_lines: Sequence[Line3],
-                    target_lines: Sequence[Line3]) -> np.ndarray:
-    """(m, n) chordal distances from each moved source span to each target:
+def _span_distances(transform: np.ndarray, source_lines: np.ndarray,
+                    target_lines: np.ndarray) -> np.ndarray:
+    """(m, n) chordal distances from each moved source span to each target,
+    given as (m, 2, 4) and (n, 2, 4) stacks of lines:
     the norm of the target's orthonormal basis off the moved span, which is
     sqrt(2 - |u^H v|^2) without its cancellation (up to 4e-8 for a span and
     itself).  A source span is moved by the inverse's conjugate transpose.
     """
     def spans(lines, move=np.eye(4)):
-        covectors = np.array([[line.h1, line.h2] for line in lines])
-        return np.linalg.qr(move @ covectors.transpose(0, 2, 1))[0]
+        return np.linalg.qr(move @ lines.transpose(0, 2, 1))[0]
 
     moved = spans(source_lines, np.linalg.inv(transform).conj().T)[:, None]
     targets = spans(target_lines)

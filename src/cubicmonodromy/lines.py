@@ -2,22 +2,25 @@
 
 Over each of the nine inflection points of the branch cubic the surface
 carries three lines, cut out by the lifted tangent plane together with one
-of three hyperplanes indexed by a cube root of unity.  Lines are stored as
-pairs of 4-covectors plus their (flex, n) label; everything downstream
-(incidence graph, sixer choice, divisor classes, lattice maps) is exact
-integer data once the incidence pattern is certified.
+of three hyperplanes indexed by a cube root of unity.  The lines are one
+(27, 2, 4) stack of unit covector pairs in (x, y, z, w): line k lies over
+flex k // 3 (row k // 3 of the (9, 3) flex stack) on cube-root sheet k % 3,
+so line 3 * flex + sheet.  This module is the one that reads flex and sheet
+off a line index.  Everything downstream (incidence graph, sixer choice,
+divisor classes, lattice maps) is exact integer data once the incidence
+pattern is certified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from .curves import (
-    CubicForm, ProjPoint2, cubic_route, flex_height_squared, inflection_points,
-    phase_normalize, tangent_covector_family,
+    CubicForm, at_base_point, cubic_route, flex_height_squared,
+    inflection_points, phase_normalize, tangent_covector_family,
 )
 from .errors import (
     AmbiguousIncidence, BadIncidencePattern, NoSixer, NonIntegralImage,
@@ -28,28 +31,9 @@ from .numeric import OMEGA, TOL_INC
 J_FORM = np.diag([1, -1, -1, -1, -1, -1, -1]).astype(np.int64)
 CANONICAL_CLASS = np.array([-3, 1, 1, 1, 1, 1, 1], dtype=np.int64)
 
-# the hyperplane pair (h1, h2) of one line, before Line3 normalizes it
-Pair = tuple[np.ndarray, np.ndarray]
+# the cube roots of unity omega^n, one per sheet n
+_SHEETS = np.array([OMEGA ** n for n in range(3)])
 _RESIDUAL_SAMPLES = 5
-
-
-@dataclass(frozen=True, eq=False)
-class Line3:
-    """A line of P^3 as the intersection of two hyperplanes, with its label.
-
-    Covector order is (x, y, z, w).  flex indexes the branch-curve inflection
-    point the line sits over, n in {0, 1, 2} picks the cube-root sheet.
-    """
-
-    h1: np.ndarray
-    h2: np.ndarray
-    flex: int
-    n: int
-
-    def __post_init__(self):
-        pairs, _ = _checked_spans(np.array([[self.h1, self.h2]]))
-        object.__setattr__(self, "h1", pairs[0, 0])
-        object.__setattr__(self, "h2", pairs[0, 1])
 
 
 def _checked_spans(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,44 +61,49 @@ def _residuals(f: CubicForm, kernel: np.ndarray) -> np.ndarray:
     return np.max(np.abs(pts[..., 3] ** 3 - f(pts[..., :3])), axis=-1)
 
 
-def surface_residual(f: CubicForm, line: Line3) -> float:
-    """max |w^3 - f| over sample points of the line, unit-normalized."""
-    _, kernel = _checked_spans(np.array([[line.h1, line.h2]]))
+def surface_residual(f: CubicForm, pair: np.ndarray) -> float:
+    """max |w^3 - f| over sample points of the line cut out by a (2, 4)
+    covector pair, unit-normalized."""
+    _, kernel = _checked_spans(np.asarray(pair)[None])
     return float(_residuals(f, kernel)[0])
 
 
-def _family_triple(lam: complex, p: ProjPoint2) -> list[Pair]:
-    if p.is_base_point():
-        # w^3 + x^3 factors over the flex at infinity; tangent plane is z = 0
-        return [(np.array([OMEGA ** n, 0, 0, 1], dtype=complex),
-                 np.array([0, 0, 1, 0], dtype=complex)) for n in range(3)]
-    if abs(p.z) < 1e-9:
+def _family_triple(lam: complex, flexes: np.ndarray) -> np.ndarray:
+    """The (3 len(flexes), 2, 4) covector pairs over the pencil member's
+    flexes: h1 = (omega^n, 0, -omega^n alpha, 1) and h2 the tangent plane
+    over [alpha : y : 1]; over [0 : 1 : 0] alpha = 0 and h2 is z = 0."""
+    base = at_base_point(flexes)
+    x, y, z = flexes[~base].T
+    if np.any(np.abs(z) < 1e-9):
         raise NotAFlex("family flexes lie in the z != 0 chart")
-    alpha, y = p.x, p.y
-    if abs(flex_height_squared(lam, alpha) - y * y) > 1e-8:
+    if np.any(np.abs(flex_height_squared(lam, x) - y * y) > 1e-8):
         raise NotAFlex("point is not on the inflection scheme")
-    tangent = tangent_covector_family(lam, alpha, y)
-    h2 = np.array([tangent[0], tangent[1], tangent[2], 0.0], dtype=complex)
-    return [(np.array([OMEGA ** n, 0.0, -(OMEGA ** n) * alpha, 1.0], dtype=complex), h2)
-            for n in range(3)]
+    pairs = np.zeros((len(flexes), 3, 2, 4), dtype=complex)
+    pairs[:, :, 0, 0] = _SHEETS
+    pairs[~base, :, 0, 2] = -_SHEETS * x[:, None]
+    pairs[:, :, 0, 3] = 1.0
+    # w^3 + x^3 factors over the flex at infinity, whose tangent plane is z = 0
+    pairs[base, :, 1, 2] = 1.0
+    pairs[~base, :, 1, :3] = tangent_covector_family(lam, x, y).T[:, None]
+    return pairs.reshape(-1, 2, 4)
 
 
-def _hesse_triple(eta: complex, p: ProjPoint2, grad: np.ndarray) -> list[Pair]:
-    # each Hesse inflection point has exactly one vanishing coordinate; the
-    # cube w^3 - eta^3 m^3 lives on that coordinate m; grad is the form's
-    # gradient at p.unit()
-    coords = p.coords
-    zero_idx = int(np.argmin(np.abs(coords)))
-    if abs(coords[zero_idx]) > 1e-8:
+def _hesse_triple(eta: complex, flexes: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """The (3 len(flexes), 2, 4) covector pairs over a Hesse member's flexes.
+
+    Each Hesse inflection point has exactly one vanishing coordinate m; the
+    cube w^3 - eta^3 m^3 lives on it.  grads holds the form's gradient at
+    each flex's unit vector.
+    """
+    rows = np.arange(len(flexes))
+    zero_idx = np.argmin(np.abs(flexes), axis=-1)
+    if np.any(np.abs(flexes[rows, zero_idx]) > 1e-8):
         raise NotAFlex("not a Hesse inflection point")
-    h2 = np.array([*grad, 0.0], dtype=complex)
-    out = []
-    for n in range(3):
-        h1 = np.zeros(4, dtype=complex)
-        h1[3] = 1.0
-        h1[zero_idx] = -(OMEGA ** n) * eta
-        out.append((h1, h2))
-    return out
+    pairs = np.zeros((len(flexes), 3, 2, 4), dtype=complex)
+    pairs[rows, :, 0, zero_idx] = -_SHEETS * eta
+    pairs[:, :, 0, 3] = 1.0
+    pairs[:, :, 1, :3] = grads[:, None]
+    return pairs.reshape(-1, 2, 4)
 
 
 def _hesse_eta(mu: complex) -> complex:
@@ -124,26 +113,26 @@ def _hesse_eta(mu: complex) -> complex:
     return eta
 
 
-def _generic_triple(f: CubicForm, tol: float, p: ProjPoint2, grad: np.ndarray) -> list[Pair]:
+def _generic_triple(f: CubicForm, tol: float, u: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Tangent-line cube reduction for an arbitrary smooth cubic.
 
     On the tangent line at a flex the form is c * m^3 for any linear form m
     that vanishes at the point and is independent of the tangent covector;
     the three lines are w = (c)^(1/3) omega^n m inside the tangent plane.
-    grad is f's gradient at p.unit().
+    u is the flex as a unit vector, grad is f's gradient there; the result
+    is the (3, 2, 4) stack of the three covector pairs.
     """
-    u = p.unit()
     tn = np.linalg.norm(grad)
     if tn < tol * f.scale():
         raise NotAFlex("gradient vanishes; not a smooth point")
     t = grad / tn
-    # forms vanishing at p: null space of the evaluation functional at p
+    # forms vanishing at u: null space of the evaluation functional at u
     _, _, vh = np.linalg.svd(u[None, :])
     cands = [vh[1].conj(), vh[2].conj()]
     m = max(cands, key=lambda c: np.linalg.norm(c - (t.conj() @ c) * t))
     m = m - (t.conj() @ m) * t
     m = m / np.linalg.norm(m)
-    # third point of the tangent line away from p gives the cube scale
+    # third point of the tangent line away from u gives the cube scale
     q = _tangent_direction(t, u)
     mq, fq = m @ q, f(q)
     if abs(mq) < 1e-10:
@@ -156,10 +145,11 @@ def _generic_triple(f: CubicForm, tol: float, p: ProjPoint2, grad: np.ndarray) -
     mid = mid / np.linalg.norm(mid)
     if abs(f(mid) - c * (m @ mid) ** 3) > tol * f.scale():
         raise NotAFlex("tangent line meets the curve off the triple point")
-    root = c ** (1.0 / 3.0)
-    h2 = np.array([*t, 0.0], dtype=complex)
-    return [(np.array([*(-(OMEGA ** n) * root * m), 1.0], dtype=complex), h2)
-            for n in range(3)]
+    pairs = np.zeros((3, 2, 4), dtype=complex)
+    pairs[:, 0, :3] = -_SHEETS[:, None] * c ** (1.0 / 3.0) * m
+    pairs[:, 0, 3] = 1.0
+    pairs[:, 1, :3] = t
+    return pairs
 
 
 def _tangent_direction(t: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -172,9 +162,10 @@ def _tangent_direction(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     raise NotAFlex("no independent direction on the tangent line")
 
 
-def all_lines(f: CubicForm, flexes: list[ProjPoint2], tol: float = 1e-8,
-              route: tuple[str, complex | None] | None = None) -> list[Line3]:
-    """The three lines over each given inflection point, ordered by (flex index, n).
+def all_lines(f: CubicForm, flexes: np.ndarray, tol: float = 1e-8,
+              route: tuple[str, complex | None] | None = None) -> np.ndarray:
+    """The (3 len(flexes), 2, 4) stack of the lines over the given (n, 3)
+    flexes, line 3 i + n over flex i on sheet n.
 
     The hyperplane rule is picked once per cubic from route (cubic_route(f)
     when not given): the closed forms for the pencil and the Hesse family,
@@ -183,47 +174,42 @@ def all_lines(f: CubicForm, flexes: list[ProjPoint2], tol: float = 1e-8,
     """
     kind, param = route or cubic_route(f)
     if kind == "family":
-        pairs = [pair for p in flexes for pair in _family_triple(param, p)]
+        pairs = _family_triple(param, flexes)
     else:
-        triple = (partial(_hesse_triple, _hesse_eta(param)) if kind == "hesse"
-                  else partial(_generic_triple, f, tol))
-        grads = f.gradient(np.array([p.unit() for p in flexes]))
-        pairs = [pair for p, g in zip(flexes, grads) for pair in triple(p, g)]
-    return _surface_lines(f, np.array(pairs, dtype=complex), flexes, tol)
+        units = flexes / np.linalg.norm(flexes, axis=-1, keepdims=True)
+        grads = f.gradient(units)
+        if kind == "hesse":
+            pairs = _hesse_triple(_hesse_eta(param), flexes, grads)
+        else:
+            pairs = np.concatenate([_generic_triple(f, tol, u, g)
+                                    for u, g in zip(units, grads)])
+    return _surface_lines(f, pairs, flexes, tol)
 
 
-def _surface_lines(f: CubicForm, pairs: np.ndarray, flexes: list[ProjPoint2],
-                   tol: float) -> list[Line3]:
-    """Lines from the (3 * len(flexes), 2, 4) covector stack, three per flex,
-    each normalized, rank-checked and tested on the surface once."""
+def _surface_lines(f: CubicForm, pairs: np.ndarray, flexes: np.ndarray,
+                   tol: float) -> np.ndarray:
+    """The (3 len(flexes), 2, 4) covector stack, three lines per flex,
+    normalized, rank-checked and tested on the surface once."""
     pairs, kernel = _checked_spans(pairs)
     resid = _residuals(f, kernel)
     bad = np.flatnonzero(resid > tol)
     if bad.size:
         k = bad[0]
-        raise NotAFlex(f"line residual {resid[k]:.2e} over point {flexes[k // 3].coords}")
-    out = []
-    for k, (h1, h2) in enumerate(zip(pairs[:, 0], pairs[:, 1])):
-        # skips __post_init__: _checked_spans has just normalized and
-        # rank-checked the whole stack
-        line = object.__new__(Line3)
-        vars(line).update(h1=h1, h2=h2, flex=k // 3, n=k % 3)
-        out.append(line)
-    return out
+        raise NotAFlex(f"line residual {resid[k]:.2e} over point {flexes[k // 3]}")
+    return pairs
 
 
-def incidence_graph(lines: list[Line3]) -> np.ndarray:
-    """Symmetric boolean adjacency matrix of the incidence relation.
+def incidence_graph(lines: np.ndarray) -> np.ndarray:
+    """Symmetric boolean adjacency matrix of the incidence relation of an
+    (n, 2, 4) stack of lines.
 
     Two lines meet exactly when the 4 x 4 determinant of their stacked unit
     covectors vanishes; one det call covers every pair.  A value inside
     [TOL_INC, 100 TOL_INC) is refused as ambiguous rather than guessed.
     """
     n = len(lines)
-    spans = np.array([(line.h1, line.h2) for line in lines],
-                     dtype=complex).reshape(n, 2, 4)
     i, j = np.triu_indices(n, 1)
-    mag = np.abs(np.linalg.det(np.concatenate([spans[i], spans[j]], axis=1)))
+    mag = np.abs(np.linalg.det(np.concatenate([lines[i], lines[j]], axis=1)))
     ambiguous = np.flatnonzero((mag >= TOL_INC) & (mag < 100.0 * TOL_INC))
     if ambiguous.size:
         k = ambiguous[0]
@@ -249,20 +235,13 @@ def is_strongly_regular_27(adj: np.ndarray) -> bool:
     return bool(np.array_equal(adj.astype(np.int64) @ adj.astype(np.int64), want))
 
 
-def concurrent_triples(lines: list[Line3], adj: np.ndarray) -> list[tuple[int, int, int]]:
-    """The triples over a common flex; each must be pairwise incident."""
-    by_flex: dict[int, list[int]] = {}
-    for idx, line in enumerate(lines):
-        by_flex.setdefault(line.flex, []).append(idx)
-    triples = []
-    for flex in sorted(by_flex):
-        members = tuple(sorted(by_flex[flex]))
-        if len(members) != 3:
-            raise BadIncidencePattern(f"flex {flex} carries {len(members)} lines")
-        i, j, k = members
+def concurrent_triples(lines: np.ndarray, adj: np.ndarray) -> list[tuple[int, int, int]]:
+    """The triples (3 flex, 3 flex + 1, 3 flex + 2) of lines over a common
+    flex; each must be pairwise incident."""
+    triples = [(k, k + 1, k + 2) for k in range(0, len(lines), 3)]
+    for flex, (i, j, k) in enumerate(triples):
         if not (adj[i, j] and adj[i, k] and adj[j, k]):
             raise BadIncidencePattern(f"triple over flex {flex} is not concurrent")
-        triples.append(members)
     return triples
 
 
@@ -324,17 +303,24 @@ def pairing(u: np.ndarray, v: np.ndarray) -> int:
     return int(u @ J_FORM @ v)
 
 
-def deck_permutation(lines: list[Line3]) -> np.ndarray:
+def line_label(k: int) -> tuple[int, int]:
+    """(flex, sheet) of line k: it lies over flex k // 3 on sheet k % 3."""
+    return divmod(k, 3)
+
+
+def deck_permutation(lines: np.ndarray) -> np.ndarray:
     """Line permutation induced by the deck rotation of the cover.
 
     Rotating w by a cube root of unity maps the sheet-n line over a flex to
     the sheet-(n+1) line over the same flex.
     """
-    by_label = {(line.flex, line.n): idx for idx, line in enumerate(lines)}
-    images = np.zeros(len(lines), dtype=np.int64)
-    for idx, line in enumerate(lines):
-        images[idx] = by_label[(line.flex, (line.n + 1) % 3)]
-    return images
+    k = np.arange(len(lines))
+    return k - k % 3 + (k + 1) % 3
+
+
+def lift_to_lines(flex_images: np.ndarray) -> np.ndarray:
+    """Lift a flex permutation to the 27 lines; the sheet label rides along."""
+    return (3 * np.asarray(flex_images, dtype=np.int64)[:, None] + np.arange(3)).ravel()
 
 
 def perm_compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -374,14 +360,23 @@ def perm_to_lattice_map(perm: np.ndarray, classes: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class SurfaceData:
-    """Everything downstream code needs about one surface in the family."""
+    """Everything downstream code needs about one surface in the family.
+
+    flexes is the (9, 3) stack of inflection_points, lines the (27, 2, 4)
+    stack of all_lines; these, adjacency and classes are made read-only,
+    since base_surface() hands one instance to every caller.
+    """
 
     form: CubicForm
-    flexes: list[ProjPoint2]
-    lines: list[Line3]
+    flexes: np.ndarray
+    lines: np.ndarray
     adjacency: np.ndarray
     sixer: tuple[int, ...]
     classes: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.flexes, self.lines, self.adjacency, self.classes):
+            arr.flags.writeable = False
 
     @property
     def deck_matrix(self) -> np.ndarray:

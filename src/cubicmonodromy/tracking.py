@@ -29,7 +29,7 @@ import numpy as np
 from .curves import flex_height_squared, flex_quartic, flex_quartic_stack
 from .errors import (AmbiguousMatching, InconsistentProjection, NonConvergence,
                      NoUniqueMatch, SingularParameter)
-from .lines import base_surface, perm_to_lattice_map
+from .lines import base_surface, lift_to_lines, perm_to_lattice_map
 from .numeric import (PRECISIONS, TOL_MATCH, nearest_match, newton_polish_stack,
                       roots_of, roots_of_stack)
 from .weyl import is_lattice_map
@@ -158,8 +158,7 @@ def _trace_once(loop: Loop, steps: int, cfg: TrackingConfig) -> LoopTrace:
     is ambiguous, as if the samples were read in order.
     """
     # inflections 1..8 move; each rides on one root's x-path
-    base_xs, base_ys = np.array([(p.x, p.y)
-                                 for p in base_surface().flexes[1:9]]).T
+    base_xs, base_ys = base_surface().flexes[1:9, :2].T
     ts = [k / steps for k in range(steps + 1)]
     lams: list[complex] = []
     stop = None
@@ -225,15 +224,6 @@ def track_roots(loop: Loop, cfg: TrackingConfig = TrackingConfig()) -> np.ndarra
 def track_flexes(loop: Loop, cfg: TrackingConfig = TrackingConfig()) -> np.ndarray:
     """Permutation of the nine base inflection points induced by the loop."""
     return trace_loop(loop, cfg).flex_perm
-
-
-def lift_to_lines(flex_images: np.ndarray) -> np.ndarray:
-    """Lift a flex permutation to the 27 lines; the sheet label rides along."""
-    out = np.zeros(27, dtype=np.int64)
-    for flex in range(9):
-        for n in range(3):
-            out[3 * flex + n] = 3 * int(flex_images[flex]) + n
-    return out
 
 
 def flex_lattice_map(flex_perm: np.ndarray) -> np.ndarray:

@@ -28,13 +28,12 @@ from .groups import (HEISENBERG_ALL, MODEL_IDENTITY, SL2_ALL, ModelElement,
                      semidirect_model, sl2_mul, verify_generator_map)
 from .hesse import heisenberg_matrices, hesse_transform
 from .lines import (base_surface, concurrent_triples, deck_permutation,
-                    is_strongly_regular_27, pairing, perm_compose,
-                    perm_to_lattice_map, preserves_incidence)
+                    is_strongly_regular_27, lift_to_lines, pairing,
+                    perm_compose, perm_to_lattice_map, preserves_incidence)
 from .numeric import constants, nearest_match, roots_of
 from .report import Check, VerificationReport, jsonable
 from .tracking import (LoopTrace, TrackingConfig, constant_loop,
-                       flex_lattice_map, gamma_minus, gamma_plus, lift_to_lines,
-                       trace_loop)
+                       flex_lattice_map, gamma_minus, gamma_plus, trace_loop)
 from .weyl import (WEYL_ORDER, FiniteMatrixGroup, centralizer, conjugacy_class,
                    conjugacy_class_size, lattice_inverse, lattice_invariants,
                    trace_character_check, weyl_group)
@@ -79,7 +78,7 @@ def _flex_value_map(kind: str) -> dict[complex, complex]:
     raise ValueError(f"no transcribed action for loop kind {kind!r}")
 
 
-def _value_permutation(values: list[complex],
+def _value_permutation(values: np.ndarray | list[complex],
                        mapping: dict[complex, complex]) -> np.ndarray:
     """Index of the value that mapping sends each value to, matched by value."""
     values = np.array(values)
@@ -96,9 +95,7 @@ def transcribed_root_permutation(kind: str) -> np.ndarray:
 
 def transcribed_flex_permutation(kind: str) -> np.ndarray:
     """Expected inflection action of a loop, matched by y-coordinate."""
-    flexes = base_surface().flexes
-    ys = [flexes[j].y for j in range(1, 9)]
-    inner = _value_permutation(ys, _flex_value_map(kind))
+    inner = _value_permutation(base_surface().flexes[1:9, 1], _flex_value_map(kind))
     images = np.zeros(9, dtype=np.int64)
     images[1:] = inner + 1
     return images

@@ -61,6 +61,28 @@ def test_lines_json_complex_parameter(capsys):
     assert len(data["lines"]) == 27
 
 
+def _complexes(entries):
+    return np.array([complex(z["re"], z["im"]) for z in entries])
+
+
+def test_lines_json_matches_the_pinned_output(capsys):
+    # integer fields exactly; covectors to 1e-12, which leaves room for the
+    # rounding of another but equivalent order of operations
+    code, out, _ = run(capsys, "lines", "--lambda", "0.3,0.1", "--format", "json")
+    assert code == 0
+    got = json.loads(out)
+    want = json.loads((Path(__file__).parent / "data" /
+                       "lines_lambda_0.3_0.1.json").read_text())
+    for key in ("familyParameter", "incidenceDegrees", "concurrentTriples",
+                "sixer", "classes"):
+        assert got[key] == want[key]
+    assert len(got["lines"]) == len(want["lines"]) == 27
+    for g, w in zip(got["lines"], want["lines"]):
+        assert (g["index"], g["flex"], g["sheet"]) == (w["index"], w["flex"], w["sheet"])
+        for key in ("hyperplane1", "hyperplane2"):
+            assert np.abs(_complexes(g[key]) - _complexes(w[key])).max() <= 1e-12
+
+
 def test_lines_csv(capsys):
     code, out, _ = run(capsys, "lines", "--format", "csv")
     assert code == 0
@@ -270,6 +292,21 @@ def test_cold_scope_reproduces_its_slice_of_the_golden_report(scope, prefix):
     want = {**golden, "scope": scope, "checks": [
         c for c in golden["checks"] if c["id"].startswith(prefix)]}
     assert _without_runtimes(json.loads(out.stdout)) == want
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # about 1 MB of track, far more than a pipe holds, so the command is
+    # still writing when the reader closes its end after the first line
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with subprocess.Popen([sys.executable, "-m", "cubicmonodromy.cli", "monodromy",
+                           "gamma-minus", "--steps", "2000", "--format", "csv"],
+                          env={**os.environ, "PYTHONPATH": src},
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert first.startswith(b"step,t,root_index,")
+    assert (proc.wait(timeout=300), err) == (141, b"")
 
 
 def test_ambiguity_exits_3(capsys, monkeypatch):

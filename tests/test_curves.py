@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cubicmonodromy.curves as curves
-from cubicmonodromy.curves import (MONOMIALS, CubicForm, ProjPoint2, family_lambda,
+from cubicmonodromy.curves import (MONOMIALS, CubicForm, at_base_point, family_lambda,
                                    cubic_route, family_parameter, flex_height_squared,
                                    flex_quartic, hesse_form,
                                    hesse_parameter, hessian_det_form,
@@ -49,13 +49,15 @@ def test_parameter_detection_roundtrip():
 
 
 def test_projective_point_normalization():
-    p = ProjPoint2(np.array([2.0, 4.0, 2.0]))
-    assert abs(p.z - 1.0) < 1e-15
-    base = ProjPoint2(np.array([0.0, 5.0, 0.0]))
-    assert abs(base.y - 1.0) < 1e-15
-    assert base.is_base_point()
-    assert p.distance(p) < 1e-12
-    assert p.distance(base) > 0.1
+    p, base = curves._normalized(np.array([[2.0, 4.0, 2.0], [0.0, 5.0, 0.0]]))
+    assert abs(p[2] - 1.0) < 1e-15
+    assert abs(base[1] - 1.0) < 1e-15
+    assert at_base_point(np.array([p, base])).tolist() == [False, True]
+    assert curves._chordal_distances(p, p) < 1e-12
+    assert curves._chordal_distances(p, base) > 0.1
+    for bad in ([0.0, 0.0, 0.0], [1.0, np.nan, 1.0], [np.inf, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="invalid homogeneous"):
+            curves._normalized(np.array([[1.0, 2.0, 3.0], bad]))
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
@@ -63,42 +65,43 @@ def test_inflections_are_flexes(lam):
     f = family_lambda(lam)
     pts = inflection_points(f)
     hd = hessian_det_form(f)
-    assert len(pts) == 9
-    assert pts[0].is_base_point()
+    assert pts.shape == (9, 3)
+    assert at_base_point(pts).tolist() == [True] + [False] * 8
     for p in pts:
-        assert abs(f(p.coords)) < 1e-8
-        assert abs(hd(p.coords)) < 1e-7
+        assert abs(f(p)) < 1e-8
+        assert abs(hd(p)) < 1e-7
 
 
 def test_inflections_deterministic_order():
     a = inflection_points(family_lambda(0.25))
     b = inflection_points(family_lambda(0.25))
-    for p, q in zip(a, b):
-        assert p.distance(q) < 1e-12
+    assert curves._chordal_distances(a, b).max() < 1e-12
 
 
 @pytest.mark.parametrize("lam", (0.0, 0.25, -3.0))
 def test_inflection_order_ignores_rounding_noise(monkeypatch, lam):
     # at real lam, conjugate inflections share Re y, which rounding noise
     # in the roots must not order
-    want = [p.coords for p in inflection_points(family_lambda(lam))]
+    want = inflection_points(family_lambda(lam))
     solve = curves.roots_of
     for signs in itertools.product((-1.0, 1.0), repeat=4):
         def noisy(*args, _signs=signs):
             return [z + 1e-15 * s for z, s in zip(solve(*args), _signs)]
         monkeypatch.setattr(curves, "roots_of", noisy)
         got = inflection_points(family_lambda(lam))
-        assert max(np.abs(p.coords - w).max() for p, w in zip(got, want)) < 1e-12
+        assert np.abs(got - want).max() < 1e-12
 
 
 def test_distance_has_no_cancellation_floor():
     # sqrt(1 - |<u, v>|^2) left up to 2e-8 for a point and itself
     pts = inflection_points(family_lambda(0.25))
-    for i, p in enumerate(pts):
-        assert p.distance(p) < 1e-15
-        for q in pts[i + 1:]:
-            overlap = min(1.0, abs(np.vdot(p.unit(), q.unit())))
-            assert abs(p.distance(q) - math.sqrt(1.0 - overlap ** 2)) < 1e-12
+    dist = curves._chordal_distances(pts[:, None], pts[None])
+    units = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+    for i, p in enumerate(units):
+        assert dist[i, i] < 1e-15
+        for j in range(i + 1, 9):
+            overlap = min(1.0, abs(np.vdot(p, units[j])))
+            assert abs(dist[i, j] - math.sqrt(1.0 - overlap ** 2)) < 1e-12
 
 
 # Gaussian coefficients; the resultant's root near |x| = 7.8 has
@@ -114,10 +117,10 @@ def test_generic_cubic_has_nine_inflections():
     assert family_parameter(f) is None and hesse_parameter(f) is None
     hd = hessian_det_form(f)
     pts = inflection_points(f)
-    assert len(pts) == 9
-    for p in pts:
-        assert abs(f(p.unit())) < 1e-8 * f.scale()
-        assert abs(hd(p.unit())) < 1e-8 * hd.scale()
+    assert pts.shape == (9, 3)
+    units = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+    assert np.abs(f(units)).max() < 1e-8 * f.scale()
+    assert np.abs(hd(units)).max() < 1e-8 * hd.scale()
 
 
 def _weierstrass(a: complex, b: complex) -> CubicForm:
@@ -161,9 +164,8 @@ _HESSE_MUS = (2.2, 1.5 - 0.7j, 0.3j, -1.8)
 def test_resultant_route_moves_flexes_with_the_coordinates(f, m):
     # the flexes of f.compose(m) are m^-1 applied to those of f; the Hesse
     # member with m = I has three flexes on z = 0
-    want = np.linalg.solve(m, np.array([p.coords for p in inflection_points(f)]).T).T
-    got = np.array([p.coords for p in
-                    inflection_points(f.compose(m), route=("generic", None))])
+    want = np.linalg.solve(m, inflection_points(f).T).T
+    got = inflection_points(f.compose(m), route=("generic", None))
     nearest_match(curves._chordal_distances(got[:, None], want[None]), tol=1e-12)
 
 
@@ -172,7 +174,7 @@ def test_weierstrass_cubics_have_nine_accurate_flexes(a, b):
     # y -> -y makes every flex x-coordinate a double root of the resultant
     f = _weierstrass(a, b)
     assert cubic_route(f) == ("generic", None)
-    got = np.array([p.coords for p in inflection_points(f)])
+    got = inflection_points(f)
     want = _weierstrass_flexes(a, b)
     nearest_match(curves._chordal_distances(got[:, None], want[None]), tol=1e-12)
 
@@ -285,13 +287,11 @@ def test_stacked_cubic_matches_monomial_sum():
                          ids=["pencil", "hesse", "generic"])
 def test_stacked_inflection_distances_match_pairwise(f):
     pts = inflection_points(f)
-    coords = np.array([p.coords for p in pts])
     i, j = np.triu_indices(9, 1)
-    got = curves._chordal_distances(coords[i], coords[j])
+    got = curves._chordal_distances(pts[i], pts[j])
     for d, a, b in zip(got, i, j):
-        assert abs(d - pts[a].distance(pts[b])) <= 1e-15
         # the pre-stacking formula, in Python floats
-        (u0, u1, u2), (v0, v1, v2) = pts[a].coords.tolist(), pts[b].coords.tolist()
+        (u0, u1, u2), (v0, v1, v2) = pts[a].tolist(), pts[b].tolist()
         minors = (abs(u0 * v1 - u1 * v0) ** 2 + abs(u1 * v2 - u2 * v1) ** 2
                   + abs(u2 * v0 - u0 * v2) ** 2)
         norms = ((abs(u0) ** 2 + abs(u1) ** 2 + abs(u2) ** 2)

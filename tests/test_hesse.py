@@ -97,7 +97,7 @@ def test_induced_perm_rejects_off_surface_map():
 def test_induced_perm_rejects_a_duplicated_source_line():
     # every line keeps its margin, but two land on the same target
     lines = base_surface().lines
-    dist = _span_distances(np.eye(4, dtype=complex), [lines[0], *lines[:26]],
+    dist = _span_distances(np.eye(4, dtype=complex), lines[[0, *range(26)]],
                            lines)
     with pytest.raises(NoUniqueMatch, match="not one to one"):
         nearest_match(dist, TOL_MATCH)

@@ -9,13 +9,13 @@ import pytest
 import cubicmonodromy.curves as curves_module
 import cubicmonodromy.lines as lines_module
 from cubicmonodromy.curves import (MONOMIALS, family_lambda, hesse_form,
-                                   inflection_points)
-from cubicmonodromy.errors import AmbiguousIncidence, NotAFlex
-from cubicmonodromy.lines import (CANONICAL_CLASS, J_FORM, Line3, all_lines,
+                                   inflection_points, phase_normalize)
+from cubicmonodromy.errors import AmbiguousIncidence, BadIncidencePattern, NotAFlex
+from cubicmonodromy.lines import (CANONICAL_CLASS, J_FORM, all_lines,
                                   base_surface, build_surface_data,
                                   concurrent_triples,
                                   deck_permutation, incidence_graph,
-                                  is_strongly_regular_27, pairing,
+                                  is_strongly_regular_27, line_label, pairing,
                                   perm_compose, perm_inverse,
                                   perm_to_lattice_map, preserves_incidence,
                                   surface_residual)
@@ -25,11 +25,21 @@ from cubicmonodromy.weyl import is_lattice_map, weyl_group
 
 def test_base_surface_shape():
     s = base_surface()
-    assert len(s.lines) == 27
+    assert s.lines.shape == (27, 2, 4)
     assert s.adjacency.shape == (27, 27)
-    assert len(s.flexes) == 9
-    for i, ln in enumerate(s.lines):
-        assert i == 3 * ln.flex + ln.n
+    assert s.flexes.shape == (9, 3)
+    for i in range(27):
+        flex, sheet = line_label(i)
+        assert i == 3 * flex + sheet and 0 <= flex < 9 and 0 <= sheet < 3
+
+
+def test_surface_arrays_are_read_only():
+    # base_surface() is cached: one caller's write would reach every other
+    s = base_surface()
+    for name in ("flexes", "lines", "adjacency", "classes"):
+        arr = getattr(s, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = arr[(1,) * arr.ndim]
 
 
 def test_lines_lie_on_surface():
@@ -75,9 +85,12 @@ def test_concurrent_triples_follow_flexes():
     s = base_surface()
     triples = concurrent_triples(s.lines, s.adjacency)
     assert len(triples) == 9
-    for t in triples:
-        flexes = {s.lines[i].flex for i in t}
-        assert len(flexes) == 1
+    for flex, t in enumerate(triples):
+        assert [line_label(i) for i in t] == [(flex, 0), (flex, 1), (flex, 2)]
+    broken = s.adjacency.copy()
+    broken[12, 14] = broken[14, 12] = False
+    with pytest.raises(BadIncidencePattern, match="flex 4 is not concurrent"):
+        concurrent_triples(s.lines, broken)
 
 
 def test_sixer_pairwise_disjoint():
@@ -101,9 +114,9 @@ def test_classes_reproduce_incidence():
 def test_deck_permutation_cycles_sheets():
     s = base_surface()
     p = deck_permutation(s.lines)
-    for i, ln in enumerate(s.lines):
-        img = s.lines[p[i]]
-        assert img.flex == ln.flex and img.n == (ln.n + 1) % 3
+    for i in range(27):
+        flex, sheet = line_label(i)
+        assert line_label(int(p[i])) == (flex, (sheet + 1) % 3)
     assert preserves_incidence(p, s.adjacency)
     ident = perm_compose(p, perm_compose(p, p))
     assert ident.tolist() == list(range(27))
@@ -162,23 +175,25 @@ def test_generic_cubic_through_tangent_reduction():
 
 def test_line3_rejects_dependent_covectors():
     h = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
+    f = family_lambda(0.0)
     with pytest.raises(ValueError, match="dependent"):
-        Line3(h, 2.0 * h, 0, 0)
+        surface_residual(f, np.array([h, 2.0 * h]))
     with pytest.raises(ValueError, match="zero covector"):
-        Line3(h, 0.0 * h, 0, 0)
+        surface_residual(f, np.array([h, 0.0 * h]))
 
 
 def test_line3_normalizes_its_covectors():
-    line = Line3(np.array([0.0, 2j, 1.0, 0.0]), np.array([3.0, 0.0, 0.0, -4.0]), 0, 0)
-    assert np.allclose(line.h1, [0.0, 2.0 / 5 ** 0.5, -1j / 5 ** 0.5, 0.0],
+    (h1, h2), = lines_module._checked_spans(
+        np.array([[[0.0, 2j, 1.0, 0.0], [3.0, 0.0, 0.0, -4.0]]]))[0]
+    assert np.allclose(h1, [0.0, 2.0 / 5 ** 0.5, -1j / 5 ** 0.5, 0.0],
                        rtol=0.0, atol=1e-15)
-    assert np.allclose(line.h2, [0.6, 0.0, 0.0, -0.8], rtol=0.0, atol=1e-15)
+    assert np.allclose(h2, [0.6, 0.0, 0.0, -0.8], rtol=0.0, atol=1e-15)
 
 
-def _reference_residual(f, line, count=5):
+def _reference_residual(f, pair, count=5):
     # the per-line check the batch replaced: an SVD of the line's own pair,
     # then a scalar monomial sum at each of its sample points
-    _, _, vh = np.linalg.svd(np.vstack([line.h1, line.h2]))
+    _, _, vh = np.linalg.svd(pair)
     b1, b2 = vh[2].conj(), vh[3].conj()
     worst = 0.0
     for k, t in enumerate(np.linspace(0.0, 1.0, count)):
@@ -190,10 +205,6 @@ def _reference_residual(f, line, count=5):
     return worst
 
 
-def _pairs(lines):
-    return np.array([(line.h1, line.h2) for line in lines])
-
-
 @pytest.mark.parametrize("make", [lambda: family_lambda(0.3),
                                   lambda: hesse_form(2.2), _hidden_pencil])
 def test_batched_residuals_match_the_per_line_check(make):
@@ -202,11 +213,11 @@ def test_batched_residuals_match_the_per_line_check(make):
     # not, which tests the sampling itself.  Evaluating f rounds in another
     # order, so the bound scales with its largest coefficient (6.6 for Hesse)
     rng = np.random.default_rng(5)
-    off = _pairs(s.lines) + 1e-3 * (rng.normal(size=(27, 2, 4))
-                                    + 1j * rng.normal(size=(27, 2, 4)))
+    off = s.lines + 1e-3 * (rng.normal(size=(27, 2, 4))
+                            + 1j * rng.normal(size=(27, 2, 4)))
     bound = 1e-15 * s.form.scale()
-    for lines in (s.lines, [Line3(h1, h2, 0, 0) for h1, h2 in off]):
-        _, kernel = lines_module._checked_spans(_pairs(lines))
+    for lines in (s.lines, lines_module._checked_spans(off)[0]):
+        _, kernel = lines_module._checked_spans(lines)
         got = lines_module._residuals(s.form, kernel)
         want = np.array([_reference_residual(s.form, line) for line in lines])
         assert np.max(np.abs(got - want)) <= bound
@@ -216,18 +227,31 @@ def test_batched_residuals_match_the_per_line_check(make):
 
 def test_batched_check_names_the_first_line_off_the_surface():
     s = build_surface_data(family_lambda(0.3))
-    pairs = _pairs(s.lines)
+    pairs = s.lines.copy()
     pairs[13, 0] += 1e-3
     with pytest.raises(NotAFlex) as err:
         lines_module._surface_lines(s.form, pairs, s.flexes, 1e-8)
-    assert str(s.flexes[4].coords) in str(err.value)
+    assert str(s.flexes[4]) in str(err.value)
+
+
+@pytest.mark.parametrize("make, row, message", [
+    (lambda: family_lambda(0.3), [0.2, 0.5, 1.0], "inflection scheme"),
+    (lambda: family_lambda(0.3), [1.0, 0.5, 0.0], "z != 0 chart"),
+    (lambda: hesse_form(2.2), [0.2, 0.5, 1.0], "not a Hesse inflection point")],
+    ids=["pencil-off-scheme", "pencil-at-infinity", "hesse"])
+def test_closed_forms_refuse_a_point_that_is_no_flex(make, row, message):
+    f = make()
+    flexes = inflection_points(f).copy()
+    flexes[4] = row
+    with pytest.raises(NotAFlex, match=message):
+        all_lines(f, flexes)
 
 
 @pytest.mark.parametrize("factor, message", [(2.0 - 1j, "dependent"),
                                              (0.0, "zero covector")])
 def test_batched_check_refuses_a_degenerate_pair(factor, message):
     s = build_surface_data(family_lambda(0.3))
-    pairs = _pairs(s.lines)
+    pairs = s.lines.copy()
     pairs[20, 1] = factor * pairs[20, 0]
     with pytest.raises(ValueError, match=message):
         lines_module._surface_lines(s.form, pairs, s.flexes, 1e-8)
@@ -244,14 +268,14 @@ def test_stacked_incidence_matches_pairwise_determinants(make):
     s = build_surface_data(make())
     for i, a in enumerate(s.lines):
         for j, b in enumerate(s.lines[i + 1:], start=i + 1):
-            det = np.linalg.det(np.vstack([a.h1, a.h2, b.h1, b.h2]))
+            det = np.linalg.det(np.vstack([a, b]))
             assert s.adjacency[i, j] == (abs(det) < TOL_INC)
 
 
-def _pair_with_determinant(d: float) -> list[Line3]:
+def _pair_with_determinant(d: float) -> np.ndarray:
     # det of the unit covectors e0, e1, e2, (e0 + d e3) / |.| is d / sqrt(1 + d^2)
     e = np.eye(4, dtype=complex)
-    return [Line3(e[0], e[1], 0, 0), Line3(e[2], e[0] + d * e[3], 1, 0)]
+    return phase_normalize(np.array([[e[0], e[1]], [e[2], e[0] + d * e[3]]]))
 
 
 @pytest.mark.parametrize("scale, meets", [(0.5, True), (0.99, True),
@@ -267,8 +291,8 @@ def test_incidence_in_the_dead_band_is_refused(scale):
         incidence_graph(_pair_with_determinant(scale * TOL_INC))
     # one ambiguous pair refuses the whole graph
     with pytest.raises(AmbiguousIncidence, match="lines 27 and 28"):
-        incidence_graph(base_surface().lines
-                        + _pair_with_determinant(scale * TOL_INC))
+        incidence_graph(np.concatenate([base_surface().lines,
+                                        _pair_with_determinant(scale * TOL_INC)]))
 
 
 def test_surface_builds_flexes_and_lines_once(monkeypatch):
@@ -280,12 +304,11 @@ def test_surface_builds_flexes_and_lines_once(monkeypatch):
                         lambda pairs: checked.append(check(pairs)) or checked[-1])
     s = build_surface_data(family_lambda(0.3))
     assert len(flex_calls) == 1
-    # one normalization and rank check, on the whole stack; no Line3 is
-    # built one by one
+    # one normalization and rank check, on the whole stack, which is the
+    # surface's lines as they are
     assert [h.shape for h, _ in checked] == [(27, 2, 4)]
-    assert all(type(line) is Line3 for line in s.lines)
-    assert [(line.flex, line.n) for line in s.lines] == [divmod(k, 3) for k in range(27)]
-    assert np.array_equal(_pairs(s.lines), checked[0][0])
+    assert s.lines is checked[0][0]
+    assert s.flexes.shape == (9, 3)
 
 
 @pytest.mark.parametrize("make, counts", [(lambda: family_lambda(0.3), (1, 0)),
@@ -304,7 +327,7 @@ def test_surface_recognizes_the_cubic_once(monkeypatch, make, counts):
     monkeypatch.undo()
     # each step still works out the route on its own
     alone = all_lines(f, inflection_points(f))
-    assert np.array_equal(_pairs(alone), _pairs(s.lines))
+    assert np.array_equal(alone, s.lines)
 
 
 def test_j_form_signature():
