@@ -8,11 +8,10 @@ group, and certifies the isomorphism with the abstract semidirect product
 of the extraspecial group of order 27 by SL(2, F3).
 """
 
-from cubicmonodromy import (TrackingConfig, build_pipeline, centralizer,
-                            semidirect_model, verify_isomorphism_via_transport,
-                            weyl_group)
+from cubicmonodromy import (build_pipeline, centralizer, semidirect_model,
+                            verify_isomorphism_via_transport, weyl_group)
 
-bundle = build_pipeline(TrackingConfig(steps=100))
+bundle = build_pipeline()
 
 print("generators, computed from geometry alone:")
 for name, mat in (("torsion 1", bundle.h1), ("torsion 2", bundle.h2),

@@ -188,8 +188,7 @@ def cmd_monodromy(args: argparse.Namespace) -> tuple[str, int]:
 # verify subcommand
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    report = run_checks(args.scope, TrackingConfig(steps=args.steps,
-                                                   precision=args.precision))
+    report = run_checks(args.scope)
     render = {"json": render_json, "csv": render_csv, "text": render_text}[args.format]
     return render(report), 0 if report.overall == "pass" else 1
 
@@ -207,14 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output format (default text)")
 
-    # options of the subcommands that track loops; `lines` tracks none
-    tracked = argparse.ArgumentParser(add_help=False)
-    tracked.add_argument("--steps", type=int, default=100,
-                         help="samples per tracked loop (default 100)")
-    tracked.add_argument("--precision", choices=("double", "extended"),
-                         default="double",
-                         help="root-refinement arithmetic (default double)")
-
     p_lines = sub.add_parser("lines", parents=[common],
                              help="enumerate the 27 lines of one family member")
     p_lines.add_argument("--lambda", dest="lam", default="0",
@@ -223,13 +214,18 @@ def build_parser() -> argparse.ArgumentParser:
                          help="geometric matching tolerance (default 1e-8)")
     p_lines.set_defaults(fn=cmd_lines)
 
-    p_mono = sub.add_parser("monodromy", parents=[common, tracked],
+    p_mono = sub.add_parser("monodromy", parents=[common],
                             help="track a loop and report its monodromy")
+    p_mono.add_argument("--steps", type=int, default=100,
+                        help="samples per tracked loop (default 100)")
+    p_mono.add_argument("--precision", choices=("double", "extended"),
+                        default="double",
+                        help="root-refinement arithmetic (default double)")
     p_mono.add_argument("loop", choices=sorted(LOOPS),
                         help="which bundled loop to track")
     p_mono.set_defaults(fn=cmd_monodromy)
 
-    p_verify = sub.add_parser("verify", parents=[common, tracked],
+    p_verify = sub.add_parser("verify", parents=[common],
                               help="run the verification battery")
     p_verify.add_argument("--scope", choices=("fixtures", "pipeline", "all"),
                           default="all",

@@ -69,21 +69,24 @@ class CubicForm:
 
     tensor holds the same coefficients as the (3, 3, 3) array T described
     at _TENSOR_SLOT; the gradient, compose and hessian_det_form work on it.
+    Both are read-only copies, so the two cannot drift apart, and a caller's
+    array stays the caller's.
     """
 
     coeffs: np.ndarray
     tensor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
+        arr = np.array(self.coeffs, dtype=complex)
         if arr.shape != (10,):
             raise ValueError("cubic form needs exactly 10 coefficients")
         if not np.all(np.isfinite(arr.view(float))):
             raise ValueError("non-finite coefficient")
-        object.__setattr__(self, "coeffs", arr)
-        tensor = np.zeros(27, dtype=complex)
-        tensor[_TENSOR_SLOT] = arr
-        object.__setattr__(self, "tensor", tensor.reshape(3, 3, 3))
+        tensor = np.zeros((3, 3, 3), dtype=complex)
+        tensor.flat[_TENSOR_SLOT] = arr
+        for name, value in (("coeffs", arr), ("tensor", tensor)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __call__(self, p: np.ndarray) -> complex | np.ndarray:
         """f at one point (a complex) or at each row of an (..., 3) stack."""

@@ -41,8 +41,6 @@ SL2_ALL: list[SL2] = [
     if (m00 * m11 - m01 * m10) % 3 == 1
 ]
 
-_SPOT_CHECKS = 1000
-
 
 def h_mul(x: Heis, y: Heis) -> Heis:
     return ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3,
@@ -203,19 +201,36 @@ class SemidirectGroup:
             (H_IDENTITY, GEN_N),
         ]
 
-    def spot_check_associativity(self) -> None:
-        t = self.table
-        x, y, z = np.random.default_rng(0).integers(0, len(self), (3, _SPOT_CHECKS))
-        bad = np.flatnonzero(t[t[x, y], z] != t[x, t[y, z]])
-        if len(bad):
-            raise WrongOrder("associativity fails on "
-                             f"{[self.elements[k[bad[0]]] for k in (x, y, z)]}")
+    def check_associativity(self) -> None:
+        """Light's test, exactly: (x y) g = x (y g) for all x, y and each of
+        the four generator images g.  The g for which that holds are closed
+        under products, so once products of the generators reach all 648
+        elements the whole table is associative; raises WrongOrder otherwise.
+        """
+        t = self.table.astype(np.int16)
+        gens = np.array([self._index[p] for p in self.generator_images()])
+        for g in gens:
+            bad = t[:, g][t] != t[:, t[:, g]]
+            if bad.any():
+                x, y = np.argwhere(bad)[0]
+                raise WrongOrder("associativity fails on "
+                                 f"{[self.elements[k] for k in (x, y, g)]}")
+        reached = np.zeros(len(self), dtype=bool)
+        frontier = gens
+        while frontier.size:
+            reached[frontier] = True
+            step = np.zeros_like(reached)
+            step[t[np.ix_(frontier, gens)]] = True
+            frontier = np.flatnonzero(step & ~reached)
+        if not reached.all():
+            raise WrongOrder(f"the generator images reach {reached.sum()} "
+                             f"of {len(self)} elements")
 
 
 @lru_cache(maxsize=1)
 def semidirect_model() -> SemidirectGroup:
     model = SemidirectGroup()
-    model.spot_check_associativity()
+    model.check_associativity()
     return model
 
 

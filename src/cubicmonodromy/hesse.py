@@ -80,12 +80,12 @@ def _span_distances(transform: np.ndarray, source_lines: np.ndarray,
     given as (m, 2, 4) and (n, 2, 4) stacks of lines:
     the norm of the target's orthonormal basis off the moved span, which is
     sqrt(2 - |u^H v|^2) without its cancellation (up to 4e-8 for a span and
-    itself).  A source span is moved by the inverse's conjugate transpose.
+    itself).  A source covector h is moved to h @ inverse(transform).
     """
     def spans(lines, move=np.eye(4)):
         return np.linalg.qr(move @ lines.transpose(0, 2, 1))[0]
 
-    moved = spans(source_lines, np.linalg.inv(transform).conj().T)[:, None]
+    moved = spans(source_lines, np.linalg.inv(transform).T)[:, None]
     targets = spans(target_lines)
     off = targets - moved @ (moved.conj().swapaxes(-1, -2) @ targets)
     return np.linalg.norm(off, axis=(-2, -1))
@@ -94,10 +94,9 @@ def _span_distances(transform: np.ndarray, source_lines: np.ndarray,
 def induced_line_perm(transform: np.ndarray) -> np.ndarray:
     """Permutation induced on the base surface's lines by an automorphism.
 
-    Each line's covector span h is moved to the span of h @ conj(inverse),
-    so the permutation is the one conj(transform) induces, and matched to
-    the lines by chordal span distance under nearest_match, within
-    TOL_MATCH and one to one.
+    Each line's covector span h is moved to the span of h @ inverse, the
+    line's image under transform, and matched to the lines by chordal span
+    distance under nearest_match, within TOL_MATCH and one to one.
     """
     lines = base_surface().lines
     return nearest_match(_span_distances(transform, lines, lines), TOL_MATCH)
@@ -108,11 +107,8 @@ def heisenberg_matrices() -> tuple[np.ndarray, np.ndarray]:
 
     The Hesse-model lifts are conjugated back to the base surface through
     the plane change, act on the 27 lines, and are read off as integer
-    matrices in the divisor basis.  Since induced_line_perm reads the
-    permutation of conj(transform), these are the lattice maps of the
-    complex-conjugated lifts; the base surface is real, so those are
-    automorphisms too.  Their commutator is a power of the deck matrix and
-    both commute with it; violations raise GroupError.
+    matrices in the divisor basis.  Their commutator is a power of the deck
+    matrix and both commute with it; violations raise GroupError.
     """
     surface = base_surface()
     _, a4, _ = hesse_transform()

@@ -113,53 +113,53 @@ def _hesse_eta(mu: complex) -> complex:
     return eta
 
 
-def _generic_triple(f: CubicForm, tol: float, u: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def _first_failing(bad: np.ndarray, message: str) -> None:
+    if np.any(bad):
+        raise NotAFlex(f"flex {np.argmax(bad)}: {message}")
+
+
+def _generic_triple(f: CubicForm, tol: float, units: np.ndarray,
+                    grads: np.ndarray) -> np.ndarray:
     """Tangent-line cube reduction for an arbitrary smooth cubic.
 
     On the tangent line at a flex the form is c * m^3 for any linear form m
     that vanishes at the point and is independent of the tangent covector;
     the three lines are w = (c)^(1/3) omega^n m inside the tangent plane.
-    u is the flex as a unit vector, grad is f's gradient there; the result
-    is the (3, 2, 4) stack of the three covector pairs.
+    units holds the (n, 3) flexes as unit vectors, grads f's gradient at
+    each; the result is the (3n, 2, 4) stack of the covector pairs.
     """
-    tn = np.linalg.norm(grad)
-    if tn < tol * f.scale():
-        raise NotAFlex("gradient vanishes; not a smooth point")
-    t = grad / tn
-    # forms vanishing at u: null space of the evaluation functional at u
-    _, _, vh = np.linalg.svd(u[None, :])
-    cands = [vh[1].conj(), vh[2].conj()]
-    m = max(cands, key=lambda c: np.linalg.norm(c - (t.conj() @ c) * t))
-    m = m - (t.conj() @ m) * t
-    m = m / np.linalg.norm(m)
-    # third point of the tangent line away from u gives the cube scale
-    q = _tangent_direction(t, u)
-    mq, fq = m @ q, f(q)
-    if abs(mq) < 1e-10:
-        raise NotAFlex("degenerate chart on the tangent line")
-    c = fq / mq ** 3
-    if abs(c) < tol * f.scale():
-        raise NotAFlex("form vanishes on the whole tangent line")
+    rows = np.arange(len(units))
+    floor = tol * f.scale()
+    tn = np.linalg.norm(grads, axis=-1)
+    _first_failing(tn < floor, "gradient vanishes; not a smooth point")
+    t = grads / tn[:, None]
+    # forms vanishing at u: the null space of the evaluation functional at u,
+    # the candidate whose part off t is longest (the first on a tie)
+    cands = np.linalg.svd(units[:, None])[2][:, 1:].conj()
+    off_t = cands - (cands @ t.conj()[..., None]) * t[:, None]
+    m = off_t[rows, np.argmax(np.linalg.norm(off_t, axis=-1), axis=-1)]
+    m = m / np.linalg.norm(m, axis=-1, keepdims=True)
+    # a third point of the tangent line gives the cube scale: the first basis
+    # vector of the line off u by over 1e-6 (two cannot both be that close)
+    cands = np.linalg.svd(t[:, None])[2][:, 1:].conj()
+    off_u = cands - (cands @ units.conj()[..., None]) * units[:, None]
+    lengths = np.linalg.norm(off_u, axis=-1)
+    pick = np.where(lengths[:, 0] > 1e-6, 0, 1)
+    q = off_u[rows, pick] / lengths[rows, pick][:, None]
+    mq = np.einsum("ni,ni->n", m, q)
+    _first_failing(np.abs(mq) < 1e-10, "degenerate chart on the tangent line")
+    c = f(q) / mq ** 3
+    _first_failing(np.abs(c) < floor, "form vanishes on the whole tangent line")
     # flex certificate: f - c m^3 must vanish on the tangent line
-    mid = u + 0.37 * q
-    mid = mid / np.linalg.norm(mid)
-    if abs(f(mid) - c * (m @ mid) ** 3) > tol * f.scale():
-        raise NotAFlex("tangent line meets the curve off the triple point")
-    pairs = np.zeros((3, 2, 4), dtype=complex)
-    pairs[:, 0, :3] = -_SHEETS[:, None] * c ** (1.0 / 3.0) * m
-    pairs[:, 0, 3] = 1.0
-    pairs[:, 1, :3] = t
-    return pairs
-
-
-def _tangent_direction(t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # a unit vector on the tangent line independent of the point itself
-    _, _, vh = np.linalg.svd(t[None, :])
-    for cand in (vh[1].conj(), vh[2].conj()):
-        d = cand - (u.conj() @ cand) * u
-        if np.linalg.norm(d) > 1e-6:
-            return d / np.linalg.norm(d)
-    raise NotAFlex("no independent direction on the tangent line")
+    mid = units + 0.37 * q
+    mid = mid / np.linalg.norm(mid, axis=-1, keepdims=True)
+    _first_failing(np.abs(f(mid) - c * np.einsum("ni,ni->n", m, mid) ** 3) > floor,
+                   "tangent line meets the curve off the triple point")
+    pairs = np.zeros((len(units), 3, 2, 4), dtype=complex)
+    pairs[:, :, 0, :3] = -_SHEETS[:, None] * (c ** (1.0 / 3.0))[:, None, None] * m[:, None]
+    pairs[:, :, 0, 3] = 1.0
+    pairs[:, :, 1, :3] = t[:, None]
+    return pairs.reshape(-1, 2, 4)
 
 
 def all_lines(f: CubicForm, flexes: np.ndarray, tol: float = 1e-8,
@@ -181,8 +181,7 @@ def all_lines(f: CubicForm, flexes: np.ndarray, tol: float = 1e-8,
         if kind == "hesse":
             pairs = _hesse_triple(_hesse_eta(param), flexes, grads)
         else:
-            pairs = np.concatenate([_generic_triple(f, tol, u, g)
-                                    for u, g in zip(units, grads)])
+            pairs = _generic_triple(f, tol, units, grads)
     return _surface_lines(f, pairs, flexes, tol)
 
 

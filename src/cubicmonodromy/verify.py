@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -182,10 +182,10 @@ def fixture_source() -> GeneratorSource:
     return GeneratorSource(fx.deck, *fx.generators(), fixture_group(), {})
 
 
-def build_pipeline(cfg: TrackingConfig = TrackingConfig()) -> GeneratorSource:
+def build_pipeline() -> GeneratorSource:
     surface = base_surface()
     h1, h2 = heisenberg_matrices()
-    traces = {loop.kind: trace_loop(loop, cfg)
+    traces = {loop.kind: trace_loop(loop)
               for loop in (gamma_minus(), gamma_plus())}
     g1, g2 = (flex_lattice_map(t.flex_perm) for t in traces.values())
     group = FiniteMatrixGroup.close([h1, h2, g1, g2], cap=1000)
@@ -379,7 +379,7 @@ def fixture_checks() -> list[Check]:
     return checks
 
 
-def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
+def pipeline_checks() -> list[Check]:
     checks: list[Check] = []
     add = checks.append
     surface = base_surface()
@@ -388,7 +388,7 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
     @lru_cache(maxsize=1)
     def built() -> GeneratorSource | Exception:
         try:
-            return build_pipeline(cfg)
+            return build_pipeline()
         except Exception as exc:
             return exc
 
@@ -493,9 +493,10 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
         for loop in (gamma_minus(), gamma_plus()):
             perms = []
             for steps in (50, 100, 200):
-                # the source already holds the trace at the battery's steps
-                trace = (source().traces[loop.kind] if steps == cfg.steps
-                         else trace_loop(loop, replace(cfg, steps=steps)))
+                # the source already holds the trace at the default steps
+                trace = (source().traces[loop.kind]
+                         if steps == TrackingConfig().steps
+                         else trace_loop(loop, TrackingConfig(steps=steps)))
                 perms.append((trace.root_perm.tolist(),
                               trace.flex_perm.tolist()))
             out[loop.kind] = perms[0] == perms[1] == perms[2]
@@ -505,7 +506,7 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
              stability))
 
     def constant():
-        trace = trace_loop(constant_loop(), cfg)
+        trace = trace_loop(constant_loop())
         return ({"rootsIdentity": trace.root_perm.tolist() == [0, 1, 2, 3],
                  "flexesIdentity": trace.flex_perm.tolist() == list(range(9)),
                  "matrixIdentity":
@@ -534,13 +535,12 @@ def pipeline_checks(cfg: TrackingConfig = TrackingConfig()) -> list[Check]:
     return checks
 
 
-def run_checks(scope: str = "all",
-               cfg: TrackingConfig = TrackingConfig()) -> VerificationReport:
+def run_checks(scope: str = "all") -> VerificationReport:
     if scope not in ("fixtures", "pipeline", "all"):
         raise ValueError(f"unknown scope {scope!r}")
     checks: list[Check] = []
     if scope in ("fixtures", "all"):
         checks.extend(fixture_checks())
     if scope in ("pipeline", "all"):
-        checks.extend(pipeline_checks(cfg))
+        checks.extend(pipeline_checks())
     return VerificationReport(scope=scope, checks=checks)

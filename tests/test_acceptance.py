@@ -131,7 +131,7 @@ def test_criterion_5_monodromy_transcriptions():
 def test_criterion_6_end_to_end_theorem():
     start = time.perf_counter()
     s = base_surface()
-    bundle = build_pipeline(TrackingConfig(steps=100))
+    bundle = build_pipeline()
     assert len(bundle.group) == 648
     cen = centralizer(s.deck_matrix, weyl_group())
     assert {m.tobytes() for m in bundle.group.elements} == \

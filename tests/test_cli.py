@@ -190,7 +190,7 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     bad = VerificationReport("all", [
         Check("x-1", "forced failure", "fail", 0, 1, 0.1),
     ])
-    monkeypatch.setattr(cli, "run_checks", lambda scope, cfg: bad)
+    monkeypatch.setattr(cli, "run_checks", lambda scope: bad)
     code, out, _ = run(capsys, "verify")
     assert code == 1
     assert "overall=fail" in out
@@ -200,7 +200,7 @@ def test_schema_breaking_report_exits_2(capsys, monkeypatch):
     bad = VerificationReport("all", [
         Check("x-1", "undecided check", "maybe", 0, 1, 0.1),
     ])
-    monkeypatch.setattr(cli, "run_checks", lambda scope, cfg: bad)
+    monkeypatch.setattr(cli, "run_checks", lambda scope: bad)
     code, out, err = run(capsys, "verify", "--format", "json")
     assert code == 2
     assert out == ""
@@ -310,7 +310,7 @@ def test_closed_stdout_exits_141_without_a_traceback():
 
 
 def test_ambiguity_exits_3(capsys, monkeypatch):
-    def boom(scope, cfg):
+    def boom(scope):
         raise AmbiguousMatching("stuck at maximum refinement")
 
     monkeypatch.setattr(cli, "run_checks", boom)
@@ -366,11 +366,26 @@ def test_help_exits_zero(capsys):
     assert exc.value.code == 0
 
 
+# monodromy takes --steps and TrackingConfig bounds it; verify runs the
+# battery at the default configuration only and takes no --steps at all
 @pytest.mark.parametrize("argv", [["monodromy", "gamma-minus"], ["verify"]])
 def test_step_count_is_bounded(capsys, monkeypatch, argv):
-    # rejected by TrackingConfig before any tracking starts
     monkeypatch.setattr(cli, "trace_loop", None)
     monkeypatch.setattr(cli, "run_checks", None)
+    if argv == ["verify"]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--steps", "1000000000"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --steps" in capsys.readouterr().err
+        return
+    # rejected by TrackingConfig before any tracking starts
     code, _, err = run(capsys, *argv, "--steps", "1000000000")
     assert code == 2
     assert "steps" in err
+
+
+def test_verify_rejects_precision(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--precision", "extended"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --precision" in capsys.readouterr().err

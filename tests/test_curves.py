@@ -13,6 +13,7 @@ from cubicmonodromy.curves import (MONOMIALS, CubicForm, at_base_point, family_l
                                    hesse_parameter, hessian_det_form,
                                    inflection_points, tangent_covector_family)
 from cubicmonodromy.errors import SingularParameter
+from cubicmonodromy.lines import base_surface
 from cubicmonodromy.numeric import nearest_match, roots_of
 
 LAMBDAS = (0.0, 0.3, -0.6, 0.3 + 0.1j, -0.7 + 0.2j, 2.5)
@@ -305,3 +306,18 @@ def test_cubic_form_scale_invariant_checks():
     doubled = CubicForm(2.0 * f.coeffs)
     p = np.array([0.4, 0.2, 1.0], dtype=complex)
     assert abs(doubled(p) - 2.0 * f(p)) < 1e-12
+
+
+def test_cubic_form_is_read_only():
+    # base_surface() hands one form to every caller; a write to coeffs would
+    # set f(p) apart from the tensor behind gradient, compose and the Hessian
+    f = base_surface().form
+    with pytest.raises(ValueError, match="read-only"):
+        f.coeffs[0] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        f.tensor[0, 0, 0] = 5
+    # the caller's array is copied, not frozen
+    mine = np.array(GENERIC)
+    g = CubicForm(mine)
+    mine[0] = 5.0
+    assert g.coeffs[0] == GENERIC[0]

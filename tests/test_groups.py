@@ -112,7 +112,24 @@ def test_model_census_raises_on_an_element_without_finite_order():
 
 
 def test_model_associativity_spot_checks():
-    semidirect_model().spot_check_associativity()
+    # Light's test over the four generator images, which reach every element
+    semidirect_model().check_associativity()
+
+
+def test_model_associativity_catches_one_changed_entry():
+    model = SemidirectGroup()
+    model.table[5, 7] = model.table[5, 8]
+    with pytest.raises(WrongOrder, match="associativity fails"):
+        model.check_associativity()
+
+
+def test_model_associativity_needs_generators_that_reach_everything(monkeypatch):
+    # the identity alone passes Light's test but generates nothing else
+    model = SemidirectGroup()
+    monkeypatch.setattr(SemidirectGroup, "generator_images",
+                        staticmethod(lambda: [MODEL_IDENTITY]))
+    with pytest.raises(WrongOrder, match="reach 1 of 648"):
+        model.check_associativity()
 
 
 def test_model_inverses():

@@ -79,10 +79,10 @@ def test_chordal_distance_has_no_cancellation_floor():
 def test_induced_perm_deck_scaling():
     s = base_surface()
     q = deck_permutation(s.lines)
-    # the scaling permutes sheets cyclically.  induced_line_perm reads the
-    # permutation that conj(transform) induces (see its docstring), so
-    # diag(1, 1, 1, omega) gives q∘q and diag(1, 1, 1, conj(omega)) gives q
-    for w3, want in ((OMEGA, perm_compose(q, q)), (np.conj(OMEGA), q)):
+    # the scaling permutes sheets cyclically: w -> omega w carries the sheet-n
+    # line, w = omega^n (...), onto sheet n + 1, so diag(1, 1, 1, omega) gives
+    # q and diag(1, 1, 1, conj(omega)) gives q∘q
+    for w3, want in ((OMEGA, q), (np.conj(OMEGA), perm_compose(q, q))):
         scaling = np.diag([1.0, 1.0, 1.0, w3]).astype(complex)
         assert induced_line_perm(scaling).tolist() == want.tolist()
 

@@ -8,13 +8,14 @@ import pytest
 
 import cubicmonodromy.curves as curves_module
 import cubicmonodromy.lines as lines_module
-from cubicmonodromy.curves import (MONOMIALS, family_lambda, hesse_form,
-                                   inflection_points, phase_normalize)
+from cubicmonodromy.curves import (MONOMIALS, CubicForm, family_lambda,
+                                   hesse_form, inflection_points,
+                                   phase_normalize)
 from cubicmonodromy.errors import AmbiguousIncidence, BadIncidencePattern, NotAFlex
 from cubicmonodromy.lines import (CANONICAL_CLASS, J_FORM, all_lines,
                                   base_surface, build_surface_data,
-                                  concurrent_triples,
-                                  deck_permutation, incidence_graph,
+                                  classify_lines, concurrent_triples,
+                                  deck_permutation, find_sixer, incidence_graph,
                                   is_strongly_regular_27, line_label, pairing,
                                   perm_compose, perm_inverse,
                                   perm_to_lattice_map, preserves_incidence,
@@ -173,6 +174,98 @@ def test_generic_cubic_through_tangent_reduction():
     assert is_strongly_regular_27(s.adjacency)
 
 
+def _reference_triple(f, tol, u, grad):
+    # the per-flex tangent-cube builder the stacked one replaced: two SVDs,
+    # a loop over two candidates and two single-point evaluations of f
+    tn = np.linalg.norm(grad)
+    if tn < tol * f.scale():
+        raise NotAFlex("gradient vanishes; not a smooth point")
+    t = grad / tn
+    _, _, vh = np.linalg.svd(u[None, :])
+    m = max([vh[1].conj(), vh[2].conj()],
+            key=lambda c: np.linalg.norm(c - (t.conj() @ c) * t))
+    m = m - (t.conj() @ m) * t
+    m = m / np.linalg.norm(m)
+    _, _, vh = np.linalg.svd(t[None, :])
+    for cand in (vh[1].conj(), vh[2].conj()):
+        d = cand - (u.conj() @ cand) * u
+        if np.linalg.norm(d) > 1e-6:
+            q = d / np.linalg.norm(d)
+            break
+    else:
+        raise NotAFlex("no independent direction on the tangent line")
+    mq = m @ q
+    if abs(mq) < 1e-10:
+        raise NotAFlex("degenerate chart on the tangent line")
+    c = f(q) / mq ** 3
+    if abs(c) < tol * f.scale():
+        raise NotAFlex("form vanishes on the whole tangent line")
+    mid = u + 0.37 * q
+    mid = mid / np.linalg.norm(mid)
+    if abs(f(mid) - c * (m @ mid) ** 3) > tol * f.scale():
+        raise NotAFlex("tangent line meets the curve off the triple point")
+    pairs = np.zeros((3, 2, 4), dtype=complex)
+    pairs[:, 0, :3] = -lines_module._SHEETS[:, None] * c ** (1.0 / 3.0) * m
+    pairs[:, 0, 3] = 1.0
+    pairs[:, 1, :3] = t
+    return pairs
+
+
+def _weierstrass(a, b):
+    # y^2 z - x^3 - a x z^2 - b z^3
+    c = np.zeros(10, dtype=complex)
+    for mono, v in (((0, 2, 1), 1.0), ((3, 0, 0), -1.0), ((1, 0, 2), -a),
+                    ((0, 0, 3), -b)):
+        c[MONOMIALS.index(mono)] = v
+    return CubicForm(c)
+
+
+def _generic_cubics():
+    rng = np.random.default_rng(18)
+    gaussian = [CubicForm(rng.normal(size=10) + 1j * rng.normal(size=10))
+                for _ in range(8)]
+    hidden = [family_lambda(lam).compose(
+        np.eye(3) + 0.25 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))))
+        for lam in (0.0, 0.3 + 0.1j, -2.0)]
+    weierstrass = [_weierstrass(a, b) for a, b in ((1.0, 1.0), (-2.0, 0.5),
+                                                   (0.3 + 0.1j, 1.7))]
+    return [*gaussian, _hidden_pencil(), *hidden, *weierstrass]
+
+
+@pytest.mark.parametrize("f", _generic_cubics())
+def test_stacked_tangent_cubes_match_the_per_flex_builder(f):
+    def both(rows):
+        units = rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+        grads = f.gradient(units)
+        return (lambda: np.concatenate([_reference_triple(f, 1e-8, u, g)
+                                        for u, g in zip(units, grads)]),
+                lambda: lines_module._generic_triple(f, 1e-8, units, grads))
+
+    route = ("generic", None)
+    flexes = inflection_points(f, route=route)
+    # each flex row moved off its flex in turn: both builders refuse it
+    rng = np.random.default_rng(3)
+    for moved in range(9):
+        rows = flexes.copy()
+        rows[moved] += 1e-3 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+        per_flex, stacked = both(rows)
+        with pytest.raises(NotAFlex):
+            per_flex()
+        with pytest.raises(NotAFlex, match=f"flex {moved}: "):
+            stacked()
+    per_flex, stacked = both(flexes)
+    want, got = per_flex(), stacked()
+    assert got.shape == (27, 2, 4)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    adj = incidence_graph(all_lines(f, flexes, route=route))
+    want_adj = incidence_graph(lines_module._surface_lines(f, want, flexes, 1e-8))
+    assert np.array_equal(adj, want_adj)
+    assert is_strongly_regular_27(adj)
+    sixer = find_sixer(adj)
+    assert sixer == find_sixer(want_adj)
+    assert np.array_equal(classify_lines(adj, sixer), classify_lines(want_adj, sixer))
+
+
 def test_line3_rejects_dependent_covectors():
     h = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
     f = family_lambda(0.0)
@@ -237,13 +330,22 @@ def test_batched_check_names_the_first_line_off_the_surface():
 @pytest.mark.parametrize("make, row, message", [
     (lambda: family_lambda(0.3), [0.2, 0.5, 1.0], "inflection scheme"),
     (lambda: family_lambda(0.3), [1.0, 0.5, 0.0], "z != 0 chart"),
-    (lambda: hesse_form(2.2), [0.2, 0.5, 1.0], "not a Hesse inflection point")],
-    ids=["pencil-off-scheme", "pencil-at-infinity", "hesse"])
+    (lambda: hesse_form(2.2), [0.2, 0.5, 1.0], "not a Hesse inflection point"),
+    (_hidden_pencil, [0.2, 0.5, 1.0], "flex 4: tangent line meets the curve")],
+    ids=["pencil-off-scheme", "pencil-at-infinity", "hesse", "generic"])
 def test_closed_forms_refuse_a_point_that_is_no_flex(make, row, message):
     f = make()
     flexes = inflection_points(f).copy()
     flexes[4] = row
     with pytest.raises(NotAFlex, match=message):
+        all_lines(f, flexes)
+
+
+def test_tangent_cubes_name_the_first_flex_that_fails():
+    f = _hidden_pencil()
+    flexes = inflection_points(f).copy()
+    flexes[[6, 2]] = [[0.2, 0.5, 1.0], [0.3, -0.1, 1.0]]
+    with pytest.raises(NotAFlex, match="flex 2: "):
         all_lines(f, flexes)
 
 

@@ -16,7 +16,6 @@ from cubicmonodromy.groups import (MODEL_IDENTITY, SemidirectGroup,
 from cubicmonodromy.lines import (J_FORM, base_surface, concurrent_triples,
                                   perm_compose)
 from cubicmonodromy.report import render_json
-from cubicmonodromy.tracking import TrackingConfig
 from cubicmonodromy.verify import (build_pipeline, conjugator_carrying_deck,
                                    fixture_group, fixture_source,
                                    model_images_of, pipeline_checks,
@@ -76,10 +75,11 @@ PIPELINE_MATRICES = {
            [-1, 0, -1, 0, 0, 0, -1], [-1, 0, -1, 0, 0, -1, 0],
            [-1, -1, -1, 0, 0, 0, 0], [-1, 0, -1, -1, 0, 0, 0],
            [0, 0, 0, 0, 1, 0, 0]],
-    "h2": [[3, 1, 0, 1, 1, 2, 1], [-2, -1, 0, -1, -1, -1, -1],
-           [-1, -1, 0, 0, 0, -1, 0], [-1, 0, 0, 0, -1, -1, 0],
-           [-1, 0, 0, -1, 0, -1, 0], [-1, 0, 0, 0, 0, -1, -1],
-           [0, 0, 1, 0, 0, 0, 0]],
+    # the lift's own line permutation, not its complex conjugate's
+    "h2": [[3, 2, 1, 1, 1, 1, 0], [-1, -1, -1, 0, 0, 0, 0],
+           [0, 0, 0, 0, 0, 0, 1], [-1, -1, 0, 0, -1, 0, 0],
+           [-1, -1, 0, -1, 0, 0, 0], [-2, -1, -1, -1, -1, -1, 0],
+           [-1, -1, 0, 0, 0, -1, 0]],
     "g1": [[2, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0],
            [-1, 0, 0, 0, -1, 0, -1], [-1, 0, 0, 0, 0, -1, -1],
            [0, 0, 0, 1, 0, 0, 0], [-1, 0, 0, 0, -1, -1, 0]],
@@ -192,7 +192,7 @@ def test_both_decks_have_class_size_80():
 
 
 def test_build_pipeline_bundle():
-    bundle = build_pipeline(TrackingConfig(steps=50))
+    bundle = build_pipeline()
     assert len(bundle.group) == 648
     for g in (bundle.h1, bundle.h2, bundle.g1, bundle.g2):
         assert g.shape == (7, 7)
