@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .curves import CubicForm, family_lambda, hesse_form
+from .curves import family_lambda, hesse_form
 from .errors import GroupError, TransformResidual
 from .lines import base_surface, perm_to_lattice_map
 from .numeric import OMEGA, TOL_MATCH, constants, nearest_match

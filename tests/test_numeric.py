@@ -168,36 +168,109 @@ def test_trimmed_drops_negligible_leading_coefficients():
     assert trimmed((3.0,)).tolist() == [3.0]
 
 
-def test_roots_of_stack_raises_on_a_missed_residual(monkeypatch):
-    coeffs = _random_quartics(5)
-    eigvals = np.linalg.eigvals
+def _shift_row_3(out):
+    out[3] += 1e-3
 
-    def perturbed(matrices):
-        out = eigvals(matrices)
-        out[3] += 1e-3
+
+def _scale_row_1(out):
+    out[1] *= 1 + 1e-9
+
+
+def _scale_row_0(out):
+    out[0] *= 1 + 1e-9
+
+
+def _missed_row(monkeypatch, owner, name, perturb, coeffs) -> int:
+    """The NonConvergence row of roots_of_stack(coeffs) when the starts from
+    owner.name are perturbed in place and not polished."""
+    solve = getattr(owner, name)
+
+    def perturbed(arg):
+        out = solve(arg)
+        perturb(out)
         return out
 
-    monkeypatch.setattr(np.linalg, "eigvals", perturbed)
+    monkeypatch.setattr(owner, name, perturbed)
     monkeypatch.setattr(numeric, "newton_polish_stack", lambda cs, z, tol: z)
     with pytest.raises(NonConvergence) as info:
         roots_of_stack(coeffs)
-    assert info.value.row == 3
+    return info.value.row
+
+
+def test_roots_of_stack_raises_on_a_missed_residual(monkeypatch):
+    assert _missed_row(monkeypatch, numeric, "_quartic_starts", _shift_row_3,
+                       _random_quartics(5)) == 3
 
 
 def test_a_perturbed_large_root_misses_the_backward_error(monkeypatch):
-    coeffs = flex_quartic_stack([0.0, 1000.0])
+    assert _missed_row(monkeypatch, numeric, "_quartic_starts", _scale_row_1,
+                       flex_quartic_stack([0.0, 1000.0])) == 1
+
+
+@pytest.mark.parametrize("coeffs, perturb, row", [
+    (_random_quartics(5)[:, :4], _shift_row_3, 3),      # a stack of cubics
+    (flex_quartic_stack([1000.0]), _scale_row_0, 0)],   # a lone quartic
+    ids=["cubic-stack", "lone-quartic"])
+def test_the_eigvals_route_raises_on_a_missed_residual(monkeypatch, coeffs,
+                                                       perturb, row):
+    assert _missed_row(monkeypatch, np.linalg, "eigvals", perturb, coeffs) == row
+
+
+def test_only_lone_polynomials_and_other_degrees_call_eigvals(monkeypatch):
+    calls = []
     eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda m: calls.append(m.shape) or eigvals(m))
+    roots_of_stack(_random_quartics(3))
+    assert calls == []
+    roots_of_stack(_random_quartics(1))
+    roots_of_stack(_random_quartics(3)[:, :4])
+    roots_of(flex_quartic(0.5))
+    assert calls == [(1, 4, 4), (3, 3, 3), (1, 4, 4)]
 
-    def perturbed(matrices):
-        out = eigvals(matrices)
-        out[1] *= 1 + 1e-9
-        return out
 
-    monkeypatch.setattr(np.linalg, "eigvals", perturbed)
-    monkeypatch.setattr(numeric, "newton_polish_stack", lambda cs, z, tol: z)
-    with pytest.raises(NonConvergence) as info:
-        roots_of_stack(coeffs)
-    assert info.value.row == 1
+@pytest.mark.parametrize("coeffs", [
+    _random_quartics(50),
+    flex_quartic_stack([0.0, 1000.0, -1000.0, 1000j]),
+    flex_quartic_stack([0.0, 0.0, 0.5]),
+    np.array([[1.0, 0, 0, 0, 1.0], [-1.0, 0, 2.0, 0, 3.0]])],
+    ids=["random", "large", "pencil-at-0", "biquadratic"])
+def test_quartic_stack_rows_match_mpmath_and_roots_of(coeffs):
+    stacked = roots_of_stack(coeffs)
+    for row, roots in zip(coeffs, stacked):
+        assert _same_set(roots, _polyroots(row), 1e-12)
+        assert _same_set(roots, roots_of(row), 1e-12)
+
+
+def test_quartic_stack_starts_are_accurate_before_the_polish():
+    # the closed form and its one Newton step meet 1e-12 on their own, also
+    # at lam = 1000 (3e-11 off without the step) and at the biquadratic
+    # lam = 0, where q = 0 and 0 is a root of the resolvent cubic
+    coeffs = np.vstack([_random_quartics(50),
+                        flex_quartic_stack([1000.0, 0.0, 1000j])])
+    for row, roots in zip(coeffs, numeric._quartic_starts(coeffs)):
+        assert _same_set(roots, _polyroots(row), 1e-12)
+
+
+@pytest.mark.parametrize("node", [1.0, -1.0])
+@pytest.mark.parametrize("dist", [1e-5, 1e-4, 1e-3, 1e-2, 1e-1])
+def test_quartic_stack_near_the_nodes_keeps_four_distinct_roots(node, dist):
+    # near lam = +-1 three roots close in on a triple root and no double
+    # precision solver meets 1e-12 below dist = 1e-3; there the bound is the
+    # worst error of the eigvals route over the same ring of eight members
+    coeffs = flex_quartic_stack(node + dist * np.exp(2j * np.pi * np.arange(8) / 8))
+    exact = [np.array(_polyroots(row)) for row in coeffs]
+
+    def worst(solved):
+        return max(np.abs(np.subtract.outer(z, x)).min(axis=0).max()
+                   for z, x in zip(solved, exact))
+
+    stacked = roots_of_stack(coeffs)
+    assert worst(stacked) <= max(1e-12, worst([roots_of(row) for row in coeffs]))
+    for roots, x in zip(stacked, exact):
+        # one stacked root nearest each exact root, none of them repeated
+        assert _same_set(roots, x, math.inf)
+        assert np.abs(np.subtract.outer(roots, roots))[np.triu_indices(4, 1)].min() > 0
 
 
 def test_flex_quartic_roots_at_zero_keep_their_labels(monkeypatch):
