@@ -14,8 +14,9 @@ from cubicmonodromy import (build_pipeline, centralizer, semidirect_model,
 bundle = build_pipeline()
 
 print("generators, computed from geometry alone:")
-for name, mat in (("torsion 1", bundle.h1), ("torsion 2", bundle.h2),
-                  ("loop around -1", bundle.g1), ("loop around +1", bundle.g2)):
+# the closure keeps its generators in the order h1, h2, g1, g2
+for name, mat in zip(("torsion 1", "torsion 2", "loop around -1",
+                      "loop around +1"), bundle.group.gens):
     order = weyl_group().element_order(mat)
     print(f"  {name:>14}: order {order}, trace {mat.trace()}")
 

@@ -28,14 +28,14 @@ from .lines import (CANONICAL_CLASS, J_FORM, SurfaceData, all_lines,
                     base_surface, build_surface_data, classify_lines,
                     concurrent_triples, deck_permutation, find_sixer,
                     incidence_graph, is_strongly_regular_27, lift_to_lines,
-                    line_label, pairing, perm_compose, perm_inverse,
-                    perm_to_lattice_map, preserves_incidence, surface_residual)
-from .numeric import constants, newton_polish, roots_of
+                    line_label, pairing, perm_compose, perm_to_lattice_map,
+                    preserves_incidence, surface_residual)
+from .numeric import constants, roots_of
 from .report import (REPORT_SCHEMA, SCHEMA_VERSION, Check, VerificationReport,
                      render_csv, render_json, render_text)
 from .tracking import (Loop, LoopTrace, TrackingConfig, constant_loop,
                        custom_loop, flex_lattice_map, gamma_minus, gamma_plus,
-                       monodromy_matrix, trace_loop, track_flexes, track_roots)
+                       monodromy_matrix, trace_loop, track_flexes)
 from .verify import (GeneratorSource, build_pipeline, fixture_group,
                      fixture_source, model_images_of, run_checks,
                      transcribed_flex_permutation, transcribed_root_permutation,

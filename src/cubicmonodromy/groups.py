@@ -21,7 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotIsomorphic, NotASubgroup, WrongOrder
-from .weyl import FiniteMatrixGroup, lattice_inverse, regenerate
+from .weyl import (FiniteMatrixGroup, element_orders, lattice_inverse,
+                   regenerate)
 
 Heis = tuple[int, int, int]
 SL2 = tuple[int, int, int, int]
@@ -57,11 +58,6 @@ def sl2_mul(x: SL2, y: SL2) -> SL2:
             (x[0] * y[1] + x[1] * y[3]) % 3,
             (x[2] * y[0] + x[3] * y[2]) % 3,
             (x[2] * y[1] + x[3] * y[3]) % 3)
-
-
-def sl2_inv(x: SL2) -> SL2:
-    # det is 1, so the adjugate is the inverse
-    return (x[3] % 3, (-x[1]) % 3, (-x[2]) % 3, x[0] % 3)
 
 
 def phi_action(m: SL2, h: Heis) -> Heis:
@@ -143,7 +139,6 @@ class SemidirectGroup:
         self.elements: list[ModelElement] = [
             (h, g) for h in HEISENBERG_ALL for g in SL2_ALL
         ]
-        self._act = _corrected_action()
         self._index = {p: i for i, p in enumerate(self.elements)}
         hmul = index_table(h_mul, HEISENBERG_ALL, HEISENBERG_ALL, HEISENBERG_ALL)
         smul = index_table(sl2_mul, SL2_ALL, SL2_ALL, SL2_ALL)
@@ -161,24 +156,14 @@ class SemidirectGroup:
     def mul(self, p: ModelElement, q: ModelElement) -> ModelElement:
         return self.elements[self.table[self._index[p], self._index[q]]]
 
-    def inv(self, p: ModelElement) -> ModelElement:
-        h, g = p
-        gi = sl2_inv(g)
-        return (h_inv(self._act[gi][h]), gi)
-
     def __len__(self) -> int:
         return len(self.elements)
 
     def census(self) -> dict[int, int]:
         every = np.arange(len(self))
-        power, orders = every, np.zeros(len(self), dtype=np.int64)
-        for k in range(1, len(self) + 1):
-            orders[(power == self._index[MODEL_IDENTITY]) & (orders == 0)] = k
-            if orders.all():
-                break
-            power = self.table[power, every]
-        if not orders.all():
-            raise WrongOrder("an element order exceeded the group order")
+        orders = element_orders(every, lambda power: self.table[power, every],
+                                lambda power: power == self._index[MODEL_IDENTITY],
+                                len(self))
         vals, counts = np.unique(orders, return_counts=True)
         return dict(zip(vals.tolist(), counts.tolist()))
 

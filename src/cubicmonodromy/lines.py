@@ -268,30 +268,20 @@ def classify_lines(adj: np.ndarray, sixer: tuple[int, ...]) -> np.ndarray:
     """Divisor classes of all 27 lines relative to the sixer basis.
 
     Rows are (e0, e1, ..., e6) coefficient vectors: sixer member k is e_{k+1};
-    a line meeting exactly sixer members i and j is e0 - e_i - e_j; a line
-    meeting all but member i is 2 e0 + e_i - sum(e_m).
+    any other line is c e0 - sum of e_{i+1} over the set M of sixer members
+    it meets, with c = 1 when |M| = 2 and c = 2 when |M| = 5.
     """
-    n = adj.shape[0]
-    where = {line: k for k, line in enumerate(sixer)}
-    classes = np.zeros((n, 7), dtype=np.int64)
-    for idx in range(n):
-        if idx in where:
-            classes[idx, 1 + where[idx]] = 1
-            continue
-        meets = [where[s] for s in sixer if adj[idx, s]]
-        if len(meets) == 2:
-            i, j = meets
-            classes[idx, 0] = 1
-            classes[idx, 1 + i] -= 1
-            classes[idx, 1 + j] -= 1
-        elif len(meets) == 5:
-            missing = next(k for k in range(6) if k not in meets)
-            classes[idx, 0] = 2
-            classes[idx, 1:] -= 1
-            classes[idx, 1 + missing] += 1
-        else:
-            raise BadIncidencePattern(
-                f"line {idx} meets {len(meets)} sixer members; expected 2 or 5")
+    six = list(sixer)
+    meets = adj[:, six].astype(np.int64)
+    count = meets.sum(axis=1)
+    other = np.ones(len(adj), dtype=bool)
+    other[six] = False
+    bad = np.flatnonzero(other & (count != 2) & (count != 5))
+    if bad.size:
+        raise BadIncidencePattern(f"line {bad[0]} meets {count[bad[0]]} sixer "
+                                  "members; expected 2 or 5")
+    classes = np.column_stack([np.where(count == 2, 1, 2), -meets])
+    classes[six] = np.eye(7, dtype=np.int64)[1:]
     return classes
 
 
@@ -325,12 +315,6 @@ def lift_to_lines(flex_images: np.ndarray) -> np.ndarray:
 def perm_compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """(p then-after q) composition: result[i] = p[q[i]]."""
     return p[q]
-
-
-def perm_inverse(p: np.ndarray) -> np.ndarray:
-    out = np.empty_like(p)
-    out[p] = np.arange(len(p))
-    return out
 
 
 def preserves_incidence(perm: np.ndarray, adj: np.ndarray) -> bool:

@@ -6,8 +6,9 @@ of them is a 2-d array, one polynomial per row.  The one root finder,
 `roots_of_stack`, solves a stack of polynomials of one degree: start points
 from Ferrari's closed form for two or more quartics, else from one
 `np.linalg.eigvals` call on the stacked companion matrices (Edelman-Murakami
-1995), then an array Newton polish and, for extended precision, an mpmath
-Newton polish of every root.  A root is accepted on its backward error: |p(z)|
+1995), then one array Newton polish of the whole stack
+(`newton_polish_stack`) and, for extended precision, an mpmath Newton polish
+of every root.  A root is accepted on its backward error: |p(z)|
 against sum_k |c_k| |z|^k, the bound on the rounding error of evaluating p
 at z (Higham, Accuracy and Stability of Numerical Algorithms, ch. 5); the
 double-precision Newton polish stops at that same bound.  `roots_of` is
@@ -114,34 +115,6 @@ def _value(cs, z):
     return acc
 
 
-def newton_polish(coeffs, z0: complex, precision: str = "double") -> complex:
-    """Newton iteration from z0 on the trimmed ascending coefficients.
-
-    Double precision stops at |p(z)| <= TOL_ROOT * sum_k |c_k| |z|^k, the
-    backward error roots_of_stack accepts, and must meet it or improve |p| a
-    hundredfold, else NonConvergence; extended aims at TOL_ROOT * max |c_k|.
-    """
-    cs = trimmed(coeffs)
-    if precision == "extended":
-        return _newton_mp(cs, z0, TOL_ROOT)
-    dcs = (cs[1:] * np.arange(1, len(cs))).tolist()
-    mags, cs = np.abs(cs).tolist(), cs.tolist()
-    z = complex(z0)
-    start = abs(_value(cs, z))
-    for _ in range(_MAX_NEWTON):
-        pz = _value(cs, z)
-        if abs(pz) <= TOL_ROOT * _value(mags, abs(z)):
-            return z
-        dpz = _value(dcs, z)
-        if dpz == 0:
-            break
-        z = z - pz / dpz
-    pz = abs(_value(cs, z))
-    if pz <= TOL_ROOT * _value(mags, abs(z)) or (start > 0 and pz < 1e-2 * start):
-        return z
-    raise NonConvergence(f"Newton polish stalled at residual {pz:.3e}")
-
-
 def _newton_mp(coeffs, z0: complex, tol: float) -> complex:
     import mpmath  # imported here: double precision never needs it
 
@@ -173,11 +146,13 @@ def _horner(cs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def newton_polish_stack(coeffs, z0, tol: float = TOL_ROOT) -> np.ndarray:
-    """newton_polish of every entry of z0 at once, in double precision.
+    """Newton iteration from every entry of z0 at once, in double precision.
 
     coeffs has shape (n, d + 1), ascending; entry (k, i) of z0, shape (n, m),
-    is polished on row k until it meets the backward error bound.  Where
-    newton_polish would raise, the entry is returned as it was given.
+    is polished on row k until |p(z)| <= tol * sum_j |c_j| |z|^j, the
+    backward error roots_of_stack accepts, for at most _MAX_NEWTON steps.
+    An entry that neither meets the bound nor improves |p| a hundredfold
+    (or meets p' = 0 on the way) is returned as it was given.
     """
     cs = np.asarray(coeffs, dtype=complex)
     z0 = np.asarray(z0, dtype=complex)

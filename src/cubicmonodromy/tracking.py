@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +37,9 @@ from .numeric import (PRECISIONS, TOL_MATCH, nearest_match, newton_polish_stack,
 from .weyl import is_lattice_map
 
 SEPARATION = 10.0 * TOL_MATCH
+# how far a loop's ends may lie from the base parameter 0, where the end
+# permutations are read; near 0 a root moves about as far as lambda does
+BASE_TOL = TOL_MATCH
 # doublings of the resolution before a match is declared ambiguous
 MAX_REFINE = 6
 # samples per loop, about ten times the default fully refined (100 * 2**6)
@@ -44,7 +48,7 @@ MAX_SAMPLES = 2 ** 16
 
 @dataclass(frozen=True)
 class Loop:
-    """Closed path of family parameters, sampled at t in [0, 1]."""
+    """Closed path of family parameters based at 0, sampled at t in [0, 1]."""
 
     kind: str
     at: Callable[[float], complex]
@@ -82,6 +86,8 @@ class TrackingConfig:
     precision: str = "double"
 
     def __post_init__(self):
+        # a numpy integer passes, a float is a TypeError
+        object.__setattr__(self, "steps", operator.index(self.steps))
         if self.steps < 8:
             raise ValueError("need at least 8 steps per loop")
         if self.steps > MAX_SAMPLES:
@@ -199,7 +205,12 @@ def _trace_once(loop: Loop, steps: int, cfg: TrackingConfig) -> LoopTrace:
 def trace_loop(loop: Loop, cfg: TrackingConfig = TrackingConfig()) -> LoopTrace:
     """Track the loop once, doubling the resolution until every match keeps
     its margin, and cross-check that the inflection permutation projects onto
-    the root permutation through the x-coordinates."""
+    the root permutation through the x-coordinates.  A loop whose ends are
+    not within BASE_TOL of 0 is a ValueError, raised before any solve."""
+    for t in (0.0, 1.0):
+        lam = loop.sample(t)
+        if abs(lam) > BASE_TOL:
+            raise ValueError(f"loop is not based at 0: lambda({t:g}) = {lam}")
     steps = cfg.steps
     for attempt in range(MAX_REFINE + 1):
         try:
@@ -215,11 +226,6 @@ def trace_loop(loop: Loop, cfg: TrackingConfig = TrackingConfig()) -> LoopTrace:
             raise InconsistentProjection(
                 "flex permutation does not project onto the root permutation")
     return trace
-
-
-def track_roots(loop: Loop, cfg: TrackingConfig = TrackingConfig()) -> np.ndarray:
-    """End-to-start bijection of the four branch-quartic roots."""
-    return trace_loop(loop, cfg).root_perm
 
 
 def track_flexes(loop: Loop, cfg: TrackingConfig = TrackingConfig()) -> np.ndarray:

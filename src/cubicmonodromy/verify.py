@@ -162,34 +162,29 @@ def verify_isomorphism_via_transport(group: FiniteMatrixGroup,
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSource:
-    """A deck matrix, the four generators and their closure, from one route.
+    """A deck matrix and the closure of the four generators, from one route.
 
-    traces holds the gammaMinus and gammaPlus traces, keyed by loop kind,
-    whose lattice maps are g1 and g2; it is empty for the reference matrices.
+    group.gens holds the generators h1, h2, g1, g2 in that order.  traces
+    holds the gammaMinus and gammaPlus traces, keyed by loop kind, whose
+    lattice maps are g1 and g2; it is empty for the reference matrices.
     """
 
     deck: np.ndarray
-    h1: np.ndarray
-    h2: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
     group: FiniteMatrixGroup
     traces: dict[str, LoopTrace]
 
 
 def fixture_source() -> GeneratorSource:
-    fx = load_fixtures()
-    return GeneratorSource(fx.deck, *fx.generators(), fixture_group(), {})
+    return GeneratorSource(load_fixtures().deck, fixture_group(), {})
 
 
 def build_pipeline() -> GeneratorSource:
-    surface = base_surface()
     h1, h2 = heisenberg_matrices()
     traces = {loop.kind: trace_loop(loop)
               for loop in (gamma_minus(), gamma_plus())}
     g1, g2 = (flex_lattice_map(t.flex_perm) for t in traces.values())
     group = FiniteMatrixGroup.close([h1, h2, g1, g2], cap=1000)
-    return GeneratorSource(surface.deck_matrix, h1, h2, g1, g2, group, traces)
+    return GeneratorSource(base_surface().deck_matrix, group, traces)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +221,8 @@ def paired_checks(ids: tuple[str, str, str, str, str],
 
     def torsion():
         src = source()
-        h1, h2, deck = src.h1, src.h2, src.deck
+        h1, h2 = src.group.gens[:2]
+        deck = src.deck
         grp = FiniteMatrixGroup.close([h1, h2], cap=100)
         comm = h1 @ h2 @ lattice_inverse(h1) @ lattice_inverse(h2)
         power = any(np.array_equal(comm, d) for d in (deck, deck @ deck))
@@ -237,8 +233,7 @@ def paired_checks(ids: tuple[str, str, str, str, str],
                  "commutatorIsDeckPower": True})
 
     def loops():
-        src = source()
-        grp = FiniteMatrixGroup.close([src.g1, src.g2], cap=100)
+        grp = FiniteMatrixGroup.close(source().group.gens[2:], cap=100)
         census = grp.census()
         return ({"order": len(grp), "has4": census.get(4, 0) > 0,
                  "has6": census.get(6, 0) > 0,
@@ -256,11 +251,10 @@ def paired_checks(ids: tuple[str, str, str, str, str],
 
     def isomorphism():
         src = source()
-        w = conjugator_carrying_deck(src.deck)
-        images = transported_images(src.group, w)
-        mapping = verify_generator_map(src.group, images, semidirect_model())
+        mapping = verify_isomorphism_via_transport(src.group, src.deck)
         # the reference generators carried onto this deck keep their images
-        carried = w @ np.stack(load_fixtures().generators()) @ lattice_inverse(w)
+        w = conjugator_carrying_deck(src.deck)
+        carried = w @ np.stack(fixture_group().gens) @ lattice_inverse(w)
         return ({"elementsMapped": len(mapping), "generatorImages":
                  [mapping.get(i) for i in src.group.locate(carried).tolist()]},
                 {"elementsMapped": 648,
@@ -336,8 +330,8 @@ def fixture_checks() -> list[Check]:
 
     def subgroup_structure():
         src = fixture_source()
-        torsion = FiniteMatrixGroup.close([src.h1, src.h2], cap=100)
-        loops = FiniteMatrixGroup.close([src.g1, src.g2], cap=100)
+        torsion = FiniteMatrixGroup.close(src.group.gens[:2], cap=100)
+        loops = FiniteMatrixGroup.close(src.group.gens[2:], cap=100)
         cubed = next(m for m in loops.elements if loops.element_order(m) == 3)
         sylow3 = FiniteMatrixGroup.close([cubed], cap=10)
         return ({"intersection": len(intersect(torsion, loops)),
@@ -473,8 +467,8 @@ def pipeline_checks() -> list[Check]:
 
     def loop_matrices():
         src, stats = source(), {}
-        for name, g in (("around-minus-one", src.g1),
-                        ("around-plus-one", src.g2)):
+        for name, g in zip(("around-minus-one", "around-plus-one"),
+                           src.group.gens[2:]):
             stats[name] = {"inClosure": g in weyl_group(),
                            "order": weyl_group().element_order(g),
                            "commutesDeck": bool(np.array_equal(

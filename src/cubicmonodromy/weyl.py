@@ -271,17 +271,30 @@ class FiniteMatrixGroup:
         return int(_orders(np.asarray(m, dtype=np.int64)[None])[0])
 
 
-def _orders(stack: np.ndarray) -> np.ndarray:
-    """Multiplicative order of each matrix of an (n, d, d) stack, by batched
-    powers; WrongOrder when one exceeds 399."""
-    identity = np.eye(stack.shape[1], dtype=np.int64)
-    power, orders = stack, np.zeros(len(stack), dtype=np.int64)
-    for k in range(1, 400):
-        orders[np.all(power == identity, axis=(1, 2)) & (orders == 0)] = k
+def element_orders(first: np.ndarray, step, is_identity,
+                   limit: int) -> np.ndarray:
+    """Multiplicative order of each entry of a stack, by batched powers.
+
+    first is the stack itself, step(power) the next power of every entry,
+    and is_identity(power) a boolean per entry; the order of an entry is the
+    first k at which its k-th power is the identity.  WrongOrder when an
+    order exceeds limit.
+    """
+    power, orders = first, np.zeros(len(first), dtype=np.int64)
+    for k in range(1, limit + 1):
+        orders[is_identity(power) & (orders == 0)] = k
         if orders.all():
             return orders
-        power = np.matmul(power, stack)
-    raise WrongOrder("an element order exceeded the bound of 399")
+        power = step(power)
+    raise WrongOrder(f"an element order exceeded the bound of {limit}")
+
+
+def _orders(stack: np.ndarray) -> np.ndarray:
+    """Orders of the matrices of an (n, d, d) stack, at most 399."""
+    identity = np.eye(stack.shape[1], dtype=np.int64)
+    return element_orders(stack, lambda power: power @ stack,
+                          lambda power: np.all(power == identity, axis=(1, 2)),
+                          399)
 
 
 def lattice_invariants(group: FiniteMatrixGroup) -> tuple[bool, bool]:

@@ -22,8 +22,8 @@ from cubicmonodromy.lines import (CANONICAL_CLASS, J_FORM, base_surface,
 from cubicmonodromy.curves import family_lambda
 from cubicmonodromy.tracking import (TrackingConfig, constant_loop,
                                      gamma_minus, gamma_plus, lift_to_lines,
-                                     monodromy_matrix, track_flexes,
-                                     track_roots)
+                                     monodromy_matrix, trace_loop,
+                                     track_flexes)
 from cubicmonodromy.verify import (build_pipeline,
                                    transcribed_flex_permutation,
                                    transcribed_root_permutation,
@@ -114,7 +114,7 @@ def test_criterion_5_monodromy_transcriptions():
                        ("gammaPlus", gamma_plus())):
         start = time.perf_counter()
         cfg = TrackingConfig(steps=100)
-        assert track_roots(loop, cfg).tolist() == \
+        assert trace_loop(loop, cfg).root_perm.tolist() == \
             transcribed_root_permutation(kind).tolist()
         assert track_flexes(loop, cfg).tolist() == \
             transcribed_flex_permutation(kind).tolist()
@@ -122,7 +122,7 @@ def test_criterion_5_monodromy_transcriptions():
 
     for steps in (50, 200):
         cfg = TrackingConfig(steps=steps)
-        assert track_roots(gamma_minus(), cfg).tolist() == \
+        assert trace_loop(gamma_minus(), cfg).root_perm.tolist() == \
             transcribed_root_permutation("gammaMinus").tolist()
         assert track_flexes(gamma_plus(), cfg).tolist() == \
             transcribed_flex_permutation("gammaPlus").tolist()

@@ -11,8 +11,7 @@ from cubicmonodromy.groups import (HEISENBERG_ALL, MODEL_IDENTITY, SL2_ALL,
                                    SemidirectGroup, conjugation_relations,
                                    corrected_action, h_inv, h_mul,
                                    identify_order24, index_table, intersect,
-                                   is_normal,
-                                   phi_action, semidirect_model, sl2_inv,
+                                   is_normal, phi_action, semidirect_model,
                                    sl2_mul, verify_generator_map)
 from cubicmonodromy.weyl import FiniteMatrixGroup
 
@@ -41,7 +40,9 @@ def test_sl2_closure_and_inverses():
     assert len(all_set) == 24
     for m in SL2_ALL:
         assert (m[0] * m[3] - m[1] * m[2]) % 3 == 1
-        assert sl2_mul(m, sl2_inv(m)) == (1, 0, 0, 1)
+        # det is 1, so the adjugate is the inverse
+        inv = (m[3], (-m[1]) % 3, (-m[2]) % 3, m[0])
+        assert sl2_mul(m, inv) == sl2_mul(inv, m) == (1, 0, 0, 1)
         for n in SL2_ALL:
             assert sl2_mul(m, n) in all_set
 
@@ -133,11 +134,15 @@ def test_model_associativity_needs_generators_that_reach_everything(monkeypatch)
 
 
 def test_model_inverses():
+    # every element has exactly one right inverse, and it is a left inverse
     model = semidirect_model()
+    inverse = model.table == model.index_of(MODEL_IDENTITY)
+    assert (inverse.sum(axis=1) == 1).all()
+    assert np.array_equal(inverse, inverse.T)
     for p in [((1, 2, 0), (1, 1, 0, 1)), ((0, 1, 2), (2, 1, 1, 1)),
               ((2, 2, 2), (0, 2, 1, 0))]:
-        assert model.mul(p, model.inv(p)) == MODEL_IDENTITY
-        assert model.mul(model.inv(p), p) == MODEL_IDENTITY
+        q = model.elements[int(np.flatnonzero(inverse[model.index_of(p)])[0])]
+        assert model.mul(p, q) == model.mul(q, p) == MODEL_IDENTITY
 
 
 def test_generator_images_generate_whole_model():

@@ -17,9 +17,8 @@ from cubicmonodromy.lines import (CANONICAL_CLASS, J_FORM, all_lines,
                                   classify_lines, concurrent_triples,
                                   deck_permutation, find_sixer, incidence_graph,
                                   is_strongly_regular_27, line_label, pairing,
-                                  perm_compose, perm_inverse,
-                                  perm_to_lattice_map, preserves_incidence,
-                                  surface_residual)
+                                  perm_compose, perm_to_lattice_map,
+                                  preserves_incidence, surface_residual)
 from cubicmonodromy.numeric import TOL_INC
 from cubicmonodromy.weyl import is_lattice_map, weyl_group
 
@@ -138,8 +137,22 @@ def test_perm_to_lattice_map_functorial():
     mq = perm_to_lattice_map(perm_compose(p, p), s.classes, s.sixer)
     assert np.array_equal(mq, mp @ mp)
     assert np.array_equal(
-        perm_to_lattice_map(perm_inverse(p), s.classes, s.sixer),
+        perm_to_lattice_map(np.argsort(p), s.classes, s.sixer),
         np.linalg.inv(mp).round().astype(np.int64))
+
+
+def test_classify_lines_names_the_first_line_off_the_pattern():
+    s = base_surface()
+    adj = s.adjacency.copy()
+    # a non-member meeting 2 sixer members now meets 3, a later one 4
+    first, later = [k for k in range(27) if k not in s.sixer
+                    and adj[k, list(s.sixer)].sum() == 2][:2]
+    for line, extra in ((first, 1), (later, 2)):
+        free = [m for m in s.sixer if not adj[line, m]][:extra]
+        adj[line, free] = adj[free, line] = True
+    with pytest.raises(BadIncidencePattern,
+                       match=f"line {first} meets 3 sixer members"):
+        classify_lines(adj, s.sixer)
 
 
 def test_perm_helpers_roundtrip():
@@ -147,7 +160,8 @@ def test_perm_helpers_roundtrip():
     for _ in range(20):
         p = rng.permutation(27)
         q = rng.permutation(27)
-        assert perm_compose(p, perm_inverse(p)).tolist() == list(range(27))
+        # argsort inverts a permutation
+        assert perm_compose(p, np.argsort(p)).tolist() == list(range(27))
         # composition convention: (p . q)[i] = p[q[i]]
         i = int(rng.integers(27))
         assert perm_compose(p, q)[i] == p[q[i]]

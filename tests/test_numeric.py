@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import cubicmonodromy.numeric as numeric
 from cubicmonodromy.curves import flex_quartic, flex_quartic_stack
 from cubicmonodromy.errors import NonConvergence, NoUniqueMatch
-from cubicmonodromy.numeric import (constants, nearest_match, newton_polish,
+from cubicmonodromy.numeric import (TOL_ROOT, constants, nearest_match,
                                     newton_polish_stack, order_key, roots_of,
                                     roots_of_stack, trimmed)
 
@@ -75,14 +75,40 @@ def test_roots_of_rejects_unknown_precision():
 
 def test_newton_polish_recovers_root():
     p = (24.0, -50.0, 35.0, -10.0, 1.0)
-    z = newton_polish(p, 3.0 + 1e-3)
+    z = newton_polish_stack([p], [[3.0 + 1e-3]])[0, 0]
     assert abs(z - 3.0) < 1e-12
 
 
 def test_newton_polish_extended():
+    # the mpmath polish roots_of_stack applies at extended precision
     p = (24.0, -50.0, 35.0, -10.0, 1.0)
-    z = newton_polish(p, 2.0 + 1e-3, precision="extended")
+    z = numeric._polish_mp(p, 2.0 + 1e-3)
     assert abs(z - 2.0) < 1e-12
+
+
+def _newton_polish(coeffs, z0: complex) -> complex:
+    """The Newton rule one point at a time, the reference for
+    newton_polish_stack: stop at |p(z)| <= TOL_ROOT * sum_k |c_k| |z|^k, and
+    after at most _MAX_NEWTON steps accept a hundredfold drop of |p|, else raise
+    NonConvergence."""
+    cs = trimmed(coeffs)
+    dcs = (cs[1:] * np.arange(1, len(cs))).tolist()
+    mags, cs = np.abs(cs).tolist(), cs.tolist()
+    value = numeric._value
+    z = complex(z0)
+    start = abs(value(cs, z))
+    for _ in range(numeric._MAX_NEWTON):
+        pz = value(cs, z)
+        if abs(pz) <= TOL_ROOT * value(mags, abs(z)):
+            return z
+        dpz = value(dcs, z)
+        if dpz == 0:
+            break
+        z = z - pz / dpz
+    pz = abs(value(cs, z))
+    if pz <= TOL_ROOT * value(mags, abs(z)) or (start > 0 and pz < 1e-2 * start):
+        return z
+    raise NonConvergence(f"Newton polish stalled at residual {pz:.3e}")
 
 
 def _random_quartics(count: int) -> np.ndarray:
@@ -305,7 +331,7 @@ def test_newton_polish_stack_matches_newton_polish():
     for row, zs, got in zip(coeffs, starts, polished):
         for z, w in zip(zs, got):
             try:
-                want = newton_polish(row, z)
+                want = _newton_polish(row, z)
             except NonConvergence:
                 want = z
             assert abs(w - want) < 1e-12
@@ -316,7 +342,7 @@ def test_newton_polish_stack_matches_newton_polish():
     ((2.0, -2.0, 0.0, 1.0), 0.1)])       # z^3 - 2z + 2 near its 2-cycle 0, 1
 def test_newton_polish_stack_keeps_a_start_it_cannot_improve(coeffs, start):
     with pytest.raises(NonConvergence):
-        newton_polish(coeffs, start)
+        _newton_polish(coeffs, start)
     out = newton_polish_stack([coeffs], [[start, 0.9j]])
     assert out[0, 0] == start
     assert abs(numeric._value(coeffs, out[0, 1])) < 1e-10

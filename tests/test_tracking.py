@@ -20,7 +20,7 @@ from cubicmonodromy.tracking import (MAX_SAMPLES, TrackingConfig,
                                      constant_loop, custom_loop,
                                      flex_lattice_map, gamma_minus, gamma_plus,
                                      lift_to_lines, monodromy_matrix,
-                                     trace_loop, track_flexes, track_roots)
+                                     trace_loop, track_flexes)
 from cubicmonodromy.verify import (pipeline_checks,
                                    transcribed_flex_permutation,
                                    transcribed_root_permutation)
@@ -52,12 +52,30 @@ def test_loop_rejects_non_finite_values(value):
     with pytest.raises(ValueError, match="t=0.25"):
         loop.sample(0.25)
     with pytest.raises(ValueError, match="not finite"):
-        track_roots(loop, TrackingConfig(steps=8))
+        trace_loop(loop, TrackingConfig(steps=8))
 
 
 def test_config_validates_steps():
     with pytest.raises(ValueError):
         TrackingConfig(steps=4)
+
+
+def test_config_reads_steps_as_an_integer():
+    cfg = TrackingConfig(steps=np.int64(50))
+    assert cfg.steps == 50 and type(cfg.steps) is int
+    with pytest.raises(TypeError):
+        TrackingConfig(steps=100.0)
+
+
+@pytest.mark.parametrize("loop", [
+    custom_loop(lambda t: 0.5 * t),
+    custom_loop(lambda t: 0.5 + 0.2 * cmath.exp(2j * cmath.pi * t))])
+def test_loop_not_based_at_zero_is_refused_before_any_solve(monkeypatch, loop):
+    # the end permutations are read against the base surface at 0
+    calls = _count_traces(monkeypatch)
+    with pytest.raises(ValueError, match="not based at 0"):
+        trace_loop(loop)
+    assert calls == []
 
 
 def test_config_bounds_the_sample_count():
@@ -104,9 +122,9 @@ def test_config_rejects_tolerances_that_disable_checks(kwargs):
 
 
 def test_root_tracks_match_transcription():
-    assert track_roots(gamma_minus()).tolist() == \
+    assert trace_loop(gamma_minus()).root_perm.tolist() == \
         transcribed_root_permutation("gammaMinus").tolist()
-    assert track_roots(gamma_plus()).tolist() == \
+    assert trace_loop(gamma_plus()).root_perm.tolist() == \
         transcribed_root_permutation("gammaPlus").tolist()
 
 
@@ -122,14 +140,14 @@ def test_loop_permutations_have_order_three():
         p = track_flexes(loop)
         p3 = perm_compose(p, perm_compose(p, p))
         assert p3.tolist() == list(range(9))
-        r = track_roots(loop)
+        r = trace_loop(loop).root_perm
         r3 = perm_compose(r, perm_compose(r, r))
         assert r3.tolist() == list(range(4))
 
 
 def test_constant_loop_is_identity():
     cfg = TrackingConfig(steps=16)
-    assert track_roots(constant_loop(), cfg).tolist() == list(range(4))
+    assert trace_loop(constant_loop(), cfg).root_perm.tolist() == list(range(4))
     assert track_flexes(constant_loop(), cfg).tolist() == list(range(9))
     m = monodromy_matrix(constant_loop(), cfg)
     assert np.array_equal(m, np.eye(7, dtype=np.int64))
@@ -232,7 +250,8 @@ def test_newton_predictor_carries_roots_across_a_jump(monkeypatch, jump):
     # unpolished, the nearest root at `jump` misses the factor-2 margin
     loop = custom_loop(lambda t: jump if 0.25 <= t < 0.75 else 0.0)
     monkeypatch.setattr(tracking, "MAX_REFINE", 0)
-    assert track_roots(loop, TrackingConfig(steps=8)).tolist() == [0, 1, 2, 3]
+    trace = trace_loop(loop, TrackingConfig(steps=8))
+    assert trace.root_perm.tolist() == [0, 1, 2, 3]
 
 
 def test_one_base_solve_and_one_batch_per_resolution(monkeypatch):
@@ -278,7 +297,7 @@ def test_earliest_failing_sample_decides(monkeypatch, first, second, error):
     monkeypatch.setattr(tracking, "roots_of_stack", failing_at_1000)
     monkeypatch.setattr(tracking, "MAX_REFINE", 0)
     with pytest.raises(error):
-        track_roots(_quarters(first, second), TrackingConfig(steps=8))
+        trace_loop(_quarters(first, second), TrackingConfig(steps=8))
 
 
 def _circle_matrix(c: complex, sign: int) -> np.ndarray:
@@ -330,7 +349,7 @@ def test_monodromy_matrices_land_in_group():
 
 def test_extended_precision_tracking_agrees():
     cfg = TrackingConfig(steps=50, precision="extended")
-    assert track_roots(gamma_minus(), cfg).tolist() == \
+    assert trace_loop(gamma_minus(), cfg).root_perm.tolist() == \
         transcribed_root_permutation("gammaMinus").tolist()
 
 
@@ -340,7 +359,7 @@ def test_pathological_loop_raises(monkeypatch):
     loop = custom_loop(lambda t: 1.0 - 1e-9 if t == 0.5 else 0.0)
     monkeypatch.setattr(tracking, "MAX_REFINE", 0)
     with pytest.raises((AmbiguousMatching, SingularParameter)):
-        track_roots(loop, TrackingConfig(steps=8))
+        trace_loop(loop, TrackingConfig(steps=8))
 
 
 def test_ambiguity_exhaustion_raises(monkeypatch):

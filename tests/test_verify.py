@@ -97,8 +97,10 @@ def test_base_surface_and_pipeline_integer_data_are_pinned():
     assert concurrent_triples(s.lines, s.adjacency) == [
         (3 * k, 3 * k + 1, 3 * k + 2) for k in range(9)]
     source = build_pipeline()
+    got = dict(zip(("h1", "h2", "g1", "g2"), source.group.gens),
+               deck=source.deck)
     for name, want in PIPELINE_MATRICES.items():
-        assert getattr(source, name).tolist() == want, name
+        assert got[name].tolist() == want, name
 
 
 def test_transcribed_root_permutations():
@@ -194,7 +196,8 @@ def test_both_decks_have_class_size_80():
 def test_build_pipeline_bundle():
     bundle = build_pipeline()
     assert len(bundle.group) == 648
-    for g in (bundle.h1, bundle.h2, bundle.g1, bundle.g2):
+    assert len(bundle.group.gens) == 4
+    for g in bundle.group.gens:
         assert g.shape == (7, 7)
     assert np.array_equal(bundle.deck, base_surface().deck_matrix)
     assert set(bundle.traces) == {"gammaMinus", "gammaPlus"}
@@ -202,9 +205,11 @@ def test_build_pipeline_bundle():
 
 def test_fixture_source_reads_the_reference_matrices():
     fx, source = load_fixtures(), fixture_source()
-    for name in ("deck", "h1", "h2", "g1", "g2"):
-        assert getattr(source, name) is getattr(fx, name)
+    assert source.deck is fx.deck
     assert source.group is fixture_group()
+    # the generators in the order h1, h2, g1, g2
+    for g, want in zip(source.group.gens, fx.generators(), strict=True):
+        assert np.array_equal(g, want)
     assert source.traces == {}
 
 

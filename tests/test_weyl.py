@@ -11,7 +11,7 @@ from cubicmonodromy.lines import CANONICAL_CLASS, J_FORM, base_surface
 from cubicmonodromy.weyl import (WEYL_ORDER, ClassWalk, FiniteMatrixGroup,
                                  centralizer,
                                  conjugacy_class, conjugacy_class_size,
-                                 is_lattice_map, lattice_inverse,
+                                 element_orders, is_lattice_map, lattice_inverse,
                                  lattice_invariants, reflection, regenerate,
                                  trace_character_check, weyl_generators,
                                  weyl_group)
@@ -205,6 +205,25 @@ def test_element_order_matches_powers():
         for j in range(1, k):
             acc2 = np.linalg.matrix_power(m, j)
             assert not np.array_equal(acc2, eye)
+
+
+def test_element_orders_is_one_power_loop():
+    # the cyclic group of order 6 as indices added mod 6
+    every = np.arange(6)
+
+    def orders(limit):
+        return element_orders(every, lambda power: (power + every) % 6,
+                              lambda power: power == 0, limit)
+    assert orders(6).tolist() == [1, 6, 3, 2, 3, 6]
+    with pytest.raises(WrongOrder, match="bound of 5"):
+        orders(5)
+
+
+def test_element_order_without_a_finite_order_raises():
+    shear = np.eye(7, dtype=np.int64)
+    shear[0, 1] = 1  # its powers never return to the identity
+    with pytest.raises(WrongOrder, match="bound of 399"):
+        FiniteMatrixGroup.element_order(shear)
 
 
 def test_is_lattice_map_rejections():
