@@ -57,6 +57,8 @@ _FOLD[np.arange(27), [_MONOMIAL_INDEX[tuple(np.bincount(t, minlength=3).tolist()
 _LEVI_CIVITA = np.fromfunction(lambda a, b, c: (b - a) * (c - a) * (c - b) / 2, (3, 3, 3))
 # the monomials x^k y^(3-k), k = 0..3, left at z = 0
 _AT_INFINITY = [_MONOMIAL_INDEX[(k, 3 - k, 0)] for k in range(4)]
+# the pairs i < j of the nine inflection points
+_FLEX_PAIRS = np.triu_indices(9, 1)
 
 _REL_ZERO = 1e-9
 _UNIT_ZERO = 1e-12
@@ -319,7 +321,7 @@ def inflection_points(f: CubicForm, tol: float = 1e-8,
     if (np.any(np.abs(f(units)) > tol * f.scale())
             or np.any(np.abs(hess(units)) > tol * hess.scale())):
         raise DegenerateCurve("inflection residual above tolerance")
-    i, j = np.triu_indices(9, 1)
+    i, j = _FLEX_PAIRS
     if np.any(_chordal_distances(pts[i], pts[j]) < 10.0 * TOL_MATCH):
         raise DegenerateCurve("inflection points collide")
     base, rows = at_base_point(pts).tolist(), pts.tolist()

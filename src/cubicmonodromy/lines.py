@@ -14,7 +14,7 @@ pattern is certified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,7 +33,15 @@ CANONICAL_CLASS = np.array([-3, 1, 1, 1, 1, 1, 1], dtype=np.int64)
 
 # the cube roots of unity omega^n, one per sheet n
 _SHEETS = np.array([OMEGA ** n for n in range(3)])
+# _residuals samples each line at a u + b v, (u, v) its kernel basis, for
+# these five weights (a, b)
 _RESIDUAL_SAMPLES = 5
+_RESIDUAL_ANGLES = 1.0 + np.linspace(0.0, 1.0, _RESIDUAL_SAMPLES)
+_RESIDUAL_A = np.cos(_RESIDUAL_ANGLES)[:, None]
+_RESIDUAL_B = (np.sin(_RESIDUAL_ANGLES)
+               * np.exp(0.7j * np.arange(_RESIDUAL_SAMPLES)))[:, None]
+# the pairs i < j of the 27 lines
+_LINE_PAIRS = np.triu_indices(27, 1)
 
 
 def _checked_spans(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,9 +62,7 @@ def _residuals(f: CubicForm, kernel: np.ndarray) -> np.ndarray:
     """max |w^3 - f| over _RESIDUAL_SAMPLES unit sample points of each line,
     given the (m, 2, 4) kernel bases of _checked_spans; all the points are
     evaluated in one call."""
-    ts = 1.0 + np.linspace(0.0, 1.0, _RESIDUAL_SAMPLES)
-    a, b = np.cos(ts), np.sin(ts) * np.exp(0.7j * np.arange(_RESIDUAL_SAMPLES))
-    pts = (kernel[:, None, 0] * a[:, None] + kernel[:, None, 1] * b[:, None])
+    pts = kernel[:, None, 0] * _RESIDUAL_A + kernel[:, None, 1] * _RESIDUAL_B
     pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
     return np.max(np.abs(pts[..., 3] ** 3 - f(pts[..., :3])), axis=-1)
 
@@ -207,7 +213,7 @@ def incidence_graph(lines: np.ndarray) -> np.ndarray:
     [TOL_INC, 100 TOL_INC) is refused as ambiguous rather than guessed.
     """
     n = len(lines)
-    i, j = np.triu_indices(n, 1)
+    i, j = _LINE_PAIRS if n == 27 else np.triu_indices(n, 1)
     mag = np.abs(np.linalg.det(np.concatenate([lines[i], lines[j]], axis=1)))
     ambiguous = np.flatnonzero((mag >= TOL_INC) & (mag < 100.0 * TOL_INC))
     if ambiguous.size:
@@ -346,8 +352,8 @@ class SurfaceData:
     """Everything downstream code needs about one surface in the family.
 
     flexes is the (9, 3) stack of inflection_points, lines the (27, 2, 4)
-    stack of all_lines; these, adjacency and classes are made read-only,
-    since base_surface() hands one instance to every caller.
+    stack of all_lines; these, adjacency, classes and the deck matrix are
+    read-only, since base_surface() hands one instance to every caller.
     """
 
     form: CubicForm
@@ -361,10 +367,13 @@ class SurfaceData:
         for arr in (self.flexes, self.lines, self.adjacency, self.classes):
             arr.flags.writeable = False
 
-    @property
+    @cached_property
     def deck_matrix(self) -> np.ndarray:
-        return perm_to_lattice_map(deck_permutation(self.lines),
-                                   self.classes, self.sixer)
+        """Lattice map of the deck rotation, built on first use."""
+        m = perm_to_lattice_map(deck_permutation(self.lines), self.classes,
+                                self.sixer)
+        m.flags.writeable = False
+        return m
 
 
 def build_surface_data(f: CubicForm, tol: float = 1e-8) -> SurfaceData:

@@ -13,13 +13,15 @@ against sum_k |c_k| |z|^k, the bound on the rounding error of evaluating p
 at z (Higham, Accuracy and Stability of Numerical Algorithms, ch. 5); the
 double-precision Newton polish stops at that same bound.  `roots_of` is
 one sorted row of it, after `trimmed` drops negligible leading
-coefficients.  `nearest_match` is the one rule by which roots, inflections,
-lines and transcribed values are matched.
+coefficients; it remembers its last _MEMO_SIZE results, since a tracker
+solves the same base quartic on every trace.  `nearest_match` is the one
+rule by which roots, inflections, lines and transcribed values are matched.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +45,9 @@ _EXTENDED_GOAL = 10.0 ** (10 - _EXTENDED_DPS)
 
 PRECISIONS = ("double", "extended")
 
+# sorted roots_of results kept, keyed by the exact trimmed coefficients
+_MEMO_SIZE = 64
+
 
 def order_key(z: complex) -> tuple[float, float]:
     """Sort key (real, imag), each rounded to 9 decimals, so that rounding
@@ -56,15 +61,18 @@ def nearest_match(dist, tol: float = math.inf,
     """Nearest column of every row of a stack of (m, n) distance matrices.
 
     Returns the argmin along the last axis.  Raises NoUniqueMatch unless
-    every nearest distance is below half the runner-up (a heuristic margin,
-    not a certificate) and at most tol, and, with one_to_one, the hits of
-    every matrix form a permutation, so m == n.
+    no distance is NaN, every nearest distance is below half the runner-up
+    (a heuristic margin, not a certificate) and at most tol, and, with
+    one_to_one, the hits of every matrix form a permutation, so m == n.
     """
     dist = np.asarray(dist, dtype=float)
     m, n = dist.shape[-2:]
     if one_to_one and m != n:
         raise NoUniqueMatch(f"a {m} x {n} matching cannot be one to one")
     near = np.sort(dist, axis=-1)
+    # NaN sorts last, where the margin test below would not see it
+    if np.isnan(near[..., -1]).any():
+        raise NoUniqueMatch("a distance is NaN")
     best = near[..., 0]
     if n > 1 and not (best < 0.5 * near[..., 1]).all():
         raise NoUniqueMatch("nearest candidate is not below half the runner-up")
@@ -96,15 +104,24 @@ def roots_of(coeffs, tol: float = TOL_ROOT, precision: str = "double") -> list[c
     sorted by order_key.
 
     The roots_of_stack row of the trimmed coefficients, with its residual
-    acceptance and NonConvergence; a constant has no roots.
+    acceptance and NonConvergence; a constant has no roots.  Each call
+    returns a new list.
     """
     if precision not in PRECISIONS:
         raise ValueError(f"unknown precision {precision!r}")
     cs = trimmed(coeffs)
     if len(cs) == 1:
         return []
-    roots = roots_of_stack([cs], tol, precision)[0].tolist()
-    return sorted(roots, key=order_key)
+    return list(_sorted_roots(cs.tobytes(), tol, precision))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _sorted_roots(key: bytes, tol: float, precision: str) -> tuple[complex, ...]:
+    """roots_of for the complex coefficients whose bytes are key, so that
+    -0.0 and 0.0 are told apart and a hit is bit-identical to a solve."""
+    cs = np.frombuffer(key, dtype=complex)
+    roots = roots_of_stack(cs[None], tol, precision)[0].tolist()
+    return tuple(sorted(roots, key=order_key))
 
 
 def _value(cs, z):

@@ -5,10 +5,12 @@ branch-quartic roots by nearest-neighbour matching and carries each moving
 inflection point along its root: its x coordinate is that root, its y
 coordinate the square root branch nearest the previous one.  All samples of
 one resolution are handled as arrays: the quartic at the base sample is
-solved alone (`numeric.roots_of`, from companion eigenvalues), those at
-samples 1..n in one batch (`numeric.roots_of_stack`, from Ferrari's closed
-form), the roots at sample k - 1, Newton polished on quartic k, predict the
-matches of every step at once, and the step maps compose into the root paths.
+solved alone (`numeric.roots_of`, from companion eigenvalues, and
+remembered, since every loop starts at the same base), those at samples
+1..n in one batch (`numeric.roots_of_stack`, from Ferrari's closed form),
+the roots at sample k - 1, Newton polished on quartic k, predict the matches
+of every step at once, and the step maps compose into the root paths by a
+doubling scan.
 Every match is decided by the one rule `numeric.nearest_match`: the nearest
 candidate must beat the runner-up by a factor of two (a heuristic, not a
 certificate).  When any match fails, the whole loop is re-run at doubled
@@ -45,6 +47,9 @@ MAX_REFINE = 6
 # samples per loop, about ten times the default fully refined (100 * 2**6)
 MAX_SAMPLES = 2 ** 16
 
+# the pairs i < j of the four roots and of the eight moving inflections
+_PAIRS = {n: np.triu_indices(n, 1) for n in (4, 8)}
+
 
 @dataclass(frozen=True)
 class Loop:
@@ -68,7 +73,9 @@ def gamma_minus() -> Loop:
 
 
 def gamma_plus() -> Loop:
-    """Clockwise unit circle around the nodal parameter +1."""
+    """Counterclockwise unit circle around the nodal parameter +1: the
+    winding number of 1 - exp(2 pi i t) around +1 is that of
+    -exp(2 pi i t) around 0, which is +1."""
     return Loop("gammaPlus", lambda t: 1.0 - cmath.exp(2j * cmath.pi * t))
 
 
@@ -117,9 +124,28 @@ class LoopTrace:
 
 
 def _pair_gaps(a: np.ndarray) -> np.ndarray:
-    """|a[k, i] - a[k, j]| for every row k and every pair i < j."""
-    i, j = np.triu_indices(a.shape[1], 1)
+    """|a[k, i] - a[k, j]| for every row k and every pair i < j; a has 4
+    or 8 columns."""
+    i, j = _PAIRS[a.shape[1]]
     return np.abs(a[:, i] - a[:, j])
+
+
+def _compose_paths(steps: np.ndarray) -> np.ndarray:
+    """The (n + 1, m) paths of the (n, m) step maps: row 0 is the identity,
+    row k + 1 is row k mapped by steps[k], so paths[k + 1, i] =
+    steps[k, paths[k, i]].
+
+    A doubling scan: after the round with offset d, row k holds the
+    composition of steps[max(0, k - 2 d + 1)..k]; about log2(n) array calls.
+    """
+    acc = np.array(steps, dtype=np.intp)
+    n, m = acc.shape
+    rows = np.arange(n)[:, None]
+    d = 1
+    while d < n:
+        acc[d:] = acc[rows[d:], acc[:-d]]
+        d *= 2
+    return np.vstack([np.arange(m)[None], acc])
 
 
 def _step_maps(coeffs: np.ndarray, fresh: np.ndarray) -> np.ndarray:
@@ -184,10 +210,8 @@ def _trace_once(loop: Loop, steps: int, cfg: TrackingConfig) -> LoopTrace:
         stop, lams, coeffs = exc, lams[:1 + exc.row], coeffs[:1 + exc.row]
         fresh = roots_of_stack(coeffs[1:], precision=cfg.precision)
     fresh = np.vstack([base, fresh])
-    paths = [list(range(4))]
-    for step in _step_maps(coeffs[1:], fresh).tolist():
-        paths.append([step[i] for i in paths[-1]])
-    roots = np.take_along_axis(fresh, np.array(paths), axis=1)
+    paths = _compose_paths(_step_maps(coeffs[1:], fresh))
+    roots = np.take_along_axis(fresh, paths, axis=1)
     root_of_flex = nearest_match(np.abs(base_xs[:, None] - base),
                                  one_to_one=False).tolist()
     xs = roots[:, root_of_flex]

@@ -3,7 +3,19 @@
 The acceptance tests are named test_criterion_<n>_<slug>; the hook below
 prints one PASS/FAIL line per criterion so the acceptance record is readable
 straight from the pytest output.
+
+Every test starts with an empty roots_of memo, so that a test which patches
+the solver reaches it, whatever ran before.
 """
+
+import pytest
+
+from cubicmonodromy import numeric
+
+
+@pytest.fixture(autouse=True)
+def _fresh_roots_memo():
+    numeric._sorted_roots.cache_clear()
 
 
 def pytest_runtest_logreport(report):

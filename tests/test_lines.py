@@ -36,10 +36,23 @@ def test_base_surface_shape():
 def test_surface_arrays_are_read_only():
     # base_surface() is cached: one caller's write would reach every other
     s = base_surface()
-    for name in ("flexes", "lines", "adjacency", "classes"):
+    for name in ("flexes", "lines", "adjacency", "classes", "deck_matrix"):
         arr = getattr(s, name)
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = arr[(1,) * arr.ndim]
+
+
+def test_deck_matrix_is_built_once_per_surface(monkeypatch):
+    built = []
+    make = lines_module.perm_to_lattice_map
+    monkeypatch.setattr(lines_module, "perm_to_lattice_map",
+                        lambda *a: built.append(a) or make(*a))
+    s = build_surface_data(family_lambda(0.3))
+    m = s.deck_matrix
+    assert s.deck_matrix is m
+    assert len(built) == 1
+    other = build_surface_data(family_lambda(0.3)).deck_matrix
+    assert len(built) == 2 and np.array_equal(other, m)
 
 
 def test_lines_lie_on_surface():

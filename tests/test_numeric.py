@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 import cubicmonodromy.numeric as numeric
 from cubicmonodromy.curves import flex_quartic, flex_quartic_stack
 from cubicmonodromy.errors import NonConvergence, NoUniqueMatch
-from cubicmonodromy.numeric import (TOL_ROOT, constants, nearest_match,
-                                    newton_polish_stack, order_key, roots_of,
-                                    roots_of_stack, trimmed)
+from cubicmonodromy.numeric import (PRECISIONS, TOL_ROOT, constants,
+                                    nearest_match, newton_polish_stack,
+                                    order_key, roots_of, roots_of_stack,
+                                    trimmed)
 
 
 def _sorted_by_value(zs):
@@ -143,6 +144,42 @@ def test_extended_stack_roots_are_correctly_rounded():
     coeffs = _random_quartics(10)
     for row, roots in zip(coeffs, roots_of_stack(coeffs, precision="extended")):
         assert _same_set(roots, _polyroots(row), 0.0)
+
+
+def _bits(zs):
+    return np.array(zs, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_a_remembered_root_list_is_bit_identical_to_a_solve(precision):
+    p = flex_quartic(0.3 - 0.2j)
+    miss = roots_of(p, precision=precision)
+    hits = numeric._sorted_roots.cache_info().hits
+    hit = roots_of(p, precision=precision)
+    assert numeric._sorted_roots.cache_info().hits == hits + 1
+    assert _bits(hit) == _bits(miss)
+    numeric._sorted_roots.cache_clear()
+    assert _bits(roots_of(p, precision=precision)) == _bits(miss)
+
+
+def test_mutating_a_root_list_leaves_the_memo_alone():
+    p = flex_quartic(0.0)
+    first = roots_of(p)
+    want = list(first)
+    first[0] = 99.0
+    first.append(1.0)
+    second = roots_of(p)
+    assert second is not first
+    assert _bits(second) == _bits(want)
+
+
+def test_signed_zero_coefficients_are_distinct_memo_keys():
+    roots_of([-1.0, 0.0, 1.0])
+    roots_of([-1.0, -0.0, 1.0])
+    info = numeric._sorted_roots.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+    roots_of(np.array([-1.0, 0.0, 1.0]))
+    assert numeric._sorted_roots.cache_info().hits == 1
 
 
 def test_roots_of_is_the_sorted_stack_row():
@@ -308,12 +345,17 @@ def test_flex_quartic_roots_at_zero_keep_their_labels(monkeypatch):
     got = roots_of(flex_quartic(0.0))
     assert np.abs(np.array(got) - want).max() < 1e-14
     solve = numeric.roots_of_stack
+    calls = []
     for signs in itertools.product((-1.0, 1.0), repeat=4):
         def noisy(*args, _signs=signs):
+            calls.append(_signs)
             return solve(*args)[:, ::-1] + 1e-15 * np.array(_signs)
         monkeypatch.setattr(numeric, "roots_of_stack", noisy)
+        # the memo would answer from the unpatched solve above
+        numeric._sorted_roots.cache_clear()
         got = roots_of(flex_quartic(0.0))
         assert np.abs(np.array(got) - want).max() < 1e-14
+    assert len(calls) == 16
 
 
 @pytest.mark.parametrize("coeffs, precision", [
@@ -432,6 +474,16 @@ def test_nearest_match_agrees_with_the_scalar_rule(dist, tol, one_to_one):
     else:
         got = nearest_match(dist, tol, one_to_one).tolist()
         assert got == (want if dist.ndim == 3 else want[0])
+
+
+@pytest.mark.parametrize("dist, one_to_one", [
+    ([[0.1, math.nan, 5.0]], False), ([[math.nan, 0.1, 5.0]], False),
+    ([[0.1, 5.0, math.nan]], False), ([[math.nan]], False),
+    ([[0.0, 1.0], [1.0, math.nan]], True), ([[0.0, 1.0], [math.nan, 0.0]], True)])
+def test_a_nan_distance_is_no_match(dist, one_to_one):
+    # NaN sorts last, out of reach of the margin test, while argmin picks it
+    with pytest.raises(NoUniqueMatch, match="NaN"):
+        nearest_match(dist, one_to_one=one_to_one)
 
 
 @pytest.mark.parametrize("dist, hits", [

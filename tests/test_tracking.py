@@ -1,12 +1,13 @@
 """Loop tracking: roots, inflections, lifted line permutations, matrices."""
 
 import cmath
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cubicmonodromy.cli as cli
@@ -319,6 +320,21 @@ def test_circles_match_the_word_oracle(radius, angle, sign):
     assume(min(abs(abs(node - c) - abs(c)) for node in (-1.0, 1.0)) >= 0.15)
     loop = custom_loop(lambda t: c * (1.0 - cmath.exp(sign * 2j * cmath.pi * t)))
     assert np.array_equal(monodromy_matrix(loop), _circle_matrix(c, sign))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), st.lists(
+    st.permutations(range(m)), max_size=130))))
+@example((4, [list(p) for p in itertools.islice(
+    itertools.cycle(itertools.permutations(range(4))), 100)]))
+def test_doubling_scan_equals_sequential_composition(m_steps):
+    # step counts 0..130: powers of two, their neighbours and the default 100
+    m, steps = m_steps
+    paths = [list(range(m))]
+    for step in steps:
+        paths.append([step[i] for i in paths[-1]])
+    got = tracking._compose_paths(np.array(steps, dtype=np.intp).reshape(-1, m))
+    assert got.tolist() == paths
 
 
 def test_lift_to_lines_blocks():
