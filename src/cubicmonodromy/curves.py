@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCurve, SingularParameter
-from .numeric import (OMEGA, TOL_LEAD, TOL_MATCH, order_key, roots_of,
-                      roots_of_stack, trimmed)
+from .numeric import (OMEGA, TOL_LEAD, TOL_MATCH, order_key, pair_indices,
+                      roots_of, roots_of_stack, trimmed)
 
 MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -57,8 +57,6 @@ _FOLD[np.arange(27), [_MONOMIAL_INDEX[tuple(np.bincount(t, minlength=3).tolist()
 _LEVI_CIVITA = np.fromfunction(lambda a, b, c: (b - a) * (c - a) * (c - b) / 2, (3, 3, 3))
 # the monomials x^k y^(3-k), k = 0..3, left at z = 0
 _AT_INFINITY = [_MONOMIAL_INDEX[(k, 3 - k, 0)] for k in range(4)]
-# the pairs i < j of the nine inflection points
-_FLEX_PAIRS = np.triu_indices(9, 1)
 
 _REL_ZERO = 1e-9
 _UNIT_ZERO = 1e-12
@@ -321,7 +319,7 @@ def inflection_points(f: CubicForm, tol: float = 1e-8,
     if (np.any(np.abs(f(units)) > tol * f.scale())
             or np.any(np.abs(hess(units)) > tol * hess.scale())):
         raise DegenerateCurve("inflection residual above tolerance")
-    i, j = _FLEX_PAIRS
+    i, j = pair_indices(9)
     if np.any(_chordal_distances(pts[i], pts[j]) < 10.0 * TOL_MATCH):
         raise DegenerateCurve("inflection points collide")
     base, rows = at_base_point(pts).tolist(), pts.tolist()

@@ -26,7 +26,7 @@ from .errors import (
     AmbiguousIncidence, BadIncidencePattern, NoSixer, NonIntegralImage,
     FormViolation, NotAFlex,
 )
-from .numeric import OMEGA, TOL_INC
+from .numeric import OMEGA, TOL_INC, pair_indices
 
 J_FORM = np.diag([1, -1, -1, -1, -1, -1, -1]).astype(np.int64)
 CANONICAL_CLASS = np.array([-3, 1, 1, 1, 1, 1, 1], dtype=np.int64)
@@ -40,8 +40,6 @@ _RESIDUAL_ANGLES = 1.0 + np.linspace(0.0, 1.0, _RESIDUAL_SAMPLES)
 _RESIDUAL_A = np.cos(_RESIDUAL_ANGLES)[:, None]
 _RESIDUAL_B = (np.sin(_RESIDUAL_ANGLES)
                * np.exp(0.7j * np.arange(_RESIDUAL_SAMPLES)))[:, None]
-# the pairs i < j of the 27 lines
-_LINE_PAIRS = np.triu_indices(27, 1)
 
 
 def _checked_spans(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +211,7 @@ def incidence_graph(lines: np.ndarray) -> np.ndarray:
     [TOL_INC, 100 TOL_INC) is refused as ambiguous rather than guessed.
     """
     n = len(lines)
-    i, j = _LINE_PAIRS if n == 27 else np.triu_indices(n, 1)
+    i, j = pair_indices(n)
     mag = np.abs(np.linalg.det(np.concatenate([lines[i], lines[j]], axis=1)))
     ambiguous = np.flatnonzero((mag >= TOL_INC) & (mag < 100.0 * TOL_INC))
     if ambiguous.size:

@@ -45,8 +45,23 @@ _EXTENDED_GOAL = 10.0 ** (10 - _EXTENDED_DPS)
 
 PRECISIONS = ("double", "extended")
 
-# sorted roots_of results kept, keyed by the exact trimmed coefficients
-_MEMO_SIZE = 64
+# sorted roots_of results kept, keyed by the exact trimmed coefficients.  The
+# only repeated key is the base quartic at lambda = 0: 400 seeded loops, the
+# keyhole and close-pass probes and extended-precision loops use 4 distinct
+# keys (three signed-zero variants in double precision, one in extended), and
+# verify --scope all one.  The other callers (inflection_points per surface,
+# the resultant solves) never repeat a key; for them the memo costs a tobytes
+# and a hash against a 150 us solve.
+_MEMO_SIZE = 4
+
+
+@functools.cache
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), the pairs i < j of n points, built once per n
+    and read-only."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def order_key(z: complex) -> tuple[float, float]:

@@ -35,7 +35,7 @@ from .errors import (AmbiguousMatching, InconsistentProjection, NonConvergence,
                      NoUniqueMatch, SingularParameter)
 from .lines import base_surface, lift_to_lines, perm_to_lattice_map
 from .numeric import (PRECISIONS, TOL_MATCH, nearest_match, newton_polish_stack,
-                      roots_of, roots_of_stack)
+                      pair_indices, roots_of, roots_of_stack)
 from .weyl import is_lattice_map
 
 SEPARATION = 10.0 * TOL_MATCH
@@ -46,9 +46,6 @@ BASE_TOL = TOL_MATCH
 MAX_REFINE = 6
 # samples per loop, about ten times the default fully refined (100 * 2**6)
 MAX_SAMPLES = 2 ** 16
-
-# the pairs i < j of the four roots and of the eight moving inflections
-_PAIRS = {n: np.triu_indices(n, 1) for n in (4, 8)}
 
 
 @dataclass(frozen=True)
@@ -124,9 +121,8 @@ class LoopTrace:
 
 
 def _pair_gaps(a: np.ndarray) -> np.ndarray:
-    """|a[k, i] - a[k, j]| for every row k and every pair i < j; a has 4
-    or 8 columns."""
-    i, j = _PAIRS[a.shape[1]]
+    """|a[k, i] - a[k, j]| for every row k and every pair i < j."""
+    i, j = pair_indices(a.shape[1])
     return np.abs(a[:, i] - a[:, j])
 
 

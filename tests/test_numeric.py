@@ -182,6 +182,16 @@ def test_signed_zero_coefficients_are_distinct_memo_keys():
     assert numeric._sorted_roots.cache_info().hits == 1
 
 
+@pytest.mark.parametrize("n", [0, 1, 4, 9, 27])
+def test_pair_indices_are_the_read_only_upper_triangle(n):
+    i, j = numeric.pair_indices(n)
+    want_i, want_j = np.triu_indices(n, 1)
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    assert numeric.pair_indices(n)[0] is i
+    with pytest.raises(ValueError, match="read-only"):
+        i[...] = 0
+
+
 def test_roots_of_is_the_sorted_stack_row():
     p = (-1.0, 12.0 * 0.3, -6.0, -4.0 * 0.3, 3.0, 0.0)
     row = roots_of_stack([p[:-1]])[0]
