@@ -10,12 +10,16 @@ from Ferrari's closed form for two or more quartics, else from one
 (`newton_polish_stack`) and, for extended precision, an mpmath Newton polish
 of every root.  A root is accepted on its backward error: |p(z)|
 against sum_k |c_k| |z|^k, the bound on the rounding error of evaluating p
-at z (Higham, Accuracy and Stability of Numerical Algorithms, ch. 5); the
-double-precision Newton polish stops at that same bound.  `roots_of` is
+at z (Higham, Accuracy and Stability of Numerical Algorithms, ch. 5).  The
+double-precision Newton polish stops at that same bound, evaluating p, p'
+and the bound in one Horner pass over the three stacked together, and in
+double precision its last evaluation is the acceptance.  `roots_of` is
 one sorted row of it, after `trimmed` drops negligible leading
 coefficients; it remembers its last _MEMO_SIZE results, since a tracker
 solves the same base quartic on every trace.  `nearest_match` is the one
-rule by which roots, inflections, lines and transcribed values are matched.
+rule by which roots, inflections, lines and transcribed values are matched;
+it finds the nearest and runner-up candidates of every row in one scan over
+the candidate columns.
 """
 
 from __future__ import annotations
@@ -79,17 +83,27 @@ def nearest_match(dist, tol: float = math.inf,
     no distance is NaN, every nearest distance is below half the runner-up
     (a heuristic margin, not a certificate) and at most tol, and, with
     one_to_one, the hits of every matrix form a permutation, so m == n.
+    A row with no candidate (n = 0) has no match; an empty one-to-one
+    matching (m = n = 0) is the empty permutation.
     """
     dist = np.asarray(dist, dtype=float)
     m, n = dist.shape[-2:]
     if one_to_one and m != n:
         raise NoUniqueMatch(f"a {m} x {n} matching cannot be one to one")
-    near = np.sort(dist, axis=-1)
-    # NaN sorts last, where the margin test below would not see it
-    if np.isnan(near[..., -1]).any():
+    if n == 0:
+        if m:
+            raise NoUniqueMatch("no candidate to match")
+        return np.zeros(dist.shape[:-1], dtype=np.intp)
+    # the nearest and the runner-up of every row, one candidate column at a
+    # time; np.minimum carries a NaN anywhere in the row into best
+    best, second = dist[..., 0], math.inf
+    for j in range(1, n):
+        col = dist[..., j]
+        second = np.minimum(second, np.maximum(best, col))
+        best = np.minimum(best, col)
+    if np.isnan(best).any():
         raise NoUniqueMatch("a distance is NaN")
-    best = near[..., 0]
-    if n > 1 and not (best < 0.5 * near[..., 1]).all():
+    if n > 1 and not (best < 0.5 * second).all():
         raise NoUniqueMatch("nearest candidate is not below half the runner-up")
     if not (best <= tol).all():
         raise NoUniqueMatch(f"nearest candidate at {best.max():.3e} > {tol:.1e}")
@@ -177,6 +191,34 @@ def _horner(cs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _value_terms(cs: np.ndarray) -> np.ndarray:
+    """The coefficients of p, p' and sum_j |c_j| x^j for every row of the
+    (n, d + 1) stack cs, level k holding the x^k terms: shape (d + 1, 3, n, 1),
+    p' padded with a zero on top."""
+    n, size = cs.shape
+    terms = np.zeros((size, 3, n, 1), dtype=complex)
+    terms[:, 0, :, 0] = cs.T
+    terms[:-1, 1, :, 0] = (cs[:, 1:] * np.arange(1, size)).T
+    terms[:, 2, :, 0] = np.abs(cs).T
+    return terms
+
+
+def _evaluate(terms: np.ndarray, z: np.ndarray):
+    """p(z), p'(z) and the backward-error bound sum_j |c_j| |z|^j at every
+    entry of row k of z, for the polynomial of row k of _value_terms: one
+    Horner pass over the three, from the leading coefficient.  The bound is
+    carried as a complex number with zero imaginary part."""
+    at = np.empty((3,) + z.shape, dtype=complex)
+    at[:2] = z
+    at[2] = np.abs(z)
+    acc = np.empty_like(at)
+    acc[...] = terms[-1]
+    for c in terms[-2::-1]:
+        acc *= at
+        acc += c
+    return acc[0], acc[1], acc[2].real
+
+
 def newton_polish_stack(coeffs, z0, tol: float = TOL_ROOT) -> np.ndarray:
     """Newton iteration from every entry of z0 at once, in double precision.
 
@@ -186,27 +228,30 @@ def newton_polish_stack(coeffs, z0, tol: float = TOL_ROOT) -> np.ndarray:
     An entry that neither meets the bound nor improves |p| a hundredfold
     (or meets p' = 0 on the way) is returned as it was given.
     """
-    cs = np.asarray(coeffs, dtype=complex)
-    z0 = np.asarray(z0, dtype=complex)
-    dcs = cs[:, 1:] * np.arange(1, cs.shape[1])
-    mags = np.abs(cs)
+    return _polish(np.asarray(coeffs, dtype=complex),
+                   np.asarray(z0, dtype=complex), tol)[0]
+
+
+def _polish(cs: np.ndarray, z0: np.ndarray, tol: float):
+    """newton_polish_stack and, for every entry of its result, whether that
+    entry meets the bound: an entry returned as given never met it."""
+    terms = _value_terms(cs)
     z = z0
     with np.errstate(all="ignore"):
-        pz = _horner(cs, z)
+        pz, dpz, bound = _evaluate(terms, z)
         start = np.abs(pz)
-        met = start <= tol * _horner(mags, np.abs(z))
+        met = start <= tol * bound
         active = ~met
         for _ in range(_MAX_NEWTON):
             if not active.any():
                 break
-            dpz = _horner(dcs, z)
             active &= dpz != 0
             z = np.where(active, z - pz / dpz, z)
-            pz = _horner(cs, z)
-            met = np.abs(pz) <= tol * _horner(mags, np.abs(z))
+            pz, dpz, bound = _evaluate(terms, z)
+            met = np.abs(pz) <= tol * bound
             active &= ~met
         accepted = met | ((start > 0) & (np.abs(pz) < 1e-2 * start))
-    return np.where(accepted, z, z0)
+    return np.where(accepted, z, z0), met
 
 
 def roots_of_stack(coeffs, tol: float = TOL_ROOT,
@@ -241,13 +286,15 @@ def roots_of_stack(coeffs, tol: float = TOL_ROOT,
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
         companion[:, :, -1] = -cs[:, :-1] / cs[:, -1:]
         z = np.linalg.eigvals(companion)
-    z = newton_polish_stack(cs, z, tol)
+    # "<=" in the acceptance so that an exact root passes where the bound is
+    # 0 (z = 0 = c_0)
+    z, ok = _polish(cs, z, tol)
     if precision == "extended":
         z = np.array([[_polish_mp(row, zi) for zi in zs]
                       for row, zs in zip(cs, z)], dtype=complex).reshape(z.shape)
-    with np.errstate(all="ignore"):
-        # "<=" so that an exact root passes where the bound is 0 (z = 0 = c_0)
-        ok = np.abs(_horner(cs, z)) <= tol * _horner(np.abs(cs), np.abs(z))
+        with np.errstate(all="ignore"):
+            pz, _, bound = _evaluate(_value_terms(cs), z)
+            ok = np.abs(pz) <= tol * bound
     missed = np.flatnonzero(~ok.all(axis=1))
     if missed.size:
         raise NonConvergence(

@@ -4,7 +4,8 @@ A loop samples the family parameter.  One trace per loop continues the four
 branch-quartic roots by nearest-neighbour matching and carries each moving
 inflection point along its root: its x coordinate is that root, its y
 coordinate the square root branch nearest the previous one.  All samples of
-one resolution are handled as arrays: the quartic at the base sample is
+one resolution are handled as arrays: the loop is read at every sample and
+the values are checked as one array, the quartic at the base sample is
 solved alone (`numeric.roots_of`, from companion eigenvalues, and
 remembered, since every loop starts at the same base), those at samples
 1..n in one batch (`numeric.roots_of_stack`, from Ferrari's closed form),
@@ -56,12 +57,37 @@ class Loop:
     at: Callable[[float], complex]
 
     def sample(self, t: float) -> complex:
-        lam = complex(self.at(t))
-        if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-            raise ValueError(f"loop value {lam} at t={t} is not finite")
-        if abs(lam - 1.0) < SEPARATION or abs(lam + 1.0) < SEPARATION:
-            raise SingularParameter(f"loop touches the discriminant at t={t}")
-        return lam
+        return _checked(complex(self.at(t)), t)
+
+
+def _checked(lam: complex, t: float) -> complex:
+    """The loop value lam at t, unless it is not finite (ValueError) or
+    within SEPARATION of a node (SingularParameter)."""
+    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+        raise ValueError(f"loop value {lam} at t={t} is not finite")
+    if abs(lam - 1.0) < SEPARATION or abs(lam + 1.0) < SEPARATION:
+        raise SingularParameter(f"loop touches the discriminant at t={t}")
+    return lam
+
+
+def _samples(loop: Loop, ts: list[float]):
+    """The loop's values at every t of ts, checked as one array by
+    Loop.sample's rule, up to the first singular sample, and that sample's
+    SingularParameter (None when there is none).  A first failing sample
+    that is not finite, or that is sample 0, raises Loop.sample's error."""
+    lams = np.array([complex(loop.at(t)) for t in ts])
+    bad = (~np.isfinite(lams) | (np.abs(lams - 1.0) < SEPARATION)
+           | (np.abs(lams + 1.0) < SEPARATION))
+    if not bad.any():
+        return lams, None
+    k = int(bad.argmax())
+    try:
+        _checked(complex(lams[k]), ts[k])
+    except SingularParameter as exc:
+        if k == 0:
+            raise
+        return lams[:k], exc
+    raise AssertionError(f"sample {k} passes the scalar check")
 
 
 def gamma_minus() -> Loop:
@@ -182,22 +208,16 @@ def _trace_once(loop: Loop, steps: int, cfg: TrackingConfig) -> LoopTrace:
     """Continue roots and inflections at one resolution; raises NoUniqueMatch
     when any match misses its margin.
 
-    Samples 1..steps are solved in one batch and matched all at once.  A
-    singular or non-converged sample is raised only when no earlier sample
-    is ambiguous, as if the samples were read in order.
+    Samples 1..steps are solved in one batch and matched all at once.  The
+    loop is read at every sample before any value is checked, so an error
+    the loop raises itself comes first.  A singular or non-converged sample
+    is raised only when no earlier sample is ambiguous, as if the samples
+    were read in order.
     """
     # inflections 1..8 move; each rides on one root's x-path
     base_xs, base_ys = base_surface().flexes[1:9, :2].T
     ts = [k / steps for k in range(steps + 1)]
-    lams: list[complex] = []
-    stop = None
-    try:
-        for t in ts:
-            lams.append(loop.sample(t))
-    except SingularParameter as exc:
-        if not lams:
-            raise
-        stop = exc
+    lams, stop = _samples(loop, ts)
     base = np.array(roots_of(flex_quartic(lams[0]), precision=cfg.precision))
     coeffs = flex_quartic_stack(lams)
     try:
@@ -211,7 +231,7 @@ def _trace_once(loop: Loop, steps: int, cfg: TrackingConfig) -> LoopTrace:
     root_of_flex = nearest_match(np.abs(base_xs[:, None] - base),
                                  one_to_one=False).tolist()
     xs = roots[:, root_of_flex]
-    ys = _flex_heights(np.array(lams), xs, base_ys)
+    ys = _flex_heights(lams, xs, base_ys)
     if stop is not None:
         raise stop
     root_perm = nearest_match(np.abs(roots[-1][:, None] - base), TOL_MATCH)

@@ -112,6 +112,42 @@ def _newton_polish(coeffs, z0: complex) -> complex:
     raise NonConvergence(f"Newton polish stalled at residual {pz:.3e}")
 
 
+def _meets_bound(cs, z, tol=TOL_ROOT):
+    """|p(z)| <= tol * sum_k |c_k| |z|^k at every entry, by two _horner
+    evaluations."""
+    cs = np.asarray(cs, dtype=complex)
+    with np.errstate(all="ignore"):
+        return (np.abs(numeric._horner(cs, z))
+                <= tol * numeric._horner(np.abs(cs), np.abs(z)))
+
+
+def _three_horner_polish(coeffs, z0, tol=TOL_ROOT):
+    """newton_polish_stack as three _horner evaluations per step, of p, of p'
+    and of the bound: the reference for the one-pass evaluation."""
+    horner = numeric._horner
+    cs = np.asarray(coeffs, dtype=complex)
+    z0 = np.asarray(z0, dtype=complex)
+    dcs = cs[:, 1:] * np.arange(1, cs.shape[1])
+    mags = np.abs(cs)
+    z = z0
+    with np.errstate(all="ignore"):
+        pz = horner(cs, z)
+        start = np.abs(pz)
+        met = start <= tol * horner(mags, np.abs(z))
+        active = ~met
+        for _ in range(numeric._MAX_NEWTON):
+            if not active.any():
+                break
+            dpz = horner(dcs, z)
+            active &= dpz != 0
+            z = np.where(active, z - pz / dpz, z)
+            pz = horner(cs, z)
+            met = np.abs(pz) <= tol * horner(mags, np.abs(z))
+            active &= ~met
+        accepted = met | ((start > 0) & (np.abs(pz) < 1e-2 * start))
+    return np.where(accepted, z, z0)
+
+
 def _random_quartics(count: int) -> np.ndarray:
     rng = np.random.default_rng(7)
     return rng.normal(size=(count, 5)) + 1j * rng.normal(size=(count, 5))
@@ -211,18 +247,19 @@ def test_roots_at_a_large_parameter_pass_the_backward_error():
 
 
 def test_polish_stops_at_the_backward_error(monkeypatch):
-    # at lambda = 1000 the eigenvalues already meet |p(z)| <= tol sum |c_k||z|^k,
-    # so neither the polish nor the acceptance evaluates more than twice
+    # at lambda = 1000 the closed-form starts already meet |p(z)| <= tol sum
+    # |c_k||z|^k, so the polish evaluates once and the acceptance is read
+    # from that evaluation
     calls = []
-    horner = numeric._horner
+    evaluate = numeric._evaluate
 
-    def counted(cs, z):
+    def counted(terms, z):
         calls.append(1)
-        return horner(cs, z)
+        return evaluate(terms, z)
 
-    monkeypatch.setattr(numeric, "_horner", counted)
+    monkeypatch.setattr(numeric, "_evaluate", counted)
     roots = roots_of_stack(flex_quartic_stack(np.full(100, 1000.0)))
-    assert len(calls) <= 6
+    assert len(calls) == 1
     assert _same_set(roots[0], _polyroots(flex_quartic(1000.0)), 1e-12)
 
 
@@ -263,8 +300,11 @@ def _missed_row(monkeypatch, owner, name, perturb, coeffs) -> int:
         perturb(out)
         return out
 
+    def unpolished(cs, z, tol):
+        return z, _meets_bound(cs, z, tol)
+
     monkeypatch.setattr(owner, name, perturbed)
-    monkeypatch.setattr(numeric, "newton_polish_stack", lambda cs, z, tol: z)
+    monkeypatch.setattr(numeric, "_polish", unpolished)
     with pytest.raises(NonConvergence) as info:
         roots_of_stack(coeffs)
     return info.value.row
@@ -389,6 +429,53 @@ def test_newton_polish_stack_matches_newton_polish():
             assert abs(w - want) < 1e-12
 
 
+def _polish_cases():
+    """(coeffs, starts) stacks for the one-pass polish: random quartics from
+    near and far starts (some of which stall), p' = 0 at the start, exact
+    roots where the bound is 0, a 2-cycle and large parameters."""
+    rng = np.random.default_rng(11)
+    quartics = _random_quartics(30)
+    near = quartics[:, :4] + 0.05 * rng.normal(size=(30, 4))
+    far = 1e3 * rng.normal(size=(30, 4)) + 1e3j * rng.normal(size=(30, 4))
+    yield quartics, near
+    yield quartics, far
+    yield quartics, np.where(rng.random((30, 4)) < 0.5, near, far)
+    # z^2 + 1 at 0 (p' = 0), z^2 + z at its exact roots 0 and -1 (the
+    # bound is 0 at 0), z^2 - 2 from an exact zero start
+    yield ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-2.0, 0.0, 1.0]],
+           [[0.0, 0.9j, 1e-3], [0.0, -1.0, 0.3], [0.0, 1.4, -1.4]])
+    # z^3 - 2z + 2 near its Newton 2-cycle 0, 1: a stalled entry
+    yield [[2.0, -2.0, 0.0, 1.0]], [[0.1, 1.0, -1.7, 0.9j]]
+    lams = np.array([1000.0, -1000.0, 1000j, 0.3])
+    fresh = roots_of_stack(flex_quartic_stack(lams))
+    yield flex_quartic_stack(lams[::-1]), fresh
+
+
+# at tol = 1e-20 no entry meets the bound: every polish runs _MAX_NEWTON
+# steps and keeps its start or its hundredfold improvement
+@pytest.mark.parametrize("tol", [TOL_ROOT, 1e-20])
+@pytest.mark.parametrize("coeffs, starts", list(_polish_cases()))
+def test_one_pass_polish_equals_three_horner_evaluations(coeffs, starts, tol):
+    cs = np.asarray(coeffs, dtype=complex)
+    z0 = np.asarray(starts, dtype=complex)
+    want = _three_horner_polish(cs, z0, tol)
+    assert np.array_equal(newton_polish_stack(cs, z0, tol), want)
+    z, ok = numeric._polish(cs, z0, tol)
+    assert np.array_equal(z, want)
+    # the acceptance roots_of_stack reads is the bound at the returned point
+    assert np.array_equal(ok, _meets_bound(cs, want, tol))
+
+
+def test_one_pass_evaluation_is_p_dp_and_the_bound():
+    cs = _random_quartics(6)
+    z = _random_quartics(6)[:, :3]
+    p, dp, bound = numeric._evaluate(numeric._value_terms(cs), z)
+    dcs = cs[:, 1:] * np.arange(1, 5)
+    assert np.array_equal(p, numeric._horner(cs, z))
+    assert np.array_equal(dp, numeric._horner(dcs, z))
+    assert np.array_equal(bound, numeric._horner(np.abs(cs), np.abs(z)))
+
+
 @pytest.mark.parametrize("coeffs, start", [
     ((1.0, 0.0, 1.0), 0.0),              # z^2 + 1 at 0: p' vanishes
     ((2.0, -2.0, 0.0, 1.0), 0.1)])       # z^3 - 2z + 2 near its 2-cycle 0, 1
@@ -494,6 +581,81 @@ def test_a_nan_distance_is_no_match(dist, one_to_one):
     # NaN sorts last, out of reach of the margin test, while argmin picks it
     with pytest.raises(NoUniqueMatch, match="NaN"):
         nearest_match(dist, one_to_one=one_to_one)
+
+
+@pytest.mark.parametrize("shape, one_to_one", [
+    ((3, 0), False), ((2, 3, 0), False), ((1, 0), False), ((3, 0), True)])
+def test_a_row_without_candidates_has_no_match(shape, one_to_one):
+    with pytest.raises(NoUniqueMatch):
+        nearest_match(np.zeros(shape), one_to_one=one_to_one)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0), (0, 3)])
+@pytest.mark.parametrize("one_to_one", [True, False])
+def test_nothing_to_match_is_the_empty_matching(shape, one_to_one):
+    if one_to_one and shape[-1] != shape[-2]:
+        with pytest.raises(NoUniqueMatch, match="cannot be one to one"):
+            nearest_match(np.zeros(shape), one_to_one=one_to_one)
+        return
+    hits = nearest_match(np.zeros(shape), one_to_one=one_to_one)
+    assert hits.shape == shape[:-1] and hits.dtype == np.intp
+
+
+def _sorted_match(dist, tol: float = math.inf, one_to_one: bool = True):
+    """nearest_match by a sort of every row: the reference for its column
+    scan, for rows with at least one candidate."""
+    dist = np.asarray(dist, dtype=float)
+    m, n = dist.shape[-2:]
+    if one_to_one and m != n:
+        raise NoUniqueMatch(f"a {m} x {n} matching cannot be one to one")
+    near = np.sort(dist, axis=-1)
+    # NaN sorts last, where the margin test below would not see it
+    if np.isnan(near[..., -1]).any():
+        raise NoUniqueMatch("a distance is NaN")
+    best = near[..., 0]
+    if n > 1 and not (best < 0.5 * near[..., 1]).all():
+        raise NoUniqueMatch("nearest candidate is not below half the runner-up")
+    if not (best <= tol).all():
+        raise NoUniqueMatch(f"nearest candidate at {best.max():.3e} > {tol:.1e}")
+    hits = dist.argmin(axis=-1)
+    if one_to_one and (np.sort(hits, axis=-1) != np.arange(n)).any():
+        raise NoUniqueMatch("matching is not one to one")
+    return hits
+
+
+@st.composite
+def _wild_distance_stacks(draw):
+    """_distance_stacks with some entries made +inf, -inf or NaN."""
+    dist = draw(_distance_stacks())
+    flat = dist.reshape(-1)
+    for i in draw(st.lists(st.integers(0, flat.size - 1), max_size=3)):
+        flat[i] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    return dist
+
+
+def _outcome(match, dist, tol, one_to_one):
+    try:
+        return match(dist, tol, one_to_one)
+    except NoUniqueMatch as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_wild_distance_stacks(), st.sampled_from([math.inf, 1e-6, 1.0, 0.0]),
+       st.booleans())
+@example(np.array([[math.inf, math.inf]]), math.inf, False)
+@example(np.array([[-math.inf, -math.inf], [0.0, 1.0]]), math.inf, False)
+@example(np.array([[0.0, math.inf], [math.inf, 0.0]]), math.inf, True)
+@example(np.array([[[1.0], [math.nan]]]), math.inf, False)
+@example(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]), 1.0, False)
+def test_column_scan_agrees_with_the_sorted_rule(dist, tol, one_to_one):
+    want = _outcome(_sorted_match, dist, tol, one_to_one)
+    got = _outcome(nearest_match, dist, tol, one_to_one)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dist, hits", [

@@ -280,11 +280,13 @@ def _quarters(first: complex, second: complex):
 
 
 # 10 is a jump no match survives, 1 a node, 1000 a quartic the batch solver
-# is made to fail on; the earlier sample decides
+# is made to fail on, NaN a value that is not finite; the earlier sample
+# decides
 @pytest.mark.parametrize("first, second, error", [
     (10.0, 1.0, AmbiguousMatching), (1.0, 10.0, SingularParameter),
     (10.0, 1000.0, AmbiguousMatching), (1000.0, 10.0, NonConvergence),
-    (1000.0, 1.0, NonConvergence), (1.0, 1000.0, SingularParameter)])
+    (1000.0, 1.0, NonConvergence), (1.0, 1000.0, SingularParameter),
+    (math.nan, 1.0, ValueError), (1.0, math.nan, SingularParameter)])
 def test_earliest_failing_sample_decides(monkeypatch, first, second, error):
     solve = tracking.roots_of_stack
 
@@ -297,8 +299,37 @@ def test_earliest_failing_sample_decides(monkeypatch, first, second, error):
 
     monkeypatch.setattr(tracking, "roots_of_stack", failing_at_1000)
     monkeypatch.setattr(tracking, "MAX_REFINE", 0)
-    with pytest.raises(error):
+    # a loop value is named by its t, here the first sample of the first quarter
+    at = r"t=0\.25\b" if error in (ValueError, SingularParameter) else None
+    with pytest.raises(error, match=at):
         trace_loop(_quarters(first, second), TrackingConfig(steps=8))
+
+
+@pytest.mark.parametrize("value, error", [
+    (1.0, SingularParameter), (-1.0, SingularParameter), (math.inf, ValueError)])
+def test_a_failing_first_step_raises(value, error):
+    # only the base sample comes before it: nothing is left to track
+    loop = custom_loop(lambda t: value if t == 0.125 else 0.0)
+    with pytest.raises(error, match="t=0.125"):
+        trace_loop(loop, TrackingConfig(steps=8))
+
+
+def test_every_sample_is_read_before_any_is_checked(monkeypatch):
+    # the loop values of one resolution are checked as one array, so a value
+    # that raises after a node raises its own error, not SingularParameter
+    seen = []
+
+    def at(t):
+        seen.append(t)
+        if 0.5 < t < 1.0:
+            raise RuntimeError("no value here")
+        return 1.0 if t == 0.25 else 0.0
+
+    monkeypatch.setattr(tracking, "MAX_REFINE", 0)
+    with pytest.raises(RuntimeError, match="no value here"):
+        trace_loop(custom_loop(at), TrackingConfig(steps=8))
+    # the two end checks, then samples 0..5 of the resolution
+    assert seen == [0.0, 1.0] + [k / 8 for k in range(6)]
 
 
 def _circle_matrix(c: complex, sign: int) -> np.ndarray:
