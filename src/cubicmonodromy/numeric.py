@@ -182,15 +182,6 @@ def _newton_mp(coeffs, z0: complex, tol: float) -> complex:
         raise NonConvergence("extended-precision Newton stalled")
 
 
-def _horner(cs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Row k of cs (ascending) evaluated at every entry of row k of z."""
-    acc = np.zeros(z.shape, dtype=np.result_type(cs, z))
-    for c in cs.T[::-1]:
-        acc *= z
-        acc += c[:, None]
-    return acc
-
-
 def _value_terms(cs: np.ndarray) -> np.ndarray:
     """The coefficients of p, p' and sum_j |c_j| x^j for every row of the
     (n, d + 1) stack cs, level k holding the x^k terms: shape (d + 1, 3, n, 1),
@@ -203,7 +194,8 @@ def _value_terms(cs: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _evaluate(terms: np.ndarray, z: np.ndarray):
+def _evaluate(terms: np.ndarray,
+              z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """p(z), p'(z) and the backward-error bound sum_j |c_j| |z|^j at every
     entry of row k of z, for the polynomial of row k of _value_terms: one
     Horner pass over the three, from the leading coefficient.  The bound is
@@ -232,7 +224,8 @@ def newton_polish_stack(coeffs, z0, tol: float = TOL_ROOT) -> np.ndarray:
                    np.asarray(z0, dtype=complex), tol)[0]
 
 
-def _polish(cs: np.ndarray, z0: np.ndarray, tol: float):
+def _polish(cs: np.ndarray, z0: np.ndarray,
+            tol: float) -> tuple[np.ndarray, np.ndarray]:
     """newton_polish_stack and, for every entry of its result, whether that
     entry meets the bound: an entry returned as given never met it."""
     terms = _value_terms(cs)
@@ -240,6 +233,7 @@ def _polish(cs: np.ndarray, z0: np.ndarray, tol: float):
     with np.errstate(all="ignore"):
         pz, dpz, bound = _evaluate(terms, z)
         start = np.abs(pz)
+        # "<=" so that an exact root passes where the bound is 0 (z = 0 = c_0)
         met = start <= tol * bound
         active = ~met
         for _ in range(_MAX_NEWTON):
@@ -286,8 +280,6 @@ def roots_of_stack(coeffs, tol: float = TOL_ROOT,
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
         companion[:, :, -1] = -cs[:, :-1] / cs[:, -1:]
         z = np.linalg.eigvals(companion)
-    # "<=" in the acceptance so that an exact root passes where the bound is
-    # 0 (z = 0 = c_0)
     z, ok = _polish(cs, z, tol)
     if precision == "extended":
         z = np.array([[_polish_mp(row, zi) for zi in zs]
@@ -337,7 +329,8 @@ def _quartic_starts(cs: np.ndarray) -> np.ndarray:
         root = np.sqrt(S * S - 4 * K)
         y = (S + np.where((S.conj() * root).real >= 0, root, -root)) / 2
         z = np.hstack([y, np.where(y != 0, K / y, 0)]) - b4[:, None]
-        step = z - _horner(cs, z) / _horner(cs[:, 1:] * np.arange(1, 5), z)
+        pz, dpz, _ = _evaluate(_value_terms(cs), z)
+        step = z - pz / dpz
     return np.where(np.isfinite(step), step, z)
 
 

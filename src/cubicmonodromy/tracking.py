@@ -70,7 +70,8 @@ def _checked(lam: complex, t: float) -> complex:
     return lam
 
 
-def _samples(loop: Loop, ts: list[float]):
+def _samples(loop: Loop,
+             ts: list[float]) -> tuple[np.ndarray, SingularParameter | None]:
     """The loop's values at every t of ts, checked as one array by
     Loop.sample's rule, up to the first singular sample, and that sample's
     SingularParameter (None when there is none).  A first failing sample
