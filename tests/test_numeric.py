@@ -444,8 +444,9 @@ def test_newton_polish_stack_matches_newton_polish():
 
 def _polish_cases():
     """(coeffs, starts) stacks for the one-pass polish: random quartics from
-    near and far starts (some of which stall), p' = 0 at the start, exact
-    roots where the bound is 0, a 2-cycle and large parameters."""
+    near and far starts, p' = 0 at the start, exact roots where the bound is
+    0, a Newton 2-cycle, and flex quartics at large parameters started from
+    the roots of other members."""
     rng = np.random.default_rng(11)
     quartics = _random_quartics(30)
     near = quartics[:, :4] + 0.05 * rng.normal(size=(30, 4))
@@ -464,8 +465,8 @@ def _polish_cases():
     yield flex_quartic_stack(lams[::-1]), fresh
 
 
-# at tol = 1e-20 no entry meets the bound: every polish runs _MAX_NEWTON
-# steps and keeps its start or its hundredfold improvement
+# at tol = 1e-20 almost no entry meets the bound: most run _MAX_NEWTON steps
+# and keep their start or their hundredfold improvement
 @pytest.mark.parametrize("tol", [TOL_ROOT, 1e-20])
 @pytest.mark.parametrize("coeffs, starts", list(_polish_cases()))
 def test_one_pass_polish_equals_three_horner_evaluations(coeffs, starts, tol):

@@ -299,9 +299,9 @@ def test_earliest_failing_sample_decides(monkeypatch, first, second, error):
 
     monkeypatch.setattr(tracking, "roots_of_stack", failing_at_1000)
     monkeypatch.setattr(tracking, "MAX_REFINE", 0)
-    # a loop value is named by its t, here the first sample of the first quarter
-    at = r"t=0\.25\b" if error in (ValueError, SingularParameter) else None
-    with pytest.raises(error, match=at):
+    # a failing loop value is named by its t, the first sample of the quarter
+    named = r"t=0\.25\b" if error in (ValueError, SingularParameter) else None
+    with pytest.raises(error, match=named):
         trace_loop(_quarters(first, second), TrackingConfig(steps=8))
 
 
@@ -314,7 +314,7 @@ def test_a_failing_first_step_raises(value, error):
         trace_loop(loop, TrackingConfig(steps=8))
 
 
-def test_every_sample_is_read_before_any_is_checked(monkeypatch):
+def test_every_sample_is_read_before_any_is_checked():
     # the loop values of one resolution are checked as one array, so a value
     # that raises after a node raises its own error, not SingularParameter
     seen = []
@@ -325,7 +325,6 @@ def test_every_sample_is_read_before_any_is_checked(monkeypatch):
             raise RuntimeError("no value here")
         return 1.0 if t == 0.25 else 0.0
 
-    monkeypatch.setattr(tracking, "MAX_REFINE", 0)
     with pytest.raises(RuntimeError, match="no value here"):
         trace_loop(custom_loop(at), TrackingConfig(steps=8))
     # the two end checks, then samples 0..5 of the resolution
