@@ -11,22 +11,7 @@ import numpy as np
 from cubicmonodromy import (TrackingConfig, constant_loop, flex_lattice_map,
                             gamma_minus, gamma_plus, lift_to_lines, trace_loop,
                             weyl_group)
-
-
-def cycles(perm):
-    seen, out = set(), []
-    for i in range(len(perm)):
-        if i in seen:
-            continue
-        cyc, j = [i], int(perm[i])
-        seen.add(i)
-        while j != i:
-            cyc.append(j)
-            seen.add(j)
-            j = int(perm[j])
-        if len(cyc) > 1:
-            out.append(tuple(cyc))
-    return out or "identity"
+from cubicmonodromy.cli import cycle_notation
 
 
 for name, loop in (("loop around -1", gamma_minus()),
@@ -35,9 +20,9 @@ for name, loop in (("loop around -1", gamma_minus()),
     trace = trace_loop(loop)
     lines = lift_to_lines(trace.flex_perm)
     print(f"{name}:")
-    print(f"  branch roots  {cycles(trace.root_perm)}")
-    print(f"  inflections   {cycles(trace.flex_perm)}")
-    print(f"  lines         {cycles(lines)}")
+    print(f"  branch roots  {cycle_notation(trace.root_perm)}")
+    print(f"  inflections   {cycle_notation(trace.flex_perm)}")
+    print(f"  lines         {cycle_notation(lines)}")
     m = flex_lattice_map(trace.flex_perm)
     print(f"  lattice matrix in the reflection group: {m in weyl_group()}, "
           f"order {weyl_group().element_order(m)}")

@@ -28,7 +28,8 @@ from .errors import (AmbiguousIncidence, AmbiguousMatching, GeometryError,
                      NoUniqueMatch)
 from .lines import (build_surface_data, concurrent_triples, lift_to_lines,
                     line_label)
-from .report import jsonable, render_csv, render_json, render_text
+from .numeric import PRECISIONS
+from .report import SCOPES, jsonable, render_csv, render_json, render_text
 from .tracking import (TrackingConfig, constant_loop, flex_lattice_map,
                        gamma_minus, gamma_plus, trace_loop)
 from .verify import run_checks
@@ -218,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="track a loop and report its monodromy")
     p_mono.add_argument("--steps", type=int, default=100,
                         help="samples per tracked loop (default 100)")
-    p_mono.add_argument("--precision", choices=("double", "extended"),
+    p_mono.add_argument("--precision", choices=PRECISIONS,
                         default="double",
                         help="root-refinement arithmetic (default double)")
     p_mono.add_argument("loop", choices=sorted(LOOPS),
@@ -227,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run the verification battery")
-    p_verify.add_argument("--scope", choices=("fixtures", "pipeline", "all"),
+    p_verify.add_argument("--scope", choices=SCOPES,
                           default="all",
                           help="which check families to run (default all)")
     p_verify.set_defaults(fn=cmd_verify)

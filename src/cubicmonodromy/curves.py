@@ -271,16 +271,6 @@ def flex_height_squared(lam: complex, alpha: complex) -> complex:
     return alpha ** 3 - lam * alpha ** 2 - alpha + lam
 
 
-def tangent_covector_family(lam: complex, alpha: complex, y: complex) -> np.ndarray:
-    """Tangent line at [alpha : y : 1] for the pencil member, unnormalized."""
-    return np.array([
-        -3.0 * alpha * alpha + 2.0 * lam * alpha + 1.0,
-        2.0 * y,
-        # z-partial with y^2 eliminated via the curve equation
-        alpha ** 3 + alpha - 2.0 * lam,
-    ], dtype=complex)
-
-
 def cubic_route(f: CubicForm) -> tuple[str, complex | None]:
     """Which closed form covers f: ("family", lam), ("hesse", mu), or
     ("generic", None) for the resultant route and the tangent-cube lines.

@@ -153,9 +153,6 @@ class SemidirectGroup:
     def index_of(self, p: ModelElement) -> int:
         return self._index[p]
 
-    def mul(self, p: ModelElement, q: ModelElement) -> ModelElement:
-        return self.elements[self.table[self._index[p], self._index[q]]]
-
     def __len__(self) -> int:
         return len(self.elements)
 

@@ -18,10 +18,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .curves import (
-    CubicForm, at_base_point, cubic_route, flex_height_squared,
-    inflection_points, phase_normalize, tangent_covector_family,
-)
+from .curves import (CubicForm, at_base_point, cubic_route, flex_height_squared,
+                     inflection_points, phase_normalize)
 from .errors import (
     AmbiguousIncidence, BadIncidencePattern, NoSixer, NonIntegralImage,
     FormViolation, NotAFlex,
@@ -72,42 +70,32 @@ def surface_residual(f: CubicForm, pair: np.ndarray) -> float:
     return float(_residuals(f, kernel)[0])
 
 
-def _family_triple(lam: complex, flexes: np.ndarray) -> np.ndarray:
-    """The (3 len(flexes), 2, 4) covector pairs over the pencil member's
-    flexes: h1 = (omega^n, 0, -omega^n alpha, 1) and h2 the tangent plane
-    over [alpha : y : 1]; over [0 : 1 : 0] alpha = 0 and h2 is z = 0."""
+def _pencil_cube_roots(lam: complex, flexes: np.ndarray) -> np.ndarray:
+    """l = -x + alpha z over each of the pencil member's flexes
+    [alpha : y : 1], and l = -x over [0 : 1 : 0]: f, whose x^3 coefficient
+    is -1, is l^3 on each tangent line."""
     base = at_base_point(flexes)
     x, y, z = flexes[~base].T
     if np.any(np.abs(z) < 1e-9):
         raise NotAFlex("family flexes lie in the z != 0 chart")
     if np.any(np.abs(flex_height_squared(lam, x) - y * y) > 1e-8):
         raise NotAFlex("point is not on the inflection scheme")
-    pairs = np.zeros((len(flexes), 3, 2, 4), dtype=complex)
-    pairs[:, :, 0, 0] = _SHEETS
-    pairs[~base, :, 0, 2] = -_SHEETS * x[:, None]
-    pairs[:, :, 0, 3] = 1.0
-    # w^3 + x^3 factors over the flex at infinity, whose tangent plane is z = 0
-    pairs[base, :, 1, 2] = 1.0
-    pairs[~base, :, 1, :3] = tangent_covector_family(lam, x, y).T[:, None]
-    return pairs.reshape(-1, 2, 4)
+    ell = np.zeros((len(flexes), 3), dtype=complex)
+    ell[:, 0] = -1.0
+    ell[~base, 2] = x
+    return ell
 
 
-def _hesse_triple(eta: complex, flexes: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """The (3 len(flexes), 2, 4) covector pairs over a Hesse member's flexes.
-
-    Each Hesse inflection point has exactly one vanishing coordinate m; the
-    cube w^3 - eta^3 m^3 lives on it.  grads holds the form's gradient at
-    each flex's unit vector.
-    """
+def _hesse_cube_roots(eta: complex, flexes: np.ndarray) -> np.ndarray:
+    """l = eta m over each of a Hesse member's flexes, m its one vanishing
+    coordinate."""
     rows = np.arange(len(flexes))
     zero_idx = np.argmin(np.abs(flexes), axis=-1)
     if np.any(np.abs(flexes[rows, zero_idx]) > 1e-8):
         raise NotAFlex("not a Hesse inflection point")
-    pairs = np.zeros((len(flexes), 3, 2, 4), dtype=complex)
-    pairs[rows, :, 0, zero_idx] = -_SHEETS * eta
-    pairs[:, :, 0, 3] = 1.0
-    pairs[:, :, 1, :3] = grads[:, None]
-    return pairs.reshape(-1, 2, 4)
+    ell = np.zeros((len(flexes), 3), dtype=complex)
+    ell[rows, zero_idx] = eta
+    return ell
 
 
 def _hesse_eta(mu: complex) -> complex:
@@ -122,21 +110,17 @@ def _first_failing(bad: np.ndarray, message: str) -> None:
         raise NotAFlex(f"flex {np.argmax(bad)}: {message}")
 
 
-def _generic_triple(f: CubicForm, tol: float, units: np.ndarray,
-                    grads: np.ndarray) -> np.ndarray:
-    """Tangent-line cube reduction for an arbitrary smooth cubic.
+def _tangent_cube_roots(f: CubicForm, tol: float, units: np.ndarray,
+                        t: np.ndarray) -> np.ndarray:
+    """l = c^(1/3) m over an arbitrary smooth cubic's (n, 3) unit flexes,
+    t the unit tangent covector at each.
 
     On the tangent line at a flex the form is c * m^3 for any linear form m
-    that vanishes at the point and is independent of the tangent covector;
-    the three lines are w = (c)^(1/3) omega^n m inside the tangent plane.
-    units holds the (n, 3) flexes as unit vectors, grads f's gradient at
-    each; the result is the (3n, 2, 4) stack of the covector pairs.
+    that vanishes at the point and is independent of t; c is read off a
+    second point of the line, and a third certifies the flex.
     """
     rows = np.arange(len(units))
     floor = tol * f.scale()
-    tn = np.linalg.norm(grads, axis=-1)
-    _first_failing(tn < floor, "gradient vanishes; not a smooth point")
-    t = grads / tn[:, None]
     # forms vanishing at u: the null space of the evaluation functional at u,
     # the candidate whose part off t is longest (the first on a tie)
     cands = np.linalg.svd(units[:, None])[2][:, 1:].conj()
@@ -159,11 +143,7 @@ def _generic_triple(f: CubicForm, tol: float, units: np.ndarray,
     mid = mid / np.linalg.norm(mid, axis=-1, keepdims=True)
     _first_failing(np.abs(f(mid) - c * np.einsum("ni,ni->n", m, mid) ** 3) > floor,
                    "tangent line meets the curve off the triple point")
-    pairs = np.zeros((len(units), 3, 2, 4), dtype=complex)
-    pairs[:, :, 0, :3] = -_SHEETS[:, None] * (c ** (1.0 / 3.0))[:, None, None] * m[:, None]
-    pairs[:, :, 0, 3] = 1.0
-    pairs[:, :, 1, :3] = t[:, None]
-    return pairs.reshape(-1, 2, 4)
+    return (c ** (1.0 / 3.0))[:, None] * m
 
 
 def all_lines(f: CubicForm, flexes: np.ndarray, tol: float = 1e-8,
@@ -171,22 +151,34 @@ def all_lines(f: CubicForm, flexes: np.ndarray, tol: float = 1e-8,
     """The (3 len(flexes), 2, 4) stack of the lines over the given (n, 3)
     flexes, line 3 i + n over flex i on sheet n.
 
-    The hyperplane rule is picked once per cubic from route (cubic_route(f)
-    when not given): the closed forms for the pencil and the Hesse family,
-    the tangent-cube reduction otherwise.  Each line must lie on the surface
-    to within tol.
+    On the tangent line at a flex f is l^3 for a linear form l vanishing
+    there, so the surface over that line is the three lines w = omega^n l:
+    line 3 i + n is cut out by h1 = (-omega^n l, 1) and the tangent plane
+    h2 = (t, 0), t the unit gradient of f at flex i.  Only l depends on the
+    route (cubic_route(f) when not given): closed forms for the pencil and
+    the Hesse family, the tangent-cube reduction otherwise.  Each line must
+    lie on the surface to within tol.
     """
     kind, param = route or cubic_route(f)
+    units = flexes / np.linalg.norm(flexes, axis=-1, keepdims=True)
+    grads = f.gradient(units)
+    norms = np.linalg.norm(grads, axis=-1, keepdims=True)
+    if kind == "generic":
+        # the closed forms' flexes are smooth by construction; a tolerance
+        # floor there would refuse them at a coarse tol
+        _first_failing(norms[:, 0] < tol * f.scale(), "gradient vanishes; not a smooth point")
+    t = grads / norms
     if kind == "family":
-        pairs = _family_triple(param, flexes)
+        ell = _pencil_cube_roots(param, flexes)
+    elif kind == "hesse":
+        ell = _hesse_cube_roots(_hesse_eta(param), flexes)
     else:
-        units = flexes / np.linalg.norm(flexes, axis=-1, keepdims=True)
-        grads = f.gradient(units)
-        if kind == "hesse":
-            pairs = _hesse_triple(_hesse_eta(param), flexes, grads)
-        else:
-            pairs = _generic_triple(f, tol, units, grads)
-    return _surface_lines(f, pairs, flexes, tol)
+        ell = _tangent_cube_roots(f, tol, units, t)
+    pairs = np.zeros((len(flexes), 3, 2, 4), dtype=complex)
+    pairs[:, :, 0, :3] = -_SHEETS[:, None] * ell[:, None]
+    pairs[:, :, 0, 3] = 1.0
+    pairs[:, :, 1, :3] = t[:, None]
+    return _surface_lines(f, pairs.reshape(-1, 2, 4), flexes, tol)
 
 
 def _surface_lines(f: CubicForm, pairs: np.ndarray, flexes: np.ndarray,

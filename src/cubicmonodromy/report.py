@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 SCHEMA_VERSION = 1
+# the check families a report can cover, as verify --scope names them
+SCOPES = ("fixtures", "pipeline", "all")
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -24,7 +26,7 @@ REPORT_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "schemaVersion": {"const": SCHEMA_VERSION},
-        "scope": {"enum": ["fixtures", "pipeline", "all"]},
+        "scope": {"enum": list(SCOPES)},
         "overall": {"enum": ["pass", "fail"]},
         "checks": {
             "type": "array",

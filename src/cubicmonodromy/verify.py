@@ -31,7 +31,7 @@ from .lines import (base_surface, concurrent_triples, deck_permutation,
                     is_strongly_regular_27, lift_to_lines, pairing,
                     perm_compose, perm_to_lattice_map, preserves_incidence)
 from .numeric import constants, nearest_match, roots_of
-from .report import Check, VerificationReport, jsonable
+from .report import SCOPES, Check, VerificationReport, jsonable
 from .tracking import (LoopTrace, TrackingConfig, constant_loop,
                        flex_lattice_map, gamma_minus, gamma_plus, trace_loop)
 from .weyl import (WEYL_ORDER, FiniteMatrixGroup, centralizer, conjugacy_class,
@@ -530,7 +530,7 @@ def pipeline_checks() -> list[Check]:
 
 
 def run_checks(scope: str = "all") -> VerificationReport:
-    if scope not in ("fixtures", "pipeline", "all"):
+    if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}")
     checks: list[Check] = []
     if scope in ("fixtures", "all"):

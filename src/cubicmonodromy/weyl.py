@@ -226,12 +226,6 @@ class FiniteMatrixGroup:
     def __contains__(self, m: np.ndarray) -> bool:
         return bool(self.locate(np.asarray(m)[None])[0] >= 0)
 
-    def index_of(self, m: np.ndarray) -> int:
-        idx = int(self.locate(np.asarray(m)[None])[0])
-        if idx < 0:
-            raise NotAMember("matrix is not in the group")
-        return idx
-
     def word(self, idx: int) -> list[int]:
         """Generator indices whose left-to-right product is elements[idx]."""
         parent, gen, _ = self.tree

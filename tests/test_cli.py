@@ -12,6 +12,7 @@ import pytest
 
 import cubicmonodromy.cli as cli
 from cubicmonodromy.errors import AmbiguousMatching
+from cubicmonodromy.numeric import PRECISIONS
 from cubicmonodromy.report import REPORT_SCHEMA, Check, VerificationReport
 
 
@@ -127,6 +128,16 @@ def test_monodromy_json(capsys):
     assert data["steps"] == 50
     assert data["rootPermutation"] == [0, 2, 3, 1]
     assert len(data["latticeMatrix"]) == 7
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("loop", sorted(cli.LOOPS))
+def test_monodromy_json_equals_the_golden_file(capsys, loop, precision):
+    # JSON only: the CSV prints roots to 12 digits, which the LAPACK build moves
+    code, out, _ = run(capsys, "monodromy", loop, "--format", "json",
+                       "--precision", precision)
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / f"monodromy_{loop}.json").read_text()
 
 
 def test_monodromy_reports_the_refined_step_count(capsys):

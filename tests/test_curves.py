@@ -11,7 +11,7 @@ from cubicmonodromy.curves import (MONOMIALS, CubicForm, at_base_point, family_l
                                    cubic_route, family_parameter, flex_height_squared,
                                    flex_quartic, hesse_form,
                                    hesse_parameter, hessian_det_form,
-                                   inflection_points, tangent_covector_family)
+                                   inflection_points)
 from cubicmonodromy.errors import SingularParameter
 from cubicmonodromy.lines import base_surface
 from cubicmonodromy.numeric import nearest_match, roots_of
@@ -200,21 +200,6 @@ def test_flex_quartic_height_consistency(lam):
         y = complex(y2) ** 0.5
         p = np.array([alpha, y, 1.0], dtype=complex)
         assert abs(f(p)) < 1e-9
-
-
-@pytest.mark.parametrize("lam", LAMBDAS)
-def test_tangent_covector_matches_gradient(lam):
-    # regression: the z-partial once carried a spurious -lam alpha^2 term
-    # that only vanished at lam = 0
-    f = family_lambda(lam)
-    for alpha in roots_of(flex_quartic(lam)):
-        y = complex(flex_height_squared(lam, alpha)) ** 0.5
-        p = np.array([alpha, y, 1.0], dtype=complex)
-        grad = f.gradient(p)
-        cov = tangent_covector_family(lam, alpha, y)
-        grad = grad / np.linalg.norm(grad)
-        cov = cov / np.linalg.norm(cov)
-        assert abs(abs(np.vdot(grad, cov)) - 1.0) < 1e-10
 
 
 def _monomial_derivatives(f, p):

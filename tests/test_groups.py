@@ -141,20 +141,22 @@ def test_model_inverses():
     assert np.array_equal(inverse, inverse.T)
     for p in [((1, 2, 0), (1, 1, 0, 1)), ((0, 1, 2), (2, 1, 1, 1)),
               ((2, 2, 2), (0, 2, 1, 0))]:
-        q = model.elements[int(np.flatnonzero(inverse[model.index_of(p)])[0])]
-        assert model.mul(p, q) == model.mul(q, p) == MODEL_IDENTITY
+        i = model.index_of(p)
+        j = int(np.flatnonzero(inverse[i])[0])
+        assert (model.elements[model.table[i, j]] == model.elements[model.table[j, i]]
+                == MODEL_IDENTITY)
 
 
 def test_generator_images_generate_whole_model():
     model = semidirect_model()
-    frontier = [MODEL_IDENTITY]
-    seen = {MODEL_IDENTITY}
-    gens = SemidirectGroup.generator_images()
+    frontier = [model.index_of(MODEL_IDENTITY)]
+    seen = set(frontier)
+    gens = [model.index_of(g) for g in SemidirectGroup.generator_images()]
     while frontier:
         nxt = []
         for p in frontier:
             for g in gens:
-                q = model.mul(g, p)
+                q = int(model.table[g, p])
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)

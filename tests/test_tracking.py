@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 import cubicmonodromy.cli as cli
 import cubicmonodromy.tracking as tracking
 from cubicmonodromy.curves import flex_height_squared, flex_quartic
-from cubicmonodromy.errors import (AmbiguousMatching, NonConvergence,
-                                   NoUniqueMatch, SingularParameter)
+from cubicmonodromy.errors import (AmbiguousMatching, InconsistentProjection,
+                                   NonConvergence, NoUniqueMatch,
+                                   SingularParameter)
 from cubicmonodromy.lines import base_surface, perm_compose, preserves_incidence
 from cubicmonodromy.numeric import roots_of
 from cubicmonodromy.tracking import (MAX_SAMPLES, TrackingConfig,
@@ -110,6 +111,28 @@ def test_refinement_stops_after_max_refine_doublings(monkeypatch):
     with pytest.raises(AmbiguousMatching, match="up to 6400 steps"):
         trace_loop(gamma_minus())
     assert tried == [100 * 2 ** k for k in range(tracking.MAX_REFINE + 1)]
+
+
+def test_flex_permutation_must_project_onto_the_root_permutation(monkeypatch):
+    # close passes raise this in practice; here a trace of gamma-minus is
+    # handed back with its inflections relabelled
+    trace = tracking._trace_once(gamma_minus(), 100, TrackingConfig())
+    over = {}
+    for flex, root in enumerate(trace.root_of_flex, start=1):
+        over.setdefault(root, []).append(flex)
+    # the two inflections over one root swapped: the projection still holds
+    a, b = over[trace.root_of_flex[0]]
+    swapped = trace.flex_perm.copy()
+    swapped[[a, b]] = swapped[[b, a]]
+    for flex_perm, fails in ((trace.flex_perm, False), (swapped, False),
+                             (np.arange(9), True)):
+        forged = replace(trace, flex_perm=flex_perm)
+        monkeypatch.setattr(tracking, "_trace_once", lambda *args: forged)
+        if fails:
+            with pytest.raises(InconsistentProjection, match="does not project"):
+                trace_loop(gamma_minus())
+        else:
+            assert trace_loop(gamma_minus()) is forged
 
 
 # the end match always runs at TOL_MATCH: eps_match is not a field, so no

@@ -143,13 +143,13 @@ def test_model_image_of_deck_is_central():
 def test_model_images_are_the_products_along_each_word():
     # the reference rule: multiply the printed images along word(i)
     group, model = fixture_group(), semidirect_model()
-    images = SemidirectGroup.generator_images()
+    images = [model.index_of(p) for p in SemidirectGroup.generator_images()]
     want = []
     for i in range(len(group)):
-        out = MODEL_IDENTITY
+        out = model.index_of(MODEL_IDENTITY)
         for g_idx in group.word(i):
-            out = model.mul(out, images[g_idx])
-        want.append(out)
+            out = model.table[out, images[g_idx]]
+        want.append(model.elements[out])
     assert model_images_of(group.elements) == want
 
 
