@@ -18,8 +18,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .curves import (CubicForm, at_base_point, cubic_route, flex_height_squared,
-                     inflection_points, phase_normalize)
+from .curves import (CubicForm, at_base_point, cubic_route, inflection_points,
+                     phase_normalize)
 from .errors import (
     AmbiguousIncidence, BadIncidencePattern, NoSixer, NonIntegralImage,
     FormViolation, NotAFlex,
@@ -70,31 +70,22 @@ def surface_residual(f: CubicForm, pair: np.ndarray) -> float:
     return float(_residuals(f, kernel)[0])
 
 
-def _pencil_cube_roots(lam: complex, flexes: np.ndarray) -> np.ndarray:
+def _pencil_cube_roots(flexes: np.ndarray) -> np.ndarray:
     """l = -x + alpha z over each of the pencil member's flexes
     [alpha : y : 1], and l = -x over [0 : 1 : 0]: f, whose x^3 coefficient
     is -1, is l^3 on each tangent line."""
     base = at_base_point(flexes)
-    x, y, z = flexes[~base].T
-    if np.any(np.abs(z) < 1e-9):
-        raise NotAFlex("family flexes lie in the z != 0 chart")
-    if np.any(np.abs(flex_height_squared(lam, x) - y * y) > 1e-8):
-        raise NotAFlex("point is not on the inflection scheme")
     ell = np.zeros((len(flexes), 3), dtype=complex)
     ell[:, 0] = -1.0
-    ell[~base, 2] = x
+    ell[~base, 2] = flexes[~base, 0]
     return ell
 
 
 def _hesse_cube_roots(eta: complex, flexes: np.ndarray) -> np.ndarray:
     """l = eta m over each of a Hesse member's flexes, m its one vanishing
-    coordinate."""
-    rows = np.arange(len(flexes))
-    zero_idx = np.argmin(np.abs(flexes), axis=-1)
-    if np.any(np.abs(flexes[rows, zero_idx]) > 1e-8):
-        raise NotAFlex("not a Hesse inflection point")
+    coordinate (the coordinate of least modulus)."""
     ell = np.zeros((len(flexes), 3), dtype=complex)
-    ell[rows, zero_idx] = eta
+    ell[np.arange(len(flexes)), np.argmin(np.abs(flexes), axis=-1)] = eta
     return ell
 
 
@@ -169,7 +160,7 @@ def all_lines(f: CubicForm, flexes: np.ndarray, tol: float = 1e-8,
         _first_failing(norms[:, 0] < tol * f.scale(), "gradient vanishes; not a smooth point")
     t = grads / norms
     if kind == "family":
-        ell = _pencil_cube_roots(param, flexes)
+        ell = _pencil_cube_roots(flexes)
     elif kind == "hesse":
         ell = _hesse_cube_roots(_hesse_eta(param), flexes)
     else:

@@ -259,8 +259,7 @@ def roots_of_stack(coeffs, tol: float = TOL_ROOT,
     the roots of row k in start order, not sorted.  Extended precision polishes
     every root with mpmath Newton toward _EXTENDED_GOAL, then rounds it.
     Residual acceptance, a backward error: |p(z)| <= tol * sum_k |c_k| |z|^k
-    for every root, else NonConvergence, whose `row` is the first failing
-    row.
+    for every root, else NonConvergence, which names the first failing row.
     """
     if precision not in PRECISIONS:
         raise ValueError(f"unknown precision {precision!r}")
@@ -290,8 +289,7 @@ def roots_of_stack(coeffs, tol: float = TOL_ROOT,
     missed = np.flatnonzero(~ok.all(axis=1))
     if missed.size:
         raise NonConvergence(
-            f"roots of row {missed[0]} miss the residual {tol:.1e}",
-            row=int(missed[0]))
+            f"roots of row {missed[0]} miss the residual {tol:.1e}")
     return z
 
 

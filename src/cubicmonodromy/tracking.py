@@ -5,8 +5,10 @@ branch-quartic roots by nearest-neighbour matching and carries each moving
 inflection point along its root: its x coordinate is that root, its y
 coordinate the square root branch nearest the previous one.  All samples of
 one resolution are handled as arrays: the loop is read at every sample and
-the values are checked as one array, the quartic at the base sample is
-solved alone (`numeric.roots_of`, from companion eigenvalues, and
+the values are checked as one array before any quartic is solved (a value
+that is not finite or lies within SEPARATION of a node +-1 is refused at
+once, since every finer resolution keeps it), the quartic at the base
+sample is solved alone (`numeric.roots_of`, from companion eigenvalues, and
 remembered, since every loop starts at the same base), those at samples
 1..n in one batch (`numeric.roots_of_stack`, from Ferrari's closed form),
 the roots at sample k - 1, Newton polished on quartic k, predict the matches
@@ -14,8 +16,9 @@ of every step at once, and the step maps compose into the root paths by a
 doubling scan.
 Every match is decided by the one rule `numeric.nearest_match`: the nearest
 candidate must beat the runner-up by a factor of two (a heuristic, not a
-certificate).  When any match fails, the whole loop is re-run at doubled
-resolution, at most MAX_REFINE times and never beyond MAX_SAMPLES samples.
+certificate).  Only a failed match refines: the whole loop is re-run at
+doubled resolution, at most MAX_REFINE times and never beyond MAX_SAMPLES
+samples; a quartic the solver cannot meet raises at once.
 Both end permutations, of the roots and of the inflections, are read off the
 same trace, and the inflection permutation lifts to the 27 lines and lands
 in the lattice as an integer matrix.
@@ -24,7 +27,6 @@ in the lattice as an integer matrix.
 from __future__ import annotations
 
 import cmath
-import math
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -32,8 +34,8 @@ from typing import Callable
 import numpy as np
 
 from .curves import flex_height_squared, flex_quartic, flex_quartic_stack
-from .errors import (AmbiguousMatching, InconsistentProjection, NonConvergence,
-                     NoUniqueMatch, SingularParameter)
+from .errors import (AmbiguousMatching, InconsistentProjection, NoUniqueMatch,
+                     SingularParameter)
 from .lines import base_surface, lift_to_lines, perm_to_lattice_map
 from .numeric import (PRECISIONS, TOL_MATCH, nearest_match, newton_polish_stack,
                       pair_indices, roots_of, roots_of_stack)
@@ -57,38 +59,23 @@ class Loop:
     at: Callable[[float], complex]
 
     def sample(self, t: float) -> complex:
-        return _checked(complex(self.at(t)), t)
+        return complex(_samples(self, [t])[0])
 
 
-def _checked(lam: complex, t: float) -> complex:
-    """The loop value lam at t, unless it is not finite (ValueError) or
-    within SEPARATION of a node (SingularParameter)."""
-    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-        raise ValueError(f"loop value {lam} at t={t} is not finite")
-    if abs(lam - 1.0) < SEPARATION or abs(lam + 1.0) < SEPARATION:
-        raise SingularParameter(f"loop touches the discriminant at t={t}")
-    return lam
-
-
-def _samples(loop: Loop,
-             ts: list[float]) -> tuple[np.ndarray, SingularParameter | None]:
-    """The loop's values at every t of ts, checked as one array by
-    Loop.sample's rule, up to the first singular sample, and that sample's
-    SingularParameter (None when there is none).  A first failing sample
-    that is not finite, or that is sample 0, raises Loop.sample's error."""
+def _samples(loop: Loop, ts: list[float]) -> np.ndarray:
+    """The loop's values at every t of ts.  Every value is read before any
+    is checked; the first failing one raises ValueError when it is not
+    finite, SingularParameter when it lies within SEPARATION of a node."""
     lams = np.array([complex(loop.at(t)) for t in ts])
-    bad = (~np.isfinite(lams) | (np.abs(lams - 1.0) < SEPARATION)
+    finite = np.isfinite(lams)
+    bad = (~finite | (np.abs(lams - 1.0) < SEPARATION)
            | (np.abs(lams + 1.0) < SEPARATION))
-    if not bad.any():
-        return lams, None
-    k = int(bad.argmax())
-    try:
-        _checked(complex(lams[k]), ts[k])
-    except SingularParameter as exc:
-        if k == 0:
-            raise
-        return lams[:k], exc
-    raise AssertionError(f"sample {k} passes the scalar check")
+    if bad.any():
+        k = int(bad.argmax())
+        if not finite[k]:
+            raise ValueError(f"loop value {lams[k]} at t={ts[k]} is not finite")
+        raise SingularParameter(f"loop touches the discriminant at t={ts[k]}")
+    return lams
 
 
 def gamma_minus() -> Loop:
@@ -209,32 +196,24 @@ def _trace_once(loop: Loop, steps: int, cfg: TrackingConfig) -> LoopTrace:
     """Continue roots and inflections at one resolution; raises NoUniqueMatch
     when any match misses its margin.
 
-    Samples 1..steps are solved in one batch and matched all at once.  The
-    loop is read at every sample before any value is checked, so an error
-    the loop raises itself comes first.  A singular or non-converged sample
-    is raised only when no earlier sample is ambiguous, as if the samples
-    were read in order.
+    Every loop value is read, then checked by _samples, before any quartic
+    is solved: a failing value stays a sample at every finer resolution, so
+    it raises at once, as does a NonConvergence of the one batch solve of
+    samples 1..steps.  The batch is then matched all at once.
     """
     # inflections 1..8 move; each rides on one root's x-path
     base_xs, base_ys = base_surface().flexes[1:9, :2].T
     ts = [k / steps for k in range(steps + 1)]
-    lams, stop = _samples(loop, ts)
+    lams = _samples(loop, ts)
     base = np.array(roots_of(flex_quartic(lams[0]), precision=cfg.precision))
     coeffs = flex_quartic_stack(lams)
-    try:
-        fresh = roots_of_stack(coeffs[1:], precision=cfg.precision)
-    except NonConvergence as exc:
-        stop, lams, coeffs = exc, lams[:1 + exc.row], coeffs[:1 + exc.row]
-        fresh = roots_of_stack(coeffs[1:], precision=cfg.precision)
-    fresh = np.vstack([base, fresh])
+    fresh = np.vstack([base, roots_of_stack(coeffs[1:], precision=cfg.precision)])
     paths = _compose_paths(_step_maps(coeffs[1:], fresh))
     roots = np.take_along_axis(fresh, paths, axis=1)
     root_of_flex = nearest_match(np.abs(base_xs[:, None] - base),
                                  one_to_one=False).tolist()
     xs = roots[:, root_of_flex]
     ys = _flex_heights(lams, xs, base_ys)
-    if stop is not None:
-        raise stop
     root_perm = nearest_match(np.abs(roots[-1][:, None] - base), TOL_MATCH)
     flex_images = nearest_match(np.abs(xs[-1][:, None] - base_xs)
                                 + np.abs(ys[-1][:, None] - base_ys), TOL_MATCH)

@@ -365,9 +365,9 @@ def test_batched_check_names_the_first_line_off_the_surface():
 
 
 @pytest.mark.parametrize("make, row, message", [
-    (lambda: family_lambda(0.3), [0.2, 0.5, 1.0], "inflection scheme"),
-    (lambda: family_lambda(0.3), [1.0, 0.5, 0.0], "z != 0 chart"),
-    (lambda: hesse_form(2.2), [0.2, 0.5, 1.0], "not a Hesse inflection point"),
+    (lambda: family_lambda(0.3), [0.2, 0.5, 1.0], "line residual .* over point"),
+    (lambda: family_lambda(0.3), [1.0, 0.5, 0.0], "line residual .* over point"),
+    (lambda: hesse_form(2.2), [0.2, 0.5, 1.0], "line residual .* over point"),
     (_hidden_pencil, [0.2, 0.5, 1.0], "flex 4: tangent line meets the curve")],
     ids=["pencil-off-scheme", "pencil-at-infinity", "hesse", "generic"])
 def test_closed_forms_refuse_a_point_that_is_no_flex(make, row, message):

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -304,8 +305,9 @@ def _scale_row_0(out):
 
 
 def _missed_row(monkeypatch, owner, name, perturb, coeffs) -> int:
-    """The NonConvergence row of roots_of_stack(coeffs) when the starts from
-    owner.name are perturbed in place and not polished."""
+    """The first failing row that roots_of_stack(coeffs) names in its
+    NonConvergence when the starts from owner.name are perturbed in place
+    and not polished."""
     solve = getattr(owner, name)
 
     def perturbed(arg):
@@ -320,7 +322,7 @@ def _missed_row(monkeypatch, owner, name, perturb, coeffs) -> int:
     monkeypatch.setattr(numeric, "_polish", unpolished)
     with pytest.raises(NonConvergence) as info:
         roots_of_stack(coeffs)
-    return info.value.row
+    return int(re.fullmatch(r"roots of row (\d+) miss .*", str(info.value))[1])
 
 
 def test_roots_of_stack_raises_on_a_missed_residual(monkeypatch):

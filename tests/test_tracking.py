@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -278,13 +279,18 @@ def test_newton_predictor_carries_roots_across_a_jump(monkeypatch, jump):
     assert trace.root_perm.tolist() == [0, 1, 2, 3]
 
 
-def test_one_base_solve_and_one_batch_per_resolution(monkeypatch):
+def _count_solves(monkeypatch) -> list:
     calls = []
     for name in ("roots_of", "roots_of_stack"):
         def counted(*args, _fn=getattr(tracking, name), _name=name, **kwargs):
             calls.append((_name, kwargs["precision"]))
             return _fn(*args, **kwargs)
         monkeypatch.setattr(tracking, name, counted)
+    return calls
+
+
+def test_one_base_solve_and_one_batch_per_resolution(monkeypatch):
+    calls = _count_solves(monkeypatch)
     cfg = TrackingConfig(steps=50)
     double = trace_loop(gamma_minus(), cfg)
     assert calls == [("roots_of", "double"), ("roots_of_stack", "double")]
@@ -302,36 +308,64 @@ def _quarters(first: complex, second: complex):
                        else second if 0.5 <= t < 0.75 else 0.0)
 
 
-# 10 is a jump no match survives, 1 a node, 1000 a quartic the batch solver
-# is made to fail on, NaN a value that is not finite; the earlier sample
-# decides
-@pytest.mark.parametrize("first, second, error", [
-    (10.0, 1.0, AmbiguousMatching), (1.0, 10.0, SingularParameter),
-    (10.0, 1000.0, AmbiguousMatching), (1000.0, 10.0, NonConvergence),
-    (1000.0, 1.0, NonConvergence), (1.0, 1000.0, SingularParameter),
-    (math.nan, 1.0, ValueError), (1.0, math.nan, SingularParameter)])
-def test_earliest_failing_sample_decides(monkeypatch, first, second, error):
+def _fail_at_1000(monkeypatch):
+    """Make the batch solver raise NonConvergence on the quartic at 1000."""
     solve = tracking.roots_of_stack
 
     def failing_at_1000(coeffs, *args, **kwargs):
         # column 1 of a flex quartic row is 12 lambda
         bad = np.flatnonzero(np.asarray(coeffs)[:, 1] == 12000.0)
         if bad.size:
-            raise NonConvergence("made to fail", row=int(bad[0]))
+            raise NonConvergence(f"roots of row {bad[0]} made to fail")
         return solve(coeffs, *args, **kwargs)
 
     monkeypatch.setattr(tracking, "roots_of_stack", failing_at_1000)
-    monkeypatch.setattr(tracking, "MAX_REFINE", 0)
-    # a failing loop value is named by its t, the first sample of the quarter
-    named = r"t=0\.25\b" if error in (ValueError, SingularParameter) else None
+
+
+# 10 is a jump no match survives, 1 a node, 1000 a quartic the batch solver
+# is made to fail on, NaN a value that is not finite.  Every loop value is
+# checked before any quartic is solved, and every quartic before any match:
+# the earliest failing value decides, then the solver, then the matching
+@pytest.mark.parametrize("first, second, error", [
+    (10.0, 1.0, SingularParameter), (1.0, 10.0, SingularParameter),
+    (10.0, 1000.0, NonConvergence), (1000.0, 10.0, NonConvergence),
+    (1000.0, 1.0, SingularParameter), (1.0, 1000.0, SingularParameter),
+    (math.nan, 1.0, ValueError), (1.0, math.nan, SingularParameter)])
+def test_earliest_failing_sample_decides(monkeypatch, first, second, error):
+    _fail_at_1000(monkeypatch)
+    # a failing loop value is named by its t, the first sample of its quarter
+    failing = [t for t, value in ((0.25, first), (0.5, second))
+               if value == 1.0 or math.isnan(value)]
+    named = (re.escape(f"t={failing[0]}") + r"\b"
+             if error in (ValueError, SingularParameter) else None)
     with pytest.raises(error, match=named):
         trace_loop(_quarters(first, second), TrackingConfig(steps=8))
+
+
+def test_a_node_after_a_jump_is_refused_before_any_solve(monkeypatch):
+    # the node at t = 0.5 stays a sample at every resolution, so no
+    # refinement of the ambiguous jump at t = 0.25 could track the loop
+    traces, solves = _count_traces(monkeypatch), _count_solves(monkeypatch)
+    with pytest.raises(SingularParameter, match=r"t=0\.5\b"):
+        trace_loop(_quarters(10.0, 1.0))
+    assert len(traces) == 1
+    assert solves == []
+
+
+def test_a_solver_failure_after_an_ambiguous_step_is_not_refined(monkeypatch):
+    # only an ambiguous match refines; the quartic at 1000 stays a sample at
+    # every resolution
+    traces = _count_traces(monkeypatch)
+    _fail_at_1000(monkeypatch)
+    with pytest.raises(NonConvergence, match="made to fail"):
+        trace_loop(_quarters(10.0, 1000.0))
+    assert len(traces) == 1
 
 
 @pytest.mark.parametrize("value, error", [
     (1.0, SingularParameter), (-1.0, SingularParameter), (math.inf, ValueError)])
 def test_a_failing_first_step_raises(value, error):
-    # only the base sample comes before it: nothing is left to track
+    # the sample right after the base one is checked like every other
     loop = custom_loop(lambda t: value if t == 0.125 else 0.0)
     with pytest.raises(error, match="t=0.125"):
         trace_loop(loop, TrackingConfig(steps=8))

@@ -7,8 +7,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 # a package __init__ imports names in order to re-export them
-MODULES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted(p for d in ("src", "tests", "demos", "bench")
+                 for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
