@@ -210,15 +210,17 @@ def is_strongly_regular_27(adj: np.ndarray) -> bool:
     """Check the (27, 10, 1, 5) strongly regular graph conditions.
 
     Off the diagonal, adj @ adj counts common neighbours: 1 for incident
-    pairs, 5 otherwise; on it, the degree 10.
+    pairs, 5 otherwise; on it, the degree 10.  The counts are at most 27,
+    so a float product is exact.
     """
     if adj.shape != (27, 27) or adj.dtype != bool or not np.array_equal(adj, adj.T):
         return False
     if np.any(np.diag(adj)):
         return False
-    want = np.where(adj, 1, 5)
-    np.fill_diagonal(want, 10)
-    return bool(np.array_equal(adj.astype(np.int64) @ adj.astype(np.int64), want))
+    want = np.where(adj, 1.0, 5.0)
+    np.fill_diagonal(want, 10.0)
+    counts = adj.astype(float)
+    return bool(np.array_equal(counts @ counts, want))
 
 
 def concurrent_triples(lines: np.ndarray, adj: np.ndarray) -> list[tuple[int, int, int]]:
@@ -362,6 +364,10 @@ def build_surface_data(f: CubicForm, tol: float = 1e-8) -> SurfaceData:
     flexes = inflection_points(f, tol, route)
     lines = all_lines(f, flexes, tol, route)
     adj = incidence_graph(lines)
+    if not is_strongly_regular_27(adj):
+        raise BadIncidencePattern(
+            f"incidence graph is not the (27, 10, 1, 5) graph: "
+            f"{int(adj.sum()) // 2} meeting pairs, expected 135")
     sixer = find_sixer(adj)
     classes = classify_lines(adj, sixer)
     return SurfaceData(form=f, flexes=flexes, lines=lines, adjacency=adj,

@@ -227,10 +227,9 @@ def trace_loop(loop: Loop, cfg: TrackingConfig = TrackingConfig()) -> LoopTrace:
     its margin, and cross-check that the inflection permutation projects onto
     the root permutation through the x-coordinates.  A loop whose ends are
     not within BASE_TOL of 0 is a ValueError, raised before any solve."""
-    for t in (0.0, 1.0):
-        lam = loop.sample(t)
+    for t, lam in zip((0, 1), _samples(loop, [0.0, 1.0])):
         if abs(lam) > BASE_TOL:
-            raise ValueError(f"loop is not based at 0: lambda({t:g}) = {lam}")
+            raise ValueError(f"loop is not based at 0: lambda({t}) = {complex(lam)}")
     steps = cfg.steps
     for attempt in range(MAX_REFINE + 1):
         try:

@@ -98,6 +98,13 @@ def test_lines_singular_parameter_exits_2(capsys):
     assert "error" in err
 
 
+def test_lines_wrong_incidence_graph_exits_2(capsys):
+    code, out, err = run(capsys, "lines", "--lambda", "2000")
+    assert code == 2
+    assert out == ""
+    assert "(27, 10, 1, 5) graph" in err
+
+
 def test_lines_bad_parameter_exits_2(capsys):
     code, _, err = run(capsys, "lines", "--lambda", "pi")
     assert code == 2

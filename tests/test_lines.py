@@ -94,6 +94,22 @@ def test_strongly_regular_check_rejects_near_misses():
         assert not is_strongly_regular_27(bad)
 
 
+def test_build_surface_data_refuses_a_graph_off_the_pattern(monkeypatch):
+    flipped = base_surface().adjacency.copy()
+    flipped[0, 1] = flipped[1, 0] = not flipped[0, 1]
+    monkeypatch.setattr(lines_module, "incidence_graph", lambda lines: flipped)
+    with pytest.raises(BadIncidencePattern,
+                       match=r"not the \(27, 10, 1, 5\) graph: 134 meeting pairs"):
+        build_surface_data(family_lambda(0.0))
+
+
+def test_a_large_member_with_a_wrong_incidence_graph_is_refused():
+    # at lambda = 2000 pairs that do not meet read as meeting; the classes
+    # of that graph would be wrong, so no surface data is returned
+    with pytest.raises(BadIncidencePattern, match=r"not the \(27, 10, 1, 5\) graph"):
+        build_surface_data(family_lambda(2000.0))
+
+
 def test_concurrent_triples_follow_flexes():
     s = base_surface()
     triples = concurrent_triples(s.lines, s.adjacency)

@@ -456,12 +456,11 @@ def test_extended_precision_tracking_agrees():
         transcribed_root_permutation("gammaMinus").tolist()
 
 
-def test_pathological_loop_raises(monkeypatch):
-    # a loop stepping onto the discriminant point +1 cannot be tracked; it
-    # must fail loudly rather than return a permutation
+def test_pathological_loop_raises():
+    # a loop stepping onto the discriminant point +1 cannot be tracked; its
+    # sample there is refused before any solve
     loop = custom_loop(lambda t: 1.0 - 1e-9 if t == 0.5 else 0.0)
-    monkeypatch.setattr(tracking, "MAX_REFINE", 0)
-    with pytest.raises((AmbiguousMatching, SingularParameter)):
+    with pytest.raises(SingularParameter, match=r"t=0\.5\b"):
         trace_loop(loop, TrackingConfig(steps=8))
 
 
