@@ -10,8 +10,8 @@ a semidirect product of the order-27 extraspecial group by SL(2, F3).
 
 from .curves import (CubicForm, family_lambda, flex_height_squared,
                      flex_quartic, hesse_form, inflection_points)
-from .errors import (AmbiguousIncidence, AmbiguousMatching, BadIncidencePattern,
-                     CapExceeded, DegenerateCurve, FixtureError, FormViolation,
+from .errors import (AmbiguousMatching, BadIncidencePattern, CapExceeded,
+                     DegenerateCurve, FixtureError, FormViolation,
                      GeometryError, GroupError, InconsistentProjection,
                      LatticeError, NoSixer, NonConvergence, NonIntegralImage,
                      NotAFlex, NotAMember, NotASubgroup, NotIsomorphic,

@@ -24,8 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import family_lambda
-from .errors import (AmbiguousIncidence, AmbiguousMatching, GeometryError,
-                     NoUniqueMatch)
+from .errors import AmbiguousMatching, GeometryError, NoUniqueMatch
 from .lines import (build_surface_data, concurrent_triples, lift_to_lines,
                     line_label)
 from .numeric import PRECISIONS
@@ -249,7 +248,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # interpreter exit cannot raise a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (AmbiguousMatching, AmbiguousIncidence, NoUniqueMatch) as exc:
+    except (AmbiguousMatching, NoUniqueMatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (GeometryError, ValueError) as exc:

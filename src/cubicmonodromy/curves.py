@@ -320,8 +320,10 @@ def inflection_points(f: CubicForm, tol: float = 1e-8,
 def _inflections_family(lam: complex) -> np.ndarray:
     if abs(lam - 1.0) < TOL_MATCH or abs(lam + 1.0) < TOL_MATCH:
         raise SingularParameter(f"lambda = {lam} is on the discriminant")
+    # solved in x / s, so that roots_of's relative trim keeps the x^4 term
+    s = max(1.0, abs(lam))
     pts = [[0.0, 1.0, 0.0]]
-    for alpha in roots_of(flex_quartic(lam)):
+    for alpha in s * np.array(roots_of(flex_quartic(lam) * s ** np.arange(5))):
         y = cmath.sqrt(flex_height_squared(lam, alpha))
         pts += [[alpha, y, 1.0], [alpha, -y, 1.0]]
     return np.array(pts, dtype=complex)

@@ -14,10 +14,6 @@ class NonConvergence(NumericalError):
     """Iteration failed to reach the requested residual."""
 
 
-class AmbiguousIncidence(NumericalError):
-    """Incidence determinant landed inside the uncertainty band."""
-
-
 class AmbiguousMatching(NumericalError):
     """Nearest-neighbour matching stayed ambiguous after all refinements."""
 

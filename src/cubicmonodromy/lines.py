@@ -6,9 +6,9 @@ of three hyperplanes indexed by a cube root of unity.  The lines are one
 (27, 2, 4) stack of unit covector pairs in (x, y, z, w): line k lies over
 flex k // 3 (row k // 3 of the (9, 3) flex stack) on cube-root sheet k % 3,
 so line 3 * flex + sheet.  This module is the one that reads flex and sheet
-off a line index.  Everything downstream (incidence graph, sixer choice,
-divisor classes, lattice maps) is exact integer data once the incidence
-pattern is certified.
+off a line index, and the incidence graph is read off it: one cube root of
+unity per pair of flexes.  Everything downstream (sixer choice, divisor
+classes, lattice maps) is exact integer data once the pattern is certified.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ import numpy as np
 
 from .curves import (CubicForm, at_base_point, cubic_route, inflection_points,
                      phase_normalize)
-from .errors import (
-    AmbiguousIncidence, BadIncidencePattern, NoSixer, NonIntegralImage,
-    FormViolation, NotAFlex,
-)
-from .numeric import OMEGA, TOL_INC, pair_indices
+from .errors import (BadIncidencePattern, NoSixer, NonIntegralImage,
+                     FormViolation, NotAFlex)
+from .numeric import OMEGA, nearest_match, pair_indices
 
 J_FORM = np.diag([1, -1, -1, -1, -1, -1, -1]).astype(np.int64)
 CANONICAL_CLASS = np.array([-3, 1, 1, 1, 1, 1, 1], dtype=np.int64)
@@ -186,23 +184,26 @@ def _surface_lines(f: CubicForm, pairs: np.ndarray, flexes: np.ndarray,
 
 
 def incidence_graph(lines: np.ndarray) -> np.ndarray:
-    """Symmetric boolean adjacency matrix of the incidence relation of an
-    (n, 2, 4) stack of lines.
+    """Symmetric boolean adjacency matrix of the incidence relation of a
+    stack labelled as all_lines labels it: line 3 k + n is w = omega^n l_k
+    on the tangent line t_k at flex k.  Only sheet 0 is read.
 
-    Two lines meet exactly when the 4 x 4 determinant of their stacked unit
-    covectors vanishes; one det call covers every pair.  A value inside
-    [TOL_INC, 100 TOL_INC) is refused as ambiguous rather than guessed.
+    The lines over one flex meet there.  The tangent lines at flexes a != b
+    cross at p = t_a x t_b, off the curve, where l_a^3 = f = l_b^3; so
+    l_b(p) / l_a(p) is a cube root omega^j, by nearest_match (NoUniqueMatch
+    when undecided), and lines 3 a + n, 3 b + n' meet iff n - n' = j mod 3.
     """
-    n = len(lines)
-    i, j = pair_indices(n)
-    mag = np.abs(np.linalg.det(np.concatenate([lines[i], lines[j]], axis=1)))
-    ambiguous = np.flatnonzero((mag >= TOL_INC) & (mag < 100.0 * TOL_INC))
-    if ambiguous.size:
-        k = ambiguous[0]
-        raise AmbiguousIncidence(f"incidence determinant {mag[k]:.3e} of lines "
-                                 f"{i[k]} and {j[k]} in the dead band")
-    adj = np.zeros((n, n), dtype=bool)
-    adj[i, j] = adj[j, i] = mag < TOL_INC
+    ell, t = -lines[::3, 0, :3] / lines[::3, 0, 3:], lines[::3, 1, :3]
+    a, b = pair_indices(len(t))
+    p = np.cross(t[a], t[b])
+    r = np.sum(ell[b] * p, axis=-1) / np.sum(ell[a] * p, axis=-1)
+    offset = np.zeros((len(t), len(t)), dtype=np.int64)
+    offset[a, b] = nearest_match(np.abs(r[:, None] - _SHEETS), one_to_one=False)
+    offset[b, a] = -offset[a, b]
+    flex, sheet = np.divmod(np.arange(len(lines)), 3)
+    adj = ((flex[:, None] == flex)
+           | ((sheet[:, None] - sheet - offset[np.ix_(flex, flex)]) % 3 == 0))
+    np.fill_diagonal(adj, False)
     return adj
 
 

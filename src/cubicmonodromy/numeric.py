@@ -35,7 +35,6 @@ from .errors import NonConvergence, NoUniqueMatch
 
 TOL_ROOT = 1e-10
 TOL_MATCH = 1e-6
-TOL_INC = 1e-8
 TOL_LEAD = 1e-12
 
 # the primitive cube root of unity exp(2 pi i / 3): the deck rotation of the

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import cubicmonodromy.cli as cli
+import cubicmonodromy.lines as lines_module
 from cubicmonodromy.errors import AmbiguousMatching
+from cubicmonodromy.lines import base_surface
 from cubicmonodromy.numeric import PRECISIONS
 from cubicmonodromy.report import REPORT_SCHEMA, Check, VerificationReport
 
@@ -98,11 +100,23 @@ def test_lines_singular_parameter_exits_2(capsys):
     assert "error" in err
 
 
-def test_lines_wrong_incidence_graph_exits_2(capsys):
-    code, out, err = run(capsys, "lines", "--lambda", "2000")
+def test_lines_wrong_incidence_graph_exits_2(capsys, monkeypatch):
+    flipped = base_surface().adjacency.copy()
+    flipped[0, 1] = flipped[1, 0] = not flipped[0, 1]
+    monkeypatch.setattr(lines_module, "incidence_graph", lambda lines: flipped)
+    code, out, err = run(capsys, "lines", "--lambda", "0.3")
     assert code == 2
     assert out == ""
     assert "(27, 10, 1, 5) graph" in err
+
+
+@pytest.mark.parametrize("lam", ["2000", "1e6"])
+def test_lines_far_from_the_nodes(capsys, lam):
+    code, out, _ = run(capsys, "lines", "--lambda", lam, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert set(data["incidenceDegrees"]) == {10}
+    assert len(data["concurrentTriples"]) == 9
 
 
 def test_lines_bad_parameter_exits_2(capsys):
