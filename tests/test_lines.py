@@ -444,24 +444,54 @@ def test_stacked_incidence_matches_pairwise_determinants(make):
             assert s.adjacency[i, j] == (abs(det) < 1e-8)
 
 
-@pytest.mark.parametrize("sheets, factor", [(3, OMEGA),
-                                            (1, cmath.exp(1j * math.pi / 3))],
-                         ids=["fiber-relabelled", "sheet-off-the-cube-roots"])
-def test_incidence_reads_the_cube_root_ratios(sheets, factor):
+# omega l_4 moves each line over flex 4 to the next sheet: line 12 is the
+# old line 13, 13 the old 14 and 14 the old 12
+_FLEX_4_NEXT_SHEET = np.r_[0:12, 13, 14, 12, 15:27]
+
+
+def test_incidence_reads_the_cube_root_ratios():
+    # omega times all three sheets of one fiber is a consistent relabelling
     s = base_surface()
     lines = s.lines.copy()
-    lines[12:12 + sheets, 0, :3] *= factor
-    if sheets == 1:
-        # l_4 is a sixth turn off: every ratio through flex 4 lies halfway
-        # between two cube roots, and no offset is read from it
-        with pytest.raises(NoUniqueMatch, match="runner-up"):
-            incidence_graph(lines)
-        return
-    # omega l_4 moves each line over flex 4 to the next sheet: line 12 is
-    # the old line 13, 13 the old 14 and 14 the old 12
-    perm = np.arange(27)
-    perm[12:15] = [13, 14, 12]
+    lines[12:15, 0, :3] *= OMEGA
+    perm = _FLEX_4_NEXT_SHEET
     assert np.array_equal(incidence_graph(lines), s.adjacency[np.ix_(perm, perm)])
+
+
+def _flex_4_turned(scale: float) -> np.ndarray:
+    """base_surface().lines with the sheet-0 form l_4 turned by e^{i phi},
+    which turns every ratio through flex 4 off its cube root: from 1 to
+    omega, q = |r - 1| / |r - omega| runs from 0 to infinity.  A ratio is
+    read when q < 1/2 or q > 2 (nearest_match's factor-2 margin) and
+    refused in the band between; scale places q on it by
+    log2 q = log10 scale - 1, so the band is 1 <= scale <= 100 and 10 is
+    its middle, r halfway between two cube roots."""
+    q = 2.0 ** (math.log10(scale) - 1)
+    # q = sin(phi / 2) / sin(pi / 3 - phi / 2), solved for phi / 2
+    phi = 2 * math.atan(q * math.sqrt(3) / (2 + q))
+    lines = base_surface().lines.copy()
+    lines[12, 0, :3] *= cmath.exp(1j * phi)
+    return lines
+
+
+@pytest.mark.parametrize("scale, meets", [(0.5, True), (0.99, True),
+                                          (101.0, False), (1e4, False)])
+def test_incidence_outside_the_dead_band(scale, meets):
+    # below the band every ratio keeps its cube root; above it l_4 reads as
+    # omega l_4, and line 12 meets the line over flex 0 that line 14 met
+    ref = base_surface().adjacency
+    perm = np.arange(27) if meets else _FLEX_4_NEXT_SHEET
+    adj = incidence_graph(_flex_4_turned(scale))
+    assert np.array_equal(adj, ref[np.ix_(perm, perm)])
+    i = int(np.flatnonzero(ref[12, :3])[0])
+    assert adj[12, i] == meets
+
+
+@pytest.mark.parametrize("scale", [1.01, 10.0, 99.0])
+def test_incidence_in_the_dead_band_is_refused(scale):
+    # one undecided flex refuses the whole graph
+    with pytest.raises(NoUniqueMatch, match="runner-up"):
+        incidence_graph(_flex_4_turned(scale))
 
 
 def test_surface_builds_flexes_and_lines_once(monkeypatch):
