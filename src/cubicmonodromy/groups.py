@@ -192,7 +192,7 @@ class SemidirectGroup:
         t = self.table.astype(np.int16)
         gens = np.array([self._index[p] for p in self.generator_images()])
         for g in gens:
-            bad = t[:, g][t] != t[:, t[:, g]]
+            bad = t[:, g].take(t) != t.take(t[:, g], axis=1)
             if bad.any():
                 x, y = np.argwhere(bad)[0]
                 raise WrongOrder("associativity fails on "
@@ -221,12 +221,11 @@ def verify_generator_map(source: FiniteMatrixGroup, images: list[ModelElement],
     """Extend a generator assignment along the closure and certify it.
 
     The images are extended along the source's BFS tree (`along_tree`
-    through the model's product table), then every product relation the
-    closure discovered, source.transitions[i, j] indexing (generator j) *
-    (element i), is replayed in the model's table at once; any mismatch
-    raises NotIsomorphic with the word of the offending element as a
-    witness.  The verified extension is also required to be a bijection
-    onto the model.
+    through the model's product table), then every product of an element
+    and a generator, derived from the digits, source.transitions[i, j]
+    indexing (generator j) * (element i), is replayed in the model's table
+    at once; any mismatch raises NotIsomorphic with the word of the
+    offending element as a witness.  The extension must be a bijection.
     """
     n = len(source)
     if n != len(model):
@@ -236,7 +235,7 @@ def verify_generator_map(source: FiniteMatrixGroup, images: list[ModelElement],
     gen_at = np.array([model.index_of(p) for p in images], dtype=np.int64)
     step = model.table[gen_at].T  # [x, j]: image of generator j times x
     imgs = source.along_tree(step, model.index_of(MODEL_IDENTITY))
-    trans = np.asarray(source.transitions, dtype=np.int64).reshape(n, len(images))
+    trans = source.transitions
     want = step[imgs]
     bad = np.argwhere(imgs[trans] != want)
     if len(bad):

@@ -11,11 +11,13 @@ computed exactly in Python integers (for the reflection group 99 vectors:
 the 27 exceptional classes and the 72 images of e0).  An element is stored
 as the orbit indices ("digits") of its columns: g_j @ m is a gather of m's
 digits through g_j's permutation of the orbit, and the digits read in base
-|orbit| are an exact, injective int64 key (99^7 < 2^47).  Elements and
-transitions are exactly those of the per-element search, and the group
-keeps the search's BFS tree as arrays, level by level.  The matrix stack is
-one gather of orbit vectors, made on first use only.  The digits also give
-the form check of every element as lookups in the orbit's pairing table.
+|orbit| are an exact, injective int64 key (99^7 < 2^47).  Elements are
+exactly those of the per-element search, transitions derived on first read,
+and the group keeps the search's BFS tree as arrays, level by level.  The
+matrix stack is one gather of orbit vectors, made on first use only.  A
+column is found by a wrapped int64 code, distinct on the orbit, and then
+compared exactly.  The digits also give the form check of every element as
+lookups in the orbit's pairing table.
 
 The tree is read one way, by `FiniteMatrixGroup.along_tree`: given a table
 of how each generator moves a state, it gives every element the state its
@@ -31,7 +33,7 @@ extends generator images to the whole group (`groups.verify_generator_map`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -50,6 +52,7 @@ SIMPLE_ROOTS = np.array([
 
 WEYL_ORDER = 51840
 DEFAULT_CAP = 60000
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd base of the column code
 
 
 def reflection(root: np.ndarray) -> np.ndarray:
@@ -105,11 +108,11 @@ class FiniteMatrixGroup:
     """A finite matrix group enumerated by level-synchronous BFS closure.
 
     `elements` is one read-only (n, d, d) int64 stack in discovery order,
-    elements[0] the identity, built from the digits on first access;
-    `transitions` maps (element, generator) to the product's index, covering
-    every product relation the closure discovered.  `digits[i, k]` is the
-    index of column k of elements[i] in `orbit`, and membership goes through
-    the sorted digit keys.
+    elements[0] the identity, built from the digits on first access.
+    `digits[i, k]` is the index of column k of elements[i] in `orbit`,
+    `moves[j, k]` the index of gens[j] @ orbit[k], and membership goes
+    through the sorted digit keys.  `transitions[i, j]`, the index of
+    gens[j] @ elements[i], is derived from the digits on first read.
 
     `tree` is the closure's BFS tree as arrays (parent, generator, bounds):
     element i >= 1 is gens[generator[i]] @ elements[parent[i]], BFS level L
@@ -122,21 +125,25 @@ class FiniteMatrixGroup:
     def __init__(self, gens: list[np.ndarray], orbit: np.ndarray,
                  digits: np.ndarray,
                  tree: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 transitions: np.ndarray):
+                 moves: np.ndarray):
         self.gens = gens
         self.orbit = orbit
         self.digits = digits
         self._elements: np.ndarray | None = None
         self.tree = tree
-        self.transitions = transitions
+        self.moves = moves
         self.class_walks: dict[bytes, ClassWalk] = {}
         self._weights = len(orbit) ** np.arange(orbit.shape[1], dtype=np.int64)
         keys = digits @ self._weights
         self._order = np.argsort(keys)
         self._keys = keys[self._order]
-        # orbit vectors as byte strings, sorted, for exact column lookup
-        self._vecs = orbit.view(np.dtype((np.void, 8 * orbit.shape[1]))).ravel()
-        self._vec_order = np.argsort(self._vecs)
+        # a wrapped code per orbit vector, sorted, for exact column lookup
+        self._mix = _MIX ** np.arange(orbit.shape[1], dtype=np.uint64)
+        codes = orbit.view(np.uint64) @ self._mix
+        self._code_order = np.argsort(codes)
+        self._codes = codes[self._code_order]
+        if np.any(self._codes[1:] == self._codes[:-1]):
+            raise GroupError("two orbit vectors share a column code")
         self._census: dict[int, int] | None = None
 
     @classmethod
@@ -157,45 +164,35 @@ class FiniteMatrixGroup:
         weights = len(vecs) ** np.arange(dim, dtype=np.int64)
         frontier = np.arange(dim, dtype=images.dtype)[None]
         keys = frontier @ weights  # sorted keys so far
-        slots = np.zeros(1, dtype=np.int64)  # element index of each key
-        chunks, rows, born_at = [frontier], [], []
-        start, count = 0, 1
+        chunks, born_at, start = [frontier], [], 0
         while len(frontier):
-            # digits of g_j @ m in (element, generator) order
-            prods = images[:, frontier].transpose(1, 0, 2).reshape(-1, dim)
-            cand = prods @ weights
+            # keys of g_j @ m in (element, generator) order
+            prods = images[:, frontier]
+            cand = (prods @ weights).T.ravel()
             order = np.argsort(cand)
             cand = cand[order]
-            at = np.searchsorted(keys, cand)
-            hit = np.minimum(at, count - 1)
             # one run per distinct key; its earliest (element, generator)
             # visit is the one a per-element search would meet first
             head = np.ones(len(cand), dtype=bool)
             head[1:] = cand[1:] != cand[:-1]
             runs = np.flatnonzero(head)
-            first = np.minimum.reduceat(order, runs)
-            fresh = keys[hit[runs]] != cand[runs]
-            src = np.sort(first[fresh])
-            if count + len(src) > cap:
+            distinct = cand[runs]
+            at = np.searchsorted(keys, distinct)
+            fresh = keys[np.minimum(at, len(keys) - 1)] != distinct
+            src = np.sort(np.minimum.reduceat(order, runs)[fresh])
+            if len(keys) + len(src) > cap:
                 raise CapExceeded(f"closure exceeded cap {cap}")
-            target = slots[hit[runs]]
-            target[fresh] = count + np.searchsorted(src, first[fresh])
-            row = np.empty(len(cand), dtype=np.int64)
-            row[order] = target[np.cumsum(head) - 1]
-            born = runs[fresh]
-            keys = np.insert(keys, at[born], cand[born])
-            slots = np.insert(slots, at[born], target[fresh])
-            rows.append(row.reshape(len(frontier), ng))
+            keys = np.insert(keys, at[fresh], distinct[fresh])
             born_at.append(start * ng + src)  # (parent, generator) visit
-            frontier = prods[src]
+            start += len(frontier)
+            frontier = prods[src % ng, src // ng]
             chunks.append(frontier)
-            start, count = count, count + len(src)
         parent, g_idx = np.divmod(np.concatenate(born_at), ng)
         bounds = np.cumsum([0, *map(len, chunks[:-1])])  # last one is empty
         tree = (np.concatenate([[0], parent]), np.concatenate([[0], g_idx]),
                 bounds)
         return cls(gens, np.array(vecs, dtype=np.int64).reshape(-1, dim),
-                   np.concatenate(chunks), tree, np.concatenate(rows))
+                   np.concatenate(chunks), tree, images)
 
     @property
     def elements(self) -> np.ndarray:
@@ -208,19 +205,30 @@ class FiniteMatrixGroup:
     def __len__(self) -> int:
         return len(self.digits)
 
+    @cached_property
+    def transitions(self) -> np.ndarray:
+        """Read-only (n, ng) index of gens[j] @ elements[i]; GroupError
+        when a product is not an element (the digits are not closed)."""
+        keys = (self.moves[:, self.digits] @ self._weights).T
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self) - 1)
+        if np.any(self._keys[pos] != keys):
+            raise GroupError("a product with a generator is not an element")
+        table = self._order[pos]
+        table.flags.writeable = False
+        return table
+
     def locate(self, mats: np.ndarray) -> np.ndarray:
         """Element index of each matrix of a (k, d, d) stack, -1 if absent."""
-        mats = np.asarray(mats, dtype=np.int64)
+        mats = np.ascontiguousarray(mats, dtype=np.int64)
         if mats.shape[1:] != (self.digits.shape[1],) * 2:
             return np.full(len(mats), -1, dtype=np.int64)
-        cols = np.ascontiguousarray(mats.transpose(0, 2, 1)).view(
-            self._vecs.dtype).reshape(mats.shape[:2])
-        at = self._vec_order[np.minimum(
-            np.searchsorted(self._vecs, cols, sorter=self._vec_order),
-            len(self._vecs) - 1)]
+        codes = self._mix @ mats.view(np.uint64)  # one per column
+        at = self._code_order[np.minimum(np.searchsorted(self._codes, codes),
+                                         len(self._codes) - 1)]
         keys = at @ self._weights
         pos = np.minimum(np.searchsorted(self._keys, keys), len(self) - 1)
-        hit = np.all(self._vecs[at] == cols, axis=1) & (self._keys[pos] == keys)
+        hit = ((self._keys[pos] == keys)
+               & np.all(self.orbit[at] == mats.transpose(0, 2, 1), axis=(1, 2)))
         return np.where(hit, self._order[pos], -1)
 
     def __contains__(self, m: np.ndarray) -> bool:
@@ -302,12 +310,17 @@ def lattice_invariants(group: FiniteMatrixGroup) -> tuple[bool, bool]:
     """
     orbit, digits = group.orbit, group.digits
     dim = digits.shape[1]
-    table = (orbit @ J_FORM @ orbit.T).ravel()
-    rows = digits.astype(np.intp) * len(orbit)
-    form = all(bool((table.take(rows[:, i] + digits[:, j]) == J_FORM[i, j]).all())
+    table = orbit @ J_FORM @ orbit.T
+    table = table.astype(np.min_scalar_type(-1 - int(np.abs(table).max())))
+    cols = np.ascontiguousarray(digits.T)
+    rows = cols.astype(np.int32) * len(orbit)
+    form = all(bool((table.take(rows[i] + cols[j]) == int(J_FORM[i, j])).all())
                for i in range(dim) for j in range(i, dim))
-    fixes = sum((k * orbit).take(digits[:, col], axis=0)
-                for col, k in enumerate(CANONICAL_CLASS.tolist()))
+    # narrow, but wide enough that a sum of dim rows cannot wrap
+    scaled = CANONICAL_CLASS[:, None, None] * orbit
+    scaled = scaled.astype(np.min_scalar_type(-1 - dim * int(np.abs(scaled).max())))
+    fixes = sum(part.take(digits[:, col], axis=0)
+                for col, part in enumerate(scaled))
     return form, bool((fixes == CANONICAL_CLASS).all())
 
 

@@ -242,8 +242,9 @@ def test_schema_breaking_report_exits_2(capsys, monkeypatch):
 # Runs `verify --scope all` cold as `python -m` does; the report goes to
 # stdout.  Then it reports on stderr the exit code, whether jsonschema was
 # ever imported, and on the reflection group the run left behind: whether
-# its element stack was built, how many class walks it keeps, and whether
-# the class map a caller gets from conjugacy_class can be changed.
+# its element stack and its product table were built, how many class walks
+# it keeps, and whether the class map a caller gets from conjugacy_class can
+# be changed.
 _COLD_RUN = """
 import json, runpy, sys
 sys.argv = ["cubicmonodromy", "verify", "--scope", "all", "--format", "json"]
@@ -255,7 +256,8 @@ state = {"code": code, "jsonschema": "jsonschema" in sys.modules}
 from cubicmonodromy.fixtures import load_fixtures
 from cubicmonodromy.weyl import conjugacy_class, weyl_group
 w = weyl_group()
-state.update(stackBuilt=w._elements is not None, walks=len(w.class_walks))
+state.update(stackBuilt=w._elements is not None,
+             transitionsBuilt="transitions" in vars(w), walks=len(w.class_walks))
 members = conjugacy_class(load_fixtures().deck, w)
 try:
     members[b"x"] = None
@@ -270,11 +272,17 @@ print(json.dumps(state), file=sys.stderr)
 """
 
 
+def _child_env(src):
+    """The test environment for a child interpreter: the package on its
+    path, and every warning an error there too."""
+    return {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "error"}
+
+
 @pytest.fixture(scope="module")
 def cold_run():
     src = str(Path(cli.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-c", _COLD_RUN],
-                          env={**os.environ, "PYTHONPATH": src},
+                          env=_child_env(src),
                           capture_output=True, text=True, timeout=300)
 
 
@@ -292,7 +300,8 @@ def test_verify_runs_without_importing_jsonschema(cold_run):
 
 def test_cold_verify_never_builds_the_reflection_group_stack(cold_run):
     assert _cold_state(cold_run) == {
-        "code": 0, "jsonschema": False, "stackBuilt": False, "walks": 2,
+        "code": 0, "jsonschema": False, "stackBuilt": False,
+        "transitionsBuilt": False, "walks": 2,
         "mapReadOnly": True, "carrierReadOnly": True, "walksAfter": 2}
 
 
@@ -317,7 +326,7 @@ def test_cold_scope_reproduces_its_slice_of_the_golden_report(scope, prefix):
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-m", "cubicmonodromy.cli", "verify",
                           "--scope", scope, "--format", "json"],
-                         env={**os.environ, "PYTHONPATH": src},
+                         env=_child_env(src),
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     golden = _golden_report()
@@ -332,7 +341,7 @@ def test_closed_stdout_exits_141_without_a_traceback():
     src = str(Path(cli.__file__).resolve().parents[1])
     with subprocess.Popen([sys.executable, "-m", "cubicmonodromy.cli", "monodromy",
                            "gamma-minus", "--steps", "2000", "--format", "csv"],
-                          env={**os.environ, "PYTHONPATH": src},
+                          env=_child_env(src),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         first = proc.stdout.readline()
         proc.stdout.close()

@@ -255,7 +255,8 @@ def test_verify_generator_map_replays_every_transition():
     tree = set(zip(parent[1:].tolist(), gen[1:].tolist()))
     i, j = next((i, j) for i in range(len(group)) for j in range(4)
                 if (i, j) not in tree)
-    # send one relation off the spanning tree to a wrong element
+    # send one relation off the spanning tree to a wrong element, in a copy
+    # whose derived product table is replaced
     corrupt = copy.copy(group)
     corrupt.transitions = group.transitions.copy()
     corrupt.transitions[i, j] = (group.transitions[i, j] + 1) % len(group)

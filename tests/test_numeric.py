@@ -521,7 +521,8 @@ def test_importing_the_cli_leaves_mpmath_unloaded():
     code = "import sys, cubicmonodromy.cli; print('mpmath' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=str(src)))
+                          env=dict(os.environ, PYTHONPATH=str(src),
+                                   PYTHONWARNINGS="error"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

@@ -152,7 +152,7 @@ def test_lattice_invariants_catch_one_changed_digit(element, column):
     w = weyl_group()
     digits = w.digits.copy()
     digits[element, column] = (digits[element, column] + 1) % len(w.orbit)
-    broken = FiniteMatrixGroup(w.gens, w.orbit, digits, w.tree, w.transitions)
+    broken = FiniteMatrixGroup(w.gens, w.orbit, digits, w.tree, w.moves)
     assert lattice_invariants(broken)[0] is False
     assert lattice_invariants(broken) == _reference_invariants(broken)
 
@@ -167,7 +167,7 @@ def test_lattice_invariants_read_pairings_away_from_column_0():
     digits[1, 3] = next(r for r in range(len(w.orbit)) if r != old[3]
                         and table[r, r] == table[old[3], old[3]]
                         and table[r, old[0]] == table[old[3], old[0]])
-    broken = FiniteMatrixGroup(w.gens, w.orbit, digits, w.tree, w.transitions)
+    broken = FiniteMatrixGroup(w.gens, w.orbit, digits, w.tree, w.moves)
     assert lattice_invariants(broken)[0] is False
 
 
@@ -284,7 +284,7 @@ def test_tree_centralizer_matches_the_scan_over_the_group(name):
 def _copy_with(w, tree=None, walks=None):
     """A copy of w sharing its digits, with another tree or kept walks."""
     copy = FiniteMatrixGroup(w.gens, w.orbit, w.digits, tree or w.tree,
-                             w.transitions)
+                             w.moves)
     copy.class_walks.update(walks or {})
     return copy
 
@@ -432,6 +432,46 @@ def test_locate_batches_members_and_outsiders():
                                      flip[None]]))
     assert found.tolist() == idx + [-1, -1]
     assert w.locate(np.eye(6, dtype=np.int64)[None]).tolist() == [-1]
+    assert w.locate(np.zeros((2, 7, 6), dtype=np.int64)).tolist() == [-1, -1]
+
+
+def test_locate_is_exact_on_entries_up_to_2_to_the_54():
+    group = FiniteMatrixGroup.close(_generator_sets()["large-entries"])
+    assert len(group) == 4
+    assert group.locate(group.elements).tolist() == [0, 1, 2, 3]
+    # 2^62 lies beyond the orbit's largest entry, 2^54 + 1
+    far = group.elements.copy()
+    far[:, 1, 0] = 2**62
+    assert group.locate(far).tolist() == [-1] * 4
+
+
+def test_locate_refuses_non_members():
+    w = weyl_group()
+    far = np.eye(7, dtype=np.int64)
+    far[3, 5] = 2**40
+    # every column is an orbit vector, but column 1 repeats column 0
+    twice = np.eye(7, dtype=np.int64)[:, [1, 1, 2, 3, 4, 5, 6]]
+    assert all((w.orbit == col).all(axis=1).any() for col in twice.T)
+    assert w.locate(np.stack([far, twice])).tolist() == [-1, -1]
+
+
+def test_orbit_vectors_sharing_a_column_code_are_refused():
+    # with base B, (0, 1) and (B - 2^64, 0) both have the wrapped code B
+    orbit = np.array([[1, 0], [0, 1], [int(weyl._MIX) - 2**64, 0]])
+    tree = (np.zeros(1, dtype=np.int64),) * 2 + (np.array([0, 1]),)
+    with pytest.raises(GroupError, match="column code"):
+        FiniteMatrixGroup([], orbit, np.array([[0, 1]], dtype=np.uint8), tree,
+                          np.zeros((0, 3), dtype=np.uint8))
+
+
+def test_transitions_of_digits_that_are_not_closed_raise():
+    group = FiniteMatrixGroup.close(load_fixtures().generators())
+    short = FiniteMatrixGroup(group.gens, group.orbit, group.digits[:-1],
+                              group.tree, group.moves)
+    assert short.locate(group.elements[-1:]).tolist() == [-1]
+    with pytest.raises(GroupError, match="not an element"):
+        short.transitions
+    assert not group.transitions.flags.writeable
 
 
 def test_reflection_formula():
