@@ -209,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lines = sub.add_parser("lines", parents=[common],
                              help="enumerate the 27 lines of one family member")
     p_lines.add_argument("--lambda", dest="lam", default="0",
-                         help="family parameter: '0.5', '1+2j', or 're,im'")
+                         help="family parameter: '0.5', '1+2j', or 're,im'; write "
+                              "a negative pair or exponent as --lambda=-0.5,0.2")
     p_lines.add_argument("--tol", type=positive_tolerance, default=1e-8,
                          help="geometric matching tolerance (default 1e-8)")
     p_lines.set_defaults(fn=cmd_lines)

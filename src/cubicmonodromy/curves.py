@@ -181,7 +181,7 @@ def at_base_point(pts: np.ndarray) -> np.ndarray:
     return np.max(np.abs(pts - (0.0, 1.0, 0.0)), axis=-1) < _BASE_POINT_TOL
 
 
-def _chordal_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def chordal_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Chordal distance between the points along the last axis of two
     broadcastable (..., 3) stacks of homogeneous coordinates.
 
@@ -310,7 +310,7 @@ def inflection_points(f: CubicForm, tol: float = 1e-8,
             or np.any(np.abs(hess(units)) > tol * hess.scale())):
         raise DegenerateCurve("inflection residual above tolerance")
     i, j = pair_indices(9)
-    if np.any(_chordal_distances(pts[i], pts[j]) < 10.0 * TOL_MATCH):
+    if np.any(chordal_distances(pts[i], pts[j]) < 10.0 * TOL_MATCH):
         raise DegenerateCurve("inflection points collide")
     base, rows = at_base_point(pts).tolist(), pts.tolist()
     return pts[sorted(range(9), key=lambda k: (not base[k], *order_key(rows[k][1]),
@@ -394,7 +394,7 @@ def _inflections_resultant(f: CubicForm, hess: CubicForm, tol: float) -> np.ndar
     pts = np.concatenate(pts)
     units = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
     pts = pts[(np.abs(f(units)) < tol * f.scale()) & (np.abs(hess(units)) < tol * hess.scale())]
-    near = np.triu(_chordal_distances(pts[:, None], pts[None]) < 1e-6, 1)
+    near = np.triu(chordal_distances(pts[:, None], pts[None]) < 1e-6, 1)
     return pts[~near.any(axis=0)]
 
 

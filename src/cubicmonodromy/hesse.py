@@ -5,8 +5,8 @@ pencil.  That model carries an obvious pair of order-3 symmetries (a
 diagonal scaling and a coordinate rotation) which lift to the triple cover
 once the vertical coordinate is rescaled by a cube root of the same factor
 that relates the two cubic forms.  Conjugating the lifts back through the
-equivalence produces explicit surface automorphisms of the original cover,
-and their action on the 27 lines lands in the lattice stabilizer.
+equivalence gives surface automorphisms of the original cover, whose action
+on the 27 lines (lines.induced_line_perm) lands in the lattice stabilizer.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 
 from .curves import family_lambda, hesse_form
 from .errors import GroupError, TransformResidual
-from .lines import base_surface, perm_to_lattice_map
-from .numeric import OMEGA, TOL_MATCH, constants, nearest_match
+from .lines import base_surface, induced_line_perm, perm_to_lattice_map
+from .numeric import OMEGA, constants
 from .weyl import lattice_inverse
 
 TOL_TRANSFORM = 1e-10
@@ -74,34 +74,6 @@ def heisenberg_lifts() -> tuple[np.ndarray, np.ndarray]:
     return x_lift, y_lift
 
 
-def _span_distances(transform: np.ndarray, source_lines: np.ndarray,
-                    target_lines: np.ndarray) -> np.ndarray:
-    """(m, n) chordal distances from each moved source span to each target,
-    given as (m, 2, 4) and (n, 2, 4) stacks of lines:
-    the norm of the target's orthonormal basis off the moved span, which is
-    sqrt(2 - |u^H v|^2) without its cancellation (up to 4e-8 for a span and
-    itself).  A source covector h is moved to h @ inverse(transform).
-    """
-    def spans(lines, move=np.eye(4)):
-        return np.linalg.qr(move @ lines.transpose(0, 2, 1))[0]
-
-    moved = spans(source_lines, np.linalg.inv(transform).T)[:, None]
-    targets = spans(target_lines)
-    off = targets - moved @ (moved.conj().swapaxes(-1, -2) @ targets)
-    return np.linalg.norm(off, axis=(-2, -1))
-
-
-def induced_line_perm(transform: np.ndarray) -> np.ndarray:
-    """Permutation induced on the base surface's lines by an automorphism.
-
-    Each line's covector span h is moved to the span of h @ inverse, the
-    line's image under transform, and matched to the lines by chordal span
-    distance under nearest_match, within TOL_MATCH and one to one.
-    """
-    lines = base_surface().lines
-    return nearest_match(_span_distances(transform, lines, lines), TOL_MATCH)
-
-
 def heisenberg_matrices() -> tuple[np.ndarray, np.ndarray]:
     """Lattice maps of the base surface's two conjugated torsion symmetries.
 
@@ -112,14 +84,9 @@ def heisenberg_matrices() -> tuple[np.ndarray, np.ndarray]:
     """
     surface = base_surface()
     _, a4, _ = hesse_transform()
-    a4_inv = np.linalg.inv(a4)
-    x_lift, y_lift = heisenberg_lifts()
-    out = []
-    for lift in (x_lift, y_lift):
-        conj = a4_inv @ lift @ a4
-        perm = induced_line_perm(conj)
-        out.append(perm_to_lattice_map(perm, surface.classes, surface.sixer))
-    h1, h2 = out
+    h1, h2 = (perm_to_lattice_map(induced_line_perm(np.linalg.inv(a4) @ lift @ a4),
+                                  surface.classes, surface.sixer)
+              for lift in heisenberg_lifts())
     deck = surface.deck_matrix
     comm = h1 @ h2 @ lattice_inverse(h1) @ lattice_inverse(h2)
     if not (np.array_equal(comm, deck) or np.array_equal(comm, deck @ deck)):

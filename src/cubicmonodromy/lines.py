@@ -5,10 +5,10 @@ carries three lines, cut out by the lifted tangent plane together with one
 of three hyperplanes indexed by a cube root of unity.  The lines are one
 (27, 2, 4) stack of unit covector pairs in (x, y, z, w): line k lies over
 flex k // 3 (row k // 3 of the (9, 3) flex stack) on cube-root sheet k % 3,
-so line 3 * flex + sheet.  This module is the one that reads flex and sheet
-off a line index, and the incidence graph is read off it: one cube root of
-unity per pair of flexes.  Everything downstream (sixer choice, divisor
-classes, lattice maps) is exact integer data once the pattern is certified.
+so line 3 * flex + sheet.  Only this module reads flex and sheet off a line
+index, and it reads every line correspondence by cube roots of unity: one per
+pair of flexes for incidence, one per flex, with flex images, for a cover
+automorphism.  Everything after the certified pattern is exact integer data.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .curves import (CubicForm, at_base_point, cubic_route, inflection_points,
-                     phase_normalize)
+from .curves import (CubicForm, at_base_point, chordal_distances, cubic_route,
+                     inflection_points, phase_normalize)
 from .errors import (BadIncidencePattern, NoSixer, NonIntegralImage,
                      FormViolation, NotAFlex)
-from .numeric import OMEGA, nearest_match, pair_indices
+from .numeric import OMEGA, TOL_MATCH, nearest_match, pair_indices
 
 J_FORM = np.diag([1, -1, -1, -1, -1, -1, -1]).astype(np.int64)
 CANONICAL_CLASS = np.array([-3, 1, 1, 1, 1, 1, 1], dtype=np.int64)
@@ -183,6 +183,16 @@ def _surface_lines(f: CubicForm, pairs: np.ndarray, flexes: np.ndarray,
     return pairs
 
 
+def _sheet_zero(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(l_k, t_k) of each flex k, off the sheet-0 rows of an all_lines stack."""
+    return -lines[::3, 0, :3] / lines[::3, 0, 3:], lines[::3, 1, :3]
+
+
+def _sheet_offsets(ratios: np.ndarray) -> np.ndarray:
+    """The j with omega^j nearest each ratio, by nearest_match."""
+    return nearest_match(np.abs(ratios[:, None] - _SHEETS), one_to_one=False)
+
+
 def incidence_graph(lines: np.ndarray) -> np.ndarray:
     """Symmetric boolean adjacency matrix of the incidence relation of a
     stack labelled as all_lines labels it: line 3 k + n is w = omega^n l_k
@@ -190,15 +200,14 @@ def incidence_graph(lines: np.ndarray) -> np.ndarray:
 
     The lines over one flex meet there.  The tangent lines at flexes a != b
     cross at p = t_a x t_b, off the curve, where l_a^3 = f = l_b^3; so
-    l_b(p) / l_a(p) is a cube root omega^j, by nearest_match (NoUniqueMatch
-    when undecided), and lines 3 a + n, 3 b + n' meet iff n - n' = j mod 3.
+    l_b(p) / l_a(p) is a cube root omega^j, and lines 3 a + n, 3 b + n'
+    meet iff n - n' = j mod 3; an undecided ratio raises NoUniqueMatch.
     """
-    ell, t = -lines[::3, 0, :3] / lines[::3, 0, 3:], lines[::3, 1, :3]
+    ell, t = _sheet_zero(lines)
     a, b = pair_indices(len(t))
     p = np.cross(t[a], t[b])
-    r = np.sum(ell[b] * p, axis=-1) / np.sum(ell[a] * p, axis=-1)
     offset = np.zeros((len(t), len(t)), dtype=np.int64)
-    offset[a, b] = nearest_match(np.abs(r[:, None] - _SHEETS), one_to_one=False)
+    offset[a, b] = _sheet_offsets(np.sum(ell[b] * p, axis=-1) / np.sum(ell[a] * p, axis=-1))
     offset[b, a] = -offset[a, b]
     flex, sheet = np.divmod(np.arange(len(lines)), 3)
     adj = ((flex[:, None] == flex)
@@ -300,6 +309,27 @@ def deck_permutation(lines: np.ndarray) -> np.ndarray:
 def lift_to_lines(flex_images: np.ndarray) -> np.ndarray:
     """Lift a flex permutation to the 27 lines; the sheet label rides along."""
     return (3 * np.asarray(flex_images, dtype=np.int64)[:, None] + np.arange(3)).ravel()
+
+
+def induced_line_perm(transform: np.ndarray) -> np.ndarray:
+    """Line permutation of the base surface under a cover automorphism
+    diag(A, c), (p, w) -> (A p, c w) with f(A p) = c^3 f(p); ValueError for
+    another shape of matrix or a singular A.  Flex k goes to the flex
+    sigma(k) nearest A p_k, by nearest_match within TOL_MATCH, one to one.
+    At q = t_sigma(k) x t_sigma(k-1), on the tangent at sigma(k) and off the
+    curve, c l_k(A^-1 q) / l_sigma(k)(q) is a cube root omega^j, and line
+    3 k + n goes to 3 sigma(k) + (n + j) mod 3; NoUniqueMatch when undecided.
+    """
+    m = np.asarray(transform)
+    if (m.shape != (4, 4) or np.any(m[3, :3]) or np.any(m[:3, 3])
+            or np.linalg.matrix_rank(m[:3, :3]) < 3):
+        raise ValueError("not a cover automorphism diag(A, c) with A invertible")
+    a, c, s = m[:3, :3], m[3, 3], base_surface()
+    ell, t = _sheet_zero(s.lines)
+    sigma = nearest_match(chordal_distances((s.flexes @ a.T)[:, None], s.flexes), TOL_MATCH)
+    q = np.cross(t[sigma], t[np.roll(sigma, 1)])
+    r = np.sum(c * ell @ np.linalg.inv(a) * q, axis=-1) / np.sum(ell[sigma] * q, axis=-1)
+    return (3 * sigma[:, None] + (np.arange(3) + _sheet_offsets(r)[:, None]) % 3).ravel()
 
 
 def perm_compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:

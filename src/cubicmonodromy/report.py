@@ -39,7 +39,7 @@ REPORT_SCHEMA = {
                 "properties": {
                     "id": {"type": "string", "minLength": 1},
                     "description": {"type": "string", "minLength": 1},
-                    "status": {"enum": ["pass", "fail", "skipped"]},
+                    "status": {"enum": ["pass", "fail"]},
                     "observed": {},
                     "expected": {},
                     "runtimeMs": {"type": "number", "minimum": 0},
@@ -151,8 +151,8 @@ class VerificationReport:
 
     @property
     def overall(self) -> str:
-        statuses = [c.status for c in self.checks if c.status != "skipped"]
-        return "pass" if statuses and all(s == "pass" for s in statuses) else "fail"
+        ok = self.checks and all(c.status == "pass" for c in self.checks)
+        return "pass" if ok else "fail"
 
     def to_dict(self) -> dict:
         ids = [c.check_id for c in self.checks]

@@ -220,6 +220,8 @@ class FiniteMatrixGroup:
     def locate(self, mats: np.ndarray) -> np.ndarray:
         """Element index of each matrix of a (k, d, d) stack, -1 if absent."""
         mats = np.ascontiguousarray(mats, dtype=np.int64)
+        if mats.ndim != 3:
+            raise ValueError(f"locate takes a (k, d, d) stack, not shape {mats.shape}")
         if mats.shape[1:] != (self.digits.shape[1],) * 2:
             return np.full(len(mats), -1, dtype=np.int64)
         codes = self._mix @ mats.view(np.uint64)  # one per column

@@ -119,6 +119,19 @@ def test_lines_far_from_the_nodes(capsys, lam):
     assert len(data["concurrentTriples"]) == 9
 
 
+@pytest.mark.parametrize("lam", ["-0.5,0.2", "-8.5e5"])
+def test_lines_takes_a_negative_lambda_in_the_equals_form(capsys, lam):
+    code, out, _ = run(capsys, "lines", f"--lambda={lam}", "--format", "json")
+    assert code == 0
+    assert set(json.loads(out)["incidenceDegrees"]) == {10}
+    # argparse reads a value that starts with "-" and is not a plain
+    # negative decimal as an option, so the spaced form is refused
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lines", "--lambda", lam])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_lines_bad_parameter_exits_2(capsys):
     code, _, err = run(capsys, "lines", "--lambda", "pi")
     assert code == 2

@@ -54,8 +54,8 @@ def test_projective_point_normalization():
     assert abs(p[2] - 1.0) < 1e-15
     assert abs(base[1] - 1.0) < 1e-15
     assert at_base_point(np.array([p, base])).tolist() == [False, True]
-    assert curves._chordal_distances(p, p) < 1e-12
-    assert curves._chordal_distances(p, base) > 0.1
+    assert curves.chordal_distances(p, p) < 1e-12
+    assert curves.chordal_distances(p, base) > 0.1
     for bad in ([0.0, 0.0, 0.0], [1.0, np.nan, 1.0], [np.inf, 0.0, 1.0]):
         with pytest.raises(ValueError, match="invalid homogeneous"):
             curves._normalized(np.array([[1.0, 2.0, 3.0], bad]))
@@ -76,7 +76,7 @@ def test_inflections_are_flexes(lam):
 def test_inflections_deterministic_order():
     a = inflection_points(family_lambda(0.25))
     b = inflection_points(family_lambda(0.25))
-    assert curves._chordal_distances(a, b).max() < 1e-12
+    assert curves.chordal_distances(a, b).max() < 1e-12
 
 
 @pytest.mark.parametrize("lam", (0.0, 0.25, -3.0))
@@ -96,7 +96,7 @@ def test_inflection_order_ignores_rounding_noise(monkeypatch, lam):
 def test_distance_has_no_cancellation_floor():
     # sqrt(1 - |<u, v>|^2) left up to 2e-8 for a point and itself
     pts = inflection_points(family_lambda(0.25))
-    dist = curves._chordal_distances(pts[:, None], pts[None])
+    dist = curves.chordal_distances(pts[:, None], pts[None])
     units = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
     for i, p in enumerate(units):
         assert dist[i, i] < 1e-15
@@ -167,7 +167,7 @@ def test_resultant_route_moves_flexes_with_the_coordinates(f, m):
     # member with m = I has three flexes on z = 0
     want = np.linalg.solve(m, inflection_points(f).T).T
     got = inflection_points(f.compose(m), route=("generic", None))
-    nearest_match(curves._chordal_distances(got[:, None], want[None]), tol=1e-12)
+    nearest_match(curves.chordal_distances(got[:, None], want[None]), tol=1e-12)
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (-2.0, 0.5), (0.3 + 0.1j, 1.7)])
@@ -177,7 +177,7 @@ def test_weierstrass_cubics_have_nine_accurate_flexes(a, b):
     assert cubic_route(f) == ("generic", None)
     got = inflection_points(f)
     want = _weierstrass_flexes(a, b)
-    nearest_match(curves._chordal_distances(got[:, None], want[None]), tol=1e-12)
+    nearest_match(curves.chordal_distances(got[:, None], want[None]), tol=1e-12)
 
 
 def test_generic_cubic_solves_its_y_polynomials_as_one_stack(monkeypatch):
@@ -274,7 +274,7 @@ def test_stacked_cubic_matches_monomial_sum():
 def test_stacked_inflection_distances_match_pairwise(f):
     pts = inflection_points(f)
     i, j = np.triu_indices(9, 1)
-    got = curves._chordal_distances(pts[i], pts[j])
+    got = curves.chordal_distances(pts[i], pts[j])
     for d, a, b in zip(got, i, j):
         # the pre-stacking formula, in Python floats
         (u0, u1, u2), (v0, v1, v2) = pts[a].tolist(), pts[b].tolist()

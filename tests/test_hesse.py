@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+import cubicmonodromy.lines as lines_module
 from cubicmonodromy.curves import family_lambda, hesse_form
 from cubicmonodromy.errors import NoUniqueMatch
-from cubicmonodromy.hesse import (OMEGA, _span_distances,
-                                  heisenberg_lifts, heisenberg_matrices,
-                                  hesse_transform, induced_line_perm)
-from cubicmonodromy.lines import base_surface, deck_permutation, perm_compose
-from cubicmonodromy.numeric import TOL_MATCH, nearest_match
+from cubicmonodromy.hesse import (OMEGA, heisenberg_lifts, heisenberg_matrices,
+                                  hesse_transform)
+from cubicmonodromy.lines import (base_surface, deck_permutation,
+                                  induced_line_perm, perm_compose)
+from cubicmonodromy.numeric import nearest_match
 from cubicmonodromy.weyl import FiniteMatrixGroup, lattice_inverse, weyl_group
 
 
@@ -65,12 +66,40 @@ def test_induced_perm_identity():
     assert p.tolist() == list(range(27))
 
 
-def test_chordal_distance_has_no_cancellation_floor():
-    # sqrt(2 - |U V^H|^2) left up to 4e-8 for a base line mapped through the
-    # identity and itself, only 25 times below TOL_MATCH
-    lines = base_surface().lines
-    dist = _span_distances(np.eye(4, dtype=complex), lines, lines)
-    assert np.diag(dist).max() < 1e-14
+def _conjugated_lifts():
+    _, a4, _ = hesse_transform()
+    return [np.linalg.inv(a4) @ lift @ a4 for lift in heisenberg_lifts()]
+
+
+def test_induced_perm_decides_by_a_wide_margin(monkeypatch):
+    # the two distance stacks the rule decides on: each flex image lies on
+    # its flex and each sheet ratio on its cube root of unity, while the
+    # runners-up are about 0.8 and sqrt(3) away
+    seen = []
+
+    def recording(dist, *args, **kwargs):
+        seen.append(np.asarray(dist))
+        return nearest_match(dist, *args, **kwargs)
+
+    base_surface()
+    monkeypatch.setattr(lines_module, "nearest_match", recording)
+    for m in [np.eye(4, dtype=complex), *_conjugated_lifts()]:
+        seen.clear()
+        induced_line_perm(m)
+        flexes, sheets = seen
+        assert flexes.shape == (9, 9) and sheets.shape == (9, 3)
+        for dist, runner_up in ((flexes, 0.8), (sheets, 1.7)):
+            ranked = np.sort(dist, axis=1)
+            assert ranked[:, 0].max() < 1e-13
+            assert ranked[:, 1].min() > runner_up
+
+
+def test_conjugated_lifts_move_the_lines_as_pinned():
+    x_perm, y_perm = (induced_line_perm(m).tolist() for m in _conjugated_lifts())
+    assert x_perm == [24, 25, 26, 0, 1, 2, 20, 18, 19, 22, 23, 21, 10, 11, 9,
+                      8, 6, 7, 17, 15, 16, 13, 14, 12, 3, 4, 5]
+    assert y_perm == [15, 16, 17, 20, 18, 19, 10, 11, 9, 25, 26, 24, 0, 1, 2,
+                      12, 13, 14, 23, 21, 22, 5, 3, 4, 7, 8, 6]
 
 
 def test_induced_perm_deck_scaling():
@@ -86,18 +115,19 @@ def test_induced_perm_deck_scaling():
 
 def test_induced_perm_rejects_off_surface_map():
     rng = np.random.default_rng(9)
+    # a full 4 x 4 matrix mixes w with the plane: no map diag(A, c)
     bad = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    with pytest.raises(NoUniqueMatch):
+    with pytest.raises(ValueError, match="diag"):
         induced_line_perm(bad)
-
-
-def test_induced_perm_rejects_a_duplicated_source_line():
-    # every line keeps its margin, but two land on the same target
-    lines = base_surface().lines
-    dist = _span_distances(np.eye(4, dtype=complex), lines[[0, *range(26)]],
-                           lines)
-    with pytest.raises(NoUniqueMatch, match="not one to one"):
-        nearest_match(dist, TOL_MATCH)
+    # diag(A, 1) for a random A keeps the block shape but moves no flex
+    # onto a flex
+    block = np.eye(4, dtype=complex)
+    block[:3, :3] = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    with pytest.raises(NoUniqueMatch):
+        induced_line_perm(block)
+    for shape in (np.eye(3), np.diag([1.0, 1.0, 0.0, 1.0])):
+        with pytest.raises(ValueError, match="diag"):
+            induced_line_perm(shape)
 
 
 def test_heisenberg_matrices_structure():

@@ -63,12 +63,16 @@ def test_overall_logic():
     assert ok.overall == "pass"
     mixed = VerificationReport("all", [_check(), _check("c-2", "fail")])
     assert mixed.overall == "fail"
-    skipped = VerificationReport("all", [_check(), _check("c-2", "skipped")])
-    assert skipped.overall == "pass"
-    # no decidable checks means nothing was verified
+    # no checks means nothing was verified
     assert VerificationReport("all", []).overall == "fail"
-    only_skips = VerificationReport("all", [_check(status="skipped")])
-    assert only_skips.overall == "fail"
+
+
+def test_a_skipped_check_breaks_the_schema():
+    # a check either passes or fails; nothing produces another status
+    rep = VerificationReport("all", [_check(), _check("c-2", "skipped")])
+    assert rep.overall == "fail"
+    with pytest.raises(ValueError, match=r"\$\.checks\[1\]\.status"):
+        rep.validated_dict()
 
 
 def test_duplicate_ids_rejected():
@@ -80,7 +84,7 @@ def test_duplicate_ids_rejected():
 def test_json_roundtrips_schema():
     rep = VerificationReport("fixtures", [
         _check(observed={"n": (1, 2j)}, expected={"n": [1, 2j]}),
-        _check("c-2", "skipped"),
+        _check("c-2"),
     ])
     data = json.loads(render_json(rep))
     jsonschema.validate(data, REPORT_SCHEMA)
@@ -190,8 +194,8 @@ def _mutation(draw):
         "empty-text": (draw(st.sampled_from(("id", "description"))),
                        st.sampled_from(("", "x"))),
         "status": ("status", st.one_of(
-            st.sampled_from(("pass", "fail", "skipped")),
-            st.sampled_from(("maybe", "PASS")), _ANY)),
+            st.sampled_from(("pass", "fail")),
+            st.sampled_from(("skipped", "maybe", "PASS")), _ANY)),
         "scope": ("scope", st.one_of(
             st.sampled_from(("fixtures", "pipeline", "all")),
             st.sampled_from(("everything", "")), _ANY)),

@@ -435,6 +435,14 @@ def test_locate_batches_members_and_outsiders():
     assert w.locate(np.zeros((2, 7, 6), dtype=np.int64)).tolist() == [-1, -1]
 
 
+def test_locate_refuses_one_matrix_that_is_not_a_stack():
+    # read as a stack, the identity's seven rows would be seven non-members
+    w = weyl_group()
+    with pytest.raises(ValueError, match="stack"):
+        w.locate(np.eye(7, dtype=np.int64))
+    assert np.eye(7, dtype=np.int64) in w
+
+
 def test_locate_is_exact_on_entries_up_to_2_to_the_54():
     group = FiniteMatrixGroup.close(_generator_sets()["large-entries"])
     assert len(group) == 4
