@@ -129,7 +129,7 @@ def _render_lines_csv(payload: dict) -> str:
 
 
 def _render_json(payload: dict) -> str:
-    return json.dumps(jsonable(payload), indent=2)
+    return json.dumps(jsonable(payload), indent=2, allow_nan=False)
 
 
 def cmd_lines(args: argparse.Namespace) -> tuple[str, int]:

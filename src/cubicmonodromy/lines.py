@@ -69,13 +69,16 @@ def surface_residual(f: CubicForm, pair: np.ndarray) -> float:
 
 
 def _pencil_cube_roots(flexes: np.ndarray) -> np.ndarray:
-    """l = -x + alpha z over each of the pencil member's flexes
-    [alpha : y : 1], and l = -x over [0 : 1 : 0]: f, whose x^3 coefficient
-    is -1, is l^3 on each tangent line."""
-    base = at_base_point(flexes)
+    """l = -x + alpha z over each of the pencil member's flexes [x : y : z],
+    alpha = x / z, and l = -x over [0 : 1 : 0]: f, whose x^3 coefficient
+    is -1, is l^3 on each tangent line.  A far member's flex may be scaled
+    to y = 1, so alpha is read as a ratio."""
+    off = ~at_base_point(flexes)
+    _first_failing(off & (flexes[:, 2] == 0),
+                   "z = 0 off [0 : 1 : 0]; no flex of the pencil")
     ell = np.zeros((len(flexes), 3), dtype=complex)
     ell[:, 0] = -1.0
-    ell[~base, 2] = flexes[~base, 0]
+    ell[off, 2] = flexes[off, 0] / flexes[off, 2]
     return ell
 
 

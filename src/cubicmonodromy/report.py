@@ -1,9 +1,10 @@
 """Verification report plumbing: typed checks, JSON schema, renderers.
 
-Every renderer validates the report against REPORT_SCHEMA first, with the
-in-package `validate`: it implements the draft-07 meaning of exactly the
-keywords the schema uses, so rendering needs no schema library.  A report
-that breaks the schema raises ValueError naming the JSON path.
+REPORT_SCHEMA is the published contract of the JSON report.  The document is
+built in one place, `VerificationReport.to_dict`, which fixes every key and
+type but six values and checks those six there, so every renderer emits only
+documents that match the schema; a report that would break it raises
+ValueError naming the JSON path.
 """
 
 from __future__ import annotations
@@ -48,64 +49,6 @@ REPORT_SCHEMA = {
         },
     },
 }
-
-
-_TYPES = {"object": dict, "array": list, "string": str, "number": numbers.Number}
-_KEYWORDS = {"$schema", "type", "required", "properties", "additionalProperties",
-             "items", "const", "enum", "minItems", "minLength", "minimum"}
-
-
-def _is(value: Any, kind: str) -> bool:
-    # JSON has no bool among its numbers, though Python's bool is an int
-    return isinstance(value, _TYPES[kind]) and not (
-        kind == "number" and isinstance(value, bool))
-
-
-def _same(value: Any, const: Any) -> bool:
-    """JSON equality of a value and a scalar schema constant: True is not 1."""
-    return value == const and isinstance(value, bool) == isinstance(const, bool)
-
-
-def validate(value: Any, schema: dict, path: str = "$") -> None:
-    """Raise ValueError, naming the JSON path, unless value matches schema.
-
-    Draft-07 meaning for the keywords in _KEYWORDS, the ones REPORT_SCHEMA
-    uses (`additionalProperties` only as false; `const` and `enum` only with
-    scalars); a schema with any other keyword is refused.
-    """
-    def fail(why: str) -> None:
-        raise ValueError(f"report breaks its schema at {path}: {why}")
-
-    unknown = schema.keys() - _KEYWORDS
-    if unknown:
-        raise ValueError(f"schema keywords {sorted(unknown)} are not supported")
-    if "type" in schema and not _is(value, schema["type"]):
-        fail(f"{value!r} is not of type {schema['type']!r}")
-    if "const" in schema and not _same(value, schema["const"]):
-        fail(f"{schema['const']!r} was expected, not {value!r}")
-    if "enum" in schema and not any(_same(value, c) for c in schema["enum"]):
-        fail(f"{value!r} is not one of {schema['enum']!r}")
-    if _is(value, "string") and len(value) < schema.get("minLength", 0):
-        fail(f"{value!r} is shorter than {schema['minLength']}")
-    if _is(value, "number") and "minimum" in schema and value < schema["minimum"]:
-        fail(f"{value!r} is less than {schema['minimum']!r}")
-    if _is(value, "array"):
-        if len(value) < schema.get("minItems", 0):
-            fail(f"fewer than {schema['minItems']} items")
-        if "items" in schema:
-            for k, item in enumerate(value):
-                validate(item, schema["items"], f"{path}[{k}]")
-    if _is(value, "object"):
-        missing = [key for key in schema.get("required", ()) if key not in value]
-        if missing:
-            fail(f"missing required {missing}")
-        props = schema.get("properties", {})
-        extra = [key for key in value if key not in props]
-        if schema.get("additionalProperties", True) is False and extra:
-            fail(f"unexpected {extra}")
-        for key, sub in props.items():
-            if key in value:
-                validate(value[key], sub, f"{path}.{key}")
 
 
 def jsonable(value: Any) -> Any:
@@ -155,28 +98,46 @@ class VerificationReport:
         return "pass" if ok else "fail"
 
     def to_dict(self) -> dict:
-        ids = [c.check_id for c in self.checks]
-        if len(set(ids)) != len(ids):
+        """The report as a REPORT_SCHEMA document, or ValueError naming the path.
+
+        Keys, schemaVersion and overall are fixed here and jsonable makes
+        observed and expected JSON, so six values are left to check.
+        """
+        def fail(path: str, why: str) -> None:
+            raise ValueError(f"report breaks its schema at {path}: {why}")
+
+        if self.scope not in SCOPES:
+            fail("$.scope", f"{self.scope!r} is not one of {list(SCOPES)!r}")
+        if not self.checks:
+            fail("$.checks", "fewer than 1 items")
+        checks = [c.to_dict() for c in self.checks]
+        for k, c in enumerate(checks):
+            for key in ("id", "description"):
+                if not (isinstance(c[key], str) and c[key]):
+                    fail(f"$.checks[{k}].{key}", f"{c[key]!r} is not a non-empty string")
+            if c["status"] not in ("pass", "fail"):
+                fail(f"$.checks[{k}].status", f"{c['status']!r} is not 'pass' or 'fail'")
+            # round has made a bool an int; as for the schema's minimum, NaN
+            # is not below 0
+            ms = c["runtimeMs"]
+            if not isinstance(ms, numbers.Number) or ms < 0:
+                fail(f"$.checks[{k}].runtimeMs", f"{ms!r} is not a number of at least 0")
+        if len({c["id"] for c in checks}) != len(checks):
             raise ValueError("duplicate check ids in report")
         return {
             "schemaVersion": SCHEMA_VERSION,
             "scope": self.scope,
             "overall": self.overall,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": checks,
         }
-
-    def validated_dict(self) -> dict:
-        payload = self.to_dict()
-        validate(payload, REPORT_SCHEMA)
-        return payload
 
 
 def render_json(report: VerificationReport) -> str:
-    return json.dumps(report.validated_dict(), indent=2)
+    return json.dumps(report.to_dict(), indent=2, allow_nan=False)
 
 
 def render_text(report: VerificationReport) -> str:
-    payload = report.validated_dict()
+    payload = report.to_dict()
     lines = [f"verification scope={payload['scope']} overall={payload['overall']}"]
     width = max(len(c["id"]) for c in payload["checks"])
     for c in payload["checks"]:
@@ -189,13 +150,14 @@ def render_text(report: VerificationReport) -> str:
 
 
 def render_csv(report: VerificationReport) -> str:
-    payload = report.validated_dict()
+    payload = report.to_dict()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "description", "status", "observed", "expected",
                      "runtime_ms"])
     for c in payload["checks"]:
         writer.writerow([c["id"], c["description"], c["status"],
-                         json.dumps(c["observed"]), json.dumps(c["expected"]),
+                         json.dumps(c["observed"], allow_nan=False),
+                         json.dumps(c["expected"], allow_nan=False),
                          c["runtimeMs"]])
     return buf.getvalue()

@@ -58,9 +58,6 @@ class Loop:
     kind: str
     at: Callable[[float], complex]
 
-    def sample(self, t: float) -> complex:
-        return complex(_samples(self, [t])[0])
-
 
 def _samples(loop: Loop, ts: list[float]) -> np.ndarray:
     """The loop's values at every t of ts.  Every value is read before any

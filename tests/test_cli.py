@@ -110,13 +110,20 @@ def test_lines_wrong_incidence_graph_exits_2(capsys, monkeypatch):
     assert "(27, 10, 1, 5) graph" in err
 
 
-@pytest.mark.parametrize("lam", ["2000", "1e6"])
+@pytest.mark.parametrize("lam", ["2000", "1e6", "1.5e6"])
 def test_lines_far_from_the_nodes(capsys, lam):
     code, out, _ = run(capsys, "lines", "--lambda", lam, "--format", "json")
     assert code == 0
     data = json.loads(out)
     assert set(data["incidenceDegrees"]) == {10}
     assert len(data["concurrentTriples"]) == 9
+
+
+def test_lines_refuse_a_member_whose_flexes_collide(capsys):
+    # from about 2e6 on, double precision no longer tells the nine apart
+    code, out, err = run(capsys, "lines", "--lambda", "2e6")
+    assert (code, out) == (2, "")
+    assert "inflection points collide" in err
 
 
 @pytest.mark.parametrize("lam", ["-0.5,0.2", "-8.5e5"])

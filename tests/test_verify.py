@@ -256,7 +256,7 @@ def test_run_checks_scopes():
     assert both.overall == "pass"
     assert len(both.checks) == 32
     assert len({c.check_id for c in both.checks}) == 32
-    both.validated_dict()
+    both.to_dict()
 
 
 def test_run_checks_rejects_unknown_scope():
