@@ -20,7 +20,7 @@ from .errors import (AmbiguousMatching, BadIncidencePattern, CapExceeded,
 from .fixtures import FixtureSet, load_fixtures
 from .groups import (MODEL_IDENTITY, ModelElement, SemidirectGroup,
                      conjugation_relations, corrected_action, identify_order24,
-                     intersect, is_normal, phi_action, semidirect_model,
+                     intersect, is_normal, semidirect_model,
                      verify_generator_map)
 from .hesse import heisenberg_lifts, heisenberg_matrices, hesse_transform
 from .lines import (CANONICAL_CLASS, J_FORM, SurfaceData, all_lines,

@@ -5,13 +5,15 @@ matrix with a above the diagonal left, b above right, c in the corner, so
 
     (a1, b1, c1) * (a2, b2, c2) = (a1+a2, b1+b2, c1+c2 + a1*b2)   (mod 3).
 
-SL2 elements act on the (a, b) data linearly.  That bare action is exactly
-what `phi_action` exposes; note that it is a group action on the data but
-not an automorphism of the Heisenberg multiplication, because the cocycle
-a1*b2 is only symplectically invariant up to a quadratic correction on the
-center coordinate.  The semidirect model therefore uses the corrected
-automorphisms: the canonical quadratic twist composed with an inner twist
-chosen once so that the standard generator relations hold verbatim.
+SL2 elements act on the (a, b) data linearly and shift the center by
+q(a, b) = 2ab + a + b, evaluated after minus before:
+
+    m . (a, b, c) = (a', b', c + q(a', b') - q(a, b)),   (a', b') = m (a, b).
+
+The 2ab repairs the cocycle: a1*b2 is the coboundary of 2ab plus
+2 (a1*b2 - a2*b1), and a determinant-one map keeps the latter.  The a + b
+is conjugation by (1, 2, 0), which makes the standard generator relations
+hold with SL2 generators of trivial Heisenberg part.
 """
 
 from __future__ import annotations
@@ -48,11 +50,6 @@ def h_mul(x: Heis, y: Heis) -> Heis:
             (x[2] + y[2] + x[0] * y[1]) % 3)
 
 
-def h_inv(x: Heis) -> Heis:
-    a, b, c = x
-    return ((-a) % 3, (-b) % 3, (-c + a * b) % 3)
-
-
 def sl2_mul(x: SL2, y: SL2) -> SL2:
     return ((x[0] * y[0] + x[1] * y[2]) % 3,
             (x[0] * y[1] + x[1] * y[3]) % 3,
@@ -60,61 +57,12 @@ def sl2_mul(x: SL2, y: SL2) -> SL2:
             (x[2] * y[1] + x[3] * y[3]) % 3)
 
 
-def phi_action(m: SL2, h: Heis) -> Heis:
-    """The bare linear action: (a, b) -> m (a, b), center coordinate kept."""
-    a, b, c = h
-    return ((m[0] * a + m[1] * b) % 3, (m[2] * a + m[3] * b) % 3, c)
-
-
-def _canonical_aut(m: SL2, h: Heis) -> Heis:
-    """Automorphism lift of the linear action via the quadratic twist.
-
-    The twist q_m(v) = 2 ((m v)_1 (m v)_2 - v_1 v_2) repairs the cocycle, and
-    m -> psi_m is a genuine homomorphism into Aut(Heis).
-    """
+def corrected_action(m: SL2, h: Heis) -> Heis:
+    """m . h, the automorphism m acts by in the model (module docstring)."""
     a, b, c = h
     na, nb = (m[0] * a + m[1] * b) % 3, (m[2] * a + m[3] * b) % 3
-    q = (2 * (na * nb - a * b)) % 3
-    return (na, nb, (c + q) % 3)
-
-
-# Splitting of the SL2 factor inside the canonically twisted product: the
-# generators must carry these Heisenberg parts for the standard conjugation
-# relations to come out with trivial-part SL2 generators in the final model.
-_SPLIT_M: Heis = (0, 2, 0)
-_SPLIT_N: Heis = (2, 0, 0)
-
-
-def _psi_pair_mul(p, q):
-    (h1, g1), (h2, g2) = p, q
-    return (h_mul(h1, _canonical_aut(g1, h2)), sl2_mul(g1, g2))
-
-
-@lru_cache(maxsize=1)
-def _corrected_action() -> dict[SL2, dict[Heis, Heis]]:
-    """Action table g -> (h -> h') used by the semidirect product.
-
-    Built by closing the split generators ((0,2,0), M) and ((2,0,0), N) in
-    the canonically twisted product; the closure must hit each SL2 part
-    exactly once (a true splitting), and conjugating the Heisenberg factor
-    through those representatives gives the corrected automorphisms.
-    """
-    seeds = [(_SPLIT_M, GEN_M), (_SPLIT_N, GEN_N)]
-    seen = [((0, 0, 0), SL2_IDENTITY)]
-    for p in seen:  # grows while it is walked
-        seen.extend(q for q in (_psi_pair_mul(p, s) for s in seeds)
-                    if q not in seen)
-    if len(seen) != 24:
-        raise WrongOrder(f"splitting closure has {len(seen)} elements, not 24")
-    parts = {g: h for h, g in seen}
-    if len(parts) != 24:
-        raise WrongOrder("splitting hits some SL2 part twice")
-    return {g: {h: h_mul(h_mul(hs, _canonical_aut(g, h)), h_inv(hs))
-                for h in HEISENBERG_ALL} for g, hs in parts.items()}
-
-
-def corrected_action(m: SL2, h: Heis) -> Heis:
-    return _corrected_action()[m][h]
+    # q(a', b') - q(a, b), q(a, b) = 2ab + a + b
+    return (na, nb, (c + 2 * na * nb + na + nb - 2 * a * b - a - b) % 3)
 
 
 def index_table(fn, rows: list, cols: list, codomain: list) -> np.ndarray:

@@ -182,7 +182,9 @@ def _surface_lines(f: CubicForm, pairs: np.ndarray, flexes: np.ndarray,
     bad = np.flatnonzero(resid > tol)
     if bad.size:
         k = bad[0]
-        raise NotAFlex(f"line residual {resid[k]:.2e} over point {flexes[k // 3]}")
+        point = np.array2string(flexes[k // 3], max_line_width=np.inf)
+        raise NotAFlex(f"flex {k // 3}: line residual {resid[k]:.2e} "
+                       f"over point {point}")
     return pairs
 
 

@@ -83,7 +83,7 @@ class Check:
             "status": self.status,
             "observed": jsonable(self.observed),
             "expected": jsonable(self.expected),
-            "runtimeMs": round(self.runtime_ms, 3),
+            "runtimeMs": round(jsonable(self.runtime_ms), 3),
         }
 
 

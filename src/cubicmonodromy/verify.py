@@ -23,8 +23,8 @@ from .curves import flex_quartic
 from .errors import AmbiguousMatching, NotAMember
 from .fixtures import load_fixtures
 from .groups import (HEISENBERG_ALL, MODEL_IDENTITY, SL2_ALL, ModelElement,
-                     SemidirectGroup, conjugation_relations, identify_order24,
-                     index_table, intersect, is_normal, phi_action,
+                     SemidirectGroup, conjugation_relations, corrected_action,
+                     identify_order24, index_table, intersect, is_normal,
                      semidirect_model, sl2_mul, verify_generator_map)
 from .hesse import heisenberg_matrices, hesse_transform
 from .lines import (base_surface, concurrent_triples, deck_permutation,
@@ -358,11 +358,12 @@ def fixture_checks() -> list[Check]:
              model_structure))
 
     def action_property():
-        phi = index_table(phi_action, SL2_ALL, HEISENBERG_ALL, HEISENBERG_ALL)
+        act = index_table(corrected_action, SL2_ALL, HEISENBERG_ALL,
+                          HEISENBERG_ALL)
         mul = index_table(sl2_mul, SL2_ALL, SL2_ALL, SL2_ALL)
-        # [m, n, h]: phi(m n, h) against phi(m, phi(n, h))
-        lhs = phi[mul]
-        rhs = phi[np.arange(len(SL2_ALL))[:, None, None], phi[None]]
+        # [m, n, h]: act(m n, h) against act(m, act(n, h))
+        lhs = act[mul]
+        rhs = act[np.arange(len(SL2_ALL))[:, None, None], act[None]]
         return ({"checked": lhs.size,
                  "violations": int(np.count_nonzero(lhs != rhs))},
                 {"checked": 15552, "violations": 0})

@@ -13,8 +13,9 @@ import numpy as np
 
 from cubicmonodromy.fixtures import load_fixtures
 from cubicmonodromy.groups import (HEISENBERG_ALL, SL2_ALL, conjugation_relations,
-                                   identify_order24, intersect, is_normal,
-                                   phi_action, semidirect_model, sl2_mul)
+                                   corrected_action, identify_order24,
+                                   intersect, is_normal, semidirect_model,
+                                   sl2_mul)
 from cubicmonodromy.lines import (CANONICAL_CLASS, J_FORM, base_surface,
                                   build_surface_data, concurrent_triples,
                                   deck_permutation, is_strongly_regular_27,
@@ -165,7 +166,8 @@ def test_criterion_7_property_suites():
         for n in SL2_ALL:
             mn = sl2_mul(m, n)
             for h in HEISENBERG_ALL:
-                assert phi_action(mn, h) == phi_action(m, phi_action(n, h))
+                assert corrected_action(mn, h) == \
+                    corrected_action(m, corrected_action(n, h))
 
     # constant loops act trivially
     assert np.array_equal(monodromy_matrix(constant_loop()),

@@ -7,13 +7,22 @@ import pytest
 
 from cubicmonodromy.errors import NotIsomorphic, WrongOrder
 from cubicmonodromy.fixtures import load_fixtures
-from cubicmonodromy.groups import (HEISENBERG_ALL, MODEL_IDENTITY, SL2_ALL,
-                                   SemidirectGroup, conjugation_relations,
-                                   corrected_action, h_inv, h_mul,
-                                   identify_order24, index_table, intersect,
-                                   is_normal, phi_action, semidirect_model,
+from cubicmonodromy.groups import (GEN_M, GEN_N, HEISENBERG_ALL,
+                                   MODEL_IDENTITY, SL2_ALL, SemidirectGroup,
+                                   conjugation_relations, corrected_action,
+                                   h_mul, identify_order24, index_table,
+                                   intersect, is_normal, semidirect_model,
                                    sl2_mul, verify_generator_map)
 from cubicmonodromy.weyl import FiniteMatrixGroup
+
+
+def h_inv(x):
+    a, b, c = x
+    return ((-a) % 3, (-b) % 3, (-c + a * b) % 3)
+
+
+def linear(m, h):
+    return ((m[0] * h[0] + m[1] * h[1]) % 3, (m[2] * h[0] + m[3] * h[1]) % 3)
 
 
 def test_heisenberg_group_axioms():
@@ -47,17 +56,6 @@ def test_sl2_closure_and_inverses():
             assert sl2_mul(m, n) in all_set
 
 
-def test_phi_is_group_action():
-    e = (1, 0, 0, 1)
-    for h in HEISENBERG_ALL:
-        assert phi_action(e, h) == h
-    for m in SL2_ALL:
-        for n in SL2_ALL:
-            mn = sl2_mul(m, n)
-            for h in HEISENBERG_ALL:
-                assert phi_action(mn, h) == phi_action(m, phi_action(n, h))
-
-
 def test_corrected_action_is_group_action():
     e = (1, 0, 0, 1)
     for h in HEISENBERG_ALL:
@@ -82,10 +80,35 @@ def test_corrected_action_acts_by_automorphisms():
 
 
 def test_corrected_action_projects_to_phi():
-    # the twist only adjusts the center coordinate; the linear part is phi
+    # the twist only adjusts the center coordinate; the rest is m (a, b)
     for m in SL2_ALL:
         for h in HEISENBERG_ALL:
-            assert corrected_action(m, h)[:2] == phi_action(m, h)[:2]
+            assert corrected_action(m, h)[:2] == linear(m, h)
+
+
+def test_corrected_action_is_the_conjugated_splitting():
+    # the construction the closed form replaced: close ((0,2,0), M) and
+    # ((2,0,0), N) in the product twisted by the canonical lift
+    # (a', b', c + 2 (a'b' - ab)), which must hit each SL2 part once, and
+    # conjugate the Heisenberg factor through those representatives
+    def canonical(m, h):
+        a, b = linear(m, h)
+        return (a, b, (h[2] + 2 * (a * b - h[0] * h[1])) % 3)
+
+    def mul(p, q):
+        (h1, g1), (h2, g2) = p, q
+        return (h_mul(h1, canonical(g1, h2)), sl2_mul(g1, g2))
+
+    seeds = [((0, 2, 0), GEN_M), ((2, 0, 0), GEN_N)]
+    seen = [MODEL_IDENTITY]
+    for p in seen:  # grows while it is walked
+        seen.extend(q for q in (mul(p, s) for s in seeds) if q not in seen)
+    parts = {g: h for h, g in seen}
+    assert len(seen) == len(parts) == 24
+    for g, hs in parts.items():
+        for h in HEISENBERG_ALL:
+            assert corrected_action(g, h) == \
+                h_mul(h_mul(hs, canonical(g, h)), h_inv(hs))
 
 
 def test_model_order_and_center():

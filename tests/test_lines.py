@@ -387,7 +387,9 @@ def test_batched_check_names_the_first_line_off_the_surface():
     pairs[13, 0] += 1e-3
     with pytest.raises(NotAFlex) as err:
         lines_module._surface_lines(s.form, pairs, s.flexes, 1e-8)
-    assert str(s.flexes[4]) in str(err.value)
+    point = np.array2string(s.flexes[4], max_line_width=np.inf)
+    assert str(err.value).startswith("flex 4: line residual ")
+    assert str(err.value).endswith(f" over point {point}")
 
 
 @pytest.mark.parametrize("make, row, message", [

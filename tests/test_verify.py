@@ -8,6 +8,7 @@ import pytest
 
 import cubicmonodromy.cli as cli
 import cubicmonodromy.fixtures as fixtures_mod
+import cubicmonodromy.groups as groups
 import cubicmonodromy.verify as verify
 from cubicmonodromy.errors import AmbiguousMatching, GroupError, NotAMember
 from cubicmonodromy.fixtures import load_fixtures
@@ -243,6 +244,46 @@ def test_corrupt_fixtures_fail_checks_not_the_battery(monkeypatch):
     assert status["fx-load"] == "fail"
     assert status["fx-action-property"] == "pass"
     assert list(status.values()).count("fail") == 11
+
+
+def _linear(m, h):
+    return ((m[0] * h[0] + m[1] * h[1]) % 3, (m[2] * h[0] + m[3] * h[1]) % 3)
+
+
+def _canonical_twist(m, h):
+    a, b = _linear(m, h)
+    return (a, b, (h[2] + 2 * (a * b - h[0] * h[1])) % 3)
+
+
+def _bare_action(m, h):
+    return (*_linear(m, h), h[2])
+
+
+def _not_an_action(m, h):
+    return (*_linear(m, h), (h[2] + h[0]) % 3)
+
+
+MODEL_CHECKS = {"fx-model-structure", "fx-isomorphism", "pl-isomorphism"}
+
+
+@pytest.mark.parametrize("twist, failing", [
+    # automorphisms, but the generator relations need the conjugation too
+    (_canonical_twist, {"fx-isomorphism", "pl-isomorphism"}),
+    # an action, but no automorphisms: the table is no group
+    (_bare_action, MODEL_CHECKS),
+    (_not_an_action, MODEL_CHECKS | {"fx-action-property"})],
+    ids=["canonical-twist", "bare-action", "not-an-action"])
+def test_a_planted_model_twist_fails_exactly_its_checks(monkeypatch, twist,
+                                                        failing):
+    # the model multiplies with the action that fx-action-property checks
+    monkeypatch.setattr(groups, "corrected_action", twist)
+    monkeypatch.setattr(verify, "corrected_action", twist)
+    semidirect_model.cache_clear()
+    try:
+        report = run_checks("all")
+    finally:
+        semidirect_model.cache_clear()
+    assert {c.check_id for c in report.checks if c.status == "fail"} == failing
 
 
 def test_run_checks_scopes():
