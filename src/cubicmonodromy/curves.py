@@ -7,19 +7,24 @@ A cubic form is stored as 10 complex coefficients in the fixed monomial order
 and as the (3, 3, 3) coefficient tensor that the gradient, the Hessian form
 and coordinate changes are computed from.
 
-Inflection points of the two families that matter (the y^2 z = cubic pencil
-and the Hesse normal forms) come from closed-form reductions.  Every other
-smooth cubic takes the resultant route: y is eliminated between f and its
-Hessian form, f's y-polynomials at the roots in x are solved as one stack,
-and Newton steps on the system (f, Hessian) bring every candidate to
-rounding level.  Those steps make a flex at a double root of the resultant
-as accurate as any other; the y -> -y symmetry of a Weierstrass cubic
-y^2 z = x^3 + a x z^2 + b z^3 puts every flex x-coordinate at one.
+inflection_points is the one place that decides how a cubic is solved.
+With each flex it gives the linear form l for which f = l^3 on the tangent
+line there; the lines over the flex are w = omega^n l (see lines.py).  For
+the two families that matter, the y^2 z = cubic pencil and the Hesse normal
+forms, and for scalar multiples of their members, points and forms come in
+closed form.  Every other smooth cubic takes the resultant route: y is
+eliminated between f and its Hessian form, f's y-polynomials at the roots
+in x are solved as one stack, and Newton steps on the system (f, Hessian)
+bring every candidate to rounding level.  Those steps make a flex at a
+double root of the resultant as accurate as any other; the y -> -y symmetry
+of a Weierstrass cubic y^2 z = x^3 + a x z^2 + b z^3 puts every flex
+x-coordinate at one.  Its forms come from the tangent-cube reduction, which
+reads l off three points of each tangent line.
 
 The nine inflection points are one (9, 3) complex array: each row scaled so
 that its last meaningfully nonzero coordinate (z, else y, else x) is 1, the
-rows in a fixed order.  Row i is flex i, and the 27 lines are indexed
-3 * flex + sheet over it (see lines.py).
+rows in a fixed order, and their forms a (9, 3) array row for row.  Row i
+is flex i, and the 27 lines are indexed 3 * flex + sheet over it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateCurve, SingularParameter
+from .errors import DegenerateCurve, NotAFlex, SingularParameter
 from .numeric import (OMEGA, TOL_LEAD, TOL_MATCH, order_key, pair_indices,
                       roots_of, roots_of_stack, trimmed)
 
@@ -271,68 +276,80 @@ def flex_height_squared(lam: complex, alpha: complex) -> complex:
     return alpha ** 3 - lam * alpha ** 2 - alpha + lam
 
 
-def cubic_route(f: CubicForm) -> tuple[str, complex | None]:
-    """Which closed form covers f: ("family", lam), ("hesse", mu), or
-    ("generic", None) for the resultant route and the tangent-cube lines.
+def inflection_points(f: CubicForm, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """The nine inflection points as a (9, 3) stack, deterministically
+    ordered, and row for row the linear form l with f = l^3 on the tangent
+    line there.
 
-    build_surface_data reads it once and hands it to inflection_points and
-    lines.all_lines, which otherwise each work it out for themselves.
-    """
-    lam = family_parameter(f)
-    if lam is not None:
-        return "family", lam
-    mu = hesse_parameter(f)
-    return ("generic", None) if mu is None else ("hesse", mu)
-
-
-def inflection_points(f: CubicForm, tol: float = 1e-8,
-                      route: tuple[str, complex | None] | None = None) -> np.ndarray:
-    """The nine inflection points as a (9, 3) stack, deterministically ordered.
-
-    route is cubic_route(f), worked out here when not given.  Each row is
+    The route is decided here only: f = c g for a pencil or Hesse member g
+    takes g's closed forms, l scaled by c^(1/3), and any other cubic the
+    resultant route and the tangent-cube reduction.  The points are found
+    on f / f.scale(), so that no coefficient size overflows.  Each row is
     normalized as in _normalized.  Ordering: the base point [0:1:0] first
     when the curve passes through it with a vertical-tangent flex there,
     then ascending (Re y, Im y, Re x, Im x), each rounded as in order_key.
     """
-    kind, param = route or cubic_route(f)
-    hess = hessian_det_form(f)
-    if kind == "family":
-        pts = _inflections_family(param)
-    elif kind == "hesse":
-        pts = _inflections_hesse(param)
+    unit = CubicForm(f.coeffs / f.scale())
+    hess = hessian_det_form(unit)
+    lam = family_parameter(f)
+    mu = None if lam is not None else hesse_parameter(f)
+    # c is f's coefficient where the member's is 1
+    if lam is not None:
+        pts, forms = _inflections_family(lam)
+        c = f.coeffs[_MONOMIAL_INDEX[(0, 2, 1)]]
+    elif mu is not None:
+        pts, forms = _inflections_hesse(mu)
+        c = f.coeffs[_MONOMIAL_INDEX[(3, 0, 0)]]
     else:
-        pts = _inflections_resultant(f, hess, tol)
+        pts, forms = _inflections_resultant(unit, hess, tol), None
     pts = _normalized(pts)
     if len(pts) != 9:
         raise DegenerateCurve(f"expected 9 inflection points, got {len(pts)}")
     units = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
-    if (np.any(np.abs(f(units)) > tol * f.scale())
+    if (np.any(np.abs(unit(units)) > tol * unit.scale())
             or np.any(np.abs(hess(units)) > tol * hess.scale())):
         raise DegenerateCurve("inflection residual above tolerance")
     i, j = pair_indices(9)
     if np.any(chordal_distances(pts[i], pts[j]) < 10.0 * TOL_MATCH):
         raise DegenerateCurve("inflection points collide")
     base, rows = at_base_point(pts).tolist(), pts.tolist()
-    return pts[sorted(range(9), key=lambda k: (not base[k], *order_key(rows[k][1]),
-                                               *order_key(rows[k][0])))]
+    order = sorted(range(9), key=lambda k: (not base[k], *order_key(rows[k][1]),
+                                            *order_key(rows[k][0])))
+    pts = pts[order]
+    if forms is None:
+        return pts, _tangent_cube_roots(f, tol, pts)
+    return pts, forms[order] * complex(c) ** (1.0 / 3.0)
 
 
-def _inflections_family(lam: complex) -> np.ndarray:
+def _inflections_family(lam: complex) -> tuple[np.ndarray, np.ndarray]:
+    """[0 : 1 : 0] with l = -x, and [alpha : +-y : 1] with l = -x + alpha z
+    for the roots alpha of the flex quartic: f, whose x^3 coefficient is
+    -1, is l^3 on each tangent line."""
     if abs(lam - 1.0) < TOL_MATCH or abs(lam + 1.0) < TOL_MATCH:
         raise SingularParameter(f"lambda = {lam} is on the discriminant")
     # solved in x / s, so that roots_of's relative trim keeps the x^4 term
     s = max(1.0, abs(lam))
+    alphas = s * np.array(roots_of(flex_quartic(lam) * s ** np.arange(5)))
     pts = [[0.0, 1.0, 0.0]]
-    for alpha in s * np.array(roots_of(flex_quartic(lam) * s ** np.arange(5))):
+    for alpha in alphas:
         y = cmath.sqrt(flex_height_squared(lam, alpha))
         pts += [[alpha, y, 1.0], [alpha, -y, 1.0]]
-    return np.array(pts, dtype=complex)
+    forms = np.zeros((len(pts), 3), dtype=complex)
+    forms[:, 0] = -1.0
+    forms[1:, 2] = np.repeat(alphas, 2)
+    return np.array(pts, dtype=complex), forms
 
 
-def _inflections_hesse(mu: complex) -> np.ndarray:
-    return np.array([row for w in (-(OMEGA ** k) for k in range(3))
-                     for row in ([1.0, w, 0.0], [w, 0.0, 1.0], [0.0, 1.0, w])],
-                    dtype=complex)
+def _inflections_hesse(mu: complex) -> tuple[np.ndarray, np.ndarray]:
+    """[1 : w : 0], [w : 0 : 1], [0 : 1 : w] for w = -omega^k, with
+    l = eta m, m the coordinate that is zero there (z, y, x)."""
+    pts = np.array([row for w in (-(OMEGA ** k) for k in range(3))
+                    for row in ([1.0, w, 0.0], [w, 0.0, 1.0], [0.0, 1.0, w])],
+                   dtype=complex)
+    eta = -((complex(mu) ** 3 - 1.0) ** (1.0 / 3.0))
+    if abs(eta.imag) > 1e-9:
+        eta = complex(-abs(eta))
+    return pts, eta * np.eye(3)[[2, 1, 0] * 3]
 
 
 def _y_coefficients(f: CubicForm) -> np.ndarray:
@@ -417,3 +434,48 @@ def _flex_newton(f: CubicForm, hess: CubicForm, pts: np.ndarray) -> np.ndarray:
                              np.zeros_like(det)], axis=-1)
             pts = pts - step
     return pts[np.linalg.norm(step, axis=-1) <= 1e-9 * np.linalg.norm(pts, axis=-1)]
+
+
+def _first_failing(bad: np.ndarray, message: str) -> None:
+    if np.any(bad):
+        raise NotAFlex(f"flex {np.argmax(bad)}: {message}")
+
+
+def _tangent_cube_roots(f: CubicForm, tol: float, flexes: np.ndarray) -> np.ndarray:
+    """l = c^(1/3) m over each of an arbitrary smooth cubic's (n, 3) flexes.
+
+    On the tangent line at a flex the form is c * m^3 for any linear form m
+    that vanishes at the point and is independent of the unit tangent
+    covector t; c is read off a second point of the line, and a third
+    certifies the flex.  A flex where f's gradient vanishes is refused.
+    """
+    rows = np.arange(len(flexes))
+    floor = tol * f.scale()
+    units = flexes / np.linalg.norm(flexes, axis=-1, keepdims=True)
+    grads = f.gradient(units)
+    norms = np.linalg.norm(grads, axis=-1, keepdims=True)
+    _first_failing(norms[:, 0] < floor, "gradient vanishes; not a smooth point")
+    t = grads / norms
+    # forms vanishing at u: the null space of the evaluation functional at u,
+    # the candidate whose part off t is longest (the first on a tie)
+    cands = np.linalg.svd(units[:, None])[2][:, 1:].conj()
+    off_t = cands - (cands @ t.conj()[..., None]) * t[:, None]
+    m = off_t[rows, np.argmax(np.linalg.norm(off_t, axis=-1), axis=-1)]
+    m = m / np.linalg.norm(m, axis=-1, keepdims=True)
+    # a third point of the tangent line gives the cube scale: the first basis
+    # vector of the line off u by over 1e-6 (two cannot both be that close)
+    cands = np.linalg.svd(t[:, None])[2][:, 1:].conj()
+    off_u = cands - (cands @ units.conj()[..., None]) * units[:, None]
+    lengths = np.linalg.norm(off_u, axis=-1)
+    pick = np.where(lengths[:, 0] > 1e-6, 0, 1)
+    q = off_u[rows, pick] / lengths[rows, pick][:, None]
+    mq = np.einsum("ni,ni->n", m, q)
+    _first_failing(np.abs(mq) < 1e-10, "degenerate chart on the tangent line")
+    c = f(q) / mq ** 3
+    _first_failing(np.abs(c) < floor, "form vanishes on the whole tangent line")
+    # flex certificate: f - c m^3 must vanish on the tangent line
+    mid = units + 0.37 * q
+    mid = mid / np.linalg.norm(mid, axis=-1, keepdims=True)
+    _first_failing(np.abs(f(mid) - c * np.einsum("ni,ni->n", m, mid) ** 3) > floor,
+                   "tangent line meets the curve off the triple point")
+    return (c ** (1.0 / 3.0))[:, None] * m

@@ -224,30 +224,14 @@ def conjugation_relations(h1, h2, g1, g2, omega) -> list[dict]:
     ]
 
 
-def identify_order24(group: FiniteMatrixGroup) -> str:
-    """Name an order-24 group from its order census and Sylow data.
+# element orders of SL(2, F3), the one group of order 24 with a single
+# involution and eight elements of order 3
+_SL2_CENSUS = {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
 
-    The intended hit is SL2 over the field of three elements: non-abelian,
-    more than one 3-Sylow, and both an order-4 and an order-6 element.  The
-    two classical look-alikes are separated by which of those orders occur.
-    """
+
+def identify_order24(group: FiniteMatrixGroup) -> str:
+    """Name an order-24 group: "SL2(F3)" on SL(2, F3)'s order census, else
+    "unrecognized"."""
     if len(group) != 24:
         raise WrongOrder(f"group has order {len(group)}, expected 24")
-    census = group.census()
-    abelian = all(
-        np.array_equal(x @ y, y @ x)
-        for i, x in enumerate(group.gens) for y in group.gens[i + 1:]
-    )
-    if abelian:
-        return "abelian"
-    if census.get(3, 0) == 2:
-        return "normal 3-Sylow"
-    has4 = census.get(4, 0) > 0
-    has6 = census.get(6, 0) > 0
-    if has4 and has6:
-        return "SL2(F3)"
-    if has4:
-        return "S4"
-    if has6:
-        return "A4 x C2"
-    return "unrecognized"
+    return "SL2(F3)" if group.census() == _SL2_CENSUS else "unrecognized"

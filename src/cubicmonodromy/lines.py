@@ -2,13 +2,15 @@
 
 Over each of the nine inflection points of the branch cubic the surface
 carries three lines, cut out by the lifted tangent plane together with one
-of three hyperplanes indexed by a cube root of unity.  The lines are one
-(27, 2, 4) stack of unit covector pairs in (x, y, z, w): line k lies over
-flex k // 3 (row k // 3 of the (9, 3) flex stack) on cube-root sheet k % 3,
-so line 3 * flex + sheet.  Only this module reads flex and sheet off a line
-index, and it reads every line correspondence by cube roots of unity: one per
-pair of flexes for incidence, one per flex, with flex images, for a cover
-automorphism.  Everything after the certified pattern is exact integer data.
+of three hyperplanes indexed by a cube root of unity: w = omega^n l, with
+l the linear form that inflection_points gives with the flex.  The lines
+are one (27, 2, 4) stack of unit covector pairs in (x, y, z, w): line k lies
+over flex k // 3 (row k // 3 of the (9, 3) flex stack) on cube-root sheet
+k % 3, so line 3 * flex + sheet.  Only this module reads flex and sheet off
+a line index, and it reads every line correspondence by cube roots of
+unity: one per pair of flexes for incidence, one per flex, with flex
+images, for a cover automorphism.  Everything after the certified pattern
+is exact integer data.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .curves import (CubicForm, at_base_point, chordal_distances, cubic_route,
-                     inflection_points, phase_normalize)
+from .curves import (CubicForm, chordal_distances, inflection_points,
+                     phase_normalize)
 from .errors import (BadIncidencePattern, NoSixer, NonIntegralImage,
                      FormViolation, NotAFlex)
 from .numeric import OMEGA, TOL_MATCH, nearest_match, pair_indices
@@ -68,106 +70,22 @@ def surface_residual(f: CubicForm, pair: np.ndarray) -> float:
     return float(_residuals(f, kernel)[0])
 
 
-def _pencil_cube_roots(flexes: np.ndarray) -> np.ndarray:
-    """l = -x + alpha z over each of the pencil member's flexes [x : y : z],
-    alpha = x / z, and l = -x over [0 : 1 : 0]: f, whose x^3 coefficient
-    is -1, is l^3 on each tangent line.  A far member's flex may be scaled
-    to y = 1, so alpha is read as a ratio."""
-    off = ~at_base_point(flexes)
-    _first_failing(off & (flexes[:, 2] == 0),
-                   "z = 0 off [0 : 1 : 0]; no flex of the pencil")
-    ell = np.zeros((len(flexes), 3), dtype=complex)
-    ell[:, 0] = -1.0
-    ell[off, 2] = flexes[off, 0] / flexes[off, 2]
-    return ell
-
-
-def _hesse_cube_roots(eta: complex, flexes: np.ndarray) -> np.ndarray:
-    """l = eta m over each of a Hesse member's flexes, m its one vanishing
-    coordinate (the coordinate of least modulus)."""
-    ell = np.zeros((len(flexes), 3), dtype=complex)
-    ell[np.arange(len(flexes)), np.argmin(np.abs(flexes), axis=-1)] = eta
-    return ell
-
-
-def _hesse_eta(mu: complex) -> complex:
-    eta = -((complex(mu) ** 3 - 1.0) ** (1.0 / 3.0))
-    if abs(eta.imag) > 1e-9:
-        eta = complex(-abs(eta))
-    return eta
-
-
-def _first_failing(bad: np.ndarray, message: str) -> None:
-    if np.any(bad):
-        raise NotAFlex(f"flex {np.argmax(bad)}: {message}")
-
-
-def _tangent_cube_roots(f: CubicForm, tol: float, units: np.ndarray,
-                        t: np.ndarray) -> np.ndarray:
-    """l = c^(1/3) m over an arbitrary smooth cubic's (n, 3) unit flexes,
-    t the unit tangent covector at each.
-
-    On the tangent line at a flex the form is c * m^3 for any linear form m
-    that vanishes at the point and is independent of t; c is read off a
-    second point of the line, and a third certifies the flex.
-    """
-    rows = np.arange(len(units))
-    floor = tol * f.scale()
-    # forms vanishing at u: the null space of the evaluation functional at u,
-    # the candidate whose part off t is longest (the first on a tie)
-    cands = np.linalg.svd(units[:, None])[2][:, 1:].conj()
-    off_t = cands - (cands @ t.conj()[..., None]) * t[:, None]
-    m = off_t[rows, np.argmax(np.linalg.norm(off_t, axis=-1), axis=-1)]
-    m = m / np.linalg.norm(m, axis=-1, keepdims=True)
-    # a third point of the tangent line gives the cube scale: the first basis
-    # vector of the line off u by over 1e-6 (two cannot both be that close)
-    cands = np.linalg.svd(t[:, None])[2][:, 1:].conj()
-    off_u = cands - (cands @ units.conj()[..., None]) * units[:, None]
-    lengths = np.linalg.norm(off_u, axis=-1)
-    pick = np.where(lengths[:, 0] > 1e-6, 0, 1)
-    q = off_u[rows, pick] / lengths[rows, pick][:, None]
-    mq = np.einsum("ni,ni->n", m, q)
-    _first_failing(np.abs(mq) < 1e-10, "degenerate chart on the tangent line")
-    c = f(q) / mq ** 3
-    _first_failing(np.abs(c) < floor, "form vanishes on the whole tangent line")
-    # flex certificate: f - c m^3 must vanish on the tangent line
-    mid = units + 0.37 * q
-    mid = mid / np.linalg.norm(mid, axis=-1, keepdims=True)
-    _first_failing(np.abs(f(mid) - c * np.einsum("ni,ni->n", m, mid) ** 3) > floor,
-                   "tangent line meets the curve off the triple point")
-    return (c ** (1.0 / 3.0))[:, None] * m
-
-
-def all_lines(f: CubicForm, flexes: np.ndarray, tol: float = 1e-8,
-              route: tuple[str, complex | None] | None = None) -> np.ndarray:
+def all_lines(f: CubicForm, flexes: np.ndarray, forms: np.ndarray,
+              tol: float = 1e-8) -> np.ndarray:
     """The (3 len(flexes), 2, 4) stack of the lines over the given (n, 3)
     flexes, line 3 i + n over flex i on sheet n.
 
-    On the tangent line at a flex f is l^3 for a linear form l vanishing
-    there, so the surface over that line is the three lines w = omega^n l:
-    line 3 i + n is cut out by h1 = (-omega^n l, 1) and the tangent plane
-    h2 = (t, 0), t the unit gradient of f at flex i.  Only l depends on the
-    route (cubic_route(f) when not given): closed forms for the pencil and
-    the Hesse family, the tangent-cube reduction otherwise.  Each line must
-    lie on the surface to within tol.
+    forms holds, row for row, a linear form l vanishing at the flex with
+    f = l^3 on its tangent line (inflection_points gives both), so the
+    surface over that line is the three lines w = omega^n l: line 3 i + n is
+    cut out by h1 = (-omega^n l, 1) and the tangent plane h2 = (t, 0), t the
+    unit gradient of f at flex i.  Each line must lie on the surface to
+    within tol.
     """
-    kind, param = route or cubic_route(f)
-    units = flexes / np.linalg.norm(flexes, axis=-1, keepdims=True)
-    grads = f.gradient(units)
-    norms = np.linalg.norm(grads, axis=-1, keepdims=True)
-    if kind == "generic":
-        # the closed forms' flexes are smooth by construction; a tolerance
-        # floor there would refuse them at a coarse tol
-        _first_failing(norms[:, 0] < tol * f.scale(), "gradient vanishes; not a smooth point")
-    t = grads / norms
-    if kind == "family":
-        ell = _pencil_cube_roots(flexes)
-    elif kind == "hesse":
-        ell = _hesse_cube_roots(_hesse_eta(param), flexes)
-    else:
-        ell = _tangent_cube_roots(f, tol, units, t)
+    grads = f.gradient(flexes / np.linalg.norm(flexes, axis=-1, keepdims=True))
+    t = grads / np.linalg.norm(grads, axis=-1, keepdims=True)
     pairs = np.zeros((len(flexes), 3, 2, 4), dtype=complex)
-    pairs[:, :, 0, :3] = -_SHEETS[:, None] * ell[:, None]
+    pairs[:, :, 0, :3] = -_SHEETS[:, None] * forms[:, None]
     pairs[:, :, 0, 3] = 1.0
     pairs[:, :, 1, :3] = t[:, None]
     return _surface_lines(f, pairs.reshape(-1, 2, 4), flexes, tol)
@@ -396,9 +314,8 @@ class SurfaceData:
 
 
 def build_surface_data(f: CubicForm, tol: float = 1e-8) -> SurfaceData:
-    route = cubic_route(f)
-    flexes = inflection_points(f, tol, route)
-    lines = all_lines(f, flexes, tol, route)
+    flexes, forms = inflection_points(f, tol)
+    lines = all_lines(f, flexes, forms, tol)
     adj = incidence_graph(lines)
     if not is_strongly_regular_27(adj):
         raise BadIncidencePattern(

@@ -52,9 +52,10 @@ PRECISIONS = ("double", "extended")
 # only repeated key is the base quartic at lambda = 0: 400 seeded loops, the
 # keyhole and close-pass probes and extended-precision loops use 4 distinct
 # keys (three signed-zero variants in double precision, one in extended), and
-# verify --scope all one.  The other callers (inflection_points per surface,
-# the resultant solves) never repeat a key; for them the memo costs a tobytes
-# and a hash against a 150 us solve.
+# verify --scope all one.  The other callers, inflection_points' pencil flex
+# quartic and its resultant route's solves, once per surface, never
+# repeat a key; for them the memo costs a tobytes and a hash against a
+# 150 us solve.
 _MEMO_SIZE = 4
 
 

@@ -136,6 +136,17 @@ def test_lines_refuse_a_member_off_the_surface_on_one_line(capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", ["1e77", "1e80", "1e300", "-1e300", "1e300j", "1.7e308"])
+def test_lines_at_a_huge_parameter_exit_2_without_a_warning(capsys, lam):
+    # the flexes are found on f / f.scale(), where neither the Hessian nor
+    # the resultant overflows; the member is refused in one line
+    code, out, err = run(capsys, "lines", f"--lambda={lam}")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "non-finite" not in err
+
+
 @pytest.mark.parametrize("lam", ["-0.5,0.2", "-8.5e5"])
 def test_lines_takes_a_negative_lambda_in_the_equals_form(capsys, lam):
     code, out, _ = run(capsys, "lines", f"--lambda={lam}", "--format", "json")

@@ -8,7 +8,7 @@ import pytest
 
 import cubicmonodromy.curves as curves
 from cubicmonodromy.curves import (MONOMIALS, CubicForm, at_base_point, family_lambda,
-                                   cubic_route, family_parameter, flex_height_squared,
+                                   family_parameter, flex_height_squared,
                                    flex_quartic, hesse_form,
                                    hesse_parameter, hessian_det_form,
                                    inflection_points)
@@ -64,7 +64,7 @@ def test_projective_point_normalization():
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_inflections_are_flexes(lam):
     f = family_lambda(lam)
-    pts = inflection_points(f)
+    pts = inflection_points(f)[0]
     hd = hessian_det_form(f)
     assert pts.shape == (9, 3)
     assert at_base_point(pts).tolist() == [True] + [False] * 8
@@ -74,8 +74,8 @@ def test_inflections_are_flexes(lam):
 
 
 def test_inflections_deterministic_order():
-    a = inflection_points(family_lambda(0.25))
-    b = inflection_points(family_lambda(0.25))
+    a = inflection_points(family_lambda(0.25))[0]
+    b = inflection_points(family_lambda(0.25))[0]
     assert curves.chordal_distances(a, b).max() < 1e-12
 
 
@@ -83,19 +83,19 @@ def test_inflections_deterministic_order():
 def test_inflection_order_ignores_rounding_noise(monkeypatch, lam):
     # at real lam, conjugate inflections share Re y, which rounding noise
     # in the roots must not order
-    want = inflection_points(family_lambda(lam))
+    want = inflection_points(family_lambda(lam))[0]
     solve = curves.roots_of
     for signs in itertools.product((-1.0, 1.0), repeat=4):
         def noisy(*args, _signs=signs):
             return [z + 1e-15 * s for z, s in zip(solve(*args), _signs)]
         monkeypatch.setattr(curves, "roots_of", noisy)
-        got = inflection_points(family_lambda(lam))
+        got = inflection_points(family_lambda(lam))[0]
         assert np.abs(got - want).max() < 1e-12
 
 
 def test_distance_has_no_cancellation_floor():
     # sqrt(1 - |<u, v>|^2) left up to 2e-8 for a point and itself
-    pts = inflection_points(family_lambda(0.25))
+    pts = inflection_points(family_lambda(0.25))[0]
     dist = curves.chordal_distances(pts[:, None], pts[None])
     units = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
     for i, p in enumerate(units):
@@ -117,7 +117,7 @@ def test_generic_cubic_has_nine_inflections():
     f = CubicForm(np.array(GENERIC))
     assert family_parameter(f) is None and hesse_parameter(f) is None
     hd = hessian_det_form(f)
-    pts = inflection_points(f)
+    pts = inflection_points(f)[0]
     assert pts.shape == (9, 3)
     units = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
     assert np.abs(f(units)).max() < 1e-8 * f.scale()
@@ -159,14 +159,17 @@ _HESSE_MUS = (2.2, 1.5 - 0.7j, 0.3j, -1.8)
 @pytest.mark.parametrize("f, m", [
     *[(family_lambda(lam), _change(seed)) for seed, lam in enumerate(LAMBDAS)],
     *[(hesse_form(mu), _change(10 + seed)) for seed, mu in enumerate(_HESSE_MUS)],
-    (family_lambda(0.3), _SHEAR), (hesse_form(2.2), np.eye(3))],
+    (family_lambda(0.3), _SHEAR), (hesse_form(2.2), np.diag([1.0, 1.0, -1.0]))],
     ids=[*(f"pencil-{lam}" for lam in LAMBDAS), *(f"hesse-{mu}" for mu in _HESSE_MUS),
          "pencil-shear", "hesse-identity"])
 def test_resultant_route_moves_flexes_with_the_coordinates(f, m):
-    # the flexes of f.compose(m) are m^-1 applied to those of f; the Hesse
-    # member with m = I has three flexes on z = 0
-    want = np.linalg.solve(m, inflection_points(f).T).T
-    got = inflection_points(f.compose(m), route=("generic", None))
+    # the flexes of f.compose(m) are m^-1 applied to those of f; neither
+    # recognizer accepts a composed form, so it takes the resultant route.
+    # The Hesse member with m = diag(1, 1, -1) has three flexes on z = 0
+    g = f.compose(m)
+    assert family_parameter(g) is None and hesse_parameter(g) is None
+    want = np.linalg.solve(m, inflection_points(f)[0].T).T
+    got = inflection_points(g)[0]
     nearest_match(curves.chordal_distances(got[:, None], want[None]), tol=1e-12)
 
 
@@ -174,8 +177,8 @@ def test_resultant_route_moves_flexes_with_the_coordinates(f, m):
 def test_weierstrass_cubics_have_nine_accurate_flexes(a, b):
     # y -> -y makes every flex x-coordinate a double root of the resultant
     f = _weierstrass(a, b)
-    assert cubic_route(f) == ("generic", None)
-    got = inflection_points(f)
+    assert family_parameter(f) is None and hesse_parameter(f) is None
+    got = inflection_points(f)[0]
     want = _weierstrass_flexes(a, b)
     nearest_match(curves.chordal_distances(got[:, None], want[None]), tol=1e-12)
 
@@ -187,7 +190,7 @@ def test_generic_cubic_solves_its_y_polynomials_as_one_stack(monkeypatch):
             calls[_name] += 1
             return _solve(*args, **kwargs)
         monkeypatch.setattr(curves, name, counted)
-    assert len(inflection_points(CubicForm(np.array(GENERIC)))) == 9
+    assert len(inflection_points(CubicForm(np.array(GENERIC)))[0]) == 9
     # the resultant and the line z = 0 by roots_of; every y-polynomial at once
     assert calls == {"roots_of": 2, "roots_of_stack": 1}
 
@@ -272,7 +275,7 @@ def test_stacked_cubic_matches_monomial_sum():
                                CubicForm(np.array(GENERIC))],
                          ids=["pencil", "hesse", "generic"])
 def test_stacked_inflection_distances_match_pairwise(f):
-    pts = inflection_points(f)
+    pts = inflection_points(f)[0]
     i, j = np.triu_indices(9, 1)
     got = curves.chordal_distances(pts[i], pts[j])
     for d, a, b in zip(got, i, j):

@@ -240,6 +240,15 @@ def test_identify_order24():
         identify_order24(FiniteMatrixGroup.close([fx.deck], cap=10))
 
 
+def test_identify_order24_refuses_s4():
+    # the 4 x 4 permutation matrices: order 24, nine involutions
+    swap = np.eye(4, dtype=np.int64)[[1, 0, 2, 3]]
+    cycle = np.eye(4, dtype=np.int64)[[1, 2, 3, 0]]
+    s4 = FiniteMatrixGroup.close([swap, cycle], cap=100)
+    assert len(s4) == 24
+    assert identify_order24(s4) == "unrecognized"
+
+
 def test_sl2_quotient_structure():
     # model elements with trivial Heisenberg part do not form a subgroup,
     # but the quotient by the normal 27 part is SL2(F3): count cosets

@@ -120,6 +120,19 @@ def test_large_members_get_the_strongly_regular_graph(f):
     assert is_lattice_map(s.deck_matrix)
 
 
+@pytest.mark.parametrize("c", [2.0, -1.0, 1j, 1e-3], ids=["2", "-1", "1j", "1e-3"])
+@pytest.mark.parametrize("make", [lambda: family_lambda(0.3), lambda: family_lambda(1e5),
+                                  lambda: hesse_form(2.2)],
+                         ids=["pencil-0.3", "pencil-1e5", "hesse-2.2"])
+def test_scalar_multiples_of_the_closed_form_members(make, c):
+    # c f is recognized as f's member; its forms are f's times c^(1/3)
+    s = build_surface_data(CubicForm(c * make().coeffs))
+    assert is_strongly_regular_27(s.adjacency)
+    d = s.deck_matrix
+    assert is_lattice_map(d)
+    assert np.array_equal(d @ d @ d, np.eye(7, dtype=np.int64))
+
+
 def test_concurrent_triples_follow_flexes():
     s = base_surface()
     triples = concurrent_triples(s.lines, s.adjacency)
@@ -294,7 +307,7 @@ def test_stacked_tangent_cubes_match_the_per_flex_builder(f, monkeypatch):
                         lambda f, pairs, *rest: caught.append(pairs) or check(f, pairs, *rest))
 
     def built(rows):
-        all_lines(f, rows, route=route)
+        all_lines(f, rows, curves_module._tangent_cube_roots(f, 1e-8, rows))
         return caught.pop()
 
     def both(rows):
@@ -304,8 +317,7 @@ def test_stacked_tangent_cubes_match_the_per_flex_builder(f, monkeypatch):
                                         for u, g in zip(units, grads)]),
                 lambda: built(rows))
 
-    route = ("generic", None)
-    flexes = inflection_points(f, route=route)
+    flexes, forms = inflection_points(f)
     # each flex row moved off its flex in turn: both builders refuse it
     rng = np.random.default_rng(3)
     for moved in range(9):
@@ -320,7 +332,7 @@ def test_stacked_tangent_cubes_match_the_per_flex_builder(f, monkeypatch):
     want, got = per_flex(), stacked()
     assert got.shape == (27, 2, 4)
     assert np.max(np.abs(got - want)) <= 1e-14
-    adj = incidence_graph(all_lines(f, flexes, route=route))
+    adj = incidence_graph(all_lines(f, flexes, forms))
     want_adj = incidence_graph(lines_module._surface_lines(f, want, flexes, 1e-8))
     assert np.array_equal(adj, want_adj)
     assert is_strongly_regular_27(adj)
@@ -392,26 +404,28 @@ def test_batched_check_names_the_first_line_off_the_surface():
     assert str(err.value).endswith(f" over point {point}")
 
 
-@pytest.mark.parametrize("make, row, message", [
-    (lambda: family_lambda(0.3), [0.2, 0.5, 1.0], "line residual .* over point"),
-    (lambda: family_lambda(0.3), [1.0, 0.5, 0.0], "flex 4: z = 0 off"),
-    (lambda: hesse_form(2.2), [0.2, 0.5, 1.0], "line residual .* over point"),
-    (_hidden_pencil, [0.2, 0.5, 1.0], "flex 4: tangent line meets the curve")],
+@pytest.mark.parametrize("make, row", [
+    (lambda: family_lambda(0.3), [0.2, 0.5, 1.0]),
+    (lambda: family_lambda(0.3), [1.0, 0.5, 0.0]),
+    (lambda: hesse_form(2.2), [0.2, 0.5, 1.0]),
+    (_hidden_pencil, [0.2, 0.5, 1.0])],
     ids=["pencil-off-scheme", "pencil-at-infinity", "hesse", "generic"])
-def test_closed_forms_refuse_a_point_that_is_no_flex(make, row, message):
+def test_closed_forms_refuse_a_point_that_is_no_flex(make, row):
+    # a row moved off its flex, fed with the form l of the flex it was
     f = make()
-    flexes = inflection_points(f).copy()
+    flexes, forms = inflection_points(f)
+    flexes = flexes.copy()
     flexes[4] = row
-    with pytest.raises(NotAFlex, match=message):
-        all_lines(f, flexes)
+    with pytest.raises(NotAFlex, match="flex 4: line residual .* over point"):
+        all_lines(f, flexes, forms)
 
 
 def test_tangent_cubes_name_the_first_flex_that_fails():
     f = _hidden_pencil()
-    flexes = inflection_points(f).copy()
+    flexes = inflection_points(f)[0].copy()
     flexes[[6, 2]] = [[0.2, 0.5, 1.0], [0.3, -0.1, 1.0]]
     with pytest.raises(NotAFlex, match="flex 2: "):
-        all_lines(f, flexes)
+        all_lines(f, flexes, curves_module._tangent_cube_roots(f, 1e-8, flexes))
 
 
 @pytest.mark.parametrize("factor, message", [(2.0 - 1j, "dependent"),
@@ -528,8 +542,8 @@ def test_surface_recognizes_the_cubic_once(monkeypatch, make, counts):
     s = build_surface_data(f)
     assert (calls["family_parameter"], calls["hesse_parameter"]) == counts
     monkeypatch.undo()
-    # each step still works out the route on its own
-    alone = all_lines(f, inflection_points(f))
+    # the lines follow from inflection_points' flexes and forms alone
+    alone = all_lines(f, *inflection_points(f))
     assert np.array_equal(alone, s.lines)
 
 
