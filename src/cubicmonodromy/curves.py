@@ -18,8 +18,9 @@ in x are solved as one stack, and Newton steps on the system (f, Hessian)
 bring every candidate to rounding level.  Those steps make a flex at a
 double root of the resultant as accurate as any other; the y -> -y symmetry
 of a Weierstrass cubic y^2 z = x^3 + a x z^2 + b z^3 puts every flex
-x-coordinate at one.  Its forms come from the tangent-cube reduction, which
-reads l off three points of each tangent line.
+x-coordinate at one.  Its forms come from each flex's tangent-line frame
+(tangent_frames): the unit point q of the tangent line orthogonal to the
+flex gives l = -(-f(q))^(1/3) conj(q) in closed form.
 
 The nine inflection points are one (9, 3) complex array: each row scaled so
 that its last meaningfully nonzero coordinate (z, else y, else x) is 1, the
@@ -283,7 +284,7 @@ def inflection_points(f: CubicForm, tol: float = 1e-8) -> tuple[np.ndarray, np.n
 
     The route is decided here only: f = c g for a pencil or Hesse member g
     takes g's closed forms, l scaled by c^(1/3), and any other cubic the
-    resultant route and the tangent-cube reduction.  The points are found
+    resultant route and the forms of tangent_frames.  The points are found
     on f / f.scale(), so that no coefficient size overflows.  Each row is
     normalized as in _normalized.  Ordering: the base point [0:1:0] first
     when the curve passes through it with a vertical-tangent flex there,
@@ -441,41 +442,35 @@ def _first_failing(bad: np.ndarray, message: str) -> None:
         raise NotAFlex(f"flex {np.argmax(bad)}: {message}")
 
 
-def _tangent_cube_roots(f: CubicForm, tol: float, flexes: np.ndarray) -> np.ndarray:
-    """l = c^(1/3) m over each of an arbitrary smooth cubic's (n, 3) flexes.
+def tangent_frames(f: CubicForm, flexes: np.ndarray,
+                   floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The unit tangent covector t and the unit point q = t x conj(u) of
+    the tangent line at each unit row u of an (n, 3) stack of flexes.
 
-    On the tangent line at a flex the form is c * m^3 for any linear form m
-    that vanishes at the point and is independent of the unit tangent
-    covector t; c is read off a second point of the line, and a third
-    certifies the flex.  A flex where f's gradient vanishes is refused.
+    t . q = 0 puts q on the line and conj(q) . u = 0 makes it orthogonal
+    to u, so the form -conj(q) vanishes at u and is -1 at q.  A flex whose
+    gradient norm is at most floor is refused, and so is a row with t
+    parallel to conj(u), which t . u = 0 rules out on the curve.
     """
-    rows = np.arange(len(flexes))
-    floor = tol * f.scale()
     units = flexes / np.linalg.norm(flexes, axis=-1, keepdims=True)
     grads = f.gradient(units)
     norms = np.linalg.norm(grads, axis=-1, keepdims=True)
-    _first_failing(norms[:, 0] < floor, "gradient vanishes; not a smooth point")
+    _first_failing(norms[:, 0] <= floor, "gradient vanishes; not a smooth point")
     t = grads / norms
-    # forms vanishing at u: the null space of the evaluation functional at u,
-    # the candidate whose part off t is longest (the first on a tie)
-    cands = np.linalg.svd(units[:, None])[2][:, 1:].conj()
-    off_t = cands - (cands @ t.conj()[..., None]) * t[:, None]
-    m = off_t[rows, np.argmax(np.linalg.norm(off_t, axis=-1), axis=-1)]
-    m = m / np.linalg.norm(m, axis=-1, keepdims=True)
-    # a third point of the tangent line gives the cube scale: the first basis
-    # vector of the line off u by over 1e-6 (two cannot both be that close)
-    cands = np.linalg.svd(t[:, None])[2][:, 1:].conj()
-    off_u = cands - (cands @ units.conj()[..., None]) * units[:, None]
-    lengths = np.linalg.norm(off_u, axis=-1)
-    pick = np.where(lengths[:, 0] > 1e-6, 0, 1)
-    q = off_u[rows, pick] / lengths[rows, pick][:, None]
-    mq = np.einsum("ni,ni->n", m, q)
-    _first_failing(np.abs(mq) < 1e-10, "degenerate chart on the tangent line")
-    c = f(q) / mq ** 3
+    q = np.cross(t, units.conj())
+    lengths = np.linalg.norm(q, axis=-1, keepdims=True)
+    _first_failing(lengths[:, 0] == 0.0, "not on the curve")
+    return t, q / lengths
+
+
+def _tangent_cube_roots(f: CubicForm, tol: float, flexes: np.ndarray) -> np.ndarray:
+    """l = -(-f(q))^(1/3) conj(q) over each of an arbitrary smooth cubic's
+    (n, 3) flexes, q from tangent_frames: on the tangent line f = c m^3 for
+    m = -conj(q), which vanishes at the flex, and m(q) = -1 gives c = -f(q).
+    A gradient or a c below tol f.scale() is refused; all_lines checks that
+    the rows are flexes."""
+    floor = tol * f.scale()
+    _, q = tangent_frames(f, flexes, floor)
+    c = -f(q)
     _first_failing(np.abs(c) < floor, "form vanishes on the whole tangent line")
-    # flex certificate: f - c m^3 must vanish on the tangent line
-    mid = units + 0.37 * q
-    mid = mid / np.linalg.norm(mid, axis=-1, keepdims=True)
-    _first_failing(np.abs(f(mid) - c * np.einsum("ni,ni->n", m, mid) ** 3) > floor,
-                   "tangent line meets the curve off the triple point")
-    return (c ** (1.0 / 3.0))[:, None] * m
+    return -(c ** (1.0 / 3.0))[:, None] * q.conj()

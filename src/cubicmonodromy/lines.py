@@ -9,8 +9,9 @@ over flex k // 3 (row k // 3 of the (9, 3) flex stack) on cube-root sheet
 k % 3, so line 3 * flex + sheet.  Only this module reads flex and sheet off
 a line index, and it reads every line correspondence by cube roots of
 unity: one per pair of flexes for incidence, one per flex, with flex
-images, for a cover automorphism.  Everything after the certified pattern
-is exact integer data.
+images, for a cover automorphism.  Since w^3 = l^3 on every sheet, f = l^3
+is checked once per tangent line, not once per line.  Everything after the
+certified pattern is exact integer data.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .curves import (CubicForm, chordal_distances, inflection_points,
-                     phase_normalize)
+                     phase_normalize, tangent_frames)
 from .errors import (BadIncidencePattern, NoSixer, NonIntegralImage,
                      FormViolation, NotAFlex)
 from .numeric import OMEGA, TOL_MATCH, nearest_match, pair_indices
@@ -31,8 +32,8 @@ CANONICAL_CLASS = np.array([-3, 1, 1, 1, 1, 1, 1], dtype=np.int64)
 
 # the cube roots of unity omega^n, one per sheet n
 _SHEETS = np.array([OMEGA ** n for n in range(3)])
-# _residuals samples each line at a u + b v, (u, v) its kernel basis, for
-# these five weights (a, b)
+# a line's residual samples it at a u + b v, (u, v) a basis of the line in
+# (x, y, z, w), for these five weights (a, b)
 _RESIDUAL_SAMPLES = 5
 _RESIDUAL_ANGLES = 1.0 + np.linspace(0.0, 1.0, _RESIDUAL_SAMPLES)
 _RESIDUAL_A = np.cos(_RESIDUAL_ANGLES)[:, None]
@@ -40,70 +41,53 @@ _RESIDUAL_B = (np.sin(_RESIDUAL_ANGLES)
                * np.exp(0.7j * np.arange(_RESIDUAL_SAMPLES)))[:, None]
 
 
-def _checked_spans(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-normalize every covector of an (m, 2, 4) stack and check that
-    each pair spans a plane; returns the stack and its kernel bases.
-
-    One SVD gives both the rank test (smallest singular value below 1e-8
-    raises ValueError) and rows 2, 3 of vh, whose conjugates span the line.
-    """
-    pairs = phase_normalize(pairs)
-    _, sv, vh = np.linalg.svd(pairs)
-    if np.any(sv[:, -1] < 1e-8):
-        raise ValueError("hyperplane covectors are dependent")
-    return pairs, vh[:, 2:].conj()
-
-
-def _residuals(f: CubicForm, kernel: np.ndarray) -> np.ndarray:
-    """max |w^3 - f| over _RESIDUAL_SAMPLES unit sample points of each line,
-    given the (m, 2, 4) kernel bases of _checked_spans; all the points are
-    evaluated in one call."""
-    pts = kernel[:, None, 0] * _RESIDUAL_A + kernel[:, None, 1] * _RESIDUAL_B
+def _residuals(f: CubicForm, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """max |w^3 - f| over the unit sample points a u + b v of each line
+    spanned by rows u, v of two (m, 4) stacks; all the points are evaluated
+    in one call."""
+    pts = u[:, None] * _RESIDUAL_A + v[:, None] * _RESIDUAL_B
     pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
     return np.max(np.abs(pts[..., 3] ** 3 - f(pts[..., :3])), axis=-1)
 
 
 def surface_residual(f: CubicForm, pair: np.ndarray) -> float:
     """max |w^3 - f| over sample points of the line cut out by a (2, 4)
-    covector pair, unit-normalized."""
-    _, kernel = _checked_spans(np.asarray(pair)[None])
-    return float(_residuals(f, kernel)[0])
+    covector pair, unit-normalized.  One SVD gives the rank test (a smallest
+    singular value below 1e-8 raises ValueError) and the line's basis."""
+    _, sv, vh = np.linalg.svd(phase_normalize(pair))
+    if sv[-1] < 1e-8:
+        raise ValueError("hyperplane covectors are dependent")
+    return float(_residuals(f, vh[None, 2].conj(), vh[None, 3].conj())[0])
 
 
 def all_lines(f: CubicForm, flexes: np.ndarray, forms: np.ndarray,
               tol: float = 1e-8) -> np.ndarray:
     """The (3 len(flexes), 2, 4) stack of the lines over the given (n, 3)
-    flexes, line 3 i + n over flex i on sheet n.
+    flexes, line 3 i + n over flex i on sheet n, covectors phase-normalized.
 
     forms holds, row for row, a linear form l vanishing at the flex with
     f = l^3 on its tangent line (inflection_points gives both), so the
     surface over that line is the three lines w = omega^n l: line 3 i + n is
-    cut out by h1 = (-omega^n l, 1) and the tangent plane h2 = (t, 0), t the
-    unit gradient of f at flex i.  Each line must lie on the surface to
-    within tol.
+    cut out by h1 = (-omega^n l, 1) and the tangent plane h2 = (t, 0), t from
+    tangent_frames.  As w^3 = l^3 on every sheet, only the tangent line
+    lifted by w = l must lie on the surface to within tol.
     """
-    grads = f.gradient(flexes / np.linalg.norm(flexes, axis=-1, keepdims=True))
-    t = grads / np.linalg.norm(grads, axis=-1, keepdims=True)
+    t, q = tangent_frames(f, flexes)
+    # q and r = t x conj(q) span the tangent line; lifted by w = l, they
+    # span the line on sheet 0
+    resid = _residuals(f, *(np.column_stack([p, np.sum(forms * p, axis=-1)])
+                            for p in (q, np.cross(t, q.conj()))))
+    # a NaN residual is refused too
+    bad = np.flatnonzero(~(resid <= tol))
+    if bad.size:
+        k = bad[0]
+        point = np.array2string(flexes[k], max_line_width=np.inf)
+        raise NotAFlex(f"flex {k}: line residual {resid[k]:.2e} over point {point}")
     pairs = np.zeros((len(flexes), 3, 2, 4), dtype=complex)
     pairs[:, :, 0, :3] = -_SHEETS[:, None] * forms[:, None]
     pairs[:, :, 0, 3] = 1.0
     pairs[:, :, 1, :3] = t[:, None]
-    return _surface_lines(f, pairs.reshape(-1, 2, 4), flexes, tol)
-
-
-def _surface_lines(f: CubicForm, pairs: np.ndarray, flexes: np.ndarray,
-                   tol: float) -> np.ndarray:
-    """The (3 len(flexes), 2, 4) covector stack, three lines per flex,
-    normalized, rank-checked and tested on the surface once."""
-    pairs, kernel = _checked_spans(pairs)
-    resid = _residuals(f, kernel)
-    bad = np.flatnonzero(resid > tol)
-    if bad.size:
-        k = bad[0]
-        point = np.array2string(flexes[k // 3], max_line_width=np.inf)
-        raise NotAFlex(f"flex {k // 3}: line residual {resid[k]:.2e} "
-                       f"over point {point}")
-    return pairs
+    return phase_normalize(pairs.reshape(-1, 2, 4))
 
 
 def _sheet_zero(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,8 @@ import pytest
 import cubicmonodromy.curves as curves_module
 import cubicmonodromy.lines as lines_module
 from cubicmonodromy.curves import (MONOMIALS, CubicForm, family_lambda,
-                                   hesse_form, inflection_points)
+                                   hesse_form, inflection_points,
+                                   phase_normalize, tangent_frames)
 from cubicmonodromy.errors import BadIncidencePattern, NoUniqueMatch, NotAFlex
 from cubicmonodromy.lines import (CANONICAL_CLASS, J_FORM, all_lines,
                                   base_surface, build_surface_data,
@@ -105,15 +106,18 @@ def test_build_surface_data_refuses_a_graph_off_the_pattern(monkeypatch):
 @pytest.mark.parametrize("f", [
     *(family_lambda(lam) for lam in (50.0, 200.0, 2000.0, -2000.0, 1e5, 1e5j,
                                      8.5e5, 1e6, 1.2e6, 1.5e6, 1.7e6, 1.9e6,
-                                     -1.5e6, 1.5e6j, 1e6 + 1e6j)),
+                                     -1.5e6, 1.5e6j, 1e6 + 1e6j, -1.9e6, 1.9e6j,
+                                     1.0001, 1.00001, 1 - 1e-6)),
     hesse_form(1e3), hesse_form(1e5)],
     ids=["50", "200", "2000", "-2000", "1e5", "1e5j", "8.5e5", "1e6", "1.2e6",
-         "1.5e6", "1.7e6", "1.9e6", "-1.5e6", "1.5e6j", "1e6+1e6j",
-         "hesse-1e3", "hesse-1e5"])
+         "1.5e6", "1.7e6", "1.9e6", "-1.5e6", "1.5e6j", "1e6+1e6j", "-1.9e6",
+         "1.9e6j", "1.0001", "1.00001", "1-1e-6", "hesse-1e3", "hesse-1e5"])
 def test_large_members_get_the_strongly_regular_graph(f):
     # far from the nodes the lines' covectors are lopsided, but the cube-root
     # ratios still read the 135 meeting pairs; the sixer and the classes are
-    # built on them
+    # built on them.  The near-node members are the other end of the range:
+    # their lines pass the surface check with tol 1e-8, which 1.0000011
+    # (test_cli) no longer does
     s = build_surface_data(f)
     assert is_strongly_regular_27(s.adjacency)
     assert int(s.adjacency.sum()) // 2 == 135
@@ -240,6 +244,30 @@ def test_generic_cubic_through_tangent_reduction():
     assert is_strongly_regular_27(s.adjacency)
 
 
+def test_gaussian_cubics_get_their_frames_and_the_27_lines():
+    # every flex's frame: q is a unit point of the tangent line t orthogonal
+    # to the flex u, and f = l^3 at the sample points of the line that
+    # all_lines checks
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        f = CubicForm(rng.normal(size=10) + 1j * rng.normal(size=10))
+        s = build_surface_data(f)
+        assert is_strongly_regular_27(s.adjacency)
+        d = s.deck_matrix
+        assert is_lattice_map(d)
+        assert np.array_equal(d @ d @ d, np.eye(7, dtype=np.int64))
+        flexes, forms = inflection_points(f)
+        units = flexes / np.linalg.norm(flexes, axis=-1, keepdims=True)
+        t, q = tangent_frames(f, flexes)
+        assert np.max(np.abs(np.linalg.norm(q, axis=-1) - 1.0)) <= 1e-14
+        assert np.max(np.abs(np.sum(t * q, axis=-1))) <= 1e-14
+        assert np.max(np.abs(np.sum(q.conj() * units, axis=-1))) <= 1e-14
+        p = (q[:, None] * lines_module._RESIDUAL_A
+             + np.cross(t, q.conj())[:, None] * lines_module._RESIDUAL_B)
+        cubes = np.einsum("ni,nsi->ns", forms, p) ** 3
+        assert np.max(np.abs(f(p) - cubes)) <= 1e-13 * f.scale()
+
+
 def _reference_triple(f, tol, u, grad):
     # the per-flex tangent-cube builder the stacked one replaced: two SVDs,
     # a loop over two candidates and two single-point evaluations of f
@@ -299,23 +327,14 @@ def _generic_cubics():
 
 
 @pytest.mark.parametrize("f", _generic_cubics())
-def test_stacked_tangent_cubes_match_the_per_flex_builder(f, monkeypatch):
-    # all_lines' covector pairs, caught on their way into the surface check
-    caught = []
-    check = lines_module._surface_lines
-    monkeypatch.setattr(lines_module, "_surface_lines",
-                        lambda f, pairs, *rest: caught.append(pairs) or check(f, pairs, *rest))
+def test_stacked_tangent_cubes_match_the_per_flex_builder(f):
+    def stacked(rows):
+        return all_lines(f, rows, curves_module._tangent_cube_roots(f, 1e-8, rows))
 
-    def built(rows):
-        all_lines(f, rows, curves_module._tangent_cube_roots(f, 1e-8, rows))
-        return caught.pop()
-
-    def both(rows):
+    def per_flex(rows):
         units = rows / np.linalg.norm(rows, axis=-1, keepdims=True)
-        grads = f.gradient(units)
-        return (lambda: np.concatenate([_reference_triple(f, 1e-8, u, g)
-                                        for u, g in zip(units, grads)]),
-                lambda: built(rows))
+        return np.stack([_reference_triple(f, 1e-8, u, g)
+                         for u, g in zip(units, f.gradient(units))])
 
     flexes, forms = inflection_points(f)
     # each flex row moved off its flex in turn: both builders refuse it
@@ -323,17 +342,25 @@ def test_stacked_tangent_cubes_match_the_per_flex_builder(f, monkeypatch):
     for moved in range(9):
         rows = flexes.copy()
         rows[moved] += 1e-3 * (rng.normal(size=3) + 1j * rng.normal(size=3))
-        per_flex, stacked = both(rows)
         with pytest.raises(NotAFlex):
-            per_flex()
+            per_flex(rows)
         with pytest.raises(NotAFlex, match=f"flex {moved}: "):
-            stacked()
-    per_flex, stacked = both(flexes)
-    want, got = per_flex(), stacked()
+            stacked(rows)
+    # the two builders pick their forms m independently, so each flex's l
+    # is the reference's times a cube root of unity omega^j, which moves the
+    # reference's sheet n + j to sheet n
+    want, sheets = per_flex(flexes), lines_module._SHEETS
+    ref = -want[:, 0, 0, :3]
+    assert np.array_equal(curves_module._tangent_cube_roots(f, 1e-8, flexes), forms)
+    j = np.argmin(np.abs(forms[:, None] - sheets[:, None] * ref[:, None]).max(axis=-1),
+                  axis=-1)
+    assert np.max(np.abs(forms - sheets[j, None] * ref)) <= 1e-12
+    want = phase_normalize(want[np.arange(9)[:, None], (np.arange(3) + j[:, None]) % 3]
+                           .reshape(27, 2, 4))
+    got = stacked(flexes)
     assert got.shape == (27, 2, 4)
-    assert np.max(np.abs(got - want)) <= 1e-14
-    adj = incidence_graph(all_lines(f, flexes, forms))
-    want_adj = incidence_graph(lines_module._surface_lines(f, want, flexes, 1e-8))
+    assert np.max(np.abs(got - want)) <= 1e-12
+    adj, want_adj = incidence_graph(got), incidence_graph(want)
     assert np.array_equal(adj, want_adj)
     assert is_strongly_regular_27(adj)
     sixer = find_sixer(adj)
@@ -351,8 +378,7 @@ def test_line3_rejects_dependent_covectors():
 
 
 def test_line3_normalizes_its_covectors():
-    (h1, h2), = lines_module._checked_spans(
-        np.array([[[0.0, 2j, 1.0, 0.0], [3.0, 0.0, 0.0, -4.0]]]))[0]
+    h1, h2 = phase_normalize(np.array([[0.0, 2j, 1.0, 0.0], [3.0, 0.0, 0.0, -4.0]]))
     assert np.allclose(h1, [0.0, 2.0 / 5 ** 0.5, -1j / 5 ** 0.5, 0.0],
                        rtol=0.0, atol=1e-15)
     assert np.allclose(h2, [0.6, 0.0, 0.0, -0.8], rtol=0.0, atol=1e-15)
@@ -384,9 +410,10 @@ def test_batched_residuals_match_the_per_line_check(make):
     off = s.lines + 1e-3 * (rng.normal(size=(27, 2, 4))
                             + 1j * rng.normal(size=(27, 2, 4)))
     bound = 1e-15 * s.form.scale()
-    for lines in (s.lines, lines_module._checked_spans(off)[0]):
-        _, kernel = lines_module._checked_spans(lines)
-        got = lines_module._residuals(s.form, kernel)
+    for lines in (s.lines, phase_normalize(off)):
+        # the kernel bases that surface_residual takes, for the whole stack
+        kernel = np.linalg.svd(phase_normalize(lines))[2][:, 2:].conj()
+        got = lines_module._residuals(s.form, kernel[:, 0], kernel[:, 1])
         want = np.array([_reference_residual(s.form, line) for line in lines])
         assert np.max(np.abs(got - want)) <= bound
         single = [surface_residual(s.form, line) for line in lines]
@@ -395,10 +422,10 @@ def test_batched_residuals_match_the_per_line_check(make):
 
 def test_batched_check_names_the_first_line_off_the_surface():
     s = build_surface_data(family_lambda(0.3))
-    pairs = s.lines.copy()
-    pairs[13, 0] += 1e-3
+    forms = inflection_points(s.form)[1].copy()
+    forms[4] *= 1.001
     with pytest.raises(NotAFlex) as err:
-        lines_module._surface_lines(s.form, pairs, s.flexes, 1e-8)
+        all_lines(s.form, s.flexes, forms)
     point = np.array2string(s.flexes[4], max_line_width=np.inf)
     assert str(err.value).startswith("flex 4: line residual ")
     assert str(err.value).endswith(f" over point {point}")
@@ -428,14 +455,38 @@ def test_tangent_cubes_name_the_first_flex_that_fails():
         all_lines(f, flexes, curves_module._tangent_cube_roots(f, 1e-8, flexes))
 
 
-@pytest.mark.parametrize("factor, message", [(2.0 - 1j, "dependent"),
-                                             (0.0, "zero covector")])
-def test_batched_check_refuses_a_degenerate_pair(factor, message):
-    s = build_surface_data(family_lambda(0.3))
-    pairs = s.lines.copy()
-    pairs[20, 1] = factor * pairs[20, 0]
-    with pytest.raises(ValueError, match=message):
-        lines_module._surface_lines(s.form, pairs, s.flexes, 1e-8)
+def _degenerate_pair(factor):
+    pair = base_surface().lines[20].copy()
+    pair[1] = factor * pair[0]
+    return surface_residual(base_surface().form, pair)
+
+
+def _at_the_node():
+    # y^2 z - x^3 - x^2 z is nodal at [0 : 0 : 1], where its gradient is
+    # exactly 0; row 0, [0 : 1 : 0], is a smooth point
+    c = np.zeros(10, dtype=complex)
+    c[[MONOMIALS.index(m) for m in ((0, 2, 1), (3, 0, 0), (2, 0, 1))]] = 1.0, -1.0, -1.0
+    return all_lines(CubicForm(c), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                     np.zeros((2, 3)))
+
+
+def _at_a_coordinate_point():
+    # on the Hesse form the gradient at [1 : 0 : 0], off the curve, is
+    # (3, 0, 0): the tangent line there holds no point orthogonal to the row
+    f = hesse_form(2.2)
+    flexes, forms = inflection_points(f)
+    return all_lines(f, np.vstack([flexes[:4], [1.0, 0.0, 0.0], flexes[5:]]), forms)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: _degenerate_pair(2.0 - 1j), ValueError, "dependent"),
+    (lambda: _degenerate_pair(0.0), ValueError, "zero covector"),
+    (_at_the_node, NotAFlex, "flex 1: gradient vanishes; not a smooth point"),
+    (_at_a_coordinate_point, NotAFlex, "flex 4: not on the curve")],
+    ids=["(2-1j)-dependent", "0.0-zero covector", "singular-point", "coordinate-point"])
+def test_batched_check_refuses_a_degenerate_pair(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_incidence_graph_matches_stored():
@@ -513,18 +564,18 @@ def test_incidence_in_the_dead_band_is_refused(scale):
 
 
 def test_surface_builds_flexes_and_lines_once(monkeypatch):
-    flex_calls, checked = [], []
-    flexes, check = lines_module.inflection_points, lines_module._checked_spans
+    flex_calls, normalized = [], []
+    flexes, normalize = lines_module.inflection_points, lines_module.phase_normalize
     monkeypatch.setattr(lines_module, "inflection_points",
                         lambda *a: flex_calls.append(a) or flexes(*a))
-    monkeypatch.setattr(lines_module, "_checked_spans",
-                        lambda pairs: checked.append(check(pairs)) or checked[-1])
+    monkeypatch.setattr(lines_module, "phase_normalize",
+                        lambda v: normalized.append(normalize(v)) or normalized[-1])
     s = build_surface_data(family_lambda(0.3))
     assert len(flex_calls) == 1
-    # one normalization and rank check, on the whole stack, which is the
-    # surface's lines as they are
-    assert [h.shape for h, _ in checked] == [(27, 2, 4)]
-    assert s.lines is checked[0][0]
+    # one normalization, on the whole stack, which is the surface's lines as
+    # they are
+    assert [h.shape for h in normalized] == [(27, 2, 4)]
+    assert s.lines is normalized[0]
     assert s.flexes.shape == (9, 3)
 
 
