@@ -12,15 +12,12 @@ With each flex it gives the linear form l for which f = l^3 on the tangent
 line there; the lines over the flex are w = omega^n l (see lines.py).  For
 the two families that matter, the y^2 z = cubic pencil and the Hesse normal
 forms, and for scalar multiples of their members, points and forms come in
-closed form.  Every other smooth cubic takes the resultant route: y is
-eliminated between f and its Hessian form, f's y-polynomials at the roots
-in x are solved as one stack, and Newton steps on the system (f, Hessian)
-bring every candidate to rounding level.  Those steps make a flex at a
-double root of the resultant as accurate as any other; the y -> -y symmetry
-of a Weierstrass cubic y^2 z = x^3 + a x z^2 + b z^3 puts every flex
-x-coordinate at one.  Its forms come from each flex's tangent-line frame
-(tangent_frames): the unit point q of the tangent line orthogonal to the
-flex gives l = -(-f(q))^(1/3) conj(q) in closed form.
+closed form.  Every other smooth cubic takes the resultant route in one
+fixed unitary chart: y is eliminated between f and its Hessian form, f's
+y-cubics at the roots in x are solved as one stack, and Newton steps on
+(f, Hessian) bring every candidate to rounding level.  Its forms come from
+each flex's tangent-line frame (tangent_frames): the unit point q of the
+tangent line orthogonal to the flex gives l = -(-f(q))^(1/3) conj(q).
 
 The nine inflection points are one (9, 3) complex array: each row scaled so
 that its last meaningfully nonzero coordinate (z, else y, else x) is 1, the
@@ -37,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCurve, NotAFlex, SingularParameter
-from .numeric import (OMEGA, TOL_LEAD, TOL_MATCH, order_key, pair_indices,
-                      roots_of, roots_of_stack, trimmed)
+from .numeric import (OMEGA, TOL_MATCH, order_key, pair_indices, roots_of,
+                      roots_of_stack, trimmed)
 
 MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -61,8 +58,12 @@ _FOLD[np.arange(27), [_MONOMIAL_INDEX[tuple(np.bincount(t, minlength=3).tolist()
                       for t in itertools.product(range(3), repeat=3)]] = 1.0
 # eps_abc: the sign of (a, b, c) as a permutation of (0, 1, 2), else 0
 _LEVI_CIVITA = np.fromfunction(lambda a, b, c: (b - a) * (c - a) * (c - b) / 2, (3, 3, 3))
-# the monomials x^k y^(3-k), k = 0..3, left at z = 0
-_AT_INFINITY = [_MONOMIAL_INDEX[(k, 3 - k, 0)] for k in range(4)]
+# the resultant route's chart p = _CHART p': the Q factor of a complex matrix
+# with unrelated entries (a DFT, permutation or diagonal would keep structure)
+_CHART = np.linalg.qr([[0.62 - 1.37j, -0.91 + 0.28j, 1.43 + 0.77j],
+                       [1.18 + 0.46j, 0.35 - 1.52j, -0.67 + 1.09j],
+                       [-0.24 + 0.83j, 1.71 + 0.19j, 0.58 - 0.94j]])[0]
+_CHART.flags.writeable = False
 
 _REL_ZERO = 1e-9
 _UNIT_ZERO = 1e-12
@@ -355,86 +356,66 @@ def _inflections_hesse(mu: complex) -> tuple[np.ndarray, np.ndarray]:
 
 def _y_coefficients(f: CubicForm) -> np.ndarray:
     """Row j is the coefficient of y^j as a polynomial in x at z = 1,
-    ascending; rows stop at the highest power of y that f contains."""
+    ascending: a (4, 4) array."""
     rows = np.zeros((4, 4), dtype=complex)
     rows[_EXPONENTS[:, 1], _EXPONENTS[:, 0]] = f.coeffs
-    present = np.flatnonzero(np.any(rows != 0, axis=1))
-    return rows[:present.max() + 1 if present.size else 1]
+    return rows
 
 
 def _inflections_resultant(f: CubicForm, hess: CubicForm, tol: float) -> np.ndarray:
-    """Arbitrary-cubic route: eliminate y between f and its Hessian form hess.
+    """Arbitrary-cubic route: eliminate y between f and its Hessian form hess
+    in the coordinates p = _CHART p' at z' = 1, then map the points back.
 
-    In the z = 1 chart the Sylvester determinant in y is evaluated at
-    interpolation nodes, as one stack, and refit as a polynomial in x.  f's
-    y-polynomials at its roots are solved as one stack and every candidate
-    [x : y : 1] is polished by _flex_newton; the candidates at z = 0 are the
-    roots of f there.  All are checked against f and hess as one stack, and
-    a candidate within 1e-6 of an earlier one is dropped.
+    The 6 x 6 Sylvester determinant, of degree 9 in x, is evaluated at 10
+    nodes as one stack and refit; f's y-cubics at its roots are solved as
+    one stack, polished by _flex_newton and checked against f and hess, and
+    a candidate within 1e-6 of an earlier one is dropped.  A flex on z' = 0,
+    [0:1:0] on the curve or no y^3 term in the chart loses roots and is
+    refused, never answered.  The trade: a unitary chart leaves that failure
+    rate on unitarily invariant random cubics as it is, but moves it off the
+    coordinate lines where pencil and Hesse members and their swaps sit.
     """
+    f, hess = f.compose(_CHART), hess.compose(_CHART)
     fy, hy = _y_coefficients(f), _y_coefficients(hess)
-    m, n = len(fy) - 1, len(hy) - 1
-    if m == 0:
-        raise DegenerateCurve("a cubic without y is singular at [0:1:0]")
-    size = m + n
-    deg_bound = 3 * size
-    nodes = 2.3 * np.exp(2j * np.pi * (np.arange(deg_bound + 1) + 0.31) / (deg_bound + 1))
+    nodes = 2.3 * np.exp(2j * np.pi * (np.arange(10) + 0.31) / 10)
     # the y-coefficients at every node, highest power of y first
     xpow = np.vander(nodes, 4, increasing=True)
     fv, hv = (xpow @ fy.T)[:, ::-1], (xpow @ hy.T)[:, ::-1]
-    sylvester = np.zeros((len(nodes), size, size), dtype=complex)
-    for r in range(n):
-        sylvester[:, r, r:r + m + 1] = fv
-    for r in range(m):
-        sylvester[:, n + r, r:r + n + 1] = hv
-    vander = np.vander(nodes, deg_bound + 1, increasing=True)
-    coeffs = np.linalg.solve(vander, np.linalg.det(sylvester))
+    sylvester = np.zeros((len(nodes), 6, 6), dtype=complex)
+    for r in range(3):
+        sylvester[:, r, r:r + 4] = fv
+        sylvester[:, 3 + r, r:r + 4] = hv
+    coeffs = np.linalg.solve(np.vander(nodes, increasing=True), np.linalg.det(sylvester))
     xs = np.array(roots_of(trimmed(coeffs, 1e-9), tol=1e-12), dtype=complex)
-
-    # row i: f's coefficients of y^0..y^m at x = xs[i]; a row whose leading
-    # one is negligible has lost a root to y = oo, the point [0:1:0] at z = 0
-    ypolys = np.vander(xs, 4, increasing=True) @ fy.T
-    mags = np.abs(ypolys)
-    full = mags[:, -1] > TOL_LEAD * mags.max(axis=1)
-    xy = [np.column_stack([np.repeat(xs[full], m), roots_of_stack(ypolys[full]).ravel()])]
-    for x, row in zip(xs[~full], ypolys[~full]):
-        ys = roots_of(row)
-        xy.append(np.column_stack([np.full(len(ys), x), ys]))
-    xy = np.concatenate(xy)
-    pts = [_flex_newton(f, hess, np.column_stack([xy, np.ones(len(xy))]))]
-    at_inf = f.coeffs[_AT_INFINITY]
-    if at_inf.any():
-        # sum c_k x^k y^(3-k) vanishes at [t : 1 : 0] for its roots t, and at
-        # [1 : 0 : 0] when its degree in t drops
-        ts = roots_of(at_inf)
-        pts.append(np.array([[t, 1.0, 0.0] for t in ts] + [[1.0, 0.0, 0.0]] * (len(ts) < 3),
-                            dtype=complex))
-    pts = np.concatenate(pts)
+    # row i: f's coefficients of y^0..y^3 at x = xs[i]
+    ys = roots_of_stack(np.vander(xs, 4, increasing=True) @ fy.T)
+    pts = np.column_stack([np.repeat(xs, 3), ys.ravel(), np.ones(ys.size)])
+    pts = _flex_newton(f, hess, pts)
     units = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
     pts = pts[(np.abs(f(units)) < tol * f.scale()) & (np.abs(hess(units)) < tol * hess.scale())]
     near = np.triu(chordal_distances(pts[:, None], pts[None]) < 1e-6, 1)
-    return pts[~near.any(axis=0)]
+    return pts[~near.any(axis=0)] @ _CHART.T
 
 
 def _flex_newton(f: CubicForm, hess: CubicForm, pts: np.ndarray) -> np.ndarray:
     """12 Newton steps on (f, hess) = 0 in the z = 1 chart from every row
     [x, y, 1] of an (n, 3) stack, keeping the rows whose last step was below
     1e-9 of their norm.  The system is regular at each of the nine flexes,
-    where f and its Hessian curve meet transversally, so a flex at a double
-    root of the resultant comes out as accurately as one at a simple root.
-    A start that is no flex does not converge, or converges onto a flex
-    that another candidate also reaches; the resultant's roots can be off
-    by 1e-2 where its coefficients span many orders of magnitude, which
-    is why there are 12 steps and not 2."""
-    for _ in range(12):
-        (fx, fy, _), (hx, hy, _) = f.gradient(pts).T, hess.gradient(pts).T
-        fv, hv = f(pts), hess(pts)
-        with np.errstate(all="ignore"):
+    where f and its Hessian curve meet transversally.  A start that is no
+    flex diverges (quietly), or converges onto a flex that another candidate
+    also reaches; the resultant's roots can be off by 1e-2 where its
+    coefficients span many orders of magnitude, hence 12 steps and not 2."""
+    with np.errstate(all="ignore"):
+        for _ in range(12):
+            (fx, fy, _), (hx, hy, _) = f.gradient(pts).T, hess.gradient(pts).T
+            fv, hv = f(pts), hess(pts)
             det = fx * hy - fy * hx
             step = np.stack([(fv * hy - hv * fy) / det, (hv * fx - fv * hx) / det,
                              np.zeros_like(det)], axis=-1)
             pts = pts - step
-    return pts[np.linalg.norm(step, axis=-1) <= 1e-9 * np.linalg.norm(pts, axis=-1)]
+        # an inf or NaN row gives NaN here, and fails
+        keep = np.linalg.norm(step, axis=-1) / np.linalg.norm(pts, axis=-1) <= 1e-9
+    return pts[keep]
 
 
 def _first_failing(bad: np.ndarray, message: str) -> None:

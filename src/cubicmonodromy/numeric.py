@@ -116,13 +116,15 @@ def nearest_match(dist, tol: float = math.inf,
 def trimmed(coeffs, tol_lead: float = TOL_LEAD) -> np.ndarray:
     """Ascending coefficients (coeffs[k] is the z^k term) as a complex array,
     without the leading ones that are <= tol_lead times the largest; a
-    non-finite coefficient or the zero polynomial is a ValueError."""
+    non-finite coefficient or the zero polynomial is a ValueError.  Subnormal
+    coefficients count as 0: they are underflow noise, and overflow a division."""
     cs = np.asarray(coeffs, dtype=complex)
     if cs.ndim != 1:
         raise ValueError("need a 1-d coefficient sequence")
     if not np.isfinite(cs).all():
         raise ValueError("non-finite coefficient")
     mag = np.abs(cs)
+    mag[mag < np.finfo(float).tiny] = 0.0
     if not mag.any():
         raise ValueError("zero polynomial")
     return cs[:np.flatnonzero(mag > tol_lead * mag.max())[-1] + 1]

@@ -12,8 +12,9 @@ from cubicmonodromy.curves import (MONOMIALS, CubicForm, at_base_point, family_l
                                    flex_quartic, hesse_form,
                                    hesse_parameter, hessian_det_form,
                                    inflection_points)
-from cubicmonodromy.errors import SingularParameter
-from cubicmonodromy.lines import base_surface
+from cubicmonodromy.errors import DegenerateCurve, SingularParameter
+from cubicmonodromy.lines import (base_surface, build_surface_data,
+                                  is_strongly_regular_27)
 from cubicmonodromy.numeric import nearest_match, roots_of
 
 LAMBDAS = (0.0, 0.3, -0.6, 0.3 + 0.1j, -0.7 + 0.2j, 2.5)
@@ -105,9 +106,9 @@ def test_distance_has_no_cancellation_floor():
             assert abs(dist[i, j] - math.sqrt(1.0 - overlap ** 2)) < 1e-12
 
 
-# Gaussian coefficients; the resultant's root near |x| = 7.8 has
-# |p(x)| / max|c| about 5e-12 from Horner rounding alone, its backward error
-# about 3e-18
+# Gaussian coefficients; in the route's chart the resultant's root near
+# |x| = 5.5 has |p(x)| / max|c| about 7e-11 from Horner rounding alone, its
+# backward error about 2e-16
 GENERIC = (-0.189 - 1.193j, 1.023 + 2.371j, -0.439 - 1.294j, 0.05 - 1.595j,
            -0.803 + 0.228j, 0.557 - 0.496j, -0.192 - 0.342j, -0.179 + 0.096j,
            0.896 + 0.569j, -2.124 + 1.909j)
@@ -165,7 +166,8 @@ _HESSE_MUS = (2.2, 1.5 - 0.7j, 0.3j, -1.8)
 def test_resultant_route_moves_flexes_with_the_coordinates(f, m):
     # the flexes of f.compose(m) are m^-1 applied to those of f; neither
     # recognizer accepts a composed form, so it takes the resultant route.
-    # The Hesse member with m = diag(1, 1, -1) has three flexes on z = 0
+    # The Hesse member with m = diag(1, 1, -1) has three flexes on z = 0, a
+    # structured input that the route's chart moves to a generic position
     g = f.compose(m)
     assert family_parameter(g) is None and hesse_parameter(g) is None
     want = np.linalg.solve(m, inflection_points(f)[0].T).T
@@ -175,7 +177,8 @@ def test_resultant_route_moves_flexes_with_the_coordinates(f, m):
 
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (-2.0, 0.5), (0.3 + 0.1j, 1.7)])
 def test_weierstrass_cubics_have_nine_accurate_flexes(a, b):
-    # y -> -y makes every flex x-coordinate a double root of the resultant
+    # a flex at [0:1:0] and flexes in pairs [x : +-y : 1] that share x:
+    # structured positions that the route's chart does not keep
     f = _weierstrass(a, b)
     assert family_parameter(f) is None and hesse_parameter(f) is None
     got = inflection_points(f)[0]
@@ -191,8 +194,54 @@ def test_generic_cubic_solves_its_y_polynomials_as_one_stack(monkeypatch):
             return _solve(*args, **kwargs)
         monkeypatch.setattr(curves, name, counted)
     assert len(inflection_points(CubicForm(np.array(GENERIC)))[0]) == 9
-    # the resultant and the line z = 0 by roots_of; every y-polynomial at once
-    assert calls == {"roots_of": 2, "roots_of_stack": 1}
+    # the resultant by roots_of; every y-polynomial at once
+    assert calls == {"roots_of": 1, "roots_of_stack": 1}
+
+
+# structured inputs that sit on the coordinate lines: three flexes on z = 0,
+# and the pencil's base flex moved to [1:0:0] by x <-> y
+_NEAR_SPECIAL = {"hesse-on-z0": hesse_form(2.2).compose(np.diag([1.0, 1.0, -1.0])),
+                 "pencil-swapped": family_lambda(0.3).compose(np.eye(3)[[1, 0, 2]])}
+
+
+@pytest.mark.parametrize("eps", (1e-4, 1e-6, 1e-9))
+@pytest.mark.parametrize("name", _NEAR_SPECIAL)
+def test_cubics_near_the_coordinate_lines_build_their_surfaces(name, eps):
+    # a change of coordinates I + eps (G + i G') puts the flexes just off
+    # the coordinate lines; the route's chart sees neither position as special
+    f = _NEAR_SPECIAL[name]
+    want = inflection_points(f)[0]
+    rng = np.random.default_rng(33)
+    for _ in range(20):
+        m = np.eye(3) + eps * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        g = f.compose(m)
+        got = inflection_points(g)[0]
+        moved = np.linalg.solve(m, want.T).T
+        nearest_match(curves.chordal_distances(got[:, None], moved[None]), tol=1e-12)
+        assert is_strongly_regular_27(build_surface_data(g).adjacency)
+
+
+@pytest.mark.parametrize("scale", (1.0, -1.0, 1j))
+def test_a_large_pencil_member_with_x_and_y_swapped_builds(scale):
+    f = family_lambda(40.0)
+    m = np.eye(3)[[1, 0, 2]] @ np.diag([scale, 1.0, 1.0])
+    g = f.compose(m)
+    want = np.linalg.solve(m, inflection_points(f)[0].T).T
+    got = inflection_points(g)[0]
+    nearest_match(curves.chordal_distances(got[:, None], want[None]), tol=1e-12)
+    assert is_strongly_regular_27(build_surface_data(g).adjacency)
+
+
+@pytest.mark.parametrize("f", [
+    hesse_form(2.2).compose(np.diag([1.0, 1.0, -1.0])).compose(np.linalg.inv(curves._CHART)),
+    family_lambda(0.3).compose(np.linalg.inv(curves._CHART))],
+    ids=["three-flexes-on-the-chart-line", "no-y-cubed-in-the-chart"])
+def test_cubics_special_in_the_chart_are_refused(f):
+    # in the route's chart these two sit where the pencil and Hesse members
+    # sit in the given coordinates: they lose roots and are refused, never
+    # answered with fewer or wrong flexes
+    with pytest.raises((DegenerateCurve, ValueError)):
+        inflection_points(f)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)

@@ -279,7 +279,8 @@ def test_polish_stops_at_the_backward_error(monkeypatch):
 
 @pytest.mark.parametrize("coeffs, message", [
     ((1.0, float("inf")), "non-finite"), ((0.0, 0.0), "zero polynomial"),
-    ((), "zero polynomial"), ([[1.0, 2.0]], "1-d")])
+    ((), "zero polynomial"), ([[1.0, 2.0]], "1-d"),
+    ((1e-310, 2e-310j), "zero polynomial")])
 def test_roots_of_rejects_malformed_coefficients(coeffs, message):
     with pytest.raises(ValueError, match=message):
         roots_of(coeffs)
@@ -290,6 +291,8 @@ def test_trimmed_drops_negligible_leading_coefficients():
     assert trimmed((1.0, 2.0, 1e-10)).tolist() == [1.0, 2.0, 1e-10]
     assert trimmed((1.0, 2.0, 1e-10), 1e-9).tolist() == [1.0, 2.0]
     assert trimmed((3.0,)).tolist() == [3.0]
+    # a subnormal coefficient is underflow noise, whatever its relative size
+    assert trimmed((1e-300, 1e-310)).tolist() == [1e-300]
 
 
 def _shift_row_3(out):
