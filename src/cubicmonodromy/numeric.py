@@ -52,10 +52,9 @@ PRECISIONS = ("double", "extended")
 # only repeated key is the base quartic at lambda = 0: 400 seeded loops, the
 # keyhole and close-pass probes and extended-precision loops use 4 distinct
 # keys (three signed-zero variants in double precision, one in extended), and
-# verify --scope all one.  The other callers, inflection_points' pencil flex
-# quartic and its resultant route's solves, once per surface, never
-# repeat a key; for them the memo costs a tobytes and a hash against a
-# 150 us solve.
+# verify --scope all one.  The other caller, inflection_points' pencil flex
+# quartic, once per surface, never repeats a key; for it the memo costs a
+# tobytes and a hash against a 150 us solve.
 _MEMO_SIZE = 4
 
 
@@ -113,9 +112,9 @@ def nearest_match(dist, tol: float = math.inf,
     return hits
 
 
-def trimmed(coeffs, tol_lead: float = TOL_LEAD) -> np.ndarray:
+def trimmed(coeffs) -> np.ndarray:
     """Ascending coefficients (coeffs[k] is the z^k term) as a complex array,
-    without the leading ones that are <= tol_lead times the largest; a
+    without the leading ones that are <= TOL_LEAD times the largest; a
     non-finite coefficient or the zero polynomial is a ValueError.  Subnormal
     coefficients count as 0: they are underflow noise, and overflow a division."""
     cs = np.asarray(coeffs, dtype=complex)
@@ -127,31 +126,31 @@ def trimmed(coeffs, tol_lead: float = TOL_LEAD) -> np.ndarray:
     mag[mag < np.finfo(float).tiny] = 0.0
     if not mag.any():
         raise ValueError("zero polynomial")
-    return cs[:np.flatnonzero(mag > tol_lead * mag.max())[-1] + 1]
+    return cs[:np.flatnonzero(mag > TOL_LEAD * mag.max())[-1] + 1]
 
 
-def roots_of(coeffs, tol: float = TOL_ROOT, precision: str = "double") -> list[complex]:
+def roots_of(coeffs, precision: str = "double") -> list[complex]:
     """All complex roots of the ascending coefficients, with multiplicity,
     sorted by order_key.
 
-    The roots_of_stack row of the trimmed coefficients, with its residual
-    acceptance and NonConvergence; a constant has no roots.  Each call
-    returns a new list.
+    The roots_of_stack row of the trimmed coefficients, with its TOL_ROOT
+    residual acceptance and NonConvergence; a constant has no roots.  Each
+    call returns a new list.
     """
     if precision not in PRECISIONS:
         raise ValueError(f"unknown precision {precision!r}")
     cs = trimmed(coeffs)
     if len(cs) == 1:
         return []
-    return list(_sorted_roots(cs.tobytes(), tol, precision))
+    return list(_sorted_roots(cs.tobytes(), precision))
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _sorted_roots(key: bytes, tol: float, precision: str) -> tuple[complex, ...]:
+def _sorted_roots(key: bytes, precision: str) -> tuple[complex, ...]:
     """roots_of for the complex coefficients whose bytes are key, so that
     -0.0 and 0.0 are told apart and a hit is bit-identical to a solve."""
     cs = np.frombuffer(key, dtype=complex)
-    roots = roots_of_stack(cs[None], tol, precision)[0].tolist()
+    roots = roots_of_stack(cs[None], precision)[0].tolist()
     return tuple(sorted(roots, key=order_key))
 
 
@@ -250,17 +249,16 @@ def _polish(cs: np.ndarray, z0: np.ndarray,
     return np.where(accepted, z, z0), met
 
 
-def roots_of_stack(coeffs, tol: float = TOL_ROOT,
-                   precision: str = "double") -> np.ndarray:
+def roots_of_stack(coeffs, precision: str = "double") -> np.ndarray:
     """All roots of every polynomial of a stack, as an (n, d) array.
 
     coeffs has shape (n, d + 1), column k holding the z^k terms, each row of
-    exact degree d (a leading coefficient negligible next to the row's
+    exact degree d (a leading coefficient at most TOL_LEAD of the row's
     largest one is a ValueError).  The starts are _quartic_starts for two or
     more quartics, else the companion eigenvalues; row k of the result holds
     the roots of row k in start order, not sorted.  Extended precision polishes
     every root with mpmath Newton toward _EXTENDED_GOAL, then rounds it.
-    Residual acceptance, a backward error: |p(z)| <= tol * sum_k |c_k| |z|^k
+    Residual acceptance, a backward error: |p(z)| <= TOL_ROOT sum_k |c_k| |z|^k
     for every root, else NonConvergence, which names the first failing row.
     """
     if precision not in PRECISIONS:
@@ -281,17 +279,17 @@ def roots_of_stack(coeffs, tol: float = TOL_ROOT,
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
         companion[:, :, -1] = -cs[:, :-1] / cs[:, -1:]
         z = np.linalg.eigvals(companion)
-    z, ok = _polish(cs, z, tol)
+    z, ok = _polish(cs, z, TOL_ROOT)
     if precision == "extended":
         z = np.array([[_polish_mp(row, zi) for zi in zs]
                       for row, zs in zip(cs, z)], dtype=complex).reshape(z.shape)
         with np.errstate(all="ignore"):
             pz, _, bound = _evaluate(_value_terms(cs), z)
-            ok = np.abs(pz) <= tol * bound
+            ok = np.abs(pz) <= TOL_ROOT * bound
     missed = np.flatnonzero(~ok.all(axis=1))
     if missed.size:
         raise NonConvergence(
-            f"roots of row {missed[0]} miss the residual {tol:.1e}")
+            f"roots of row {missed[0]} miss the residual {TOL_ROOT:.1e}")
     return z
 
 

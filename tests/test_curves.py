@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import cubicmonodromy.curves as curves
+import cubicmonodromy.numeric as numeric
 from cubicmonodromy.curves import (MONOMIALS, CubicForm, at_base_point, family_lambda,
                                    family_parameter, flex_height_squared,
                                    flex_quartic, hesse_form,
@@ -106,9 +107,9 @@ def test_distance_has_no_cancellation_floor():
             assert abs(dist[i, j] - math.sqrt(1.0 - overlap ** 2)) < 1e-12
 
 
-# Gaussian coefficients; in the route's chart the resultant's root near
-# |x| = 5.5 has |p(x)| / max|c| about 7e-11 from Horner rounding alone, its
-# backward error about 2e-16
+# Gaussian coefficients; in the route's chart its flexes reach |x| = 6.5,
+# and the eigenproblem's starts are within 2e-13 chordal of them before the
+# Newton polish
 GENERIC = (-0.189 - 1.193j, 1.023 + 2.371j, -0.439 - 1.294j, 0.05 - 1.595j,
            -0.803 + 0.228j, 0.557 - 0.496j, -0.192 - 0.342j, -0.179 + 0.096j,
            0.896 + 0.569j, -2.124 + 1.909j)
@@ -165,7 +166,7 @@ _HESSE_MUS = (2.2, 1.5 - 0.7j, 0.3j, -1.8)
          "pencil-shear", "hesse-identity"])
 def test_resultant_route_moves_flexes_with_the_coordinates(f, m):
     # the flexes of f.compose(m) are m^-1 applied to those of f; neither
-    # recognizer accepts a composed form, so it takes the resultant route.
+    # recognizer accepts a composed form, so it takes the chart route.
     # The Hesse member with m = diag(1, 1, -1) has three flexes on z = 0, a
     # structured input that the route's chart moves to a generic position
     g = f.compose(m)
@@ -187,15 +188,16 @@ def test_weierstrass_cubics_have_nine_accurate_flexes(a, b):
 
 
 def test_generic_cubic_solves_its_y_polynomials_as_one_stack(monkeypatch):
-    calls = {"roots_of": 0, "roots_of_stack": 0}
-    for name in calls:
-        def counted(*args, _solve=getattr(curves, name), _name=name, **kwargs):
+    calls = {"roots_of": 0, "roots_of_stack": 0, "eig": 0}
+    for module, name in ((curves, "roots_of"), (numeric, "roots_of"),
+                         (numeric, "roots_of_stack"), (np.linalg, "eig")):
+        def counted(*args, _solve=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _solve(*args, **kwargs)
-        monkeypatch.setattr(curves, name, counted)
+        monkeypatch.setattr(module, name, counted)
     assert len(inflection_points(CubicForm(np.array(GENERIC)))[0]) == 9
-    # the resultant by roots_of; every y-polynomial at once
-    assert calls == {"roots_of": 1, "roots_of_stack": 1}
+    # x and y of all nine flexes from one eigenproblem; no polynomial solve
+    assert calls == {"roots_of": 0, "roots_of_stack": 0, "eig": 1}
 
 
 # structured inputs that sit on the coordinate lines: three flexes on z = 0,
@@ -232,6 +234,27 @@ def test_a_large_pencil_member_with_x_and_y_swapped_builds(scale):
     assert is_strongly_regular_27(build_surface_data(g).adjacency)
 
 
+def test_ill_conditioned_changes_of_a_pencil_member_build():
+    # changes of condition 30 to 60 spread the chart's coefficients over
+    # four orders of magnitude; an interpolated resultant missed the flexes
+    # there by up to 3e-2 and lost some of them (changes 41 and 104 of this
+    # stream)
+    f = family_lambda(1.043 - 0.882j)
+    want = inflection_points(f)[0]
+    rng = np.random.default_rng(45)
+    built = 0
+    while built < 200:
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        if not 30 < np.linalg.cond(m) < 60:
+            continue
+        g = f.compose(m)
+        got = inflection_points(g)[0]
+        moved = np.linalg.solve(m, want.T).T
+        nearest_match(curves.chordal_distances(got[:, None], moved[None]), tol=1e-8)
+        assert is_strongly_regular_27(build_surface_data(g).adjacency)
+        built += 1
+
+
 @pytest.mark.parametrize("f", [
     hesse_form(2.2).compose(np.diag([1.0, 1.0, -1.0])).compose(np.linalg.inv(curves._CHART)),
     family_lambda(0.3).compose(np.linalg.inv(curves._CHART))],
@@ -242,6 +265,14 @@ def test_cubics_special_in_the_chart_are_refused(f):
     # answered with fewer or wrong flexes
     with pytest.raises((DegenerateCurve, ValueError)):
         inflection_points(f)
+
+
+@pytest.mark.filterwarnings("error")
+def test_three_concurrent_lines_are_refused():
+    # x^3 + y^3 is three lines through [0:0:1]; its Hessian form is 0, which
+    # cannot be scaled to unit size
+    with pytest.raises(DegenerateCurve, match="Hessian form vanishes"):
+        inflection_points(CubicForm(np.array([1, 0, 0, 0, 0, 0, 1, 0, 0, 0])))
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
