@@ -42,9 +42,6 @@ MONOMIALS = (
 )
 _MONOMIAL_INDEX = {m: i for i, m in enumerate(MONOMIALS)}
 _EXPONENTS = np.array(MONOMIALS)
-# entry (m, a) picks x_a^e from a point's power table [1, x, x^2, x^3]
-# flattened to 12 entries, e being the exponent of x_a in monomial m
-_POWER_INDEX = 3 * _EXPONENTS + np.arange(3)
 
 # A cubic's coefficient tensor T holds each monomial's coefficient at its
 # sorted index triple (x^2 y at [0, 0, 1]) and zeros elsewhere, so that
@@ -74,9 +71,9 @@ class CubicForm:
     """Homogeneous cubic in x, y, z; coefficients follow MONOMIALS.
 
     tensor holds the same coefficients as the (3, 3, 3) array T described
-    at _TENSOR_SLOT; the gradient, compose and hessian_det_form work on it.
-    Both are read-only copies, so the two cannot drift apart, and a caller's
-    array stays the caller's.
+    at _TENSOR_SLOT; the value, the gradient, compose and hessian_det_form
+    work on it.  Both are read-only copies, so the two cannot drift apart,
+    and a caller's array stays the caller's.
     """
 
     coeffs: np.ndarray
@@ -97,10 +94,7 @@ class CubicForm:
     def __call__(self, p: np.ndarray) -> complex | np.ndarray:
         """f at one point (a complex) or at each row of an (..., 3) stack."""
         p = np.asarray(p, dtype=complex)
-        sq = p * p
-        powers = np.concatenate([np.ones_like(p), p, sq, sq * p], axis=-1)
-        xyz = powers[..., _POWER_INDEX]
-        vals = (xyz[..., 0] * xyz[..., 1] * xyz[..., 2]) @ self.coeffs
+        vals = np.einsum("ijk,...i,...j,...k->...", self.tensor, p, p, p)
         return complex(vals) if p.ndim == 1 else vals
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
@@ -285,11 +279,14 @@ def inflection_points(f: CubicForm, tol: float = 1e-8) -> tuple[np.ndarray, np.n
     The route is decided here only: f = c g for a pencil or Hesse member g
     takes g's closed forms, l scaled by c^(1/3), and any other cubic the
     chart route and the forms of tangent_frames.  The points are found on
-    f / f.scale(), so that no coefficient size overflows.  Each row is
-    normalized as in _normalized.  Ordering: the base point [0:1:0] first
-    when the curve passes through it with a vertical-tangent flex there,
-    then ascending (Re y, Im y, Re x, Im x), each rounded as in order_key.
+    f / f.scale(), so that no coefficient size overflows; the zero form is
+    a DegenerateCurve.  Each row is normalized as in _normalized.
+    Ordering: the base point [0:1:0] first when the curve passes through it
+    with a vertical-tangent flex there, then ascending (Re y, Im y, Re x,
+    Im x), each rounded as in order_key.
     """
+    if f.scale() == 0.0:
+        raise DegenerateCurve("the zero form defines no curve")
     unit = CubicForm(f.coeffs / f.scale())
     hess = hessian_det_form(unit)
     lam = family_parameter(f)
@@ -328,7 +325,8 @@ def _inflections_family(lam: complex) -> tuple[np.ndarray, np.ndarray]:
     -1, is l^3 on each tangent line."""
     if abs(lam - 1.0) < TOL_MATCH or abs(lam + 1.0) < TOL_MATCH:
         raise SingularParameter(f"lambda = {lam} is on the discriminant")
-    # solved in x / s, so that roots_of's relative trim keeps the x^4 term
+    # solved in x / s, so that roots_of never refuses the x^4 term as
+    # negligible and the roots are at most about 1 in size
     s = max(1.0, abs(lam))
     alphas = s * np.array(roots_of(flex_quartic(lam) * s ** np.arange(5)))
     pts = [[0.0, 1.0, 0.0]]

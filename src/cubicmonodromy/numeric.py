@@ -1,25 +1,24 @@
-"""Numerics: polynomial roots, Newton polish, and the field constants.
+"""Numerics: the flex quartic's roots, Newton polish, and the field constants.
 
-All public routines are deterministic for a fixed input.  A polynomial is
-an array of its coefficients, ascending (entry k is the z^k term); a stack
-of them is a 2-d array, one polynomial per row.  The one root finder,
-`roots_of_stack`, solves a stack of polynomials of one degree: start points
-from Ferrari's closed form for two or more quartics, else from one
-`np.linalg.eigvals` call on the stacked companion matrices (Edelman-Murakami
-1995), then one array Newton polish of the whole stack
-(`newton_polish_stack`) and, for extended precision, an mpmath Newton polish
-of every root.  A root is accepted on its backward error: |p(z)|
+All public routines are deterministic for a fixed input.  The one
+polynomial solved anywhere is the pencil's flex quartic
+(curves.flex_quartic_stack): five coefficients, ascending (entry k is the
+z^k term); a stack of quartics is an (n, 5) array, one per row.  The one
+root finder, `roots_of_stack`, solves such a stack: start points from
+Ferrari's closed form for two or more rows, else from the eigenvalues of the
+lone row's 4 x 4 companion matrix, then one array Newton polish of the whole
+stack (`newton_polish_stack`) and, for extended precision, an mpmath Newton
+polish of every root.  A root is accepted on its backward error: |p(z)|
 against sum_k |c_k| |z|^k, the bound on the rounding error of evaluating p
 at z (Higham, Accuracy and Stability of Numerical Algorithms, ch. 5).  The
 double-precision Newton polish stops at that same bound, evaluating p, p'
 and the bound in one Horner pass over the three stacked together, and in
 double precision its last evaluation is the acceptance.  `roots_of` is
-one sorted row of it, after `trimmed` drops negligible leading
-coefficients; it remembers its last _MEMO_SIZE results, since a tracker
-solves the same base quartic on every trace.  `nearest_match` is the one
-rule by which roots, inflections, lines and transcribed values are matched;
-it finds the nearest and runner-up candidates of every row in one scan over
-the candidate columns.
+one sorted row of it; it remembers its last _MEMO_SIZE results, since a
+tracker solves the same base quartic on every trace.  `nearest_match` is
+the one rule by which roots, inflections, lines and transcribed values are
+matched; it finds the nearest and runner-up candidates of every row in one
+scan over the candidate columns.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ _EXTENDED_GOAL = 10.0 ** (10 - _EXTENDED_DPS)
 
 PRECISIONS = ("double", "extended")
 
-# sorted roots_of results kept, keyed by the exact trimmed coefficients.  The
+# sorted roots_of results kept, keyed by the exact coefficient bytes.  The
 # only repeated key is the base quartic at lambda = 0: 400 seeded loops, the
 # keyhole and close-pass probes and extended-precision loops use 4 distinct
 # keys (three signed-zero variants in double precision, one in extended), and
@@ -112,36 +111,18 @@ def nearest_match(dist, tol: float = math.inf,
     return hits
 
 
-def trimmed(coeffs) -> np.ndarray:
-    """Ascending coefficients (coeffs[k] is the z^k term) as a complex array,
-    without the leading ones that are <= TOL_LEAD times the largest; a
-    non-finite coefficient or the zero polynomial is a ValueError.  Subnormal
-    coefficients count as 0: they are underflow noise, and overflow a division."""
-    cs = np.asarray(coeffs, dtype=complex)
-    if cs.ndim != 1:
-        raise ValueError("need a 1-d coefficient sequence")
-    if not np.isfinite(cs).all():
-        raise ValueError("non-finite coefficient")
-    mag = np.abs(cs)
-    mag[mag < np.finfo(float).tiny] = 0.0
-    if not mag.any():
-        raise ValueError("zero polynomial")
-    return cs[:np.flatnonzero(mag > TOL_LEAD * mag.max())[-1] + 1]
-
-
 def roots_of(coeffs, precision: str = "double") -> list[complex]:
-    """All complex roots of the ascending coefficients, with multiplicity,
-    sorted by order_key.
+    """The four complex roots of a quartic, with multiplicity, sorted by
+    order_key.
 
-    The roots_of_stack row of the trimmed coefficients, with its TOL_ROOT
-    residual acceptance and NonConvergence; a constant has no roots.  Each
-    call returns a new list.
+    coeffs are its five ascending coefficients; any other shape is a
+    ValueError.  The roots are the roots_of_stack row, with its checks, its
+    TOL_ROOT residual acceptance and NonConvergence.  Each call returns a
+    new list.
     """
-    if precision not in PRECISIONS:
-        raise ValueError(f"unknown precision {precision!r}")
-    cs = trimmed(coeffs)
-    if len(cs) == 1:
-        return []
+    cs = np.asarray(coeffs, dtype=complex)
+    if cs.shape != (5,):
+        raise ValueError("need a quartic's five coefficients as a 1-d sequence")
     return list(_sorted_roots(cs.tobytes(), precision))
 
 
@@ -212,21 +193,21 @@ def _evaluate(terms: np.ndarray,
     return acc[0], acc[1], acc[2].real
 
 
-def newton_polish_stack(coeffs, z0, tol: float = TOL_ROOT) -> np.ndarray:
+def newton_polish_stack(coeffs, z0) -> np.ndarray:
     """Newton iteration from every entry of z0 at once, in double precision.
 
-    coeffs has shape (n, d + 1), ascending; entry (k, i) of z0, shape (n, m),
-    is polished on row k until |p(z)| <= tol * sum_j |c_j| |z|^j, the
-    backward error roots_of_stack accepts, for at most _MAX_NEWTON steps.
-    An entry that neither meets the bound nor improves |p| a hundredfold
-    (or meets p' = 0 on the way) is returned as it was given.
+    coeffs has shape (n, d + 1), ascending (the tracker's are quartics);
+    entry (k, i) of z0, shape (n, m), is polished on row k until
+    |p(z)| <= TOL_ROOT * sum_j |c_j| |z|^j, the backward error
+    roots_of_stack accepts, for at most _MAX_NEWTON steps.  An entry that
+    neither meets the bound nor improves |p| a hundredfold (or meets p' = 0
+    on the way) is returned as it was given.
     """
     return _polish(np.asarray(coeffs, dtype=complex),
-                   np.asarray(z0, dtype=complex), tol)[0]
+                   np.asarray(z0, dtype=complex))[0]
 
 
-def _polish(cs: np.ndarray, z0: np.ndarray,
-            tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _polish(cs: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """newton_polish_stack and, for every entry of its result, whether that
     entry meets the bound: an entry returned as given never met it."""
     terms = _value_terms(cs)
@@ -235,7 +216,7 @@ def _polish(cs: np.ndarray, z0: np.ndarray,
         pz, dpz, bound = _evaluate(terms, z)
         start = np.abs(pz)
         # "<=" so that an exact root passes where the bound is 0 (z = 0 = c_0)
-        met = start <= tol * bound
+        met = start <= TOL_ROOT * bound
         active = ~met
         for _ in range(_MAX_NEWTON):
             if not active.any():
@@ -243,43 +224,42 @@ def _polish(cs: np.ndarray, z0: np.ndarray,
             active &= dpz != 0
             z = np.where(active, z - pz / dpz, z)
             pz, dpz, bound = _evaluate(terms, z)
-            met = np.abs(pz) <= tol * bound
+            met = np.abs(pz) <= TOL_ROOT * bound
             active &= ~met
         accepted = met | ((start > 0) & (np.abs(pz) < 1e-2 * start))
     return np.where(accepted, z, z0), met
 
 
 def roots_of_stack(coeffs, precision: str = "double") -> np.ndarray:
-    """All roots of every polynomial of a stack, as an (n, d) array.
+    """The four roots of every quartic of a stack, as an (n, 4) array.
 
-    coeffs has shape (n, d + 1), column k holding the z^k terms, each row of
-    exact degree d (a leading coefficient at most TOL_LEAD of the row's
-    largest one is a ValueError).  The starts are _quartic_starts for two or
-    more quartics, else the companion eigenvalues; row k of the result holds
-    the roots of row k in start order, not sorted.  Extended precision polishes
-    every root with mpmath Newton toward _EXTENDED_GOAL, then rounds it.
-    Residual acceptance, a backward error: |p(z)| <= TOL_ROOT sum_k |c_k| |z|^k
-    for every root, else NonConvergence, which names the first failing row.
+    coeffs has shape (n, 5), column k holding the z^k terms; any other shape
+    is a ValueError, and so is a leading coefficient at most TOL_LEAD of its
+    row's largest one.  The starts are _quartic_starts for two or more rows,
+    else the eigenvalues of the companion matrix; row k of the result holds
+    the roots of row k in start order, not sorted.  Extended precision
+    polishes every root with mpmath Newton toward _EXTENDED_GOAL, then rounds
+    it.  Residual acceptance, a backward error: |p(z)| <= TOL_ROOT sum_k
+    |c_k| |z|^k for every root, else NonConvergence, which names the first
+    failing row.
     """
     if precision not in PRECISIONS:
         raise ValueError(f"unknown precision {precision!r}")
     cs = np.asarray(coeffs, dtype=complex)
-    if cs.ndim != 2 or cs.shape[1] < 2:
-        raise ValueError("need an (n, d + 1) coefficient stack with d >= 1")
+    if cs.ndim != 2 or cs.shape[1] != 5:
+        raise ValueError("need an (n, 5) stack of quartic coefficients")
     if not np.isfinite(cs).all():
         raise ValueError("non-finite coefficient")
     scale = np.abs(cs).max(axis=1, keepdims=True)
     if (np.abs(cs[:, -1:]) <= TOL_LEAD * scale).any():
         raise ValueError("negligible leading coefficient")
-    d = cs.shape[1] - 1
-    if d == 4 and len(cs) > 1:
+    if len(cs) > 1:
         z = _quartic_starts(cs)
     else:
-        companion = np.zeros((len(cs), d, d), dtype=complex)
-        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        companion = np.repeat(np.eye(4, k=-1, dtype=complex)[None], len(cs), axis=0)
         companion[:, :, -1] = -cs[:, :-1] / cs[:, -1:]
         z = np.linalg.eigvals(companion)
-    z, ok = _polish(cs, z, TOL_ROOT)
+    z, ok = _polish(cs, z)
     if precision == "extended":
         z = np.array([[_polish_mp(row, zi) for zi in zs]
                       for row, zs in zip(cs, z)], dtype=complex).reshape(z.shape)

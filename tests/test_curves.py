@@ -275,6 +275,14 @@ def test_three_concurrent_lines_are_refused():
         inflection_points(CubicForm(np.array([1, 0, 0, 0, 0, 0, 1, 0, 0, 0])))
 
 
+@pytest.mark.filterwarnings("error")
+def test_the_zero_form_is_refused_before_it_is_scaled():
+    # f / f.scale() is 0 / 0 for the zero form: refused as a curve, without
+    # a warning and not as a non-finite coefficient
+    with pytest.raises(DegenerateCurve, match="zero form"):
+        build_surface_data(CubicForm(np.zeros(10)))
+
+
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_flex_quartic_height_consistency(lam):
     f = family_lambda(lam)

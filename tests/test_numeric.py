@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 import cubicmonodromy.numeric as numeric
 from cubicmonodromy.curves import flex_quartic, flex_quartic_stack
 from cubicmonodromy.errors import NonConvergence, NoUniqueMatch
-from cubicmonodromy.numeric import (PRECISIONS, TOL_ROOT, constants,
+from cubicmonodromy.numeric import (OMEGA, PRECISIONS, TOL_ROOT, constants,
                                     nearest_match, newton_polish_stack,
-                                    order_key, roots_of, roots_of_stack,
-                                    trimmed)
+                                    order_key, roots_of, roots_of_stack)
 
 
 def _sorted_by_value(zs):
@@ -74,7 +73,7 @@ def test_extended_precision_agrees_with_double():
 
 
 def test_roots_of_rejects_unknown_precision():
-    p = (1.0, 0.0, 1.0)
+    p = (1.0, 0.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         roots_of(p, precision="quad")
 
@@ -97,7 +96,7 @@ def _newton_polish(coeffs, z0: complex) -> complex:
     newton_polish_stack: stop at |p(z)| <= TOL_ROOT * sum_k |c_k| |z|^k, and
     after at most _MAX_NEWTON steps accept a hundredfold drop of |p|, else raise
     NonConvergence."""
-    cs = trimmed(coeffs)
+    cs = np.asarray(coeffs, dtype=complex)
     dcs = (cs[1:] * np.arange(1, len(cs))).tolist()
     mags, cs = np.abs(cs).tolist(), cs.tolist()
     value = numeric._value
@@ -224,11 +223,11 @@ def test_mutating_a_root_list_leaves_the_memo_alone():
 
 
 def test_signed_zero_coefficients_are_distinct_memo_keys():
-    roots_of([-1.0, 0.0, 1.0])
-    roots_of([-1.0, -0.0, 1.0])
+    roots_of([-1.0, 0.0, 0.0, 0.0, 1.0])
+    roots_of([-1.0, -0.0, 0.0, 0.0, 1.0])
     info = numeric._sorted_roots.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
-    roots_of(np.array([-1.0, 0.0, 1.0]))
+    roots_of(np.array([-1.0, 0.0, 0.0, 0.0, 1.0]))
     assert numeric._sorted_roots.cache_info().hits == 1
 
 
@@ -243,12 +242,14 @@ def test_pair_indices_are_the_read_only_upper_triangle(n):
 
 
 def test_roots_of_is_the_sorted_stack_row():
-    p = (-1.0, 12.0 * 0.3, -6.0, -4.0 * 0.3, 3.0, 0.0)
-    row = roots_of_stack([p[:-1]])[0]
+    p = (-1.0, 12.0 * 0.3, -6.0, -4.0 * 0.3, 3.0)
+    row = roots_of_stack([p])[0]
     assert roots_of(p) == sorted(row.tolist(), key=order_key)
-    assert roots_of((2.0, 1e-13)) == []
-    # an exact root 0 with c_0 = 0: |p(z)| and its bound are both 0
-    assert roots_of((0.0, 1.0, 1.0)) == [-1.0, 0.0]
+    # z^4 - z has an exact root 0 with c_0 = 0: |p(z)| and its bound are both 0
+    roots = roots_of((0.0, -1.0, 0.0, 0.0, 1.0))
+    assert roots[2] == 0.0
+    want = [OMEGA.conjugate(), OMEGA, 0.0, 1.0]
+    assert np.abs(np.array(roots) - want).max() < 1e-15
 
 
 def test_roots_at_a_large_parameter_pass_the_backward_error():
@@ -278,20 +279,14 @@ def test_polish_stops_at_the_backward_error(monkeypatch):
 
 
 @pytest.mark.parametrize("coeffs, message", [
-    ((1.0, float("inf")), "non-finite"), ((0.0, 0.0), "zero polynomial"),
-    ((), "zero polynomial"), ([[1.0, 2.0]], "1-d"),
-    ((1e-310, 2e-310j), "zero polynomial")])
+    ((1.0, float("inf"), 0.0, 0.0, 1.0), "non-finite"),
+    ((0.0, 0.0, 0.0, 0.0, 0.0), "negligible"),
+    ((1e-310, 2e-310j, 0.0, 0.0, 0.0), "negligible"),
+    ([[1.0, 0.0, 0.0, 0.0, 1.0]], "1-d"), ((), "five coefficients"),
+    ((1.0, 0.0, 1.0), "five coefficients")])
 def test_roots_of_rejects_malformed_coefficients(coeffs, message):
     with pytest.raises(ValueError, match=message):
         roots_of(coeffs)
-
-
-def test_trimmed_drops_negligible_leading_coefficients():
-    assert trimmed((1.0, 2.0, 1e-13, 0.0)).tolist() == [1.0, 2.0]
-    assert trimmed((1.0, 2.0, 1e-10)).tolist() == [1.0, 2.0, 1e-10]
-    assert trimmed((3.0,)).tolist() == [3.0]
-    # a subnormal coefficient is underflow noise, whatever its relative size
-    assert trimmed((1e-300, 1e-310)).tolist() == [1e-300]
 
 
 def _shift_row_3(out):
@@ -317,8 +312,8 @@ def _missed_row(monkeypatch, owner, name, perturb, coeffs) -> int:
         perturb(out)
         return out
 
-    def unpolished(cs, z, tol):
-        return z, _meets_bound(cs, z, tol)
+    def unpolished(cs, z):
+        return z, _meets_bound(cs, z)
 
     monkeypatch.setattr(owner, name, perturbed)
     monkeypatch.setattr(numeric, "_polish", unpolished)
@@ -338,15 +333,15 @@ def test_a_perturbed_large_root_misses_the_backward_error(monkeypatch):
 
 
 @pytest.mark.parametrize("coeffs, perturb, row", [
-    (_random_quartics(5)[:, :4], _shift_row_3, 3),      # a stack of cubics
     (flex_quartic_stack([1000.0]), _scale_row_0, 0)],   # a lone quartic
-    ids=["cubic-stack", "lone-quartic"])
+    ids=["lone-quartic"])
 def test_the_eigvals_route_raises_on_a_missed_residual(monkeypatch, coeffs,
                                                        perturb, row):
     assert _missed_row(monkeypatch, np.linalg, "eigvals", perturb, coeffs) == row
 
 
 def test_only_lone_polynomials_and_other_degrees_call_eigvals(monkeypatch):
+    # only a lone quartic calls eigvals; any other degree is refused
     calls = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals",
@@ -354,9 +349,10 @@ def test_only_lone_polynomials_and_other_degrees_call_eigvals(monkeypatch):
     roots_of_stack(_random_quartics(3))
     assert calls == []
     roots_of_stack(_random_quartics(1))
-    roots_of_stack(_random_quartics(3)[:, :4])
+    with pytest.raises(ValueError, match=r"\(n, 5\)"):
+        roots_of_stack(_random_quartics(3)[:, :4])
     roots_of(flex_quartic(0.5))
-    assert calls == [(1, 4, 4), (3, 3, 3), (1, 4, 4)]
+    assert calls == [(1, 4, 4), (1, 4, 4)]
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -426,8 +422,10 @@ def test_flex_quartic_roots_at_zero_keep_their_labels(monkeypatch):
 
 
 @pytest.mark.parametrize("coeffs, precision", [
-    ([[1.0, 0.0, float("nan")]], "double"), ([[1.0, 2.0, 1e-14]], "double"),
-    ([[1.0]], "double"), ([1.0, 2.0], "double"), ([[1.0, 2.0]], "quad")])
+    ([[1.0, 0.0, 0.0, 0.0, float("nan")]], "double"),
+    ([[1.0, 2.0, 0.0, 0.0, 1e-14]], "double"), ([[1.0]], "double"),
+    ([1.0, 2.0, 0.0, 0.0, 1.0], "double"), ([[1.0, 0.0, 0.0, 0.0, 1.0]], "quad"),
+    ([[1.0, 0.0, 1.0]], "double")])
 def test_roots_of_stack_rejects_malformed_input(coeffs, precision):
     with pytest.raises(ValueError):
         roots_of_stack(coeffs, precision=precision)
@@ -473,12 +471,14 @@ def _polish_cases():
 # and keep their start or their hundredfold improvement
 @pytest.mark.parametrize("tol", [TOL_ROOT, 1e-20])
 @pytest.mark.parametrize("coeffs, starts", list(_polish_cases()))
-def test_one_pass_polish_equals_three_horner_evaluations(coeffs, starts, tol):
+def test_one_pass_polish_equals_three_horner_evaluations(coeffs, starts, tol,
+                                                         monkeypatch):
+    monkeypatch.setattr(numeric, "TOL_ROOT", tol)
     cs = np.asarray(coeffs, dtype=complex)
     z0 = np.asarray(starts, dtype=complex)
     want = _three_horner_polish(cs, z0, tol)
-    assert np.array_equal(newton_polish_stack(cs, z0, tol), want)
-    z, ok = numeric._polish(cs, z0, tol)
+    assert np.array_equal(newton_polish_stack(cs, z0), want)
+    z, ok = numeric._polish(cs, z0)
     assert np.array_equal(z, want)
     # the acceptance roots_of_stack reads is the bound at the returned point
     assert np.array_equal(ok, _meets_bound(cs, want, tol))
