@@ -1,8 +1,8 @@
 """End to end: the monodromy image equals the deck centralizer.
 
-Two torsion symmetries of the surface (conjugated through the coordinate
-change to the diagonal model) and the two loop monodromies generate a matrix
-group.  This script computes that group from scratch, shows it coincides
+Two torsion symmetries of the surface (the translations of the branch
+cubic by two of its flexes, its 3-torsion points, lifted to the cover) and
+the two loop monodromies generate a matrix group.  This script computes that group from scratch, shows it coincides
 with the centralizer of the deck class inside the order-51840 reflection
 group, and certifies the isomorphism with the abstract semidirect product
 of the extraspecial group of order 27 by SL(2, F3).

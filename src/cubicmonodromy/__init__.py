@@ -22,13 +22,13 @@ from .groups import (MODEL_IDENTITY, ModelElement, SemidirectGroup,
                      conjugation_relations, corrected_action, identify_order24,
                      intersect, is_normal, semidirect_model,
                      verify_generator_map)
-from .hesse import heisenberg_lifts, heisenberg_matrices, hesse_transform
 from .lines import (CANONICAL_CLASS, J_FORM, SurfaceData, all_lines,
                     base_surface, build_surface_data, classify_lines,
                     concurrent_triples, deck_permutation, find_sixer,
                     incidence_graph, induced_line_perm, is_strongly_regular_27,
                     lift_to_lines, line_label, pairing, perm_compose,
-                    perm_to_lattice_map, preserves_incidence, surface_residual)
+                    perm_to_lattice_map, preserves_incidence, surface_residual,
+                    translation)
 from .numeric import constants, roots_of
 from .report import (REPORT_SCHEMA, SCHEMA_VERSION, Check, VerificationReport,
                      render_csv, render_json, render_text)

@@ -9,7 +9,8 @@ over flex k // 3 (row k // 3 of the (9, 3) flex stack) on cube-root sheet
 k % 3, so line 3 * flex + sheet.  Only this module reads flex and sheet off
 a line index, and it reads every line correspondence by cube roots of
 unity: one per pair of flexes for incidence, one per flex, with flex
-images, for a cover automorphism.  Since w^3 = l^3 on every sheet, f = l^3
+images, for a cover automorphism, such as the lift of a translation of
+the base curve by a flex.  Since w^3 = l^3 on every sheet, f = l^3
 is checked once per tangent line, not once per line.  Everything after the
 certified pattern is exact integer data.
 """
@@ -24,11 +25,13 @@ import numpy as np
 from .curves import (CubicForm, chordal_distances, inflection_points,
                      phase_normalize, tangent_frames)
 from .errors import (BadIncidencePattern, NoSixer, NonIntegralImage,
-                     FormViolation, NotAFlex)
+                     FormViolation, NotAFlex, TransformResidual)
 from .numeric import OMEGA, TOL_MATCH, nearest_match, pair_indices
 
 J_FORM = np.diag([1, -1, -1, -1, -1, -1, -1]).astype(np.int64)
 CANONICAL_CLASS = np.array([-3, 1, 1, 1, 1, 1, 1], dtype=np.int64)
+# largest relative coefficient residual of f(A x) - c f(x) a plane map passes
+TOL_TRANSFORM = 1e-10
 
 # the cube roots of unity omega^n, one per sheet n
 _SHEETS = np.array([OMEGA ** n for n in range(3)])
@@ -237,6 +240,57 @@ def induced_line_perm(transform: np.ndarray) -> np.ndarray:
     q = np.cross(t[sigma], t[np.roll(sigma, 1)])
     r = np.sum(c * ell @ np.linalg.inv(a) * q, axis=-1) / np.sum(ell[sigma] * q, axis=-1)
     return (3 * sigma[:, None] + (np.arange(3) + _sheet_offsets(r)[:, None]) % 3).ravel()
+
+
+def form_ratio(f: CubicForm, a: np.ndarray) -> tuple[complex, float]:
+    """(c, residual) for the plane map a: c the least-squares ratio of the
+    coefficients of f(a p) to those of f, residual the largest coefficient of
+    f(a p) - c f(p) over the largest of f(a p); NaN for a map that kills f."""
+    g, h = f.compose(a).coeffs, f.coeffs
+    c = complex(np.vdot(h, g) / np.vdot(h, h))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return c, float(np.max(np.abs(g - c * h)) / np.max(np.abs(g)))
+
+
+def _third_flexes(flexes: np.ndarray, p: int) -> np.ndarray:
+    """Row q: the flex r with q, p, r on one line, that is the nearest zero
+    of |det(q, p, r)| over the unit points, by nearest_match within
+    TOL_MATCH; the tangent at a flex meets the curve there only, so r = p
+    for q = p."""
+    u = flexes / np.linalg.norm(flexes, axis=-1, keepdims=True)
+    det = np.abs(np.cross(u, u[p]) @ u.T)
+    np.fill_diagonal(det, np.inf)
+    det[:, p] = det[p] = np.inf
+    det[p, p] = 0.0
+    return nearest_match(det, TOL_MATCH)
+
+
+def translation(p: int) -> tuple[np.ndarray, complex, np.ndarray]:
+    """Translation of the base curve by its flex p, as (A, c, lift).
+
+    With the flex O = [0 : 1 : 0] as origin the nine flexes are the
+    3-torsion points, and translation by one is a plane map A with
+    f(A x) = c f(x) (Silverman, The Arithmetic of Elliptic Curves, ch. III).
+    It sends flex q to q + p = -r, r the third flex on the line qp and
+    -[x : y : z] = [x : -y : z]; A spans the null space of the 27 x 9 system
+    cross(q + p, A q) = 0, read off one SVD.  A relative residual of
+    f(A x) - c f(x) above TOL_TRANSFORM raises TransformResidual.  Of the
+    three cover automorphisms diag(A, r) with r^3 = c, lift is the one that
+    sends line 0, sheet 0 over O, to line 3 p, sheet 0 over p.
+    """
+    s = base_surface()
+    images = s.flexes[_third_flexes(s.flexes, p)] * (1.0, -1.0, 1.0)
+    system = (np.cross(images[:, None], np.eye(3))[..., None]
+              * s.flexes[:, None, None]).transpose(0, 2, 1, 3).reshape(27, 9)
+    a = np.linalg.svd(system)[2][-1].conj().reshape(3, 3)
+    c, resid = form_ratio(s.form, a)
+    if not resid <= TOL_TRANSFORM:
+        raise TransformResidual(f"translation by flex {p} misses the cubic by {resid:.3e}")
+    lift = np.zeros((4, 4), dtype=complex)
+    lift[:3, :3] = a
+    lift[3, 3] = c ** (1.0 / 3.0)
+    lift[3, 3] *= _SHEETS[-induced_line_perm(lift)[0] % 3]
+    return a, c, lift
 
 
 def perm_compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ TOL_MATCH = 1e-6
 TOL_LEAD = 1e-12
 
 # the primitive cube root of unity exp(2 pi i / 3): the deck rotation of the
-# cover and the Hesse-pencil symmetries; every module reads this one value
+# cover and the Hesse pencil's flexes; every module reads this one value
 OMEGA = cmath.exp(2j * cmath.pi / 3.0)
 
 _MAX_NEWTON = 60
@@ -325,23 +325,17 @@ class Constants:
 
     a: float
     b: float
-    mu: float
-    eta: float
     omega: complex
 
 
 def constants() -> Constants:
-    """a, b, mu, eta, omega with their defining relations satisfied exactly.
+    """a, b, omega with their defining relations satisfied exactly.
 
     a^2 = (3 + 2*sqrt(3)) / 3      (positive root)
     b^2 = a * 2*sqrt(3) / 3        (positive root)
-    mu  = sqrt(3) + 1
-    eta = the real (negative) cube root of 1 - mu^3
     omega = exp(2*pi*i/3)
     """
     s3 = math.sqrt(3.0)
     a = math.sqrt((3.0 + 2.0 * s3) / 3.0)
     b = math.sqrt(a * 2.0 * s3 / 3.0)
-    mu = s3 + 1.0
-    eta = -((mu ** 3 - 1.0) ** (1.0 / 3.0))
-    return Constants(a=a, b=b, mu=mu, eta=eta, omega=OMEGA)
+    return Constants(a=a, b=b, omega=OMEGA)

@@ -3,10 +3,11 @@
 Two independent routes, each a GeneratorSource of a deck matrix and four
 generators, produce the same 648-element matrix group: the transcribed
 reference matrices, and the geometric pipeline (lines, deck rotation,
-conjugated torsion symmetries, loop tracking).  Five checks run on both
-sources with the same expected values, the others on one route; together
-they compare both groups against the centralizer of the deck class and
-confirm the abstract semidirect model by exhaustive generator-word checks.
+the translations of the base curve by two of its 3-torsion flexes, loop
+tracking).  Five checks run on both sources with the same expected values,
+the others on one route; together they compare both groups against the
+centralizer of the deck class and confirm the abstract semidirect model by
+exhaustive generator-word checks.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from .groups import (HEISENBERG_ALL, MODEL_IDENTITY, SL2_ALL, ModelElement,
                      SemidirectGroup, conjugation_relations, corrected_action,
                      identify_order24, index_table, intersect, is_normal,
                      semidirect_model, sl2_mul, verify_generator_map)
-from .hesse import heisenberg_matrices, hesse_transform
-from .lines import (base_surface, concurrent_triples, deck_permutation,
+from .lines import (TOL_TRANSFORM, base_surface, concurrent_triples,
+                    deck_permutation, form_ratio, induced_line_perm,
                     is_strongly_regular_27, lift_to_lines, pairing,
-                    perm_compose, perm_to_lattice_map, preserves_incidence)
+                    perm_compose, perm_to_lattice_map, preserves_incidence,
+                    translation)
 from .numeric import constants, nearest_match, roots_of
 from .report import SCOPES, Check, VerificationReport, jsonable
 from .tracking import (LoopTrace, TrackingConfig, constant_loop,
@@ -164,27 +166,39 @@ def verify_isomorphism_via_transport(group: FiniteMatrixGroup,
 class GeneratorSource:
     """A deck matrix and the closure of the four generators, from one route.
 
-    group.gens holds the generators h1, h2, g1, g2 in that order.  traces
-    holds the gammaMinus and gammaPlus traces, keyed by loop kind, whose
-    lattice maps are g1 and g2; it is empty for the reference matrices.
+    group.gens holds the generators h1, h2, g1, g2 in that order.  lifts
+    holds the 4 x 4 cover automorphisms whose line permutations give h1 and
+    h2, and traces the gammaMinus and gammaPlus traces, keyed by loop kind,
+    whose lattice maps are g1 and g2; both are empty for the reference
+    matrices.
     """
 
     deck: np.ndarray
     group: FiniteMatrixGroup
+    lifts: tuple[np.ndarray, ...]
     traces: dict[str, LoopTrace]
 
 
 def fixture_source() -> GeneratorSource:
-    return GeneratorSource(load_fixtures().deck, fixture_group(), {})
+    return GeneratorSource(load_fixtures().deck, fixture_group(), (), {})
 
 
 def build_pipeline() -> GeneratorSource:
-    h1, h2 = heisenberg_matrices()
+    """h1 and h2 lifted from the translations by the flexes [a : b : 1] and
+    [-a : ib : 1], named by their y-coordinates b and ib; g1 and g2 from
+    the gammaMinus and gammaPlus traces."""
+    surface, b = base_surface(), constants().b
+    flexes = 1 + nearest_match(np.abs(np.array([b, 1j * b])[:, None]
+                                      - surface.flexes[1:, 1]),
+                               TOL_TRANSCRIBE, one_to_one=False)
+    lifts = tuple(translation(int(k))[2] for k in flexes)
+    h1, h2 = (perm_to_lattice_map(induced_line_perm(lift), surface.classes,
+                                  surface.sixer) for lift in lifts)
     traces = {loop.kind: trace_loop(loop)
               for loop in (gamma_minus(), gamma_plus())}
     g1, g2 = (flex_lattice_map(t.flex_perm) for t in traces.values())
     group = FiniteMatrixGroup.close([h1, h2, g1, g2], cap=1000)
-    return GeneratorSource(base_surface().deck_matrix, group, traces)
+    return GeneratorSource(surface.deck_matrix, group, lifts, traces)
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +454,16 @@ def pipeline_checks() -> list[Check]:
              perm_functor))
 
     def plane_change():
-        _, a4, mu = hesse_transform()
-        cube = complex(a4[3, 3]) ** 3
-        return ({"verticalCubeMatchesScale":
-                 abs(cube - (mu ** 3 - 1.0)) < 1e-9},
+        ok = True
+        for lift in source().lifts:
+            c, resid = form_ratio(surface.form, lift[:3, :3])
+            ok &= (resid <= TOL_TRANSFORM
+                   and abs(lift[3, 3] ** 3 - c) <= TOL_TRANSFORM * abs(c))
+        return ({"verticalCubeMatchesScale": bool(ok)},
                 {"verticalCubeMatchesScale": True})
     add(_run("pl-plane-change",
-             "plane change reaches the diagonal model; vertical scale cubes right",
+             "the two flex translations carry the cubic to c times itself; "
+             "vertical scales cube to c",
              plane_change))
     add(_run(*torsion))
 

@@ -161,6 +161,16 @@ def test_lines_at_a_huge_parameter_exit_2_without_a_warning(capsys, lam):
     assert "Array must not contain" not in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", ["1e9", "1e12", "1e300"])
+def test_lines_at_a_huge_parameter_names_the_cause(capsys, lam):
+    code, out, err = run(capsys, "lines", f"--lambda={lam}")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: inflection points collide")
+    assert "expected 9 inflection points" not in err
+
+
 @pytest.mark.parametrize("lam", ["-0.5,0.2", "-8.5e5"])
 def test_lines_takes_a_negative_lambda_in_the_equals_form(capsys, lam):
     code, out, _ = run(capsys, "lines", f"--lambda={lam}", "--format", "json")

@@ -1,74 +1,105 @@
-"""Coordinate change to the diagonal model and the induced symmetries."""
+"""The Hesse configuration of the base cubic: translations by its nine flexes,
+their lifts to the cover, and the lines they move."""
 
 import numpy as np
 import pytest
 
 import cubicmonodromy.lines as lines_module
-from cubicmonodromy.curves import family_lambda, hesse_form
 from cubicmonodromy.errors import NoUniqueMatch
-from cubicmonodromy.hesse import (OMEGA, heisenberg_lifts, heisenberg_matrices,
-                                  hesse_transform)
 from cubicmonodromy.lines import (base_surface, deck_permutation,
-                                  induced_line_perm, perm_compose)
-from cubicmonodromy.numeric import nearest_match
+                                  induced_line_perm, perm_compose,
+                                  perm_to_lattice_map, translation)
+from cubicmonodromy.numeric import OMEGA, nearest_match
+from cubicmonodromy.verify import build_pipeline
 from cubicmonodromy.weyl import FiniteMatrixGroup, lattice_inverse, weyl_group
 
+# the flexes [a : b : 1] and [-a : ib : 1], whose translations give h1 and h2
+H1_FLEX, H2_FLEX = 8, 5
 
-def test_transform_carries_pencil_to_diagonal():
-    a, a4, mu = hesse_transform()
-    f = family_lambda(0.0)
-    g = hesse_form(mu)
-    scale = mu ** 3 - 1.0
+
+def _lattice_map(lift):
+    s = base_surface()
+    return perm_to_lattice_map(induced_line_perm(lift), s.classes, s.sixer)
+
+
+def _torsion_matrices():
+    return tuple(_lattice_map(translation(k)[2]) for k in (H1_FLEX, H2_FLEX))
+
+
+def test_translations_scale_the_base_cubic():
+    f = base_surface().form
     rng = np.random.default_rng(2)
-    for _ in range(6):
-        p = rng.normal(size=3) + 1j * rng.normal(size=3)
-        assert abs(g(a @ p) - scale * f(p)) < 1e-9 * max(1.0, abs(f(p)))
+    for k in range(9):
+        a, c, _ = translation(k)
+        for _ in range(6):
+            p = rng.normal(size=3) + 1j * rng.normal(size=3)
+            assert abs(f(a @ p) - c * f(p)) < 1e-9 * max(1.0, abs(c * f(p)))
 
 
 def test_transform_block_structure():
-    a, a4, mu = hesse_transform()
-    assert a4.shape == (4, 4)
-    assert np.allclose(a4[:3, :3], a)
-    assert np.allclose(a4[3, :3], 0.0) and np.allclose(a4[:3, 3], 0.0)
-    # the vertical scale must cube to the form ratio, lifting the plane
-    # change to the triple covers
-    assert abs(complex(a4[3, 3]) ** 3 - (mu ** 3 - 1.0)) < 1e-12
-    assert abs(np.linalg.det(a)) > 1e-6
+    for k in range(9):
+        a, c, lift = translation(k)
+        assert lift.shape == (4, 4)
+        assert np.array_equal(lift[:3, :3], a)
+        assert not np.any(lift[3, :3]) and not np.any(lift[:3, 3])
+        # the vertical scale must cube to the form ratio, lifting the plane
+        # map to the triple cover
+        assert abs(complex(lift[3, 3]) ** 3 - c) < 1e-12 * abs(c)
+        assert abs(np.linalg.det(a)) > 1e-6
 
 
 def test_heisenberg_lifts_relations():
-    xp, yp = heisenberg_lifts()
-    eye = np.eye(4, dtype=complex)
-    assert np.allclose(np.linalg.matrix_power(xp, 3), eye)
-    assert np.allclose(np.linalg.matrix_power(yp, 3), eye)
+    # each lift cubes to a scalar; their commutator is a deck rotation up to
+    # a scalar: diag(z, z, z, 1) with z a primitive cube root of unity
+    xp, yp = (translation(k)[2] for k in (H1_FLEX, H2_FLEX))
+    for m in (xp, yp):
+        cube = np.linalg.matrix_power(m, 3)
+        assert np.allclose(cube, cube[0, 0] * np.eye(4))
     comm = xp @ yp @ np.linalg.inv(xp) @ np.linalg.inv(yp)
-    want = np.diag([OMEGA ** 2, OMEGA ** 2, OMEGA ** 2, 1.0])
-    assert np.allclose(comm, want)
+    z = comm[0, 0]
+    assert np.allclose(comm, np.diag([z, z, z, 1.0]))
+    assert min(abs(z - OMEGA), abs(z - OMEGA ** 2)) < 1e-9
 
 
-def test_lifts_preserve_diagonal_surface():
-    # w^3 - g(x,y,z) must be preserved exactly by both lifts
-    _, _, mu = hesse_transform()
-    g = hesse_form(mu)
-    xp, yp = heisenberg_lifts()
+def test_lifts_preserve_the_surface():
+    # w^3 - f(x, y, z) is scaled by c under the lift of each translation
+    f = base_surface().form
     rng = np.random.default_rng(4)
-    for mat in (xp, yp):
+    for k in range(9):
+        _, c, lift = translation(k)
         for _ in range(4):
             p = rng.normal(size=4) + 1j * rng.normal(size=4)
-            q = mat @ p
-            before = p[3] ** 3 - g(p[:3])
-            after = q[3] ** 3 - g(q[:3])
-            assert abs(after - before) < 1e-9
+            q = lift @ p
+            before = p[3] ** 3 - f(p[:3])
+            after = q[3] ** 3 - f(q[:3])
+            assert abs(after - c * before) < 1e-9 * max(1.0, abs(c * before))
+
+
+def test_translation_by_the_origin_is_the_identity():
+    # flex 0 is O = [0 : 1 : 0]
+    assert base_surface().flexes[0].tolist() == [0, 1, 0]
+    a, _, lift = translation(0)
+    assert np.allclose(a / a[0, 0], np.eye(3))
+    assert induced_line_perm(lift).tolist() == list(range(27))
+
+
+def test_every_translation_has_order_3_in_the_torsion_group():
+    torsion = FiniteMatrixGroup.close(list(_torsion_matrices()), cap=100)
+    for k in range(9):
+        a, _, lift = translation(k)
+        cube = np.linalg.matrix_power(a, 3)
+        assert np.allclose(cube, cube[0, 0] * np.eye(3))
+        if k:
+            assert not np.allclose(a, a[0, 0] * np.eye(3))
+        m = _lattice_map(lift)
+        assert m in torsion
+        # line 0, sheet 0 over O, goes to sheet 0 over the flex
+        assert induced_line_perm(lift)[0] == 3 * k
 
 
 def test_induced_perm_identity():
     p = induced_line_perm(np.eye(4, dtype=complex))
     assert p.tolist() == list(range(27))
-
-
-def _conjugated_lifts():
-    _, a4, _ = hesse_transform()
-    return [np.linalg.inv(a4) @ lift @ a4 for lift in heisenberg_lifts()]
 
 
 def test_induced_perm_decides_by_a_wide_margin(monkeypatch):
@@ -81,9 +112,9 @@ def test_induced_perm_decides_by_a_wide_margin(monkeypatch):
         seen.append(np.asarray(dist))
         return nearest_match(dist, *args, **kwargs)
 
-    base_surface()
+    lifts = [translation(k)[2] for k in range(9)]
     monkeypatch.setattr(lines_module, "nearest_match", recording)
-    for m in [np.eye(4, dtype=complex), *_conjugated_lifts()]:
+    for m in [np.eye(4, dtype=complex), *lifts]:
         seen.clear()
         induced_line_perm(m)
         flexes, sheets = seen
@@ -94,12 +125,18 @@ def test_induced_perm_decides_by_a_wide_margin(monkeypatch):
             assert ranked[:, 1].min() > runner_up
 
 
-def test_conjugated_lifts_move_the_lines_as_pinned():
-    x_perm, y_perm = (induced_line_perm(m).tolist() for m in _conjugated_lifts())
-    assert x_perm == [24, 25, 26, 0, 1, 2, 20, 18, 19, 22, 23, 21, 10, 11, 9,
-                      8, 6, 7, 17, 15, 16, 13, 14, 12, 3, 4, 5]
-    assert y_perm == [15, 16, 17, 20, 18, 19, 10, 11, 9, 25, 26, 24, 0, 1, 2,
-                      12, 13, 14, 23, 21, 22, 5, 3, 4, 7, 8, 6]
+H1_PERM = [24, 25, 26, 0, 1, 2, 20, 18, 19, 22, 23, 21, 10, 11, 9,
+           8, 6, 7, 17, 15, 16, 13, 14, 12, 3, 4, 5]
+H2_PERM = [15, 16, 17, 20, 18, 19, 10, 11, 9, 25, 26, 24, 0, 1, 2,
+           12, 13, 14, 23, 21, 22, 5, 3, 4, 7, 8, 6]
+
+
+def test_translations_move_the_lines_as_pinned():
+    want = [H1_PERM, H2_PERM]
+    assert [induced_line_perm(translation(k)[2]).tolist()
+            for k in (H1_FLEX, H2_FLEX)] == want
+    # the pipeline names the same two flexes by their y-coordinates
+    assert [induced_line_perm(m).tolist() for m in build_pipeline().lifts] == want
 
 
 def test_induced_perm_deck_scaling():
@@ -132,7 +169,7 @@ def test_induced_perm_rejects_off_surface_map():
 
 def test_heisenberg_matrices_structure():
     s = base_surface()
-    h1, h2 = heisenberg_matrices()
+    h1, h2 = _torsion_matrices()
     deck = s.deck_matrix
     w = weyl_group()
     for h in (h1, h2):
@@ -148,14 +185,14 @@ def test_heisenberg_matrices_structure():
 
 def test_torsion_and_deck_generate_extraspecial():
     s = base_surface()
-    h1, h2 = heisenberg_matrices()
+    h1, h2 = _torsion_matrices()
     grp = FiniteMatrixGroup.close([h1, h2, s.deck_matrix], cap=100)
     assert len(grp) == 27
 
 
 def test_torsion_with_one_loop_gives_81():
     from cubicmonodromy.tracking import gamma_minus, monodromy_matrix
-    h1, h2 = heisenberg_matrices()
+    h1, h2 = _torsion_matrices()
     g1 = monodromy_matrix(gamma_minus())
     grp = FiniteMatrixGroup.close([h1, h2, g1], cap=1000)
     # one order-3 loop extends the 27 torsion elements to a 3-Sylow only;

@@ -510,8 +510,6 @@ def test_constants_closed_forms():
     s3 = math.sqrt(3.0)
     assert abs(c.a ** 2 - (3.0 + 2.0 * s3) / 3.0) < 1e-14
     assert abs(c.b ** 2 - c.a * 2.0 * s3 / 3.0) < 1e-14
-    assert abs(c.mu - (s3 + 1.0)) < 1e-14
-    assert abs(c.eta ** 3 + (c.mu ** 3 - 1.0)) < 1e-12
     assert abs(c.omega - cmath.exp(2j * cmath.pi / 3.0)) < 1e-14
     assert abs(c.omega ** 3 - 1.0) < 1e-14
 

@@ -9,6 +9,7 @@ import pytest
 import cubicmonodromy.cli as cli
 import cubicmonodromy.fixtures as fixtures_mod
 import cubicmonodromy.groups as groups
+import cubicmonodromy.lines as lines_module
 import cubicmonodromy.verify as verify
 from cubicmonodromy.errors import AmbiguousMatching, GroupError, NotAMember
 from cubicmonodromy.fixtures import load_fixtures
@@ -211,7 +212,7 @@ def test_fixture_source_reads_the_reference_matrices():
     # the generators in the order h1, h2, g1, g2
     for g, want in zip(source.group.gens, fx.generators(), strict=True):
         assert np.array_equal(g, want)
-    assert source.traces == {}
+    assert source.lifts == () and source.traces == {}
 
 
 @pytest.mark.parametrize("fx_id, pl_id", PAIRS)
@@ -307,7 +308,8 @@ def test_run_checks_rejects_unknown_scope():
 
 # the pipeline checks that read the built source
 SOURCE_CHECKS = {
-    "pl-deck-matrix", "pl-perm-functor", "pl-torsion-matrices",
+    "pl-deck-matrix", "pl-perm-functor", "pl-plane-change",
+    "pl-torsion-matrices",
     "pl-root-cycle-gammaMinus", "pl-root-cycle-gammaPlus",
     "pl-flex-perm-gammaMinus", "pl-flex-perm-gammaPlus", "pl-loop-matrices",
     "pl-loop-group", "pl-set-equality", "pl-isomorphism", "pl-step-stability",
@@ -318,11 +320,11 @@ def test_unbuildable_pipeline_fails_its_checks_not_the_battery(capsys,
                                                                monkeypatch):
     calls = []
 
-    def broken():
+    def broken(*args):
         calls.append(1)
         raise GroupError("torsion maps made to fail")
 
-    monkeypatch.setattr(verify, "heisenberg_matrices", broken)
+    monkeypatch.setattr(verify, "translation", broken)
     code = cli.main(["verify", "--format", "json"])
     out, err = capsys.readouterr()
     assert (code, err, len(calls)) == (1, "", 1)
@@ -337,24 +339,62 @@ def test_unbuildable_pipeline_fails_its_checks_not_the_battery(capsys,
 
 
 def test_ambiguous_pipeline_build_aborts_the_battery(capsys, monkeypatch):
-    def ambiguous():
+    def ambiguous(*args):
         raise AmbiguousMatching("made ambiguous")
 
-    monkeypatch.setattr(verify, "heisenberg_matrices", ambiguous)
+    monkeypatch.setattr(verify, "translation", ambiguous)
     assert cli.main(["verify", "--scope", "pipeline"]) == 3
     assert "made ambiguous" in capsys.readouterr().err
 
 
 def test_pipeline_battery_matches_lines_once(monkeypatch):
     calls = []
-    matcher = verify.heisenberg_matrices
+    matcher = verify.translation
 
     def counted(*args):
         calls.append(args)
         return matcher(*args)
 
-    monkeypatch.setattr(verify, "heisenberg_matrices", counted)
+    monkeypatch.setattr(verify, "translation", counted)
     pipeline_checks()
-    # the bundle's torsion matrices; pl-torsion-matrices reads the bundle
-    assert len(calls) == 1
+    # the bundle's two translations; pl-plane-change and pl-torsion-matrices
+    # read the bundle
+    assert calls == [(8,), (5,)]
+
+
+def test_a_wrong_image_flex_fails_the_plane_change(monkeypatch):
+    real = lines_module._third_flexes
+
+    def swapped(flexes, p):
+        out = real(flexes, p)
+        out[[1, 2]] = out[[2, 1]]
+        return out
+
+    monkeypatch.setattr(lines_module, "_third_flexes", swapped)
+    # no plane map sends the flexes to the swapped images: the translation
+    # refuses its residual, so the pipeline cannot be built
+    failed = {c.check_id: c.observed for c in run_checks("pipeline").checks
+              if c.status == "fail"}
+    assert set(failed) == SOURCE_CHECKS
+    assert failed["pl-plane-change"].startswith("TransformResidual('translation by flex 8")
+
+
+@pytest.mark.parametrize("factor, failing", [
+    # r^3 = 1.003 c: the sheet ratios still round to the same cube roots
+    (1.001, {"pl-plane-change"}),
+    # -r: every sheet ratio falls midway between two cube roots
+    (-1.0, SOURCE_CHECKS)],
+    ids=["near-cube-root", "negated"])
+def test_a_wrong_vertical_scale_fails_its_checks(monkeypatch, factor, failing):
+    real = verify.translation
+
+    def rescaled(p):
+        a, c, lift = real(p)
+        lift = lift.copy()
+        lift[3, 3] *= factor
+        return a, c, lift
+
+    monkeypatch.setattr(verify, "translation", rescaled)
+    assert {c.check_id for c in run_checks("pipeline").checks
+            if c.status == "fail"} == failing
 
