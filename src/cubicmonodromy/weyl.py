@@ -6,18 +6,22 @@ group is generated by the six simple reflections and enumerated by a
 deterministic breadth-first closure that also records a generator word for
 every element, which later feeds the isomorphism verification.
 
-The closure works on the orbit of the standard basis under the generators,
-computed exactly in Python integers (for the reflection group 99 vectors:
-the 27 exceptional classes and the 72 images of e0).  An element is stored
-as the orbit indices ("digits") of its columns: g_j @ m is a gather of m's
-digits through g_j's permutation of the orbit, and the digits read in base
-|orbit| are an exact, injective int64 key (99^7 < 2^47).  Elements are
-exactly those of the per-element search, transitions derived on first read,
-and the group keeps the search's BFS tree as arrays, level by level.  The
-matrix stack is one gather of orbit vectors, made on first use only.  A
-column is found by a wrapped int64 code, distinct on the orbit, and then
-compared exactly.  The digits also give the form check of every element as
-lookups in the orbit's pairing table.
+The closure works on the orbit of the standard basis under the generators
+(for the reflection group 99 vectors: the 27 exceptional classes and the 72
+images of e0), found exactly in Python integers by one product per
+breadth-first level.  An element is stored as the orbit indices ("digits")
+of its columns: g_j @ m is a gather of m's digits through g_j's permutation
+of the orbit, and the digits read in base |orbit| are an exact, injective
+int64 key (99^7 < 2^47).  A BFS level reads the keys of all its products off
+one table, by a gather per column, and one sort of the keys, each packed
+with its visit in the low bits, finds the first visit of every key: the one
+a per-element search makes.  Elements are exactly those of the per-element
+search, transitions derived on first read, and the group keeps the search's
+BFS tree as arrays, level by level.  The matrix stack is one gather of
+orbit vectors, made on first use only.  A column is found by a wrapped int64
+code, distinct on the orbit, and then compared exactly.  The digits also
+give the form check of every element as lookups in the orbit's pairing
+table.
 
 The tree is read one way, by `FiniteMatrixGroup.along_tree`: given a table
 of how each generator moves a state, it gives every element the state its
@@ -87,20 +91,27 @@ def _basis_orbit(gens: list[np.ndarray], dim: int,
 
     Returns the orbit vectors (the basis first, then in discovery order) and
     the (ng, |orbit|) table whose entry [j, k] is the index of g_j @ v_k.
-    Products are taken in Python integers; CapExceeded past limit vectors.
+    The orbit grows one breadth-first level at a time, each level by one
+    product in Python integers, and its (vector, generator) images are met
+    in the order a per-vector search meets them.  CapExceeded as soon as the
+    orbit passes limit vectors.
     """
     g_obj = np.array([g.tolist() for g in gens], dtype=object).reshape(
         len(gens), dim, dim)
     vecs = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
     index = {v: k for k, v in enumerate(vecs)}
-    images = []
-    for v in vecs:  # grows while it is walked
-        if len(vecs) > limit:
-            raise CapExceeded(f"basis orbit exceeded {limit} vectors")
-        for w in map(tuple, (g_obj @ np.array(v, dtype=object)).tolist()):
+    images, lo = [], 0
+    while lo < len(vecs):
+        level = np.array(vecs[lo:], dtype=object).T
+        lo = len(vecs)
+        prods = g_obj @ level
+        # (vector, generator) order, as the per-vector search takes them
+        for w in map(tuple, prods.transpose(2, 0, 1).reshape(-1, dim).tolist()):
             images.append(index.setdefault(w, len(vecs)))
             if images[-1] == len(vecs):
                 vecs.append(w)
+                if len(vecs) > limit:
+                    raise CapExceeded(f"basis orbit exceeded {limit} vectors")
     return vecs, np.array(images, dtype=np.int64).reshape(len(vecs), -1).T
 
 
@@ -151,41 +162,52 @@ class FiniteMatrixGroup:
         """Deterministic BFS closure of the generating set, identity first.
 
         Raises CapExceeded past cap elements and GroupError unless the basis
-        orbit O has |O|^dim <= 2^63 (so dim <= 15, and |O| <= 512 at dim 7).
+        orbit O has |O|^dim * 2^s <= 2^63 at every BFS level, 2^s the least
+        power of two not below the level's (element, generator) visits: each
+        digit key is packed with its visit into one int64 (for the reflection
+        group 99^7 * 2^15 < 2^62).
         """
         gens = [np.asarray(g, dtype=np.int64) for g in gens]
         ng = len(gens)
         dim = gens[0].shape[0] if gens else 7
         # each basis vector's orbit is at most the group order
         vecs, images = _basis_orbit(gens, dim, dim * cap)
-        if len(vecs) ** dim > 2**63:
-            raise GroupError(f"{len(vecs)}^{dim} digit keys do not fit int64")
         images = images.astype(np.min_scalar_type(len(vecs) - 1))
         weights = len(vecs) ** np.arange(dim, dtype=np.int64)
+        # table[k, o, j]: the key part of column k when g_j moves it from o
+        table = weights[:, None, None] * images.T
+        flat = images.ravel()
         frontier = np.arange(dim, dtype=images.dtype)[None]
         keys = frontier @ weights  # sorted keys so far
         chunks, born_at, start = [frontier], [], 0
         while len(frontier):
-            # keys of g_j @ m in (element, generator) order
-            prods = images[:, frontier]
-            cand = (prods @ weights).T.ravel()
-            order = np.argsort(cand)
-            cand = cand[order]
-            # one run per distinct key; its earliest (element, generator)
-            # visit is the one a per-element search would meet first
-            head = np.ones(len(cand), dtype=bool)
-            head[1:] = cand[1:] != cand[:-1]
-            runs = np.flatnonzero(head)
-            distinct = cand[runs]
+            visits = len(frontier) * ng
+            shift = (visits - 1).bit_length()
+            if len(vecs) ** dim << shift > 2**63:
+                raise GroupError(f"{len(vecs)}^{dim} digit keys times 2^{shift}"
+                                 f" visits exceed 2^63")
+            # keys of g_j @ m in (element, generator) order, each packed
+            # with its visit: one sort puts the earliest visit of a key first
+            cand = table[0].take(frontier[:, 0], axis=0)
+            for k in range(1, dim):
+                cand += table[k].take(frontier[:, k], axis=0)
+            packed = np.sort((cand.ravel() << shift) | np.arange(visits))
+            ordered = packed >> shift
+            head = np.ones(visits, dtype=bool)
+            head[1:] = ordered[1:] != ordered[:-1]
+            # a per-element search meets each key first at its earliest visit
+            distinct, first = ordered[head], packed[head] & ((1 << shift) - 1)
             at = np.searchsorted(keys, distinct)
             fresh = keys[np.minimum(at, len(keys) - 1)] != distinct
-            src = np.sort(np.minimum.reduceat(order, runs)[fresh])
+            src = np.sort(first[fresh])
             if len(keys) + len(src) > cap:
                 raise CapExceeded(f"closure exceeded cap {cap}")
             keys = np.insert(keys, at[fresh], distinct[fresh])
             born_at.append(start * ng + src)  # (parent, generator) visit
             start += len(frontier)
-            frontier = prods[src % ng, src // ng]
+            # images[j, frontier[m]] for the fresh (m, j) only
+            up, j = np.divmod(src, ng)
+            frontier = flat.take(frontier[up] + (j * len(vecs))[:, None])
             chunks.append(frontier)
         parent, g_idx = np.divmod(np.concatenate(born_at), ng)
         bounds = np.cumsum([0, *map(len, chunks[:-1])])  # last one is empty

@@ -1,5 +1,6 @@
 """Command line behavior: outputs, formats, exit codes."""
 
+import gc
 import json
 import os
 import re
@@ -311,13 +312,14 @@ def test_schema_breaking_report_exits_2(capsys, monkeypatch):
 # it keeps, and whether the class map a caller gets from conjugacy_class can
 # be changed.
 _COLD_RUN = """
-import json, runpy, sys
+import gc, json, runpy, sys
 sys.argv = ["cubicmonodromy", "verify", "--scope", "all", "--format", "json"]
 try:
     runpy.run_module("cubicmonodromy.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-state = {"code": code, "jsonschema": "jsonschema" in sys.modules}
+state = {"code": code, "jsonschema": "jsonschema" in sys.modules,
+         "frozen": gc.get_freeze_count() > 0}
 from cubicmonodromy.fixtures import load_fixtures
 from cubicmonodromy.weyl import conjugacy_class, weyl_group
 w = weyl_group()
@@ -365,9 +367,18 @@ def test_verify_runs_without_importing_jsonschema(cold_run):
 
 def test_cold_verify_never_builds_the_reflection_group_stack(cold_run):
     assert _cold_state(cold_run) == {
-        "code": 0, "jsonschema": False, "stackBuilt": False,
+        "code": 0, "jsonschema": False, "frozen": True, "stackBuilt": False,
         "transitionsBuilt": False, "walks": 2,
         "mapReadOnly": True, "carrierReadOnly": True, "walksAfter": 2}
+
+
+def test_main_in_process_leaves_the_collector_alone(capsys):
+    # only the process entry point freezes the heap; a caller of main keeps
+    # every object it makes collectable
+    frozen = gc.get_freeze_count()
+    code, out, _ = run(capsys, "verify", "--scope", "fixtures")
+    assert code == 0 and "overall=pass" in out
+    assert gc.get_freeze_count() == frozen
 
 
 def _without_runtimes(report):

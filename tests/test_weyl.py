@@ -43,6 +43,22 @@ def reference_close(gens):
     return np.stack(elements), parents, trans
 
 
+def reference_orbit(gens, dim):
+    """Per-vector orbit of the standard basis in Python integers, with the
+    (ng, |orbit|) index of each g_j @ v_k: the reference."""
+    rows = [g.tolist() for g in gens]
+    vecs = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+    index = {v: k for k, v in enumerate(vecs)}
+    images = []
+    for v in vecs:  # grows while it is walked
+        for g in rows:
+            w = tuple(sum(a * b for a, b in zip(row, v)) for row in g)
+            images.append(index.setdefault(w, len(vecs)))
+            if images[-1] == len(vecs):
+                vecs.append(w)
+    return vecs, np.array(images, dtype=np.int64).reshape(len(vecs), len(rows)).T
+
+
 def _generator_sets():
     fx = load_fixtures()
     return {
@@ -64,9 +80,7 @@ def _tree_links(group):
     return [None, *zip(parent[1:].tolist(), gen[1:].tolist())]
 
 
-@pytest.mark.parametrize("name", list(_generator_sets()))
-def test_close_matches_reference_bfs(name):
-    gens = _generator_sets()[name]
+def _assert_matches_the_references(gens):
     elements, parents, transitions = reference_close(gens)
     group = FiniteMatrixGroup.close(gens)
     assert group.elements.dtype == elements.dtype
@@ -74,6 +88,24 @@ def test_close_matches_reference_bfs(name):
     assert _tree_links(group) == parents
     assert group.transitions.shape == transitions.shape
     assert group.transitions.tobytes() == transitions.tobytes()
+    vecs, moves = reference_orbit(gens, elements.shape[1])
+    assert [tuple(v) for v in group.orbit.tolist()] == vecs
+    assert group.moves.tolist() == moves.tolist()
+
+
+@pytest.mark.parametrize("name", list(_generator_sets()))
+def test_close_matches_reference_bfs(name):
+    _assert_matches_the_references(_generator_sets()[name])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_close_of_random_members_matches_reference_bfs(seed):
+    # 1-4 random elements of the order-648 group, repeats allowed: subgroups
+    # of many orders, levels of many widths, duplicate generators
+    group = FiniteMatrixGroup.close(load_fixtures().generators())
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(len(group), size=rng.integers(1, 5))
+    _assert_matches_the_references([group.elements[k] for k in picks])
 
 
 def _sign_changes(dim):
@@ -107,6 +139,39 @@ def test_close_rejects_digit_keys_beyond_int64():
     # a 13-cycle's 13^13 keys fit
     small = np.roll(np.eye(13, dtype=np.int64), 1, axis=0)
     assert len(FiniteMatrixGroup.close([small])) == 13
+
+
+def test_close_refuses_a_key_and_visit_beyond_int64():
+    # the 12 sign changes: 24^12 digit keys fit int64, but level 1 has 144
+    # (element, generator) visits and 24^12 * 2^8 > 2^63
+    assert 24**12 < 2**63 < 24**12 * 2**8
+    with pytest.raises(GroupError, match=r"2\^63"):
+        FiniteMatrixGroup.close(_sign_changes(12))
+    # the 11 sign changes' widest level, 462 * 11 visits, fits: 22^11 * 2^13
+    assert 22**11 * 2**13 <= 2**63
+    assert len(FiniteMatrixGroup.close(_sign_changes(11))) == 2**11
+
+
+def test_basis_orbit_stops_at_the_first_vector_past_its_limit():
+    # a free monoid on two unipotent matrices: an infinite orbit whose
+    # levels keep growing, so a check made once per level overshoots
+    gens = [np.array([[1, 2], [0, 1]]), np.array([[1, 0], [2, 1]])]
+    with pytest.raises(CapExceeded) as info:
+        weyl._basis_orbit(gens, 2, 40)
+    assert len(info.traceback[-1].frame.f_locals["vecs"]) == 41
+
+
+def test_basis_orbit_stays_exact_past_int64():
+    # an infinite orbit of Fibonacci pairs, two vectors a level: its entries
+    # pass 2^63 before the limit, and each is still g times the one two back
+    g = np.array([[2, 1], [1, 1]])
+    with pytest.raises(CapExceeded) as info:
+        weyl._basis_orbit([g], 2, 200)
+    vecs = info.traceback[-1].frame.f_locals["vecs"]
+    assert max(vecs[-1]) > 2**63
+    rows = g.tolist()
+    assert all(w == tuple(sum(a * b for a, b in zip(row, v)) for row in rows)
+               for v, w in zip(vecs, vecs[2:]))
 
 
 def test_digits_index_the_columns_in_the_orbit():
