@@ -29,7 +29,7 @@ from .lines import (CANONICAL_CLASS, J_FORM, SurfaceData, all_lines,
                     lift_to_lines, line_label, pairing, perm_compose,
                     perm_to_lattice_map, preserves_incidence, surface_residual,
                     translation)
-from .numeric import constants, roots_of
+from .numeric import roots_of
 from .report import (REPORT_SCHEMA, SCHEMA_VERSION, Check, VerificationReport,
                      render_csv, render_json, render_text)
 from .tracking import (Loop, LoopTrace, TrackingConfig, constant_loop,

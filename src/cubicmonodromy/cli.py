@@ -27,9 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import family_lambda, family_parameter
-from .errors import (AmbiguousMatching, DegenerateCurve, GeometryError,
-                     NoUniqueMatch)
+from .curves import family_lambda
+from .errors import AmbiguousMatching, GeometryError, NoUniqueMatch
 from .lines import (build_surface_data, concurrent_triples, lift_to_lines,
                     line_label)
 from .numeric import PRECISIONS
@@ -87,13 +86,7 @@ def _complex_cols(z: complex) -> list[str]:
 # lines subcommand
 
 def _lines_payload(lam: complex, tol: float) -> dict:
-    f = family_lambda(lam)
-    # from |lam| of about 1e9 the y^2 z term is below the relative zero that
-    # recognizes the member, and the flexes have collided since about 2e6
-    if family_parameter(f) is None:
-        raise DegenerateCurve(f"inflection points collide: at |lambda| = "
-                              f"{abs(lam):.3g} the member is out of double range")
-    surface = build_surface_data(f, tol=tol)
+    surface = build_surface_data(family_lambda(lam), tol=tol)
     triples = concurrent_triples(surface.lines, surface.adjacency)
     return {
         "familyParameter": lam,

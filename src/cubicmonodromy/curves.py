@@ -123,7 +123,8 @@ def family_lambda(lam: complex, tol: float = TOL_MATCH) -> CubicForm:
     """The pencil y^2 z - (x - z)(x + z)(x - lam z).
 
     Expanded: y^2 z - x^3 + lam x^2 z + x z^2 - lam z^3.  The parameter values
-    lam = +-1 give a nodal curve and are rejected.
+    lam = +-1 give a nodal curve and are rejected; so is |lam| > 1 / _REL_ZERO,
+    where family_parameter reads the y^2 z term as zero.
     """
     lam = complex(lam)
     if abs(lam - 1.0) < tol or abs(lam + 1.0) < tol:
@@ -134,7 +135,11 @@ def family_lambda(lam: complex, tol: float = TOL_MATCH) -> CubicForm:
     out[_MONOMIAL_INDEX[(1, 0, 2)]] = 1.0
     out[_MONOMIAL_INDEX[(0, 2, 1)]] = 1.0
     out[_MONOMIAL_INDEX[(0, 0, 3)]] = -lam
-    return CubicForm(out)
+    form = CubicForm(out)
+    if _REL_ZERO * form.scale() > 1.0:
+        raise DegenerateCurve(f"inflection points collide: at |lambda| = "
+                              f"{abs(lam):.3g} the member is out of double range")
+    return form
 
 
 def hesse_form(mu: complex, tol: float = TOL_MATCH) -> CubicForm:
@@ -220,12 +225,16 @@ def _recognize(f: CubicForm, ref: tuple, read, make) -> complex | None:
     """Parameter read off f / f[ref] when that equals make(parameter); else None.
 
     make runs with a zero singularity tolerance, so recognition never refuses
-    a parameter; the routes that use it do.
+    a parameter; the routes that use it do.  f[ref] holds at least _REL_ZERO
+    of the largest coefficient, checked again on the rounded f / f[ref], so
+    a parameter read off one coefficient passes family_lambda's range check.
     """
     c = f.coeffs
     if abs(c[_MONOMIAL_INDEX[ref]]) < _REL_ZERO * f.scale():
         return None
     c = c / c[_MONOMIAL_INDEX[ref]]
+    if _REL_ZERO * np.max(np.abs(c)) > 1.0:
+        return None
     param = complex(read(c))
     if np.max(np.abs(c - make(param, tol=0.0).coeffs)) < 1e-8:
         return param

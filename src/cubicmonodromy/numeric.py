@@ -1,4 +1,4 @@
-"""Numerics: the flex quartic's roots, Newton polish, and the field constants.
+"""Numerics: the flex quartic's roots, Newton polish, and value matching.
 
 All public routines are deterministic for a fixed input.  The one
 polynomial solved anywhere is the pencil's flex quartic
@@ -26,7 +26,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -318,24 +317,3 @@ def _polish_mp(coeffs, z0: complex) -> complex:
     except NonConvergence:
         return z0
 
-
-@dataclass(frozen=True)
-class Constants:
-    """The handful of algebraic numbers the whole construction is built from."""
-
-    a: float
-    b: float
-    omega: complex
-
-
-def constants() -> Constants:
-    """a, b, omega with their defining relations satisfied exactly.
-
-    a^2 = (3 + 2*sqrt(3)) / 3      (positive root)
-    b^2 = a * 2*sqrt(3) / 3        (positive root)
-    omega = exp(2*pi*i/3)
-    """
-    s3 = math.sqrt(3.0)
-    a = math.sqrt((3.0 + 2.0 * s3) / 3.0)
-    b = math.sqrt(a * 2.0 * s3 / 3.0)
-    return Constants(a=a, b=b, omega=OMEGA)

@@ -7,7 +7,9 @@ the translations of the base curve by two of its 3-torsion flexes, loop
 tracking).  Five checks run on both sources with the same expected values,
 the others on one route; together they compare both groups against the
 centralizer of the deck class and confirm the abstract semidirect model by
-exhaustive generator-word checks.
+exhaustive generator-word checks.  The tracked loop actions are compared
+with the paper's, transcribed as cycles on closed forms of the branch roots
+and flex heights at lambda = 0 (_ROOT_CYCLES, _FLEX_CYCLES).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .lines import (TOL_TRANSFORM, base_surface, concurrent_triples,
                     is_strongly_regular_27, lift_to_lines, pairing,
                     perm_compose, perm_to_lattice_map, preserves_incidence,
                     translation)
-from .numeric import constants, nearest_match, roots_of
+from .numeric import nearest_match, roots_of
 from .report import SCOPES, Check, VerificationReport, jsonable
 from .tracking import (LoopTrace, TrackingConfig, constant_loop,
                        flex_lattice_map, gamma_minus, gamma_plus, trace_loop)
@@ -44,47 +46,40 @@ TOL_TRANSCRIBE = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# transcribed loop actions, matched by value so label order cannot drift
+# transcribed loop actions: the closed forms of the base data at lambda = 0,
+# and the cycles each loop makes of them, matched by value so label order
+# cannot drift
 
-def _root_value_map(kind: str) -> dict[complex, complex]:
-    c = constants()
-    a = c.a
-    t = 1j * a * (2.0 - math.sqrt(3.0))
-    if kind == "gammaMinus":
-        return {-a: t, t: -t, -t: -a, a: a}
-    if kind == "gammaPlus":
-        return {a: -t, -t: t, t: a, -a: -a}
-    raise ValueError(f"no transcribed action for loop kind {kind!r}")
+_S3 = math.sqrt(3.0)
+# a^2 = (3 + 2 sqrt 3) / 3 and b^2 = a 2 sqrt 3 / 3, both positive roots
+_A = math.sqrt((3.0 + 2.0 * _S3) / 3.0)
+_B = math.sqrt(_A * 2.0 * _S3 / 3.0)
+# the branch roots are -a, -t, t, a; the heights of the eight non-base
+# flexes are +-b, +-ib, +-p and +-m, with p, m = q(1 + i), q(1 - i)
+_T = 1j * _A * (2.0 - _S3)
+_Q = _B * (_S3 - 1.0) / 2.0
+_P, _M = _Q * (1 + 1j), _Q * (1 - 1j)
 
-
-def _flex_value_map(kind: str) -> dict[complex, complex]:
-    c = constants()
-    b = c.b
-    q = b * (math.sqrt(3.0) - 1.0) / 2.0
-    if kind == "gammaMinus":
-        return {
-            -1j * b: -q * (1 - 1j), -q * (1 - 1j): q * (1 + 1j),
-            q * (1 + 1j): -1j * b,
-            1j * b: q * (1 - 1j), q * (1 - 1j): -q * (1 + 1j),
-            -q * (1 + 1j): 1j * b,
-            -b: -b, b: b,
-        }
-    if kind == "gammaPlus":
-        return {
-            b: -q * (1 + 1j), -q * (1 + 1j): -q * (1 - 1j),
-            -q * (1 - 1j): b,
-            -b: q * (1 + 1j), q * (1 + 1j): q * (1 - 1j),
-            q * (1 - 1j): -b,
-            -1j * b: -1j * b, 1j * b: 1j * b,
-        }
-    raise ValueError(f"no transcribed action for loop kind {kind!r}")
+# each loop kind's action as cycles that hold every base value once; a
+# fixed value is a 1-cycle
+_ROOT_CYCLES = {
+    "gammaMinus": ((-_A, _T, -_T), (_A,)),
+    "gammaPlus": ((_A, -_T, _T), (-_A,)),
+}
+_FLEX_CYCLES = {
+    "gammaMinus": ((-1j * _B, -_M, _P), (1j * _B, _M, -_P), (-_B,), (_B,)),
+    "gammaPlus": ((_B, -_P, -_M), (-_B, _P, _M), (-1j * _B,), (1j * _B,)),
+}
 
 
-def _value_permutation(values: np.ndarray | list[complex],
-                       mapping: dict[complex, complex]) -> np.ndarray:
-    """Index of the value that mapping sends each value to, matched by value."""
+def _value_permutation(values, table: dict[str, tuple], kind: str) -> np.ndarray:
+    """Index of the value that kind's cycles in table send each value to,
+    matched one to one by value both ways."""
+    if kind not in table:
+        raise ValueError(f"no transcribed action for loop kind {kind!r}")
     values = np.array(values)
-    keys, images = np.array(list(mapping)), np.array(list(mapping.values()))
+    keys = np.array([z for cycle in table[kind] for z in cycle])
+    images = np.array([z for cycle in table[kind] for z in cycle[1:] + cycle[:1]])
     key_of = nearest_match(np.abs(values[:, None] - keys), TOL_TRANSCRIBE)
     return nearest_match(np.abs(images[key_of, None] - values), TOL_TRANSCRIBE)
 
@@ -92,15 +87,14 @@ def _value_permutation(values: np.ndarray | list[complex],
 def transcribed_root_permutation(kind: str) -> np.ndarray:
     """Expected branch-root action of a loop, matched into the base order."""
     base = roots_of(flex_quartic(0.0))
-    return _value_permutation(base, _root_value_map(kind))
+    return _value_permutation(base, _ROOT_CYCLES, kind)
 
 
 def transcribed_flex_permutation(kind: str) -> np.ndarray:
-    """Expected inflection action of a loop, matched by y-coordinate."""
-    inner = _value_permutation(base_surface().flexes[1:9, 1], _flex_value_map(kind))
-    images = np.zeros(9, dtype=np.int64)
-    images[1:] = inner + 1
-    return images
+    """Expected inflection action of a loop, matched by y-coordinate; the
+    base flex [0 : 1 : 0], row 0, stays."""
+    inner = _value_permutation(base_surface().flexes[1:, 1], _FLEX_CYCLES, kind)
+    return np.concatenate(([0], inner + 1)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +181,8 @@ def build_pipeline() -> GeneratorSource:
     """h1 and h2 lifted from the translations by the flexes [a : b : 1] and
     [-a : ib : 1], named by their y-coordinates b and ib; g1 and g2 from
     the gammaMinus and gammaPlus traces."""
-    surface, b = base_surface(), constants().b
-    flexes = 1 + nearest_match(np.abs(np.array([b, 1j * b])[:, None]
+    surface = base_surface()
+    flexes = 1 + nearest_match(np.abs(np.array([_B, 1j * _B])[:, None]
                                       - surface.flexes[1:, 1]),
                                TOL_TRANSCRIBE, one_to_one=False)
     lifts = tuple(translation(int(k))[2] for k in flexes)

@@ -36,6 +36,32 @@ def test_family_rejects_discriminant():
             family_lambda(bad)
 
 
+@pytest.mark.parametrize("lam", [1e12, 1e300, 5e9j])
+def test_family_refuses_a_member_out_of_double_range(lam):
+    # its y^2 z term is below the relative zero that recognizes a member
+    with pytest.raises(DegenerateCurve, match="out of double range"):
+        build_surface_data(family_lambda(lam))
+
+
+def test_the_largest_member_in_range_is_built_and_recognized():
+    assert family_parameter(family_lambda(1e9)) == 1e9
+
+
+@pytest.mark.parametrize("scale", [1.0, 7.703242182250279e-10, 2.0262400099114752e64,
+                                   -1.539659308496411e-82, 7e5j])
+def test_recognition_never_meets_the_range_refusal(scale):
+    # pencil members a rounding step either side of the range edge, scaled:
+    # family_parameter recognizes each or returns None, and never raises.
+    # Without its second check, f / f[ref] rounds some of these parameters
+    # past the edge, 1e9 at phase 2.9 among them
+    coeffs = family_lambda(0.0).coeffs.copy()
+    at = [MONOMIALS.index((2, 0, 1)), MONOMIALS.index((0, 0, 3))]
+    for k, phase in itertools.product(range(-2, 3), (0.7, 1.3, 2.9)):
+        lam = 1e9 * (1 + k * 2.0 ** -52) * np.exp(1j * phase)
+        coeffs[at] = lam, -lam
+        family_parameter(CubicForm(scale * coeffs))
+
+
 def test_hesse_form_values():
     mu = 1.7 - 0.4j
     f = hesse_form(mu)

@@ -1,4 +1,4 @@
-"""Root finding, polishing, and the closed-form constants."""
+"""Root finding, polishing, matching, and the cube root of unity."""
 
 import cmath
 import itertools
@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 import cubicmonodromy.numeric as numeric
 from cubicmonodromy.curves import flex_quartic, flex_quartic_stack
 from cubicmonodromy.errors import NonConvergence, NoUniqueMatch
-from cubicmonodromy.numeric import (OMEGA, PRECISIONS, TOL_ROOT, constants,
-                                    nearest_match, newton_polish_stack,
-                                    order_key, roots_of, roots_of_stack)
+from cubicmonodromy.numeric import (OMEGA, PRECISIONS, TOL_ROOT, nearest_match,
+                                    newton_polish_stack, order_key, roots_of,
+                                    roots_of_stack)
+from cubicmonodromy.verify import _A
 
 
 def _sorted_by_value(zs):
@@ -402,9 +403,8 @@ def test_quartic_stack_near_the_nodes_keeps_four_distinct_roots(node, dist):
 def test_flex_quartic_roots_at_zero_keep_their_labels(monkeypatch):
     # roots -a, -t, t, a with t = i a (2 - sqrt 3); -t and t share a real
     # part, so rounding noise there must not decide their order
-    a = constants().a
-    t = 1j * a * (2.0 - math.sqrt(3.0))
-    want = [-a, -t, t, a]
+    t = 1j * _A * (2.0 - math.sqrt(3.0))
+    want = [-_A, -t, t, _A]
     got = roots_of(flex_quartic(0.0))
     assert np.abs(np.array(got) - want).max() < 1e-14
     solve = numeric.roots_of_stack
@@ -506,12 +506,9 @@ def test_newton_polish_stack_keeps_a_start_it_cannot_improve(coeffs, start):
 
 
 def test_constants_closed_forms():
-    c = constants()
-    s3 = math.sqrt(3.0)
-    assert abs(c.a ** 2 - (3.0 + 2.0 * s3) / 3.0) < 1e-14
-    assert abs(c.b ** 2 - c.a * 2.0 * s3 / 3.0) < 1e-14
-    assert abs(c.omega - cmath.exp(2j * cmath.pi / 3.0)) < 1e-14
-    assert abs(c.omega ** 3 - 1.0) < 1e-14
+    # the a and b of the transcribed loop actions are checked in test_verify
+    assert abs(OMEGA - cmath.exp(2j * cmath.pi / 3.0)) < 1e-14
+    assert abs(OMEGA ** 3 - 1.0) < 1e-14
 
 
 def test_importing_the_cli_leaves_mpmath_unloaded():

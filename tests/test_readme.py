@@ -9,8 +9,10 @@ README = ROOT / "README.md"
 
 
 def test_readme_quick_start_runs():
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
-    assert blocks, "the README has no python block"
+    text = README.read_text()
+    assert re.search(r"## Library quick start\n\n```python\n", text), \
+        "the README's library quick start is no python block"
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
 

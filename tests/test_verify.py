@@ -1,6 +1,7 @@
 """Verification battery internals: transcriptions, transport, scopes."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,14 @@ import cubicmonodromy.fixtures as fixtures_mod
 import cubicmonodromy.groups as groups
 import cubicmonodromy.lines as lines_module
 import cubicmonodromy.verify as verify
+from cubicmonodromy.curves import flex_quartic
 from cubicmonodromy.errors import AmbiguousMatching, GroupError, NotAMember
 from cubicmonodromy.fixtures import load_fixtures
 from cubicmonodromy.groups import (MODEL_IDENTITY, SemidirectGroup,
                                    semidirect_model)
 from cubicmonodromy.lines import (J_FORM, base_surface, concurrent_triples,
                                   perm_compose)
+from cubicmonodromy.numeric import nearest_match, roots_of
 from cubicmonodromy.report import render_json
 from cubicmonodromy.verify import (build_pipeline, conjugator_carrying_deck,
                                    fixture_group, fixture_source,
@@ -121,6 +124,54 @@ def test_transcribed_flex_permutations():
         assert p[0] == 0
         p3 = perm_compose(p, perm_compose(p, p))
         assert p3.tolist() == list(range(9))
+
+
+def test_transcription_closed_forms():
+    s3 = math.sqrt(3.0)
+    assert verify._A > 0 and verify._B > 0
+    assert abs(verify._A ** 2 - (3.0 + 2.0 * s3) / 3.0) < 1e-14
+    assert abs(verify._B ** 2 - verify._A * 2.0 * s3 / 3.0) < 1e-14
+
+
+@pytest.mark.parametrize("table, base", [
+    (verify._ROOT_CYCLES, lambda: roots_of(flex_quartic(0.0))),
+    (verify._FLEX_CYCLES, lambda: base_surface().flexes[1:, 1])],
+    ids=["roots", "flexes"])
+def test_each_loop_cycles_every_base_value_once(table, base):
+    for cycles in table.values():
+        values = np.array([z for cycle in cycles for z in cycle])
+        # one to one: raises unless each base value is matched exactly once
+        nearest_match(np.abs(values[:, None] - base()), 1e-12)
+
+
+def _reversed(cycles):
+    return (cycles[0][::-1], *cycles[1:])
+
+
+def _swapped(cycles):
+    (x, *xs), (y, *ys) = cycles[:2]
+    return ((y, *xs), (x, *ys), *cycles[2:])
+
+
+def _dropped(cycles):
+    return (cycles[0][:-1], *cycles[1:])
+
+
+def _moved(cycles):
+    return ((cycles[0][0] + 1e-3, *cycles[0][1:]), *cycles[1:])
+
+
+@pytest.mark.parametrize("slip", [_reversed, _swapped, _dropped, _moved],
+                         ids=["reversed", "swapped", "dropped", "moved"])
+@pytest.mark.parametrize("kind", ["gammaMinus", "gammaPlus"])
+@pytest.mark.parametrize("table, check", [("_ROOT_CYCLES", "pl-root-cycle"),
+                                          ("_FLEX_CYCLES", "pl-flex-perm")])
+def test_a_planted_transcription_slip_fails_exactly_its_check(
+        monkeypatch, table, check, kind, slip):
+    cycles = getattr(verify, table)
+    monkeypatch.setitem(cycles, kind, slip(cycles[kind]))
+    assert {c.check_id for c in run_checks("pipeline").checks
+            if c.status == "fail"} == {f"{check}-{kind}"}
 
 
 def test_transcriptions_reject_unknown_loop():
