@@ -10,13 +10,14 @@ k % 3, so line 3 * flex + sheet.  Only this module reads flex and sheet off
 a line index, and it reads every line correspondence by cube roots of
 unity: one per pair of flexes for incidence, one per flex, with flex
 images, for a cover automorphism, such as the lift of a translation of
-the base curve by a flex.  Since w^3 = l^3 on every sheet, f = l^3
-is checked once per tangent line, not once per line.  Everything after the
-certified pattern is exact integer data.
+the base curve by a flex, whose group law the incidence graph gives.  As
+w^3 = l^3 on every sheet, f = l^3 is checked once per tangent line.
+Everything after the certified pattern is exact integer data.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -252,34 +253,37 @@ def form_ratio(f: CubicForm, a: np.ndarray) -> tuple[complex, float]:
         return c, float(np.max(np.abs(g - c * h)) / np.max(np.abs(g)))
 
 
-def _third_flexes(flexes: np.ndarray, p: int) -> np.ndarray:
-    """Row q: the flex r with q, p, r on one line, that is the nearest zero
-    of |det(q, p, r)| over the unit points, by nearest_match within
-    TOL_MATCH; the tangent at a flex meets the curve there only, so r = p
-    for q = p."""
-    u = flexes / np.linalg.norm(flexes, axis=-1, keepdims=True)
-    det = np.abs(np.cross(u, u[p]) @ u.T)
-    np.fill_diagonal(det, np.inf)
-    det[:, p] = det[p] = np.inf
-    det[p, p] = 0.0
-    return nearest_match(det, TOL_MATCH)
+def _third_flexes(adjacency: np.ndarray, p: int) -> np.ndarray:
+    """Row q: the flex r with q, p, r on one line, read off the incidence
+    graph.  A plane w = L that holds three pairwise meeting lines over
+    distinct flexes cuts f = L^3 in their tangent lines, so L vanishes at
+    all three flexes.  Line 3 q meets one line over p, and the one line that
+    meets both lies over r; for q = p the first line over p that 3 p meets
+    is 3 p + 1, the third line 3 p + 2, so r = p."""
+    first = adjacency[::3]
+    meet = 3 * p + np.argmax(first[:, 3 * p:3 * p + 3], axis=1)
+    return np.argmax(first & adjacency[meet], axis=1) // 3
 
 
 def translation(p: int) -> tuple[np.ndarray, complex, np.ndarray]:
     """Translation of the base curve by its flex p, as (A, c, lift).
 
-    With the flex O = [0 : 1 : 0] as origin the nine flexes are the
-    3-torsion points, and translation by one is a plane map A with
-    f(A x) = c f(x) (Silverman, The Arithmetic of Elliptic Curves, ch. III).
-    It sends flex q to q + p = -r, r the third flex on the line qp and
-    -[x : y : z] = [x : -y : z]; A spans the null space of the 27 x 9 system
-    cross(q + p, A q) = 0, read off one SVD.  A relative residual of
+    With flex 0 as origin O the nine flexes are the 3-torsion points, and
+    translation by one is a plane map A with f(A x) = c f(x) (Silverman,
+    The Arithmetic of Elliptic Curves, ch. III).  The group law is read off
+    the incidence graph: flex q goes to q + p = -r, r the third flex on the
+    line qp and -r the third flex on the line rO; A spans the null space of
+    the 27 x 9 system cross(q + p, A q) = 0, read off one SVD.  A p outside
+    0 .. 8 is a ValueError, a float a TypeError.  A relative residual of
     f(A x) - c f(x) above TOL_TRANSFORM raises TransformResidual.  Of the
     three cover automorphisms diag(A, r) with r^3 = c, lift is the one that
     sends line 0, sheet 0 over O, to line 3 p, sheet 0 over p.
     """
+    p = operator.index(p)
+    if not 0 <= p < 9:
+        raise ValueError(f"no flex {p}: the flexes are 0 .. 8")
     s = base_surface()
-    images = s.flexes[_third_flexes(s.flexes, p)] * (1.0, -1.0, 1.0)
+    images = s.flexes[_third_flexes(s.adjacency, 0)[_third_flexes(s.adjacency, p)]]
     system = (np.cross(images[:, None], np.eye(3))[..., None]
               * s.flexes[:, None, None]).transpose(0, 2, 1, 3).reshape(27, 9)
     a = np.linalg.svd(system)[2][-1].conj().reshape(3, 3)

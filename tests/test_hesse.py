@@ -83,6 +83,24 @@ def test_translation_by_the_origin_is_the_identity():
     assert induced_line_perm(lift).tolist() == list(range(27))
 
 
+def test_translation_takes_a_flex_index(monkeypatch):
+    want = translation(8)
+    got = translation(np.int64(8))
+    for x, y in zip(got, want, strict=True):
+        assert np.array_equal(x, y)
+
+    def unsolved():
+        raise AssertionError("the base surface was built")
+
+    # refused before the surface is read
+    monkeypatch.setattr(lines_module, "base_surface", unsolved)
+    for p in (-1, 9):
+        with pytest.raises(ValueError, match=f"no flex {p}"):
+            translation(p)
+    with pytest.raises(TypeError):
+        translation(1.0)
+
+
 def test_every_translation_has_order_3_in_the_torsion_group():
     torsion = FiniteMatrixGroup.close(list(_torsion_matrices()), cap=100)
     for k in range(9):

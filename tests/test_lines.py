@@ -513,6 +513,36 @@ def test_stacked_incidence_matches_pairwise_determinants(make):
             assert s.adjacency[i, j] == (abs(det) < 1e-8)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: family_lambda(0.0), lambda: family_lambda(0.3 + 0.1j),
+    lambda: family_lambda(2000.0), lambda: hesse_form(2.2),
+    *(lambda seed=seed: _gaussian_cubic(seed) for seed in (3, 4, 5))],
+    ids=["base", "pencil-0.3+0.1i", "pencil-2000", "hesse-2.2",
+         "gaussian-3", "gaussian-4", "gaussian-5"])
+def test_the_incidence_graph_gives_the_flex_group_law(make):
+    s = build_surface_data(make())
+    # third[q, p]: the third flex on the line through flexes q and p
+    third = np.column_stack([lines_module._third_flexes(s.adjacency, p)
+                             for p in range(9)])
+    q, p = np.divmod(np.arange(81), 9)
+    r = third[q, p]
+    assert np.array_equal(r[q == p], np.arange(9))
+    off = q != p
+    assert np.all((r[off] != q[off]) & (r[off] != p[off]))
+    # the reference rule: three collinear flexes span no volume
+    u = s.flexes / np.linalg.norm(s.flexes, axis=-1, keepdims=True)
+    det = np.linalg.det(np.stack([u[q], u[p], u[r]], axis=1))
+    assert np.abs(det[off]).max() < 1e-12
+    # origin flex 0: q + p = -third(q, p), -x = third(x, 0), an abelian
+    # group of exponent 3
+    add = third[third, 0]
+    k = np.arange(9)
+    assert np.array_equal(add[k, 0], k) and np.array_equal(add, add.T)
+    a, b, c = np.meshgrid(k, k, k, indexing="ij")
+    assert np.array_equal(add[add[a, b], c], add[a, add[b, c]])
+    assert not np.any(add[add[k, k], k])
+
+
 # omega l_4 moves each line over flex 4 to the next sheet: line 12 is the
 # old line 13, 13 the old 14 and 14 the old 12
 _FLEX_4_NEXT_SHEET = np.r_[0:12, 13, 14, 12, 15:27]

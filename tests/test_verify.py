@@ -1,5 +1,6 @@
 """Verification battery internals: transcriptions, transport, scopes."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -12,6 +13,7 @@ import cubicmonodromy.fixtures as fixtures_mod
 import cubicmonodromy.groups as groups
 import cubicmonodromy.lines as lines_module
 import cubicmonodromy.verify as verify
+import cubicmonodromy.weyl as weyl
 from cubicmonodromy.curves import flex_quartic
 from cubicmonodromy.errors import AmbiguousMatching, GroupError, NotAMember
 from cubicmonodromy.fixtures import load_fixtures
@@ -21,6 +23,7 @@ from cubicmonodromy.lines import (J_FORM, base_surface, concurrent_triples,
                                   perm_compose)
 from cubicmonodromy.numeric import nearest_match, roots_of
 from cubicmonodromy.report import render_json
+from cubicmonodromy.tracking import gamma_minus
 from cubicmonodromy.verify import (build_pipeline, conjugator_carrying_deck,
                                    fixture_group, fixture_source,
                                    model_images_of, pipeline_checks,
@@ -29,6 +32,8 @@ from cubicmonodromy.verify import (build_pipeline, conjugator_carrying_deck,
                                    transcribed_root_permutation)
 from cubicmonodromy.weyl import (conjugacy_class_size, lattice_inverse,
                                  weyl_group)
+
+GOLDEN = Path(__file__).parent / "data" / "report_all.json"
 
 PAIRS = [("fx-deck-invariants", "pl-deck-matrix"),
          ("fx-torsion-group", "pl-torsion-matrices"),
@@ -49,8 +54,7 @@ def full_report(report_all):
 
 
 def test_in_process_battery_equals_the_golden_report(report_all):
-    golden = json.loads((Path(__file__).parent / "data" /
-                         "report_all.json").read_text())
+    golden = json.loads(GOLDEN.read_text())
     assert {**report_all, "checks": [
         {k: v for k, v in c.items() if k != "runtimeMs"}
         for c in report_all["checks"]]} == golden
@@ -161,11 +165,15 @@ def _moved(cycles):
     return ((cycles[0][0] + 1e-3, *cycles[0][1:]), *cycles[1:])
 
 
+LOOP_KINDS = ["gammaMinus", "gammaPlus"]
+# each transcribed table and the check id that reads it, per loop kind
+TRANSCRIBED = [("_ROOT_CYCLES", "pl-root-cycle"), ("_FLEX_CYCLES", "pl-flex-perm")]
+
+
 @pytest.mark.parametrize("slip", [_reversed, _swapped, _dropped, _moved],
                          ids=["reversed", "swapped", "dropped", "moved"])
-@pytest.mark.parametrize("kind", ["gammaMinus", "gammaPlus"])
-@pytest.mark.parametrize("table, check", [("_ROOT_CYCLES", "pl-root-cycle"),
-                                          ("_FLEX_CYCLES", "pl-flex-perm")])
+@pytest.mark.parametrize("kind", LOOP_KINDS)
+@pytest.mark.parametrize("table, check", TRANSCRIBED)
 def test_a_planted_transcription_slip_fails_exactly_its_check(
         monkeypatch, table, check, kind, slip):
     cycles = getattr(verify, table)
@@ -274,6 +282,15 @@ def test_paired_checks_expect_the_same(full_report, fx_id, pl_id):
     assert set(fx["observed"]) == set(pl["observed"])
 
 
+# a tampered fixture file fails every fixture check but the three that do
+# not read the reference matrices
+CORRUPT_FIXTURE_FAILURES = {
+    "fx-load", "fx-deck-invariants", "fx-deck-centralizer", "fx-torsion-group",
+    "fx-torsion-commutator", "fx-loop-group", "fx-conjugation-relations",
+    "fx-subgroup-structure", "fx-set-equality", "fx-model-structure",
+    "fx-isomorphism"}
+
+
 def test_corrupt_fixtures_fail_checks_not_the_battery(monkeypatch):
     real = fixtures_mod._data_bytes
 
@@ -293,9 +310,7 @@ def test_corrupt_fixtures_fail_checks_not_the_battery(monkeypatch):
     status = {c.check_id: c.status for c in report.checks}
     assert len(status) == 14
     assert report.overall == "fail"
-    assert status["fx-load"] == "fail"
-    assert status["fx-action-property"] == "pass"
-    assert list(status.values()).count("fail") == 11
+    assert {k for k, v in status.items() if v == "fail"} == CORRUPT_FIXTURE_FAILURES
 
 
 def _linear(m, h):
@@ -318,13 +333,16 @@ def _not_an_action(m, h):
 MODEL_CHECKS = {"fx-model-structure", "fx-isomorphism", "pl-isomorphism"}
 
 
-@pytest.mark.parametrize("twist, failing", [
+MODEL_TWISTS = [
     # automorphisms, but the generator relations need the conjugation too
     (_canonical_twist, {"fx-isomorphism", "pl-isomorphism"}),
     # an action, but no automorphisms: the table is no group
     (_bare_action, MODEL_CHECKS),
-    (_not_an_action, MODEL_CHECKS | {"fx-action-property"})],
-    ids=["canonical-twist", "bare-action", "not-an-action"])
+    (_not_an_action, MODEL_CHECKS | {"fx-action-property"})]
+
+
+@pytest.mark.parametrize("twist, failing", MODEL_TWISTS,
+                         ids=["canonical-twist", "bare-action", "not-an-action"])
 def test_a_planted_model_twist_fails_exactly_its_checks(monkeypatch, twist,
                                                         failing):
     # the model multiplies with the action that fx-action-property checks
@@ -416,8 +434,8 @@ def test_pipeline_battery_matches_lines_once(monkeypatch):
 def test_a_wrong_image_flex_fails_the_plane_change(monkeypatch):
     real = lines_module._third_flexes
 
-    def swapped(flexes, p):
-        out = real(flexes, p)
+    def swapped(adjacency, p):
+        out = real(adjacency, p)
         out[[1, 2]] = out[[2, 1]]
         return out
 
@@ -430,12 +448,15 @@ def test_a_wrong_image_flex_fails_the_plane_change(monkeypatch):
     assert failed["pl-plane-change"].startswith("TransformResidual('translation by flex 8")
 
 
-@pytest.mark.parametrize("factor, failing", [
+VERTICAL_SCALES = [
     # r^3 = 1.003 c: the sheet ratios still round to the same cube roots
     (1.001, {"pl-plane-change"}),
     # -r: every sheet ratio falls midway between two cube roots
-    (-1.0, SOURCE_CHECKS)],
-    ids=["near-cube-root", "negated"])
+    (-1.0, SOURCE_CHECKS)]
+
+
+@pytest.mark.parametrize("factor, failing", VERTICAL_SCALES,
+                         ids=["near-cube-root", "negated"])
 def test_a_wrong_vertical_scale_fails_its_checks(monkeypatch, factor, failing):
     real = verify.translation
 
@@ -449,3 +470,80 @@ def test_a_wrong_vertical_scale_fails_its_checks(monkeypatch, factor, failing):
     assert {c.check_id for c in run_checks("pipeline").checks
             if c.status == "fail"} == failing
 
+
+def _duplicated_simple_root(monkeypatch):
+    # the sixth reflection repeats the fifth: the closure is no longer W(E6),
+    # and weyl_group raises WrongOrder, which its cache does not keep
+    roots = weyl.SIMPLE_ROOTS.copy()
+    roots[5] = roots[4]
+    monkeypatch.setattr(weyl, "SIMPLE_ROOTS", roots)
+    weyl_group.cache_clear()
+
+
+def _surface_with(monkeypatch, **changes):
+    # the battery's view of the base surface; the translations and the
+    # trackers still read the true one
+    surface = dataclasses.replace(base_surface(), **changes)
+    monkeypatch.setattr(verify, "base_surface", lambda: surface)
+
+
+def _flipped_incidence(a, b):
+    def plant(monkeypatch):
+        adj = base_surface().adjacency.copy()
+        adj[a, b] = adj[b, a] = not adj[a, b]
+        _surface_with(monkeypatch, adjacency=adj)
+    return plant
+
+
+def _meeting_sixer(monkeypatch):
+    # lines 0 and 1 lie over one flex, so they meet
+    _surface_with(monkeypatch, sixer=(0, 1, 7, 10, 16, 23))
+
+
+def _swapped_class_rows(monkeypatch):
+    classes = base_surface().classes.copy()
+    classes[[5, 6]] = classes[[6, 5]]
+    _surface_with(monkeypatch, classes=classes)
+
+
+def _forged_constant_loop(monkeypatch):
+    monkeypatch.setattr(verify, "constant_loop", gamma_minus)
+
+
+# the checks that read the reflection group
+WEYL_CHECKS = {
+    "fx-reflection-order", "fx-reflection-invariants", "fx-deck-invariants",
+    "fx-deck-centralizer", "fx-torsion-group", "fx-set-equality",
+    "fx-model-structure", "fx-isomorphism", "pl-deck-matrix",
+    "pl-torsion-matrices", "pl-loop-matrices", "pl-set-equality",
+    "pl-isomorphism"}
+INCIDENCE_CHECKS = {"pl-line-geometry", "pl-classes-incidence",
+                    "pl-incidence-preserved"}
+
+PLANTED_DEFECTS = [
+    (_duplicated_simple_root, WEYL_CHECKS),
+    # lines 1 and 5 lie over different flexes and do not meet
+    (_flipped_incidence(1, 5), INCIDENCE_CHECKS),
+    # lines 1 and 2 lie over one flex: its triple is no longer concurrent
+    (_flipped_incidence(1, 2), INCIDENCE_CHECKS | {"pl-triples-sixer"}),
+    # the deck matrix cannot be built on a sixer that is no basis
+    (_meeting_sixer, SOURCE_CHECKS | {"pl-triples-sixer"}),
+    (_swapped_class_rows, SOURCE_CHECKS | {"pl-classes-incidence"}),
+    (_forged_constant_loop, {"pl-constant-loop"})]
+
+
+@pytest.mark.parametrize("plant, failing", PLANTED_DEFECTS, ids=[
+    "duplicated-simple-root", "flipped-incidence", "flipped-fiber-incidence",
+    "meeting-sixer", "swapped-class-rows", "forged-constant-loop"])
+def test_a_planted_defect_fails_exactly_its_checks(monkeypatch, plant, failing):
+    plant(monkeypatch)
+    assert {c.check_id for c in run_checks("all").checks
+            if c.status == "fail"} == failing
+
+
+def test_the_planted_defects_fail_every_check():
+    pinned = set().union(
+        CORRUPT_FIXTURE_FAILURES, SOURCE_CHECKS,
+        {f"{check}-{kind}" for _, check in TRANSCRIBED for kind in LOOP_KINDS},
+        *(failing for _, failing in MODEL_TWISTS + VERTICAL_SCALES + PLANTED_DEFECTS))
+    assert pinned == {c["id"] for c in json.loads(GOLDEN.read_text())["checks"]}
