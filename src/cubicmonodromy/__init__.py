@@ -38,11 +38,11 @@ from .tracking import (Loop, LoopTrace, TrackingConfig, constant_loop,
 from .verify import (GeneratorSource, build_pipeline, fixture_group,
                      fixture_source, model_images_of, run_checks,
                      transcribed_flex_permutation, transcribed_root_permutation,
-                     transported_images, verify_isomorphism_via_transport)
+                     verify_isomorphism_via_transport)
 from .weyl import (WEYL_ORDER, FiniteMatrixGroup, centralizer, conjugacy_class,
                    conjugacy_class_size, is_lattice_map, lattice_inverse,
                    lattice_invariants, regenerate, reflection,
-                   trace_character_check, weyl_generators, weyl_group)
+                   weyl_generators, weyl_group)
 
 __version__ = "0.1.0"
 

@@ -33,13 +33,12 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import flex_height_squared, flex_quartic, flex_quartic_stack
+from .curves import flex_height_squared, flex_quartic_stack
 from .errors import (AmbiguousMatching, InconsistentProjection, NoUniqueMatch,
                      SingularParameter)
 from .lines import base_surface, lift_to_lines, perm_to_lattice_map
 from .numeric import (PRECISIONS, TOL_MATCH, nearest_match, newton_polish_stack,
                       pair_indices, roots_of, roots_of_stack)
-from .weyl import is_lattice_map
 
 SEPARATION = 10.0 * TOL_MATCH
 # how far a loop's ends may lie from the base parameter 0, where the end
@@ -202,8 +201,8 @@ def _trace_once(loop: Loop, steps: int, cfg: TrackingConfig) -> LoopTrace:
     base_xs, base_ys = base_surface().flexes[1:9, :2].T
     ts = [k / steps for k in range(steps + 1)]
     lams = _samples(loop, ts)
-    base = np.array(roots_of(flex_quartic(lams[0]), precision=cfg.precision))
     coeffs = flex_quartic_stack(lams)
+    base = np.array(roots_of(coeffs[0], precision=cfg.precision))
     fresh = np.vstack([base, roots_of_stack(coeffs[1:], precision=cfg.precision)])
     paths = _compose_paths(_step_maps(coeffs[1:], fresh))
     roots = np.take_along_axis(fresh, paths, axis=1)
@@ -252,14 +251,13 @@ def track_flexes(loop: Loop, cfg: TrackingConfig = TrackingConfig()) -> np.ndarr
 def flex_lattice_map(flex_perm: np.ndarray) -> np.ndarray:
     """Lattice map of a flex permutation's action on the 27 lines.
 
-    Checked to live in the lattice stabilizer and to commute with the deck
-    matrix before being returned.
+    perm_to_lattice_map keeps the form (or raises FormViolation) and fixes
+    the canonical class by construction; the map is checked here to commute
+    with the deck matrix before being returned.
     """
     surface = base_surface()
-    line_perm = lift_to_lines(flex_perm)
-    m = perm_to_lattice_map(line_perm, surface.classes, surface.sixer)
-    if not is_lattice_map(m):
-        raise InconsistentProjection("monodromy image is not a lattice map")
+    m = perm_to_lattice_map(lift_to_lines(flex_perm), surface.classes,
+                            surface.sixer)
     deck = surface.deck_matrix
     if not np.array_equal(m @ deck, deck @ m):
         raise InconsistentProjection("monodromy image does not commute with the deck map")

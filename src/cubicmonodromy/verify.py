@@ -29,18 +29,17 @@ from .groups import (HEISENBERG_ALL, MODEL_IDENTITY, SL2_ALL, ModelElement,
                      SemidirectGroup, conjugation_relations, corrected_action,
                      identify_order24, index_table, intersect, is_normal,
                      semidirect_model, sl2_mul, verify_generator_map)
-from .lines import (TOL_TRANSFORM, base_surface, concurrent_triples,
+from .lines import (J_FORM, TOL_TRANSFORM, base_surface, concurrent_triples,
                     deck_permutation, form_ratio, induced_line_perm,
-                    is_strongly_regular_27, lift_to_lines, pairing,
-                    perm_compose, perm_to_lattice_map, preserves_incidence,
-                    translation)
-from .numeric import nearest_match, roots_of
+                    is_strongly_regular_27, lift_to_lines, perm_compose,
+                    perm_to_lattice_map, preserves_incidence, translation)
+from .numeric import nearest_match, pair_indices, roots_of
 from .report import SCOPES, Check, VerificationReport, jsonable
 from .tracking import (LoopTrace, TrackingConfig, constant_loop,
                        flex_lattice_map, gamma_minus, gamma_plus, trace_loop)
 from .weyl import (WEYL_ORDER, FiniteMatrixGroup, centralizer, conjugacy_class,
                    conjugacy_class_size, lattice_inverse, lattice_invariants,
-                   trace_character_check, weyl_group)
+                   weyl_group)
 
 TOL_TRANSCRIBE = 1e-6
 
@@ -133,24 +132,19 @@ def conjugator_carrying_deck(target_deck: np.ndarray) -> np.ndarray:
     return carrier
 
 
-def transported_images(group: FiniteMatrixGroup,
-                       carrier: np.ndarray) -> list[ModelElement]:
-    """Model images for a centralizer-of-deck group's generators.
-
-    The carrier conjugates the stored deck onto the group's deck, so
-    conjugating back moves the group onto the fixture group, whose images
-    in the model are read off its tree; verify_generator_map certifies the
-    result.
-    """
-    return model_images_of(lattice_inverse(carrier) @ np.stack(group.gens)
-                           @ carrier)
-
-
 def verify_isomorphism_via_transport(group: FiniteMatrixGroup,
                                      deck: np.ndarray) -> dict[int, ModelElement]:
+    """The word-verified map of a centralizer-of-deck group onto the model.
+
+    The carrier conjugates the stored deck onto the group's deck, so
+    conjugating back moves the group's generators into the fixture group,
+    whose images in the model are read off its tree; verify_generator_map
+    certifies the result for every element.
+    """
     carrier = conjugator_carrying_deck(deck)
-    return verify_generator_map(group, transported_images(group, carrier),
-                                semidirect_model())
+    images = model_images_of(lattice_inverse(carrier) @ np.stack(group.gens)
+                             @ carrier)
+    return verify_generator_map(group, images, semidirect_model())
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +214,9 @@ def paired_checks(ids: tuple[str, str, str, str, str],
 
     def deck():
         m = source().deck
-        tr, chi = trace_character_check(m)
+        tr = int(np.trace(m))
         return ({"order": weyl_group().element_order(m), "trace": tr,
-                 "character": chi, "inClosure": m in weyl_group(),
+                 "character": tr - 1, "inClosure": m in weyl_group(),
                  "classSize": conjugacy_class_size(m, weyl_group())},
                 {"order": 3, "trace": -2, "character": -3, "inClosure": True,
                  "classSize": 80})
@@ -426,10 +420,10 @@ def pipeline_checks() -> list[Check]:
              triples_and_sixer))
 
     def classes_reproduce():
-        pairs = [(i, j) for i in range(27) for j in range(i + 1, 27)]
-        good = sum((pairing(surface.classes[i], surface.classes[j]) == 1)
-                   == bool(surface.adjacency[i, j]) for i, j in pairs)
-        return ({"matches": good, "total": len(pairs)},
+        i, j = pair_indices(27)
+        gram = surface.classes @ J_FORM @ surface.classes.T
+        good = int(np.count_nonzero((gram[i, j] == 1) == surface.adjacency[i, j]))
+        return ({"matches": good, "total": len(i)},
                 {"matches": 351, "total": 351})
     add(_run("pl-classes-incidence",
              "divisor classes reproduce incidence through the pairing",

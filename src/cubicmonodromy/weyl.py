@@ -140,7 +140,6 @@ class FiniteMatrixGroup:
         self.gens = gens
         self.orbit = orbit
         self.digits = digits
-        self._elements: np.ndarray | None = None
         self.tree = tree
         self.moves = moves
         self.class_walks: dict[bytes, ClassWalk] = {}
@@ -216,13 +215,11 @@ class FiniteMatrixGroup:
         return cls(gens, np.array(vecs, dtype=np.int64).reshape(-1, dim),
                    np.concatenate(chunks), tree, images)
 
-    @property
+    @cached_property
     def elements(self) -> np.ndarray:
-        if self._elements is None:
-            stack = self.orbit[self.digits].transpose(0, 2, 1)
-            self._elements = np.ascontiguousarray(stack)
-            self._elements.flags.writeable = False
-        return self._elements
+        stack = np.ascontiguousarray(self.orbit[self.digits].transpose(0, 2, 1))
+        stack.flags.writeable = False
+        return stack
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -473,10 +470,3 @@ def regenerate(members: np.ndarray) -> FiniteMatrixGroup:
     if len(missing) or len(group) != len(members):
         raise WrongOrder("member list is not closed under multiplication")
     return group
-
-
-def trace_character_check(g: np.ndarray) -> tuple[int, int]:
-    """(matrix trace, reflection-representation character tr - 1)."""
-    g = np.asarray(g, dtype=np.int64)
-    tr = int(np.trace(g))
-    return tr, tr - 1

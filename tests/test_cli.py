@@ -323,7 +323,7 @@ state = {"code": code, "jsonschema": "jsonschema" in sys.modules,
 from cubicmonodromy.fixtures import load_fixtures
 from cubicmonodromy.weyl import conjugacy_class, weyl_group
 w = weyl_group()
-state.update(stackBuilt=w._elements is not None,
+state.update(stackBuilt="elements" in vars(w),
              transitionsBuilt="transitions" in vars(w), walks=len(w.class_walks))
 members = conjugacy_class(load_fixtures().deck, w)
 try:

@@ -231,6 +231,19 @@ def test_other_family_members(lam):
     assert len(concurrent_triples(s.lines, s.adjacency)) == 9
 
 
+# A lone flex quartic starts from its companion eigenvalues, several times
+# less accurate than the closed form this close to the nodes, so the lines
+# miss their residual.  The strict mark turns a fix into a failure here: a
+# fix removes the mark.
+@pytest.mark.xfail(strict=True, raises=NotAFlex,
+                   reason="lone-quartic roots too coarse near the nodes")
+@pytest.mark.parametrize("lam", (1.0000011, 1.0000012, 0.9999989, -0.9999989,
+                                 1.0000011 + 1e-7j, 1.0000010000001))
+def test_members_next_to_a_node_build(lam):
+    s = build_surface_data(family_lambda(lam))
+    assert is_strongly_regular_27(s.adjacency)
+
+
 def _hidden_pencil():
     m = np.array([[1.0, 0.4, -0.2], [0.1, 1.0, 0.3], [-0.3, 0.2, 1.0]],
                  dtype=complex)

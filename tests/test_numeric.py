@@ -511,17 +511,33 @@ def test_constants_closed_forms():
     assert abs(OMEGA ** 3 - 1.0) < 1e-14
 
 
+# imports the command line front end, then runs the full battery, lists the
+# lines of one member and tracks one loop in double precision, and prints
+# whether mpmath was loaded after the import and after the three commands
+_CLI_WITHOUT_MPMATH = """
+import contextlib, io, sys
+import cubicmonodromy.cli as cli
+print('mpmath' in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(args.split()) for args in (
+        "verify --scope all --format json",
+        "lines --lambda 0.3,0.1 --format json",
+        "monodromy gamma-minus --format json")]
+print(codes, 'mpmath' in sys.modules)
+"""
+
+
 def test_importing_the_cli_leaves_mpmath_unloaded():
     # mpmath is only for extended precision; a fresh interpreter that
-    # imports the command line front end must not pay for it
+    # imports the command line front end, or runs it in double precision,
+    # must not pay for it
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, cubicmonodromy.cli; print('mpmath' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120,
+    proc = subprocess.run([sys.executable, "-c", _CLI_WITHOUT_MPMATH],
+                          capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(src),
                                    PYTHONWARNINGS="error"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split("\n")[:2] == ["False", "[0, 0, 0] False"]
 
 
 def test_extended_precision_still_polishes_with_mpmath():

@@ -25,13 +25,13 @@ from cubicmonodromy.numeric import nearest_match, roots_of
 from cubicmonodromy.report import render_json
 from cubicmonodromy.tracking import gamma_minus
 from cubicmonodromy.verify import (build_pipeline, conjugator_carrying_deck,
-                                   fixture_group, fixture_source,
-                                   model_images_of, pipeline_checks,
-                                   run_checks,
+                                   fixture_checks, fixture_group,
+                                   fixture_source, model_images_of,
+                                   pipeline_checks, run_checks,
                                    transcribed_flex_permutation,
                                    transcribed_root_permutation)
-from cubicmonodromy.weyl import (conjugacy_class_size, lattice_inverse,
-                                 weyl_group)
+from cubicmonodromy.weyl import (FiniteMatrixGroup, conjugacy_class_size,
+                                 lattice_inverse, weyl_group)
 
 GOLDEN = Path(__file__).parent / "data" / "report_all.json"
 
@@ -510,6 +510,17 @@ def _forged_constant_loop(monkeypatch):
     monkeypatch.setattr(verify, "constant_loop", gamma_minus)
 
 
+def _negated_orbit_row(monkeypatch, row=50):
+    # the battery's reflection group with one basis-orbit vector negated: the
+    # same digits and tree, but the elements with that column no longer fix
+    # the canonical class
+    w = weyl_group()
+    orbit = w.orbit.copy()
+    orbit[row] = -orbit[row]
+    negated = FiniteMatrixGroup(w.gens, orbit, w.digits, w.tree, w.moves)
+    monkeypatch.setattr(verify, "weyl_group", lambda: negated)
+
+
 # the checks that read the reflection group
 WEYL_CHECKS = {
     "fx-reflection-order", "fx-reflection-invariants", "fx-deck-invariants",
@@ -529,16 +540,29 @@ PLANTED_DEFECTS = [
     # the deck matrix cannot be built on a sixer that is no basis
     (_meeting_sixer, SOURCE_CHECKS | {"pl-triples-sixer"}),
     (_swapped_class_rows, SOURCE_CHECKS | {"pl-classes-incidence"}),
-    (_forged_constant_loop, {"pl-constant-loop"})]
+    (_forged_constant_loop, {"pl-constant-loop"}),
+    (_negated_orbit_row, {"fx-reflection-invariants", "fx-deck-centralizer",
+                          "fx-set-equality", "fx-model-structure",
+                          "pl-set-equality"})]
 
 
 @pytest.mark.parametrize("plant, failing", PLANTED_DEFECTS, ids=[
     "duplicated-simple-root", "flipped-incidence", "flipped-fiber-incidence",
-    "meeting-sixer", "swapped-class-rows", "forged-constant-loop"])
+    "meeting-sixer", "swapped-class-rows", "forged-constant-loop",
+    "negated-orbit-row"])
 def test_a_planted_defect_fails_exactly_its_checks(monkeypatch, plant, failing):
     plant(monkeypatch)
     assert {c.check_id for c in run_checks("all").checks
             if c.status == "fail"} == failing
+
+
+@pytest.mark.parametrize("row", [7, 50, 98])
+def test_a_negated_orbit_row_fails_the_invariants_on_their_value(monkeypatch, row):
+    _negated_orbit_row(monkeypatch, row)
+    check = next(c for c in fixture_checks()
+                 if c.check_id == "fx-reflection-invariants")
+    assert check.status == "fail"
+    assert check.observed == {"formPreserved": True, "canonicalFixed": False}
 
 
 def test_the_planted_defects_fail_every_check():

@@ -13,8 +13,7 @@ from cubicmonodromy.weyl import (WEYL_ORDER, ClassWalk, FiniteMatrixGroup,
                                  conjugacy_class, conjugacy_class_size,
                                  element_orders, is_lattice_map, lattice_inverse,
                                  lattice_invariants, reflection, regenerate,
-                                 trace_character_check, weyl_generators,
-                                 weyl_group)
+                                 weyl_generators, weyl_group)
 
 
 def reference_close(gens):
@@ -414,7 +413,7 @@ def test_element_stack_is_built_on_first_use():
     assert len(w) == WEYL_ORDER
     assert w.locate(np.eye(7, dtype=np.int64)[None]).tolist() == [0]
     assert lattice_invariants(w) == (True, True)
-    assert w._elements is None
+    assert "elements" not in vars(w)
     s = w.stacked()
     assert s is w.elements is w.stacked()
     assert not s.flags.writeable
@@ -435,11 +434,6 @@ def test_class_walk_rejects_a_non_member():
         conjugacy_class(-np.eye(7, dtype=np.int64), weyl_group())
     with pytest.raises(NotAMember):
         conjugacy_class_size(-np.eye(7, dtype=np.int64), weyl_group())
-
-
-def test_trace_character():
-    tr, chi = trace_character_check(np.eye(7, dtype=np.int64))
-    assert (tr, chi) == (7, 6)
 
 
 def test_regenerate_preserves_set():
